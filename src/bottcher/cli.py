@@ -1,8 +1,9 @@
 """Command-line interface: parse expressions, run the pipelines, emit JSON/CSV.
 
 Exit codes: 0 success, 2 shape/precondition error, 3 certification failure,
-4 parse error.  A key=value config file (path in $BOTTCHER_CONFIG) supplies
-defaults for the truncation caps and tolerances.
+4 parse error; any other error is reported in one line with exit code 2.
+A key=value config file (path in $BOTTCHER_CONFIG) supplies defaults for the
+truncation caps and tolerances.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .normalize import (
 )
 from .parser import parse
 from .printer import format_series
-from .series import TruncationGrid, sub, monomial
+from .series import TruncationGrid, monomial, residual_keys, sub
 from .keys import Key
 
 
@@ -213,14 +214,12 @@ def cmd_support(args) -> int:
     spec = support_predict(f)
     gens = [{"z": str(g.z), "l": list(g.l)} for g in spec.generators]
     payload = {"generators": gens, "cutoff": str(spec.cutoff.z)}
+    text = "generators: " + ", ".join(f"({g.z},{list(g.l)})" for g in spec.generators)
     if args.enumerate is not None:
         keys = enumerate_semigroup(spec, ell_window=args.enumerate)
         payload["enumeration"] = [{"z": str(k.z), "l": list(k.l)} for k in keys]
-    _emit(
-        args,
-        payload,
-        "generators: " + ", ".join(f"({g.z},{list(g.l)})" for g in spec.generators),
-    )
+        text += "\nenumeration: " + ", ".join(f"({k.z},{list(k.l)})" for k in keys)
+    _emit(args, payload, text)
     return 0
 
 
@@ -237,7 +236,7 @@ def cmd_verify(args) -> int:
     conj = conjugate(phi, f)
     target = monomial(Key(alpha, (0,) * conj.depth), conj.grid, conj.mode)
     residual = sub(conj, target)
-    bad = [k for k in residual.terms if k < residual.frontier]
+    bad = residual_keys(residual)
     ok = not bad
     from .keys import Cut as _Cut
 
@@ -455,6 +454,9 @@ def main(argv=None) -> int:
         return 3
     except BottcherError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except Exception as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
 

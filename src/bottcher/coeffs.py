@@ -25,6 +25,10 @@ from .errors import ModeError
 EXACT = "exact"
 FLOAT = "float"
 
+# Float-mode coefficients no larger than this count as rounding dust wherever
+# a residual is tested for zero (Newton inversion, verification).
+FLOAT_TOL = 1e-9
+
 _ZERO = Fraction(0)
 
 

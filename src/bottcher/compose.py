@@ -26,7 +26,7 @@ from .coeffs import (
     c_one,
     c_pow_rational,
 )
-from .errors import DepthOverflowError, ModeError, ShapeError
+from .errors import ConvergenceError, DepthOverflowError, ModeError, ShapeError
 from .keys import Key, ell_key, front_zscale, zero_key
 from .series import (
     TransSeries,
@@ -39,6 +39,7 @@ from .series import (
     mul,
     mul_monomial,
     pow_rational,
+    residual_keys,
     scale,
     series_inverse,
     split_leading,
@@ -357,21 +358,27 @@ def _binom_any(delta, i):
 
 
 def invert(f: TransSeries) -> TransSeries:
-    """Compositional inverse by Newton refinement from the leading-monomial seed."""
+    """Compositional inverse by Newton refinement from the leading-monomial seed.
+
+    Converged when f o g - id vanishes below its frontier (`residual_keys`:
+    float-mode rounding dust does not count).  Raises ConvergenceError when
+    the residual order stops rising or after 64 steps.
+    """
     g = _invert_seed(f)
     ident = identity_series(f.grid, f.mode)
     fprime = d_dz(f)
     last_ord = None
     for _ in range(64):
         r = sub(compose(f, g), ident)
-        if r.is_zero() or min(r.terms) >= r.frontier:
-            break
-        o = min(r.terms)
+        bad = residual_keys(r)
+        if not bad:
+            return g
+        o = min(bad)
         if last_ord is not None and not o > last_ord:
-            break
+            raise ConvergenceError(f"Newton inversion stalled at residual order {o}")
         last_ord = o
         g = sub(g, mul(r, series_inverse(compose(fprime, g))))
-    return g
+    raise ConvergenceError("Newton inversion did not converge in 64 steps")
 
 
 def _invert_seed(f: TransSeries) -> TransSeries:
@@ -389,10 +396,12 @@ def invert_graded(f: TransSeries) -> TransSeries:
     fprime = d_dz(f)
     for _ in range(600):
         r = sub(compose(f, g), ident)
-        if r.is_zero() or min(r.terms) >= r.frontier:
+        bad = residual_keys(r)
+        if not bad:
             return g
         den = compose(fprime, g)
-        wk, wc = leading_term(r)
+        wk = min(bad)
+        wc = r.terms[wk]
         dk, dc = leading_term(den)
         g = add(g, monomial(wk - dk, g.grid, g.mode, c_mul(c_from(-1, g.mode), c_mul(wc, c_inv(dc)))))
     raise ShapeError("graded inversion did not converge within the frontier")

@@ -54,12 +54,15 @@ NEG_INF_LOGS = _NegInf()
 class Key:
     """A point (z_exp, log_exps) of R x Z^k with lex order."""
 
-    __slots__ = ("z", "l", "_t")
+    __slots__ = ("z", "l", "_t", "_h")
 
     def __init__(self, z, l=()):
-        self.z = as_zexp(z)
-        self.l = tuple(int(n) for n in l)
+        # Keys are hashed on every dict access: normalize once, hash once.
+        # A tuple `l` is taken as already normalized (integer entries).
+        self.z = z if type(z) is Fraction else as_zexp(z)
+        self.l = l if type(l) is tuple else tuple(map(int, l))
         self._t = (self.z, self.l)
+        self._h = hash(self._t)
 
     @property
     def depth(self) -> int:
@@ -89,7 +92,7 @@ class Key:
         return self._t >= other._t
 
     def __hash__(self):
-        return hash(self._t)
+        return self._h
 
     def __add__(self, other):
         if isinstance(other, Cut):

@@ -9,6 +9,8 @@ Grammar:
     complexlit := '(' rat ('+'|'-') rat 'i' ')'
 
 Lowering produces a canonical TransSeries; parse errors carry line/column.
+Arithmetic errors while lowering (a zero denominator, for example) surface
+as ParseError too.
 """
 
 from __future__ import annotations
@@ -82,7 +84,10 @@ def parse(text: str, grid: TruncationGrid | None = None, mode=EXACT,
         depth = need if depth is None else depth
         grid = TruncationGrid(z_cap=z_cap, block_cap=block_cap, depth=depth)
     p = _Parser(toks, grid, mode)
-    out = p.expr()
+    try:
+        out = p.expr()
+    except ArithmeticError as e:
+        raise ParseError(f"arithmetic error: {e}", 1, toks.peek()[2]) from e
     t = toks.peek()
     if t[0] is not None:
         raise ParseError(f"trailing input {t[1]!r}", 1, t[2])
@@ -140,7 +145,9 @@ class _Parser:
         num = self.t.expect("int")[1]
         if self.t.peek()[0] == "/":
             self.t.next()
-            den = self.t.expect("int")[1]
+            _, den, pos = self.t.expect("int")
+            if int(den) == 0:
+                raise ParseError("zero denominator", 1, pos)
             return Fraction(sign * int(num), int(den))
         return Fraction(sign * int(num))
 

@@ -21,6 +21,7 @@ from . import blocks as _blocks
 from .coeffs import (
     EXACT,
     FLOAT,
+    FLOAT_TOL,
     binomial,
     c_add,
     c_from,
@@ -382,6 +383,13 @@ def agree_below_frontier(a: TransSeries, b: TransSeries) -> bool:
     a, b = _common(a, b)
     diff = sub(a, b)
     return diff.is_zero() or min(diff.terms) >= diff.frontier
+
+
+def residual_keys(r: TransSeries) -> list[Key]:
+    """Keys below the frontier where r is nonzero (float mode: |c| > FLOAT_TOL)."""
+    if r.mode == FLOAT:
+        return [k for k, c in r.terms.items() if k < r.frontier and abs(c) > FLOAT_TOL]
+    return [k for k in r.terms if k < r.frontier]
 
 
 # -- multiplicative structure -------------------------------------------------

@@ -44,6 +44,7 @@ from bottcher.parser import parse
 from bottcher.series import (
     TruncationGrid,
     add,
+    agree_below_frontier,
     identity_series,
     monomial,
     ord_z,
@@ -149,6 +150,10 @@ def test_acceptance_03_contraction_suite(rng):
                 assert lead >= out.frontier or lead.z >= o_in + gain, (
                     alpha, beta, o_in, lead,
                 )
+                # the geometric bound behind normalize_direct's stopping index
+                assert lead >= out.frontier or lead.z >= 1 + alpha * (o_in - 1), (
+                    alpha, beta, o_in, lead,
+                )
             checked += 1
 
         for alpha, beta in combos:
@@ -196,6 +201,16 @@ def test_acceptance_06_order_bound():
             f, res = suite_case(i)
             assert order_bound_check(f, res.phi), _SUITE_SPECS[i][0]
             assert res.verification["order_bound_ok"]
+
+
+def test_suite_phi_is_bottcher_fixed_point():
+    # one more Picard step changes nothing below the frontier: the geometric
+    # stopping index did not stop early
+    cases = [suite_case(i) for i in range(4)]
+    f = S("z^(3/2) + z^2", z_cap=6, block_cap=8)
+    cases.append((f, normalize(f, verify=False)))
+    for f, res in cases:
+        assert agree_below_frontier(bottcher_op(f, res.phi), res.phi), f
 
 
 def test_acceptance_07_support_containment():

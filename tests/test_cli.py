@@ -43,6 +43,26 @@ def test_parse_error_exit_code(capsys):
     assert code == 4
 
 
+def test_zero_denominator_is_parse_error(capsys):
+    code = main(["normalize", "z^(1/0)"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "Traceback" not in err and "zero denominator" in err
+
+
+def test_unexpected_error_is_one_line_exit_2(capsys, monkeypatch):
+    import bottcher.cli as cli
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "normalize", boom)
+    code = main(["normalize", "z^2 + z^3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: RuntimeError: boom\n"
+
+
 def test_shape_error_exit_code(capsys):
     code, _ = run(capsys, "normalize", "2*z + z^2")  # hyperbolic: out of scope
     assert code == 2
@@ -60,6 +80,19 @@ def test_support(capsys):
     data = json.loads(out)
     zs = {g["z"] for g in data["generators"]}
     assert {"1", "2", "4", "8", "0"} <= zs
+
+
+def test_support_enumerate(capsys):
+    # the README command
+    code, out = run(capsys, "support", "z^2 + z^3*l1", "--enumerate", "6")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1].startswith("enumeration: (0,[1]), (0,[2])")
+    assert "(3,[6])" in lines[1] and "(0,[7])" not in lines[1]
+    code, out = run(capsys, "support", "z^2 + z^3*l1", "--enumerate", "6", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["enumeration"]) == lines[1].count("(")
 
 
 def test_verify_pass_and_fail(capsys, tmp_path):

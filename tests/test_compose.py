@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -18,7 +19,7 @@ from bottcher.compose import (
     reduce_lambda,
     shape_of,
 )
-from bottcher.errors import ModeError, ShapeError
+from bottcher.errors import ConvergenceError, ModeError, ShapeError
 from bottcher.keys import Key
 from bottcher.parser import parse
 from bottcher.series import (
@@ -30,6 +31,7 @@ from bottcher.series import (
     make_series,
     mul,
     sub,
+    zero_series,
 )
 
 F = Fraction
@@ -206,6 +208,15 @@ def test_invert_defining_property(text):
     ident = identity_series(GRID)
     assert_agree(compose(f, q), ident)
     assert_agree(compose(q, f), ident)
+
+
+def test_invert_raises_when_newton_stalls(monkeypatch):
+    C = importlib.import_module("bottcher.compose")  # the package exports compose()
+
+    # a Newton correction of zero leaves the residual order where it was
+    monkeypatch.setattr(C, "series_inverse", lambda a: zero_series(a.grid, a.mode))
+    with pytest.raises(ConvergenceError, match="stalled"):
+        invert(S("z + z^2"))
 
 
 def test_invert_graded_cross_check():

@@ -41,6 +41,13 @@ def test_pad_and_units():
     assert min_key(k, Key(1, (1,))) == Key(1, (1,))
 
 
+def test_hash_of_int_and_fraction_z():
+    a, b = Key(2, (1,)), Key(Fraction(2), [1])
+    assert a == b and hash(a) == hash(b)
+    assert hash(Key(Fraction(3, 2), (0, -1))) == hash(Key(Fraction(6, 4), [0, -1]))
+    assert len({a, b, Key(Fraction(4, 2), (1,))}) == 1
+
+
 def test_scale():
     assert Key(Fraction(3, 2), (1, -2)).scale(2) == Key(3, (2, -4))
     assert Key(1, (1,)).scale(0) == zero_key(1)

@@ -248,6 +248,14 @@ def test_normalize_float_matches_exact_polynomial():
             assert abs(fl.phi.coeff(k) - c.evaluate()) < 1e-10, k
 
 
+def test_normalize_float_fractional_alpha_verifies():
+    # the Newton inversion inside verification must not stop on rounding dust
+    f = parse("z^(3/2) + z^2", mode="float", z_cap=6, block_cap=8)
+    res = normalize(f)
+    assert res.iterations == 6
+    assert res.verification["conjugation_exact_below_frontier"]
+
+
 def test_normalize_direct_trivial():
     f = S("z^2")
     res = normalize_direct(f)

@@ -61,6 +61,10 @@ def test_errors_carry_position():
         parse("q + z")
     with pytest.raises(ParseError):
         parse("l3", depth=2)
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse("z^(1/0)")
+    with pytest.raises(ParseError, match="arithmetic error"):
+        parse("10^400*z", mode="float")  # float overflow while lowering
 
 
 def test_depth_inference():
