@@ -47,7 +47,7 @@ from .series import (
     weak_delta,
     zero_series,
 )
-from .blocks import Block, D_m, dist_ell, make_block
+from .blocks import D_m, dist_ell
 from .compose import (
     HyperbolicShape,
     compose,

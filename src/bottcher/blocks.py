@@ -1,137 +1,41 @@
 """Pure-logarithm blocks: the differential algebras B_m and their metric.
 
-A block is a series in l_m, ..., l_k alone (no free z), stored as an ordered
-map over Z^k (lex) with at most `cap` retained terms.  Blocks carry the same
-exactness-frontier discipline as full transseries; a frontier of None means
-every stored term is exact.
+A block is a series in l_m, ..., l_k alone (no free z): a `TransSeries` of
+z-order 0, every key Key(0, l).  Its ring operations, power sums and
+substitutions are those of `series` and `compose`; the grid's `block_cap`
+caps its terms and a frontier Cut(z_cap) means every stored term is exact.
+This module keeps only what is specific to B_m.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .coeffs import (
-    EXACT,
-    Exact,
-    c_add,
-    c_from,
-    c_inv,
-    c_is_zero,
-    c_mul,
-    c_neg,
-    c_scale,
-    c_zero,
-)
-from .errors import DepthOverflowError, EmptySeriesError, ShapeError
-
-
-def _lmin(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-class Block:
-    """Element of B_m inside depth-k log monomials."""
-
-    __slots__ = ("depth", "start", "mode", "cap", "ell_stop", "terms", "frontier")
-
-    def __init__(self, depth, start, mode, cap, ell_stop, terms, frontier):
-        self.depth = depth
-        self.start = start
-        self.mode = mode
-        self.cap = cap
-        self.ell_stop = ell_stop
-        self.terms = terms
-        self.frontier = frontier
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def coeff(self, key):
-        return self.terms.get(tuple(key), c_zero(self.mode))
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Block)
-            and self.depth == other.depth
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        items = ", ".join(f"l{k}:{c!r}" for k, c in self.sorted_terms())
-        return f"<Block {items}>"
-
-
-def make_block(terms, depth, mode=EXACT, cap=10, start=1, frontier_candidates=(), ell_stop=16):
-    merged = {}
-    for key, c in terms.items() if isinstance(terms, dict) else terms:
-        key = tuple(key)
-        if len(key) != depth:
-            if len(key) > depth:
-                raise DepthOverflowError("block key exceeds depth")
-            key = key + (0,) * (depth - len(key))
-        c = c_from(c, mode)
-        if key in merged:
-            merged[key] = c_add(merged[key], c)
-        else:
-            merged[key] = c
-
-    frontier = None
-    for cand in frontier_candidates:
-        frontier = _lmin(frontier, tuple(cand) if cand is not None else None)
-
-    keys = sorted(k for k, c in merged.items() if not c_is_zero(c))
-    stored = {k: merged[k] for k in keys[:cap]}
-    if len(keys) > cap:
-        frontier = _lmin(frontier, keys[cap])
-    return Block(depth, start, mode, cap, ell_stop, stored, frontier)
-
-
-def zero_block(depth, mode=EXACT, cap=10, ell_stop=16):
-    return make_block({}, depth, mode, cap)
-
-
-def block_one(depth, mode=EXACT, cap=10, ell_stop=16):
-    return make_block({(0,) * depth: 1}, depth, mode, cap, ell_stop=ell_stop)
-
-
-def ell_monomial(depth, m, power=1, mode=EXACT, cap=10, coeff=1, ell_stop=16):
-    key = tuple(power if j == m - 1 else 0 for j in range(depth))
-    return make_block({key: c_from(coeff, mode)}, depth, mode, cap, ell_stop=ell_stop)
+from .coeffs import c_scale
+from .errors import ShapeError
+from .keys import Key
+from .series import TransSeries, make_series, sub
 
 
 # -- membership and orders ----------------------------------------------------
 
 
-def in_Bm(r: Block, m: int) -> bool:
+def in_Bm(r: TransSeries, m: int) -> bool:
     """Support uses only coordinates >= m."""
-    return all(all(k[j] == 0 for j in range(m - 1)) for k in r.terms)
+    return all(all(k.l[j] == 0 for j in range(m - 1)) for k in r.terms)
 
 
-def ord_ell(r: Block, m: int):
+def ord_ell(r: TransSeries, m: int):
     """Minimal exponent of l_m over the support (None for the zero block)."""
     if not r.terms:
         return None
-    return min(k[m - 1] for k in r.terms)
+    return min(k.l[m - 1] for k in r.terms)
 
 
-def ord_lex(r: Block):
-    return min(r.terms) if r.terms else None
-
-
-def is_positive_class(r: Block) -> bool:
+def is_positive_class(r: TransSeries) -> bool:
     """ord(R) > 0 lex, the B_{>=m}+ condition."""
-    z = (0,) * r.depth
-    return all(k > z for k in r.terms)
+    return all(k.is_positive() for k in r.terms)
 
 
-def check_class(r: Block, positivity: str, m: int = 1):
+def check_class(r: TransSeries, positivity: str, m: int = 1):
     if positivity == "B_m+":
         if not in_Bm(r, m) or (r.terms and ord_ell(r, m) < 1):
             raise ShapeError(f"block not in B_{m}+")
@@ -140,287 +44,21 @@ def check_class(r: Block, positivity: str, m: int = 1):
             raise ShapeError(f"block not in B_>={m}+")
 
 
-def dist_ell(r: Block, s: Block, m: int = 1) -> float:
+def dist_ell(r: TransSeries, s: TransSeries, m: int = 1) -> float:
     """The metric d_m(R, S) = 2^(-ord_{l_m}(R - S)) on B_m."""
-    d = block_sub(r, s)
+    d = sub(r, s)
     if d.is_zero():
         return 0.0
     return 2.0 ** (-ord_ell(d, m))
 
 
-dist_m = dist_ell
-
-
-# -- ring operations ----------------------------------------------------------
-
-
-def _merge_params(a: Block, b: Block):
-    if a.depth != b.depth:
-        raise DepthOverflowError("block depth mismatch")
-    mode = "float" if "float" in (a.mode, b.mode) else EXACT
-    return mode, min(a.cap, b.cap), min(a.start, b.start), min(a.ell_stop, b.ell_stop)
-
-
-def block_add(a: Block, b: Block) -> Block:
-    mode, cap, start, es = _merge_params(a, b)
-    terms = dict(a.terms)
-    for k, c in b.terms.items():
-        terms[k] = c_add(terms[k], c) if k in terms else c
-    return make_block(terms, a.depth, mode, cap, start, [a.frontier, b.frontier], es)
-
-
-def block_neg(a: Block) -> Block:
-    return Block(
-        a.depth, a.start, a.mode, a.cap, a.ell_stop,
-        {k: c_neg(c) for k, c in a.terms.items()}, a.frontier,
-    )
-
-
-def block_sub(a: Block, b: Block) -> Block:
-    return block_add(a, block_neg(b))
-
-
-def block_scale(a: Block, q) -> Block:
-    if q == 0:
-        return make_block({}, a.depth, a.mode, a.cap, a.start, ell_stop=a.ell_stop)
-    return Block(
-        a.depth, a.start, a.mode, a.cap, a.ell_stop,
-        {k: c_scale(c, q) for k, c in a.terms.items()}, a.frontier,
-    )
-
-
-def block_scale_coeff(a: Block, c) -> Block:
-    terms = {k: c_mul(v, c) for k, v in a.terms.items()}
-    return make_block(terms, a.depth, a.mode, a.cap, a.start, [a.frontier], a.ell_stop)
-
-
-def _ord_for_frontier(a: Block):
-    return _lmin(ord_lex(a), a.frontier)
-
-
-def _shift(front, key):
-    if front is None:
-        return None
-    return tuple(x + y for x, y in zip(front, key))
-
-
-def block_mul(a: Block, b: Block) -> Block:
-    mode, cap, start, es = _merge_params(a, b)
-    terms = {}
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            c = c_mul(ca, cb)
-            terms[k] = c_add(terms[k], c) if k in terms else c
-    cands = [_shift(a.frontier, _ord_for_frontier(b) or (0,) * a.depth) if a.frontier else None,
-             _shift(b.frontier, _ord_for_frontier(a) or (0,) * a.depth) if b.frontier else None]
-    return make_block(terms, a.depth, mode, cap, start, cands, es)
-
-
-def block_mul_monomial(a: Block, key, coeff=None) -> Block:
-    key = tuple(key)
-    terms = {}
-    for k, c in a.terms.items():
-        nk = tuple(x + y for x, y in zip(k, key))
-        terms[nk] = c if coeff is None else c_mul(c, coeff)
-    return make_block(
-        terms, a.depth, a.mode, a.cap, a.start, [_shift(a.frontier, key)], a.ell_stop
-    )
-
-
-def block_pow_int(a: Block, n: int) -> Block:
-    if n < 0:
-        return block_pow_int(block_inverse(a), -n)
-    out = block_one(a.depth, a.mode, a.cap, a.ell_stop)
-    for _ in range(n):
-        out = block_mul(out, a)
-    return out
-
-
 # -- derivations D_m = l_m^2 d/dl_m -------------------------------------------
 
 
-def D_m(r: Block, m: int) -> Block:
+def D_m(r: TransSeries, m: int) -> TransSeries:
     """l_m^n -> n l_m^(n+1); raises the l_m-order by at least one."""
     if not in_Bm(r, m):
         raise ShapeError(f"D_{m} applied outside B_{m}")
-    terms = {}
-    for k, c in r.terms.items():
-        n = k[m - 1]
-        if n == 0:
-            continue
-        nk = tuple(x + (1 if j == m - 1 else 0) for j, x in enumerate(k))
-        terms[nk] = c_scale(c, n)
-    bump = tuple(1 if j == m - 1 else 0 for j in range(r.depth))
-    return make_block(
-        terms, r.depth, r.mode, r.cap, r.start, [_shift(r.frontier, bump)], r.ell_stop
-    )
-
-
-# -- analytic-style helper sums ------------------------------------------------
-
-
-def block_sum_powers(v: Block, coeff_of, prefactor: Block | None = None) -> Block:
-    """Sigma_i coeff_of(i) v^i with ord(v) > 0 lex; stops after ell_stop powers."""
-    n0 = _ord_for_frontier(v)
-    zero = (0,) * v.depth
-    if n0 is None:
-        n0 = None  # v == 0 exactly: only i = 0 contributes
-    elif not n0 > zero:
-        raise ShapeError("block power sum needs ord(v) > 0")
-    acc = zero_block(v.depth, v.mode, v.cap, v.ell_stop)
-    vp = block_one(v.depth, v.mode, v.cap, v.ell_stop)
-    i = 0
-    while i <= v.ell_stop:
-        q = coeff_of(i)
-        if q != 0:
-            acc = block_add(acc, block_scale(vp, q))
-        if n0 is None:
-            i += 1
-            break
-        vp = block_mul(vp, v)
-        i += 1
-    penalty = tuple(x * i for x in n0) if n0 is not None else None
-    if prefactor is not None:
-        acc = block_mul(prefactor, acc)
-        if penalty is not None:
-            base = _ord_for_frontier(prefactor)
-            if base is not None:
-                penalty = tuple(x + y for x, y in zip(penalty, base))
-    return make_block(
-        acc.terms, acc.depth, acc.mode, acc.cap, acc.start,
-        [acc.frontier, penalty], acc.ell_stop,
-    )
-
-
-def block_log1p(v: Block) -> Block:
-    return block_sum_powers(
-        v, lambda i: Fraction((-1) ** (i + 1), i) if i else Fraction(0)
-    )
-
-
-def block_exp_minus_one(v: Block) -> Block:
-    fact = [Fraction(1)]
-
-    def coeff(i):
-        while len(fact) <= i:
-            fact.append(fact[-1] / len(fact))
-        return fact[i] if i else Fraction(0)
-
-    return block_sum_powers(v, coeff)
-
-
-def block_geom(v: Block) -> Block:
-    return block_sum_powers(v, lambda i: Fraction(1))
-
-
-def split_leading_block(r: Block):
-    """r = c * l^key * (1 + v), ord(v) > 0."""
-    if r.is_zero():
-        raise EmptySeriesError("leading term of the zero block")
-    key = min(r.terms)
-    c = r.terms[key]
-    cinv = c_inv(c)
-    nkey = tuple(-x for x in key)
-    terms = {}
-    for k, cc in r.terms.items():
-        if k == key:
-            continue
-        terms[tuple(x + y for x, y in zip(k, nkey))] = c_mul(cc, cinv)
-    v = make_block(
-        terms, r.depth, r.mode, r.cap, r.start, [_shift(r.frontier, nkey)], r.ell_stop
-    )
-    return key, c, v
-
-
-def block_inverse(r: Block) -> Block:
-    key, c, v = split_leading_block(r)
-    body = block_geom(block_neg(v))
-    return block_mul_monomial(body, tuple(-x for x in key), c_inv(c))
-
-
-def block_pow_rational(r: Block, beta) -> Block:
-    """(1+v)-style rational power; leading monomial must have integer image."""
-    from .coeffs import binomial, c_pow_rational
-
-    beta = Fraction(beta)
-    key, c, v = split_leading_block(r)
-    if beta.denominator != 1 and any(x % beta.denominator for x in key):
-        raise ShapeError("fractional power of block with non-divisible leading key")
-    mkey = tuple(int(x * beta) for x in key)
-    body = block_sum_powers(v, lambda i: binomial(beta, i))
-    return block_mul_monomial(body, mkey, c_pow_rational(c, beta))
-
-
-def substitute(s: Block, images: list[Block]) -> Block:
-    """Substitute l_j -> images[j-1] into the block s (an algebra morphism)."""
-    if s.is_zero():
-        return s
-    acc = zero_block(s.depth, s.mode, s.cap, s.ell_stop)
-    pow_cache: dict[tuple[int, int], Block] = {}
-
-    def image_power(j, n):
-        if (j, n) not in pow_cache:
-            pow_cache[(j, n)] = block_pow_int(images[j], n)
-        return pow_cache[(j, n)]
-
-    for key, c in s.terms.items():
-        term = None
-        for j, n in enumerate(key):
-            if n == 0:
-                continue
-            p = image_power(j, n)
-            term = p if term is None else block_mul(term, p)
-        if term is None:
-            term = block_one(s.depth, s.mode, s.cap, s.ell_stop)
-        acc = block_add(acc, block_scale_coeff(term, c))
-    return acc
-
-
-# -- iterated-logarithm images under z^alpha (1 + R) ---------------------------
-
-
-def log_images_of_power(alpha, r: Block | None, depth: int, mode=EXACT, cap=10, ell_stop=16):
-    """Blocks l_j o (z^alpha (1 + R)) for j = 1..depth (R = None means pure power).
-
-    Level 1: l_1 o f0 = (l_1/alpha) Sigma_i (log(1+R) l_1/alpha)^i.
-    Level m+1 from E_m = c_m l_m (1+w): l_(m+1) Sigma_i ((log c_m + log1p w) l_(m+1))^i
-    with log c_1 = -log(alpha) (the coefficient symbol in exact mode) and
-    log c_m = 0 for m >= 2.
-    """
-    alpha_f = Fraction(alpha) if not isinstance(alpha, float) else alpha
-    if mode == EXACT:
-        if isinstance(alpha_f, float):
-            raise ShapeError("exact log images need rational alpha")
-        log_c1 = Exact.log_of_rational(Fraction(1) / alpha_f)
-        inv_alpha = Fraction(1, 1) / alpha_f
-    else:
-        import math
-
-        log_c1 = complex(-math.log(float(alpha)))
-        inv_alpha = 1.0 / float(alpha)
-
-    images = []
-    s_log = (
-        block_log1p(r)
-        if r is not None and not r.is_zero()
-        else zero_block(depth, mode, cap, ell_stop)
-    )
-    # E_1 = (l_1/alpha) * geom(s_log * l_1 / alpha)
-    l1 = ell_monomial(depth, 1, 1, mode, cap, ell_stop=ell_stop)
-    v1 = block_scale(block_mul(s_log, l1), inv_alpha)
-    e1 = block_sum_powers(v1, lambda i: Fraction(1), prefactor=block_scale(l1, inv_alpha))
-    images.append(e1)
-    for m in range(2, depth + 1):
-        prev = images[-1]
-        key, c, w = split_leading_block(prev)
-        logc = log_c1 if m == 2 else c_zero(mode)
-        inner = block_add(
-            make_block({(0,) * depth: logc}, depth, mode, cap, ell_stop=ell_stop),
-            block_log1p(w),
-        )
-        lm = ell_monomial(depth, m, 1, mode, cap, ell_stop=ell_stop)
-        vm = block_mul(inner, lm)
-        em = block_sum_powers(vm, lambda i: Fraction(1), prefactor=lm)
-        images.append(em)
-    return images
+    bump = Key(0, tuple(1 if j == m - 1 else 0 for j in range(r.depth)))
+    terms = {k + bump: c_scale(c, k.l[m - 1]) for k, c in r.terms.items() if k.l[m - 1]}
+    return make_series(terms, r.grid, r.mode, [r.frontier + bump])

@@ -45,6 +45,7 @@ from .koenigs import (
 )
 from .normalize import (
     bottcher_sequence,
+    check_conjugation,
     normalize,
     prenormalize,
     support_predict,
@@ -52,8 +53,8 @@ from .normalize import (
 )
 from .parser import parse
 from .printer import format_series
-from .series import TruncationGrid, monomial, residual_keys, sub
-from .keys import Key
+from .series import TruncationGrid
+from .keys import Cut, Key
 
 
 @dataclass
@@ -230,21 +231,12 @@ def cmd_verify(args) -> int:
         phi = series_from_json(json.load(open(args.phi_file)))
     else:
         phi = _parse_expr(args.phi, cfg)
-    from .compose import conjugate, shape_of
-
-    alpha = shape_of(f).alpha
-    conj = conjugate(phi, f)
-    target = monomial(Key(alpha, (0,) * conj.depth), conj.grid, conj.mode)
-    residual = sub(conj, target)
-    bad = residual_keys(residual)
-    ok = not bad
-    from .keys import Cut as _Cut
-
-    fr = residual.frontier
-    payload = {"pass": ok, "checked_below": {"z": str(fr.z), "l": "cut" if isinstance(fr, _Cut) else list(fr.l)}}
-    if bad:
-        payload["first_bad_key"] = {"z": str(min(bad).z), "l": list(min(bad).l)}
-    _emit(args, payload, f"verify: {'PASS' if ok else 'FAIL'} (below {residual.frontier.z})")
+    fr, first_bad = check_conjugation(f, phi)
+    ok = first_bad is None
+    payload = {"pass": ok, "checked_below": {"z": str(fr.z), "l": "cut" if isinstance(fr, Cut) else list(fr.l)}}
+    if not ok:
+        payload["first_bad_key"] = {"z": str(first_bad.z), "l": list(first_bad.l)}
+    _emit(args, payload, f"verify: {'PASS' if ok else 'FAIL'} (below {fr.z})")
     return 0 if ok else 3
 
 

@@ -165,7 +165,7 @@ class Exact:
             self._hash = hash(frozenset(self.parts.items()))
         return self._hash
 
-    def evaluate(self, _unused=None) -> complex:
+    def evaluate(self) -> complex:
         out = 0j
         for k, (re, im) in self.parts.items():
             c = complex(float(re), float(im))
@@ -203,20 +203,10 @@ def c_from(value, mode: str):
     return complex(value)
 
 
-def is_float_c(c) -> bool:
-    return isinstance(c, complex)
-
-
 def c_add(a, b):
     if isinstance(a, Exact) and isinstance(b, Exact):
         return a + b
     return _f(a) + _f(b)
-
-
-def c_sub(a, b):
-    if isinstance(a, Exact) and isinstance(b, Exact):
-        return a - b
-    return _f(a) - _f(b)
 
 
 def c_mul(a, b):
@@ -256,7 +246,7 @@ def _f(a) -> complex:
     return a.evaluate() if isinstance(a, Exact) else complex(a)
 
 
-def c_to_complex(a, _unused=None) -> complex:
+def c_to_complex(a) -> complex:
     return a.evaluate() if isinstance(a, Exact) else complex(a)
 
 
@@ -307,8 +297,13 @@ def c_pow_rational(a, beta):
             n = beta.numerator
             base = a if n >= 0 else a.inverse()
             out = ONE
-            for _ in range(abs(n)):
-                out = out * base
+            n = abs(n)
+            while n:  # square and multiply
+                if n & 1:
+                    out = out * base
+                n >>= 1
+                if n:
+                    base = base * base
             return out
         re, im = a.rational_parts()
         if im != 0 or re <= 0:

@@ -38,6 +38,7 @@ from .series import (
     monomial,
     mul,
     mul_monomial,
+    ord_for_frontier,
     pow_rational,
     residual_keys,
     scale,
@@ -73,7 +74,6 @@ def shape_of(f: TransSeries) -> HyperbolicShape:
     if alpha <= 0:
         raise ShapeError(f"leading exponent {alpha} is not positive")
     if alpha == 1:
-        one = c_one(f.mode) if f.mode != EXACT else Exact.of(1)
         cls = PARABOLIC if c_eq(lam, c_from(1, f.mode)) else HYPERBOLIC
     else:
         cls = STRONGLY_HYPERBOLIC
@@ -212,8 +212,7 @@ class _ComposeCtx:
         self.bodies: dict[object, TransSeries] = {}
         self.img_pows: dict[tuple[int, int], TransSeries] = {}
         self.prod_cache: dict[tuple, TransSeries] = {}
-        n0 = _ord_for_sum(self.u, f.grid)
-        self.u_ord = n0
+        self.u_ord = ord_for_frontier(self.u)
 
     def u_power(self, i: int) -> TransSeries:
         while len(self.u_pows) <= i:
@@ -234,6 +233,8 @@ class _ComposeCtx:
 
     def body(self, delta) -> TransSeries:
         """Sigma_i binom(delta, i) u^i with the certified stop and tail penalty."""
+        if delta == 0:  # binom(0, i) = 0 for i >= 1: exactly 1, no tail
+            return self.u_power(0)
         hit = self.bodies.get(delta)
         if hit is not None:
             return hit
@@ -289,12 +290,6 @@ class _ComposeCtx:
                 out = p if out is None else mul(out, p)
         self.prod_cache[lvec] = out
         return out
-
-
-def _ord_for_sum(u: TransSeries, grid) -> Key:
-    from .series import ord_for_frontier
-
-    return ord_for_frontier(u)
 
 
 _CTX_CACHE: dict[int, tuple] = {}

@@ -21,13 +21,19 @@ from .coeffs import (
     c_is_zero,
     c_mul,
     c_neg,
-    c_scale,
     c_to_complex,
     c_zero,
 )
 from .errors import BottcherError, DomainError, ModeError, ShapeError
 from .keys import Key
-from .series import TransSeries, TruncationGrid, make_series
+from .series import (
+    TransSeries,
+    TruncationGrid,
+    exp_minus_one,
+    log1p,
+    make_series,
+    negate,
+)
 from .normalize import normalize
 
 
@@ -86,94 +92,35 @@ def ord_e_inv(d: DulacSeriesZeta):
     return None
 
 
-# -- ladder arithmetic (exponent-graded polynomial series) -----------------------
+# -- ladders as depth-1 series -------------------------------------------------
 
 
-def _poly_add(p, q, mode):
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else c_zero(mode)
-        b = q[i] if i < len(q) else c_zero(mode)
-        out.append(c_add(a, b))
-    return out
+def _ladder_series_op(ladder: dict, op, mode, e_cap) -> dict:
+    """op applied to the ladder {beta: P} embedded as the depth-1 series
+    sum P[deg] e^(-beta zeta) zeta^deg, with zeta = 1/l1 (keys Key(beta, (-deg,))).
 
-
-def _poly_mul(p, q, mode):
-    out = [c_zero(mode)] * (len(p) + len(q) - 1) if p and q else []
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = c_add(out[i + j], c_mul(a, b))
-    return out
-
-
-def _ladd(A, B, mode):
-    out = dict(A)
-    for b, q in B.items():
-        out[b] = _poly_add(out.get(b, []), q, mode)
-    return out
-
-
-def _lmul(A, B, mode, e_cap):
-    out = {}
-    for ba, pa in A.items():
-        for bb, pb in B.items():
-            b = ba + bb
-            if b >= e_cap:
-                continue
-            prod = _poly_mul(pa, pb, mode)
-            out[b] = _poly_add(out.get(b, []), prod, mode)
-    return out
-
-
-def _lscale(A, q, mode):
-    return {b: [c_scale(c, q) for c in p] for b, p in A.items()}
-
-
-def _lprune(A, mode):
-    out = {}
-    for b, p in A.items():
-        while p and c_is_zero(p[-1]):
-            p = p[:-1]
-        if p:
-            out[b] = p
-    return out
-
-
-def _lsum_powers(u, coeff_of, mode, e_cap):
-    """Sigma_j coeff_of(j) u^j; min beta of u > 0 so j is bounded by e_cap."""
-    if u:
-        bmin = min(u)
-        if bmin <= 0:
-            raise ShapeError("ladder power sum needs positive minimal exponent")
-        jmax = int(e_cap / bmin) + 1
-    else:
-        jmax = 0
-    acc: dict = {}
-    upow = {Fraction(0) if mode == EXACT else 0.0: [c_from(1, mode)]}
-    for j in range(jmax + 1):
-        q = coeff_of(j)
-        if q != 0:
-            acc = _ladd(acc, _lscale(upow, q, mode), mode)
-        upow = _lmul(upow, u, mode, e_cap)
-    return _lprune(acc, mode)
-
-
-def _log1p_ladder(u, mode, e_cap):
-    return _lsum_powers(
-        u, lambda j: Fraction((-1) ** (j + 1), j) if j else Fraction(0), mode, e_cap
+    The grid stores every term below e_cap: op(u) = Sigma_j c_j u^j needs
+    j <= e_cap / min beta, so a block holds at most
+    (max deg) * (int(e_cap / min beta) + 1) + 1 terms.
+    """
+    if not ladder:  # also covers e_cap <= 0, where every rung is cut
+        return {}
+    max_deg = max(len(p) for p in ladder.values()) - 1
+    reach = int(e_cap / min(ladder)) + 1
+    grid = TruncationGrid(z_cap=e_cap, block_cap=max_deg * reach + 1, depth=1)
+    u = make_series(
+        {Key(b, (-deg,)): c for b, p in ladder.items() for deg, c in enumerate(p)},
+        grid,
+        mode,
     )
-
-
-def _expm1_ladder(v, mode, e_cap):
-    fact = [Fraction(1)]
-
-    def coeff(j):
-        while len(fact) <= j:
-            fact.append(fact[-1] / len(fact))
-        return fact[j] if j else Fraction(0)
-
-    return _lsum_powers(v, coeff, mode, e_cap)
+    out: dict = {}
+    for k, c in op(u).terms.items():
+        b = k.z if mode == EXACT else float(k.z)  # float mode keeps float exponents
+        out.setdefault(b, {})[-k.l[0]] = c
+    return {
+        b: [p.get(deg, c_zero(mode)) for deg in range(max(p) + 1)]
+        for b, p in out.items()
+    }
 
 
 # -- chart conversions ------------------------------------------------------------
@@ -203,7 +150,7 @@ def to_zeta_chart(d: DulacSeriesZ, e_cap=None, c0=None) -> DulacSeriesZeta:
         if beta >= e_cap:
             continue
         u[beta] = [c_mul(c, lam_inv) for c in p]
-    body = _log1p_ladder(u, mode, e_cap)
+    body = _ladder_series_op(u, log1p, mode, e_cap)
     ladder = [(b, [c_neg(c) for c in p]) for b, p in sorted(body.items())]
     return DulacSeriesZeta(d.alpha, c0, ladder, mode)
 
@@ -220,7 +167,7 @@ def to_z_chart(d: DulacSeriesZeta, e_cap=None) -> DulacSeriesZ:
     else:
         lam = cmath.exp(-complex(c_to_complex(d.c0)))
     v = {b: list(q) for b, q in d.ladder if b < e_cap}
-    body = _expm1_ladder(_lscale(v, -1, mode), mode, e_cap)
+    body = _ladder_series_op(v, lambda s: exp_minus_one(negate(s)), mode, e_cap)
     ladder = []
     for b, p in sorted(body.items()):
         ladder.append((d.alpha + b, [c_mul(c, lam) for c in p]))
@@ -344,14 +291,6 @@ def _exp_any(x):
     return cmath.exp(complex(x))
 
 
-def _log_any(x):
-    if _is_mp(x):
-        import mpmath
-
-        return mpmath.log(x)
-    return cmath.log(complex(x))
-
-
 def _num(c, like) -> object:
     """Coefficient as a number matching the precision of `like`.
 
@@ -386,7 +325,7 @@ def _exp_frac_any(b, like):
     return float(b)
 
 
-def evaluate_zeta(d: DulacSeriesZeta, zeta, log_value=None):
+def evaluate_zeta(d: DulacSeriesZeta, zeta):
     """Numeric value alpha zeta + c0 + sum e^(-beta zeta) Q(zeta)."""
     out = _exp_frac_any(d.alpha, zeta) * zeta + _num(d.c0, zeta)
     for b, q in d.ladder:
@@ -394,23 +333,6 @@ def evaluate_zeta(d: DulacSeriesZeta, zeta, log_value=None):
         for c in reversed(q):
             horner = horner * zeta + _num(c, zeta)
         out = out + _exp_any(-_exp_frac_any(b, zeta) * zeta) * horner
-    return out
-
-
-def evaluate_series_zeta(f: TransSeries, zeta, log_value=None):
-    """Evaluate a transseries at z = e^(-zeta): l1 = 1/zeta, l_{m+1} = -1/log(l_m)."""
-    vals = []
-    if f.depth >= 1:
-        vals.append(1 / zeta)
-        for _ in range(1, f.depth):
-            vals.append(-1 / _log_any(vals[-1]))
-    out = 0 * zeta
-    for k, c in f.terms.items():
-        term = _num(c, zeta) * _exp_any(-_exp_frac_any(k.z, zeta) * zeta)
-        for j, n in enumerate(k.l):
-            if n:
-                term = term * vals[j] ** n
-        out = out + term
     return out
 
 

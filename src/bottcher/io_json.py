@@ -134,21 +134,6 @@ def dulac_z_to_json(d) -> dict:
     }
 
 
-def dulac_z_from_json(d: dict):
-    from .dulac import DulacSeriesZ
-
-    mode = d.get("mode", EXACT)
-    return DulacSeriesZ(
-        coeff_from_json(d["lambda"], mode),
-        _zexp_in(d["alpha"]),
-        [
-            (_zexp_in(e["exp"]), [coeff_from_json(c, mode) for c in e["P"]])
-            for e in d["ladder"]
-        ],
-        mode,
-    )
-
-
 def dulac_zeta_to_json(d) -> dict:
     return {
         "alpha": _zexp_out(d.alpha),

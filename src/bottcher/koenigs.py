@@ -48,6 +48,7 @@ def koenigs_normalize(
     if rho_R <= 0:
         raise CertificationError(f"rho(R) = {rho_R} <= 0 at R = {R}")
     iterations_used: dict = {}
+    stopped_on: dict = {}  # point -> the tail majorant its evaluation stopped on
 
     def evaluator(zeta):
         w = zeta
@@ -67,21 +68,22 @@ def koenigs_normalize(
                     raise CertificationError(
                         f"iterate {n} left the domain at {complex(w):.6g}"
                     )
-            if _tail_majorant(spec, x, n) < tol:
+            tail = _tail_majorant(spec, x, n)
+            if tail < tol:
                 break
             if n >= max_iter:
                 raise CertificationError("iteration budget exhausted before tail < tol")
             w = f(w)
             n += 1
         iterations_used[complex(zeta)] = n
+        stopped_on[complex(zeta)] = tail
         return w * (a ** (-n))
 
     def tail_bound(zeta):
-        n = iterations_used.get(complex(zeta))
-        if n is None:
+        """The certified majorant (< tol) of the tail left out at zeta."""
+        if complex(zeta) not in stopped_on:
             evaluator(zeta)
-            n = iterations_used[complex(zeta)]
-        return _tail_majorant(spec, float(zeta.real) + n * rho_R, n)
+        return stopped_on[complex(zeta)]
 
     return KoenigsResult(evaluator, tail_bound, iterations_used, dom, spec, R, tol)
 

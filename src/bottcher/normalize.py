@@ -2,7 +2,8 @@
 
 Pipeline: reduce the leading coefficient/exponent if needed, remove the
 same-z-order log block by the canonical prenormalization id + zS (a graded
-solve of the multiplicative fixed-point equation in logarithmic form), then
+solve of the multiplicative fixed-point equation in logarithmic form, on
+z-order-0 series, with the log substitution done by `compose`), then
 Picard-iterate the Bottcher operator P_f(h) = z^(1/alpha) o h o f.  Its
 contraction factor 2^(-(alpha-1)(beta-1)) is the first step's worst case; the
 stopping index comes from the geometric reach: P_f multiplies the relative
@@ -16,20 +17,29 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import blocks as B
-from .blocks import Block
 from .coeffs import binomial, c_add, c_eq, c_from, c_is_zero, c_mul, c_scale
 from .errors import PrenormalizationRequiredError, ShapeError
-from .keys import Cut, Key, ell_key
+from .keys import Cut, Key, ell_key, min_key, zero_key
 from .series import (
     TransSeries,
     add,
+    agree_below_frontier,
+    exp_minus_one,
     identity_series,
     leading_block,
+    log1p,
     make_series,
     monomial,
+    mul,
+    mul_monomial,
+    negate,
     ord_z,
+    pow_rational,
     residual_keys,
+    scale,
     sub,
+    sum_powers,
+    zero_series,
 )
 from .compose import (
     STRONGLY_HYPERBOLIC,
@@ -68,29 +78,17 @@ def bottcher_op(f: TransSeries, h: TransSeries) -> TransSeries:
 
 
 def alpha_block(f: TransSeries):
-    """(alpha, R) with f = z^alpha (1 + R) + higher blocks; R a pure block."""
+    """(alpha, R) with f = z^alpha (1 + R) + higher blocks; R of z-order 0."""
     shape = _require_monic_power(f)
     alpha = shape.alpha
     terms = {}
     for k, c in f.terms.items():
         if k.z == alpha and any(n != 0 for n in k.l):
-            terms[k.l] = c
-    if isinstance(f.frontier, Cut):
-        if f.frontier.z <= alpha:
-            raise ShapeError("grid too small: the alpha block is entirely untrusted")
-        fr = None
-    elif f.frontier.z < alpha:
+            terms[Key(0, k.l)] = c
+    if f.frontier.z < alpha or (isinstance(f.frontier, Cut) and f.frontier.z == alpha):
         raise ShapeError("grid too small: the alpha block is entirely untrusted")
-    elif f.frontier.z == alpha:
-        fr = f.frontier.l
-    else:
-        fr = None
-    blk = B.make_block(
-        terms, f.depth, f.mode, f.grid.block_cap, start=1,
-        frontier_candidates=[fr] if fr is not None else (),
-        ell_stop=f.grid.ell_stop,
-    )
-    return alpha, blk
+    cands = [Key(0, f.frontier.l)] if f.frontier.z == alpha else []
+    return alpha, make_series(terms, f.grid, f.mode, cands)
 
 
 def alpha_part_series(f: TransSeries) -> TransSeries:
@@ -106,126 +104,116 @@ def bottcher_R_op(f: TransSeries, h: TransSeries) -> TransSeries:
 
 
 # -- canonical prenormalization --------------------------------------------------
+#
+# Blocks R, S, T, W are series of z-order 0 on the grid of f.  The substitution
+# sigma: l_j -> l_j o (z^alpha (1 + R)) is composition with the right factor
+# f0 = z^alpha (1 + R), so compose's per-right-factor cache shares the
+# iterated-log images between calls with the same f0; R = 0 is sigma for the
+# pure power z^alpha.
 
 
-def solve_prenorm_W(r: Block, alpha) -> Block:
+def _power_part(alpha, r: TransSeries) -> TransSeries:
+    """The right factor f0 = z^alpha (1 + R) of the substitution sigma."""
+    one = monomial(zero_key(r.depth), r.grid, r.mode)
+    return mul_monomial(add(one, r), Key(alpha, (0,) * r.depth))
+
+
+def solve_prenorm_W(r: TransSeries, alpha) -> TransSeries:
     """Unique solution of W = (1/alpha) log(1+R) + (1/alpha) W o sigma.
 
-    sigma substitutes l_j -> l_j o (z^alpha (1+R)).  The equation is
+    sigma substitutes l_j -> l_j o f0, f0 = z^alpha (1+R).  The equation is
     lex-triangular with diagonal factors 1 - alpha^-(n1+1) in (0,1), so it is
     solved term-by-term in ascending key order; contributions of a solved term
     to higher keys come from the off-diagonal part of its sigma-image.
     """
     alpha = Fraction(alpha)
-    depth, mode, cap, es = r.depth, r.mode, r.cap, r.ell_stop
+    grid, mode = r.grid, r.mode
     inv_a = Fraction(1) / alpha
-    images = B.log_images_of_power(alpha, r, depth, mode, cap, es)
-    a0 = B.block_scale(B.block_log1p(r), inv_a)
+    f0 = _power_part(alpha, r)
+    a0 = scale(log1p(r), inv_a)
 
-    pending: dict[tuple, object] = dict(a0.terms)
-    solved: dict[tuple, object] = {}
+    pending: dict[Key, object] = dict(a0.terms)
+    solved: dict[Key, object] = {}
     frontier = a0.frontier
-    budget = cap
+    budget = grid.block_cap
     while pending and budget > 0:
         n = min(pending)
         b = pending.pop(n)
-        diag = 1 - inv_a * alpha ** (-n[0])
+        diag = 1 - inv_a * alpha ** (-n.l[0])
         w_n = c_scale(b, Fraction(1) / diag)
         if c_is_zero(w_n):
             continue
         solved[n] = w_n
         budget -= 1
-        sigma_n = B.substitute(
-            B.make_block({n: 1}, depth, mode, cap, 1, ell_stop=es), images
-        )
-        if sigma_n.frontier is not None:
-            frontier = B._lmin(frontier, sigma_n.frontier)
+        sigma_n = compose(monomial(n, grid, mode), f0)
+        frontier = min_key(frontier, sigma_n.frontier)
         for k, c in sigma_n.terms.items():
             if k == n:
                 continue
             contrib = c_scale(c_mul(w_n, c), inv_a)
             pending[k] = contrib if k not in pending else c_add(pending[k], contrib)
     if pending:
-        frontier = B._lmin(frontier, min(pending))
-    return B.make_block(solved, depth, mode, cap, 1, [frontier], es)
+        frontier = min_key(frontier, min(pending))
+    return make_series(solved, grid, mode, [frontier])
 
 
 def prenormalize(f: TransSeries) -> TransSeries:
-    """The unique canonical phi_1 = id + zS removing the z^alpha log block."""
+    """The unique canonical phi_1 = id + zS removing the z^alpha log block.
+
+    S = exp(W) - 1 with W from `solve_prenorm_W` for the alpha-block R of f.
+    """
     alpha, r = alpha_block(f)
-    depth, grid, mode = f.depth, f.grid, f.mode
     if r.is_zero():
-        return identity_series(grid, mode)
+        return identity_series(f.grid, f.mode)
     B.check_class(r, "B_>=m+", 1)
     w = solve_prenorm_W(r, alpha)
-    s = B.block_exp_minus_one(w)
-    terms = {Key(1, (0,) * depth): c_from(1, mode)}
-    for lkey, c in s.terms.items():
-        terms[Key(1, lkey)] = c
-    cands = [Key(1, s.frontier)] if s.frontier is not None else []
-    phi1 = make_series(terms, grid, mode, cands)
-    return phi1
+    one = monomial(zero_key(f.depth), f.grid, f.mode)
+    return mul_monomial(add(one, exp_minus_one(w)), Key(1, (0,) * f.depth))
 
 
-def prenorm_block_map(r: Block, t: Block, alpha, images=None) -> Block:
+def prenorm_block_map(r: TransSeries, t: TransSeries, alpha, f0=None) -> TransSeries:
     """One weak-iteration step: T -> ((1+R)(1+T o sigma))^(1/alpha) - 1."""
     alpha_q = Fraction(alpha) if not isinstance(alpha, float) else alpha
-    if images is None:
-        images = B.log_images_of_power(alpha_q, r, r.depth, r.mode, r.cap, r.ell_stop)
-    one = B.block_one(r.depth, r.mode, r.cap, r.ell_stop)
-    inner = B.block_mul(
-        B.block_add(one, r), B.block_add(one, B.substitute(t, images))
-    )
-    inv_a = Fraction(1) / Fraction(alpha_q) if not isinstance(alpha_q, float) else 1.0 / alpha_q
-    powed = B.block_pow_rational(inner, inv_a) if not isinstance(alpha_q, float) else _float_block_pow(inner, inv_a)
-    return B.block_sub(powed, one)
-
-
-def _float_block_pow(r: Block, beta: float) -> Block:
-    from .coeffs import c_pow_rational
-
-    key, c, v = B.split_leading_block(r)
-    body = B.block_sum_powers(v, lambda i: binomial(beta, i))
-    return B.block_mul_monomial(
-        body, tuple(int(x * beta) for x in key), c_pow_rational(c, beta)
-    )
+    f0 = _power_part(alpha_q, r) if f0 is None else f0
+    one = monomial(zero_key(r.depth), r.grid, r.mode)
+    inner = mul(add(one, r), add(one, compose(t, f0)))
+    inv_a = 1.0 / alpha_q if isinstance(alpha_q, float) else Fraction(1) / alpha_q
+    return sub(pow_rational(inner, inv_a), one)
 
 
 # -- the T/S/K operator triple ----------------------------------------------------
 
 
-def apply_T_op(s: Block, r: Block, alpha) -> Block:
+def apply_T_op(s: TransSeries, r: TransSeries, alpha) -> TransSeries:
     """T_f(S) = S o z^alpha + (S o z^alpha) R - Sigma_{i>=1} binom(alpha,i) S^i."""
     alpha = Fraction(alpha)
-    pure = B.log_images_of_power(alpha, None, s.depth, s.mode, s.cap, s.ell_stop)
-    s_za = B.substitute(s, pure)
-    tail = B.block_sum_powers(s, lambda i: binomial(alpha, i) if i >= 1 else Fraction(0))
-    return B.block_sub(B.block_add(s_za, B.block_mul(s_za, r)), tail)
+    s_za = compose(s, _power_part(alpha, zero_series(s.grid, s.mode)))
+    tail = sum_powers(
+        s, lambda i: binomial(alpha, i) if i >= 1 else Fraction(0), s.grid, s.mode
+    )
+    return sub(add(s_za, mul(s_za, r)), tail)
 
 
-def apply_K_op(s: Block, r: Block, alpha) -> Block:
+def apply_K_op(s: TransSeries, r: TransSeries, alpha) -> TransSeries:
     """Derived closed form of the contraction remainder K_f.
 
     K_f(S) = (S o f0 - S o z^alpha)(1 + R) - ((D_1 S) o z^alpha) R, the unique
     remainder making T_f(S) = S_f(S) equivalent to the fixed-point equation.
     """
     alpha = Fraction(alpha)
-    pure = B.log_images_of_power(alpha, None, s.depth, s.mode, s.cap, s.ell_stop)
-    full = B.log_images_of_power(alpha, r, s.depth, s.mode, s.cap, s.ell_stop)
-    delta = B.block_sub(B.substitute(s, full), B.substitute(s, pure))
-    one = B.block_one(s.depth, s.mode, s.cap, s.ell_stop)
-    d1s_za = B.substitute(B.D_m(s, 1), pure)
-    return B.block_sub(B.block_mul(delta, B.block_add(one, r)), B.block_mul(d1s_za, r))
+    pure = _power_part(alpha, zero_series(s.grid, s.mode))
+    delta = sub(compose(s, _power_part(alpha, r)), compose(s, pure))
+    one = monomial(zero_key(s.depth), s.grid, s.mode)
+    d1s_za = compose(B.D_m(s, 1), pure)
+    return sub(mul(delta, add(one, r)), mul(d1s_za, r))
 
 
-def apply_S_op(s: Block, r: Block, alpha) -> Block:
+def apply_S_op(s: TransSeries, r: TransSeries, alpha) -> TransSeries:
     """S_f(S) = -R - ((D_1 S) o z^alpha) R - K_f(S)."""
     alpha = Fraction(alpha)
-    pure = B.log_images_of_power(alpha, None, s.depth, s.mode, s.cap, s.ell_stop)
-    d1s_za = B.substitute(B.D_m(s, 1), pure)
-    return B.block_sub(
-        B.block_sub(B.block_neg(r), B.block_mul(d1s_za, r)), apply_K_op(s, r, alpha)
-    )
+    pure = _power_part(alpha, zero_series(s.grid, s.mode))
+    d1s_za = compose(B.D_m(s, 1), pure)
+    return sub(sub(negate(r), mul(d1s_za, r)), apply_K_op(s, r, alpha))
 
 
 # -- direct normalization ----------------------------------------------------------
@@ -356,24 +344,30 @@ def _front_json(front):
     return (str(front.z), list(front.l))
 
 
-def verify_normalization(f: TransSeries, res: NormalizationResult) -> dict:
-    """Check conjugate(phi, f) = z^alpha at every retained key below the frontier.
+def check_conjugation(f: TransSeries, phi: TransSeries):
+    """Check phi o f o phi^(-1) = z^alpha at every retained key below the frontier.
 
-    Exact mode demands literal zero residuals; float mode (which carries no
-    exactness guarantee) tolerates rounding dust up to FLOAT_TOL.
+    Returns (frontier checked below, first bad key or None).  Exact mode
+    demands literal zero residuals; float mode (which carries no exactness
+    guarantee) tolerates rounding dust up to FLOAT_TOL.
     """
-    alpha = res.alpha
-    conj = conjugate(res.phi, f)
-    target = monomial(Key(alpha, (0,) * conj.depth), conj.grid, conj.mode)
-    residual = sub(conj, target)
+    alpha = shape_of(f).alpha
+    conj = conjugate(phi, f)
+    residual = sub(conj, monomial(Key(alpha, (0,) * conj.depth), conj.grid, conj.mode))
     bad = residual_keys(residual)
+    return residual.frontier, min(bad) if bad else None
+
+
+def verify_normalization(f: TransSeries, res: NormalizationResult) -> dict:
+    """`check_conjugation` of res.phi plus the order bound, as a report dict."""
+    checked, first_bad = check_conjugation(f, res.phi)
     report = {
-        "conjugation_exact_below_frontier": not bad,
-        "checked_below": _front_json(residual.frontier),
+        "conjugation_exact_below_frontier": first_bad is None,
+        "checked_below": _front_json(checked),
         "order_bound_ok": order_bound_check(f, res.phi),
     }
-    if bad:
-        report["first_bad_key"] = (str(min(bad).z), list(min(bad).l))
+    if first_bad is not None:
+        report["first_bad_key"] = (str(first_bad.z), list(first_bad.l))
     return report
 
 
@@ -399,8 +393,7 @@ def convergence_mode(f: TransSeries, h: TransSeries) -> dict:
     res = normalize(f, verify=False)
     a_h, lb_h = leading_block(h)
     a_p, lb_p = leading_block(res.phi)
-    d = B.block_sub(lb_h, lb_p)
-    same_block = d.is_zero() or (d.frontier is not None and min(d.terms) >= d.frontier)
+    same_block = agree_below_frontier(lb_h, lb_p)
     return {"weak_always": True, "power_metric": bool(a_h == a_p and same_block)}
 
 
@@ -567,9 +560,7 @@ def enumerate_semigroup(spec: SemigroupSpec, ell_window: int = 8) -> list[Key]:
 
 def order_bound_check(f: TransSeries, phi: TransSeries) -> bool:
     """ord_z(phi - id) >= ord_z(f - z^alpha) - alpha + 1."""
-    shape = shape_of(f)
-    alpha = shape.alpha
-    target = monomial(Key(alpha, (0,) * f.depth), f.grid, f.mode)
+    alpha = shape_of(f).alpha
     beta = _beta_from(f, alpha)
     diff = sub(phi, identity_series(phi.grid, phi.mode))
     o = ord_z(diff)

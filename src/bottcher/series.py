@@ -10,6 +10,11 @@ grid-implied frontier (z_cap, 0).
 Supports may contain keys <= 0 (the ambient algebra allows constants,
 negative log exponents and negative powers); shape preconditions of the
 normalization pipeline are checked where they are needed, not here.
+
+This is the one truncated-series kernel of the package.  The pure-logarithm
+blocks B_m are the series of z-order 0 (every key is Key(0, l); `block_cap`
+caps their terms and `ell_stop` their power sums), and the Dulac ladders of
+`dulac` are depth-1 series with keys Key(beta, (-degree,)).
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from . import blocks as _blocks
 from .coeffs import (
     EXACT,
     FLOAT,
@@ -33,7 +37,7 @@ from .coeffs import (
     c_zero,
 )
 from .errors import DepthOverflowError, EmptySeriesError, ShapeError
-from .keys import Cut, Key, front_zscale, min_key, zero_key
+from .keys import Cut, Key, min_key, zero_key
 
 
 @dataclass(frozen=True)
@@ -227,15 +231,12 @@ def leading_term(f: TransSeries):
 
 
 def leading_block(f: TransSeries):
-    """The full alpha-block at alpha = ord_z(f), as (alpha, Block)."""
+    """The full alpha-block at alpha = ord_z(f), as (alpha, z-order-0 series)."""
     if not f.terms:
         raise EmptySeriesError("leading block of the zero series")
     alpha = ord_z(f)
-    terms = {k.l: c for k, c in f.terms.items() if k.z == alpha}
-    block = _blocks.make_block(
-        terms, depth=f.depth, mode=f.mode, cap=f.grid.block_cap, start=1
-    )
-    return alpha, block
+    terms = {Key(0, k.l): c for k, c in f.terms.items() if k.z == alpha}
+    return alpha, make_series(terms, f.grid, f.mode)
 
 
 def ord_for_frontier(f: TransSeries) -> Key:
@@ -274,11 +275,6 @@ def scale(a: TransSeries, q) -> TransSeries:
     return TransSeries(
         a.depth, a.mode, a.grid, {k: c_scale(c, q) for k, c in a.terms.items()}, a.frontier
     )
-
-
-def scale_coeff(a: TransSeries, c) -> TransSeries:
-    terms = {k: c_mul(v, c) for k, v in a.terms.items()}
-    return make_series(terms, a.grid, a.mode, [a.frontier])
 
 
 def mul(a: TransSeries, b: TransSeries) -> TransSeries:

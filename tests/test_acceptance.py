@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from bottcher import blocks as B
 from bottcher.coeffs import EXACT, FLOAT, Exact, binomial
 from bottcher.compose import compose
 from bottcher.domains import AsymptoticSpec, DomainSpec, M_eps_k, invariant_threshold
@@ -47,8 +46,10 @@ from bottcher.series import (
     agree_below_frontier,
     identity_series,
     monomial,
+    mul_monomial,
     ord_z,
     sub,
+    zero_series,
 )
 
 F = Fraction
@@ -275,13 +276,14 @@ def test_acceptance_10_prenormalization_cross_check():
             for k, c in phi1.terms.items()
             if k.l[0] >= 1 and k < phi1.frontier
         }
-        r = B.make_block({(1,): 1 + 0j}, 1, mode=FLOAT, cap=10, ell_stop=14)
-        images = B.log_images_of_power(F(2), r, 1, FLOAT, 10, 14)
-        t = B.zero_block(1, FLOAT, 10, 14)
+        grid = TruncationGrid(z_cap=5, block_cap=10, depth=1, ell_stop=14)
+        r = monomial(Key(0, (1,)), grid, FLOAT)
+        f0 = mul_monomial(add(monomial(Key(0, (0,)), grid, FLOAT), r), Key(2, (0,)))
+        t = zero_series(grid, FLOAT)
         for _ in range(60):
-            t = prenorm_block_map(r, t, F(2), images=images)
+            t = prenorm_block_map(r, t, F(2), f0=f0)
         for deg in range(1, 7):
-            got = t.coeff((deg,))
+            got = t.coeff(Key(0, (deg,)))
             assert abs(got - float(exact_s[deg])) < 1e-8, deg
 
 

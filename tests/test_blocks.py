@@ -6,13 +6,29 @@ from hypothesis import given
 
 from bottcher import blocks as B
 from bottcher.coeffs import Exact
+from bottcher.compose import compose, compose_ell
 from bottcher.errors import ShapeError
+from bottcher.keys import Key
+from bottcher.series import (
+    TruncationGrid,
+    agree_below_frontier,
+    exp_minus_one,
+    log1p,
+    make_series,
+    monomial,
+    mul,
+    mul_monomial,
+    pow_rational,
+    series_inverse,
+)
 
 F = Fraction
 
 
 def blk(terms, depth=2, cap=8):
-    return B.make_block(terms, depth, cap=cap, ell_stop=10)
+    """A block: the z-order-0 series with log keys `terms`."""
+    grid = TruncationGrid(z_cap=4, block_cap=cap, depth=depth, ell_stop=10)
+    return make_series({Key(0, k): c for k, c in terms.items()}, grid)
 
 
 def test_D1_examples():
@@ -56,46 +72,48 @@ def test_classes():
 
 def test_log_exp_roundtrip():
     v = blk({(1, 0): F(1, 2), (1, -1): F(1, 3), (0, 2): -1})
-    w = B.block_log1p(v)
-    back = B.block_exp_minus_one(w)
-    d = B.block_sub(back, v)
-    assert d.is_zero() or (d.frontier is not None and min(d.terms) >= d.frontier)
+    back = exp_minus_one(log1p(v))
+    assert agree_below_frontier(back, v)
 
 
 def test_inverse():
     r = blk({(0, 0): 2, (1, 0): 1})
-    ri = B.block_inverse(r)
-    prod = B.block_mul(r, ri)
-    one = B.block_one(2, cap=8)
-    d = B.block_sub(prod, one)
-    assert d.is_zero() or (d.frontier is not None and min(d.terms) >= d.frontier)
+    prod = mul(r, series_inverse(r))
+    assert agree_below_frontier(prod, blk({(0, 0): 1}))
 
 
 def test_pow_rational_block():
     r = blk({(0, 0): 1, (1, 0): 1})
-    half = B.block_pow_rational(r, F(1, 2))
-    sq = B.block_mul(half, half)
-    d = B.block_sub(sq, r)
-    assert d.is_zero() or (d.frontier is not None and min(d.terms) >= d.frontier)
+    half = pow_rational(r, F(1, 2))
+    assert agree_below_frontier(mul(half, half), r)
 
 
 def test_log_images_of_pure_power():
     # l1 o z^2 = l1/2 exactly; l2 o z^2 = l2 sum (-log2 l2)^i
-    imgs = B.log_images_of_power(F(2), None, 2, cap=8, ell_stop=8)
-    assert imgs[0] == B.make_block({(1, 0): F(1, 2)}, 2, cap=8)
-    e2 = imgs[1]
+    z2 = monomial(Key(2, (0, 0)), blk({}).grid)
+    assert compose_ell(1, z2) == blk({(1, 0): F(1, 2)})
+    e2 = compose_ell(2, z2)
     l2log = Exact.log_of_rational(2)
-    assert e2.coeff((0, 1)) == Exact.of(1)
-    assert e2.coeff((0, 2)) == -l2log
-    assert e2.coeff((0, 3)) == l2log * l2log
-    assert all(k[0] == 0 for k in e2.terms)
+    assert e2.coeff(Key(0, (0, 1))) == Exact.of(1)
+    assert e2.coeff(Key(0, (0, 2))) == -l2log
+    assert e2.coeff(Key(0, (0, 3))) == l2log * l2log
+    assert all(k.l[0] == 0 for k in e2.terms)
 
 
 def test_substitute_is_morphism():
-    imgs = B.log_images_of_power(F(2), blk({(1, 0): 1}, depth=2), 2, cap=8, ell_stop=10)
+    # l_j -> l_j o f0 with f0 = z^2 (1 + l1) is composition with f0
+    f0 = mul_monomial(blk({(0, 0): 1, (1, 0): 1}), Key(2, (0, 0)))
     a = blk({(1, 0): 1, (0, 1): 2})
     b = blk({(2, -1): F(1, 3)})
-    lhs = B.substitute(B.block_mul(a, b), imgs)
-    rhs = B.block_mul(B.substitute(a, imgs), B.substitute(b, imgs))
-    d = B.block_sub(lhs, rhs)
-    assert d.is_zero() or (d.frontier is not None and min(d.terms) >= d.frontier)
+    lhs = compose(mul(a, b), f0)
+    rhs = mul(compose(a, f0), compose(b, f0))
+    assert agree_below_frontier(lhs, rhs)
+
+
+def test_pure_log_right_factor_adds_no_tail():
+    # the z^0 part of a block composes to exactly 1, so the frontier of l1 o f0
+    # comes from the image of l1 alone (the block cap of its expansion)
+    f0 = mul_monomial(blk({(0, 0): 1, (0, 1): 1}), Key(2, (0, 0)))
+    out = compose(blk({(1, 0): 1}), f0)
+    assert out.frontier == Key(0, (2, 8))
+    assert out == compose_ell(1, f0)

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from bottcher.cli import main
 from bottcher.io_json import series_from_json, series_to_json
 from bottcher.keys import Key
+from bottcher.normalize import normalize, verify_normalization
 from bottcher.parser import parse
+from bottcher.series import TruncationGrid, add, monomial
 
 
 def run(capsys, *argv):
@@ -104,6 +107,39 @@ def test_verify_pass_and_fail(capsys, tmp_path):
     assert code == 0
     code, out = run(capsys, "verify", "--f", "z^2 + z^3", "--phi", "z + z^2", "--z-cap", "8")
     assert code == 3
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_verify_cli_matches_library(capsys, tmp_path, corrupt):
+    # `bottcher verify` and verify_normalization run the same conjugation check
+    f = parse("z^2 + z^2*l1", grid=TruncationGrid(Fraction(5), 8, 1, 16))
+    res = normalize(f, verify=False)
+    if corrupt:
+        res.phi = add(res.phi, monomial(Key(1, (2,)), f.grid))  # below phi's frontier
+    lib = verify_normalization(f, res)
+    p = tmp_path / "phi.json"
+    p.write_text(json.dumps(series_to_json(res.phi)))
+    code, out = run(
+        capsys, "verify", "--f", "z^2 + z^2*l1", "--phi-file", str(p),
+        "--z-cap", "5", "--block-cap", "8", "--json",
+    )
+    data = json.loads(out)
+    assert data["pass"] is lib["conjugation_exact_below_frontier"] is (not corrupt)
+    assert code == (3 if corrupt else 0)
+    assert data["checked_below"]["z"] == lib["checked_below"][0]
+    if corrupt:
+        bad = data["first_bad_key"]
+        assert (bad["z"], bad["l"]) == lib["first_bad_key"]
+    else:
+        assert "first_bad_key" not in data and "first_bad_key" not in lib
+
+
+def test_huge_integer_power_is_fast(capsys):
+    # z^(10^7) lies above z_cap; its coefficient power must not take 10^7 steps
+    t0 = time.monotonic()
+    code, _ = run(capsys, "normalize", "z^2 + z^(10000000)", "--z-cap", "4")
+    assert code == 0
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_analytic_domain_check(capsys):

@@ -69,3 +69,11 @@ def test_binomial_values():
     assert binomial(F(3), 2) == 3
     assert binomial(F(3), 5) == 0
     assert binomial(F(-1), 4) == 1
+
+
+def test_pow_integer_exponents():
+    for n in range(-7, 8):
+        assert c_pow_rational(Exact.of(F(2, 3)), n) == Exact.of(F(2, 3) ** n), n
+    # square-and-multiply: a huge exponent costs a few dozen products
+    assert c_pow_rational(Exact.of(1), 10**7) == Exact.of(1)
+    assert c_pow_rational(Exact.of(-1), 10**7 + 1) == Exact.of(-1)

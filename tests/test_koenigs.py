@@ -139,3 +139,17 @@ def test_homological_precondition_enforced():
         solve_homological(
             lambda z: 2 * z, lambda z: 5.0 * cmath.exp(-0.5 * z), 1.0, SPEC, DOM, R=3.0
         )
+
+
+def test_tail_bound_is_the_certified_stop():
+    # tail_bound reports the majorant the evaluator stopped on, below tol
+    R = invariant_threshold(expmap, SPEC, DOM)
+    tol = 1e-11
+    res = koenigs_normalize(expmap, SPEC, DOM, R, tol=tol)
+    for i in range(25):
+        z = complex(R + 10.0 * i / 24, 0.25 * math.sin(i))
+        res.evaluator(z)
+        assert 0.0 <= res.tail_bound(z) < tol
+        assert isinstance(res.iterations_used[z], int)
+    fresh = complex(R + 3.3, 0.1)  # tail_bound evaluates a point it has not seen
+    assert res.tail_bound(fresh) < tol

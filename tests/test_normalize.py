@@ -35,7 +35,9 @@ from bottcher.series import (
     add,
     agree_below_frontier,
     dist_z,
+    exp_minus_one,
     identity_series,
+    make_series,
     monomial,
     mul,
     ord_z,
@@ -53,6 +55,12 @@ def S(text, z_cap=8, block_cap=6, depth=None, ell_stop=12):
 
 def assert_agree(a, b):
     assert agree_below_frontier(a, b), (a, b)
+
+
+def blk(terms, cap=8):
+    """A depth-1 block: the z-order-0 series with log keys `terms`."""
+    grid = TruncationGrid(z_cap=4, block_cap=cap, depth=1, ell_stop=12)
+    return make_series({Key(0, k): c for k, c in terms.items()}, grid)
 
 
 # -- Bottcher operator ---------------------------------------------------------------
@@ -138,12 +146,11 @@ def test_non_contraction_witness_distance():
 
 def test_prenorm_W_hand_values():
     # independent by-hand solve of W = log(1+l1)/2 + (W o sigma)/2
-    r = B.make_block({(1,): 1}, 1, cap=8, ell_stop=12)
-    w = solve_prenorm_W(r, 2)
-    assert w.coeff((1,)) == Exact.of(F(2, 3))
-    assert w.coeff((2,)) == Exact.of(F(-2, 7))
-    assert w.coeff((3,)) == Exact.of(F(4, 15))
-    assert w.coeff((4,)) == Exact.of(F(-136, 651))
+    w = solve_prenorm_W(blk({(1,): 1}), 2)
+    assert w.coeff(Key(0, (1,))) == Exact.of(F(2, 3))
+    assert w.coeff(Key(0, (2,))) == Exact.of(F(-2, 7))
+    assert w.coeff(Key(0, (3,))) == Exact.of(F(4, 15))
+    assert w.coeff(Key(0, (4,))) == Exact.of(F(-136, 651))
 
 
 def test_prenormalize_canonical_values():
@@ -188,24 +195,16 @@ def test_prenormalize_kills_alpha_block():
 
 def test_T_S_K_operator_identity():
     # at the solved S the pair T_f(S) = S_f(S) holds; K_f is the derived remainder
-    r = B.make_block({(1,): 1}, 1, cap=8, ell_stop=12)
-    w = solve_prenorm_W(r, 2)
-    s = B.block_exp_minus_one(w)
-    lhs = apply_T_op(s, r, 2)
-    rhs = apply_S_op(s, r, 2)
-    d = B.block_sub(lhs, rhs)
-    assert d.is_zero() or (d.frontier is not None and min(d.terms) >= d.frontier)
+    r = blk({(1,): 1})
+    s = exp_minus_one(solve_prenorm_W(r, 2))
+    assert_agree(apply_T_op(s, r, 2), apply_S_op(s, r, 2))
 
 
 def test_K_op_is_half_contraction_on_samples(rng):
-    r = B.make_block({(1,): 1, (2,): F(1, 2)}, 1, cap=8, ell_stop=12)
+    r = blk({(1,): 1, (2,): F(1, 2)})
     for _ in range(10):
-        t1 = B.make_block(
-            {(j,): F(rng.randint(-3, 3)) for j in range(1, 5)}, 1, cap=8, ell_stop=12
-        )
-        t2 = B.make_block(
-            {(j,): F(rng.randint(-3, 3)) for j in range(1, 5)}, 1, cap=8, ell_stop=12
-        )
+        t1 = blk({(j,): F(rng.randint(-3, 3)) for j in range(1, 5)})
+        t2 = blk({(j,): F(rng.randint(-3, 3)) for j in range(1, 5)})
         d_in = B.dist_ell(t1, t2, 1)
         if d_in == 0:
             continue

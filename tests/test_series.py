@@ -88,7 +88,7 @@ def test_order_and_leading():
     assert ord_key(S("z^2*l1^-1 + z^2")) == Key(2, (-1, 0))
     alpha, blk = leading_block(S("z^2 + z^2*l1 + z^3"))
     assert alpha == 2
-    assert blk.coeff((0, 0)) == Exact.of(1) and blk.coeff((1, 0)) == Exact.of(1)
+    assert blk.coeff(Key(0, (0, 0))) == Exact.of(1) and blk.coeff(Key(0, (1, 0))) == Exact.of(1)
     assert ord_key(zero_series(GRID)) is None
     with pytest.raises(EmptySeriesError):
         leading_term(zero_series(GRID))
