@@ -140,13 +140,16 @@ def _add_common(p):
 
 
 def _term_map(alpha: float, terms, precision: int | None = None):
-    """f(zeta) = alpha zeta + sum c zeta^p e^(-nu zeta) from 'c,p,nu' specs."""
+    """f(zeta) = alpha zeta + sum c zeta^p e^(-nu zeta) from 'c,p,nu' specs.
+
+    With `precision` the map evaluates through mpmath at the caller's working
+    precision (`cmd_analytic` scopes it with `mpmath.workdps`).
+    """
     import cmath
 
     if precision:
         import mpmath
 
-        mpmath.mp.dps = precision
         exp = mpmath.exp
     else:
         exp = cmath.exp
@@ -241,7 +244,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analytic(args) -> int:
+    """The analytic subcommands; `--precision` digits hold only for this call."""
     cfg = RunConfig.from_env_and_args(args)
+    if not cfg.precision:
+        return _analytic(args, cfg)
+    import mpmath
+
+    with mpmath.workdps(cfg.precision):
+        return _analytic(args, cfg)
+
+
+def _analytic(args, cfg: RunConfig) -> int:
     spec = AsymptoticSpec(alpha=args.alpha, eps=args.eps, k=args.k)
     dom = DomainSpec.standard_quadratic(args.sqd_C)
     prec = cfg.precision
@@ -385,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_support)
 
-    p = sp.add_parser("verify", help="check phi o f o phi^-1 = z^alpha below frontier")
+    p = sp.add_parser("verify", help="check phi o f = phi^alpha below frontier")
     p.add_argument("--f", required=True)
     p.add_argument("--phi", default=None)
     p.add_argument("--phi-file", dest="phi_file", default=None)

@@ -134,6 +134,13 @@ def test_verify_cli_matches_library(capsys, tmp_path, corrupt):
         assert "first_bad_key" not in data and "first_bad_key" not in lib
 
 
+def test_verify_non_parabolic_phi_is_one_line_exit_2(capsys):
+    code = main(["verify", "--f", "z^2 + z^3", "--phi", "2*z"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: conjugating change of variables must be parabolic\n"
+
+
 def test_huge_integer_power_is_fast(capsys):
     # z^(10^7) lies above z_cap; its coefficient power must not take 10^7 steps
     t0 = time.monotonic()
@@ -167,6 +174,21 @@ def test_analytic_koenigs(capsys):
     assert code == 0
     data = json.loads(out)
     assert max(r["residual"] for r in data["samples"]) < 1e-9
+
+
+def test_analytic_precision_is_scoped_to_the_command(capsys):
+    mpmath = pytest.importorskip("mpmath")
+    argv = [
+        "analytic", "koenigs", "--alpha", "2", "--term", "1,0,1",
+        "--samples", "4:8:6", "--precision", "30", "--json",
+    ]
+    with mpmath.workdps(15):  # these samples print differently at 15 and 30 digits
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert mpmath.mp.dps == 15
+    with mpmath.workdps(30):
+        _, want = run(capsys, *argv)
+    assert out == want
 
 
 def test_analytic_homological(capsys):

@@ -5,7 +5,7 @@ import pytest
 import oracles
 from bottcher import blocks as B
 from bottcher.coeffs import Exact
-from bottcher.compose import compose, shape_of
+from bottcher.compose import compose, conjugate, reduce_alpha, shape_of
 from bottcher.errors import PrenormalizationRequiredError, ShapeError
 from bottcher.keys import Key
 from bottcher.normalize import (
@@ -18,6 +18,7 @@ from bottcher.normalize import (
     bottcher_iterates,
     bottcher_op,
     bottcher_sequence,
+    check_conjugation,
     convergence_mode,
     ell1_distance_on_parabolic,
     normalize,
@@ -28,6 +29,7 @@ from bottcher.normalize import (
     solve_prenorm_W,
     support_of_composition_bound,
     support_predict,
+    verify_normalization,
 )
 from bottcher.parser import parse
 from bottcher.series import (
@@ -41,6 +43,7 @@ from bottcher.series import (
     monomial,
     mul,
     ord_z,
+    residual_keys,
     sub,
 )
 
@@ -248,7 +251,7 @@ def test_normalize_float_matches_exact_polynomial():
 
 
 def test_normalize_float_fractional_alpha_verifies():
-    # the Newton inversion inside verification must not stop on rounding dust
+    # float-mode verification must not count rounding dust as a residual
     f = parse("z^(3/2) + z^2", mode="float", z_cap=6, block_cap=8)
     res = normalize(f)
     assert res.iterations == 6
@@ -280,6 +283,68 @@ def test_normalize_full_pipeline_cases():
         res = normalize(S(text))
         assert res.verification["conjugation_exact_below_frontier"], text
         assert res.verification["order_bound_ok"], text
+
+
+# -- verification by phi o f = phi^alpha ---------------------------------------------
+
+
+def _conjugation_oracle(f, phi):
+    """The inversion-based check: phi o f o phi^(-1) - z^alpha below its frontier."""
+    conj = conjugate(phi, f)
+    alpha = shape_of(f).alpha
+    r = sub(conj, monomial(Key(alpha, (0,) * conj.depth), conj.grid, conj.mode))
+    bad = residual_keys(r)
+    return r.frontier, min(bad) if bad else None
+
+
+_VERIFY_CASES = [
+    ("z^2 + z^3", dict(z_cap=12, block_cap=6)),
+    ("z^2 + z^2*l1", dict(z_cap=12, block_cap=8)),
+    ("z^3 + z^4*l1^2*l2^-1", dict(z_cap=12, block_cap=6, ell_stop=10)),
+    ("z^2 + z^3*l1^-1", dict(z_cap=12, block_cap=8)),
+    ("z^(3/2) + z^2", dict(z_cap=5, block_cap=8)),
+    ("z^(3/2) + z^2", dict(z_cap=5, block_cap=8, mode="float")),
+    ("z^(1/2) + z", dict(z_cap=4, block_cap=8)),
+]
+
+
+@pytest.mark.parametrize(
+    "text,kw", _VERIFY_CASES,
+    ids=[f"{t}|{kw['z_cap']}|{kw.get('mode', 'exact')}" for t, kw in _VERIFY_CASES],
+)
+def test_check_conjugation_matches_inversion_oracle(text, kw):
+    kw = dict(kw)
+    mode = kw.pop("mode", "exact")
+    f = S(text, **kw)
+    if mode == "float":
+        from bottcher.series import embed
+
+        f = embed(f, f.grid, mode="float")
+    phi = normalize(f, verify=False).phi
+    g = reduce_alpha(f) if shape_of(f).alpha < 1 else f  # the series phi normalizes
+    below = sorted(k for k in phi.terms if k < phi.frontier and k != Key(1, (0,) * phi.depth))
+    bad_phi = add(phi, monomial(below[0], phi.grid, phi.mode))
+    want = _conjugation_oracle(g, phi)
+    assert want[1] is None
+    assert check_conjugation(g, phi) == want
+    want = _conjugation_oracle(g, bad_phi)
+    assert want[1] is not None and want[1] < want[0]
+    assert check_conjugation(g, bad_phi) == want
+
+
+@pytest.mark.parametrize("text", ["z^2 + z^3*l1^-1", "z^(3/2) + z^2"])
+def test_verification_builds_no_inverse(text, monkeypatch):
+    import importlib
+
+    f = S(text, z_cap=6, block_cap=8)
+    res = normalize(f, verify=False)
+
+    def no_inversion(f):
+        raise AssertionError("verification inverted a series")
+
+    monkeypatch.setattr(importlib.import_module("bottcher.compose"), "invert", no_inversion)
+    report = verify_normalization(f, res)
+    assert report["conjugation_exact_below_frontier"], report
 
 
 def test_normalize_phi_factorization():
