@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Formal-pipeline demo: normalize a few strongly hyperbolic series,
-show the Picard trajectory of a coefficient, and dump the results as JSON."""
+"""Formal-pipeline demo: normalize a few strongly hyperbolic series, show the
+Picard trajectory of the Bottcher operator at one coefficient, and dump the
+results as JSON."""
 
 import json
 import sys
@@ -24,8 +25,7 @@ def main():
         res = normalize(f)
         print(f"f   = {text}")
         print(f"phi = {format_series(res.phi)}")
-        print(f"     beta={res.beta} iterations={res.iterations} "
-              f"achieved_order={res.achieved_order}")
+        print(f"     beta={res.beta} W terms solved={res.iterations}")
         print(f"     verification: {res.verification}\n")
         out[text] = normalization_result_to_json(res)
 

@@ -20,7 +20,6 @@ from .errors import (
     EmptySeriesError,
     ModeError,
     ParseError,
-    PrenormalizationRequiredError,
     ShapeError,
 )
 from .keys import Key, ell_key, z_key, zero_key
@@ -72,10 +71,10 @@ from .normalize import (
     convergence_mode,
     enumerate_semigroup,
     normalize,
-    normalize_direct,
     order_bound_check,
     prenormalize,
     semigroup_contains,
+    solve_W,
     support_of_composition_bound,
     support_predict,
 )

@@ -184,8 +184,7 @@ def cmd_normalize(args) -> int:
         args,
         payload,
         f"phi = {format_series(res.phi)}\n"
-        f"alpha = {res.alpha}, beta = {res.beta}, iterations = {res.iterations}, "
-        f"achieved_order = {res.achieved_order}\n"
+        f"alpha = {res.alpha}, beta = {res.beta}, iterations = {res.iterations}\n"
         f"verification: {res.verification}",
     )
     return 0 if res.verification.get("conjugation_exact_below_frontier", True) else 3

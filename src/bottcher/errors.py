@@ -17,10 +17,6 @@ class ShapeError(BottcherError):
     """A series does not have the leading-term shape required by an operation."""
 
 
-class PrenormalizationRequiredError(ShapeError):
-    """Direct fixed-point iteration needs ord_z(f - z^alpha) > alpha; prenormalize first."""
-
-
 class EmptySeriesError(BottcherError):
     """Leading term/block of the zero series was requested."""
 

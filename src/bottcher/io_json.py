@@ -106,13 +106,8 @@ def normalization_result_to_json(res) -> dict:
         "alpha": _zexp_out(res.alpha),
         "beta": _zexp_out(res.beta),
         "iterations": res.iterations,
-        "achieved_order": _zexp_out(res.achieved_order),
         "phi": series_to_json(res.phi),
-        "phi1": series_to_json(res.phi1),
-        "phi2": series_to_json(res.phi2),
-        "verification": {
-            k: v for k, v in res.verification.items() if k != "iterates"
-        },
+        "verification": res.verification,
     }
     if res.psi is not None:
         out["psi"] = series_to_json(res.psi)

@@ -1,14 +1,18 @@
-"""Fixed-point normalization of strongly hyperbolic logarithmic transseries.
+"""Formal normalization of strongly hyperbolic logarithmic transseries.
 
-Pipeline: reduce the leading coefficient/exponent if needed, remove the
-same-z-order log block by the canonical prenormalization id + zS (a graded
-solve of the multiplicative fixed-point equation in logarithmic form, on
-z-order-0 series, with the log substitution done by `compose`), then
-Picard-iterate the Bottcher operator P_f(h) = z^(1/alpha) o h o f.  Its
-contraction factor 2^(-(alpha-1)(beta-1)) is the first step's worst case; the
-stopping index comes from the geometric reach: P_f multiplies the relative
-z-order of a difference by alpha, so h_k agrees with phi below
-reach_k = 1 + alpha^k (beta - 1).
+Pipeline: reduce the leading exponent and coefficient if needed (alpha < 1:
+invert; lambda != 1: rescale), then solve the logarithmic Bottcher equation
+in one lex-triangular pass.  With f = z^alpha (1 + u) and phi = z exp(W), the
+equation phi o f = phi^alpha becomes the linear equation
+
+    W = (log(1 + u) + W o f) / alpha,
+
+solved term by term in ascending key order by `solve_W`.  Its pure-log terms
+are the canonical prenormalization id + zS of the same-z-order log block;
+`prenormalize` runs the same solve on that block alone.  The paper's
+operators stay as references: the Bottcher operator P_f(h) = z^(1/alpha) o h
+o f, whose Picard iterates converge to phi, the weak-iteration map of the
+prenormalization and the T/S/K operator triple.
 
 Verification checks the Bottcher equation phi o f = phi^alpha below the
 frontier rather than the conjugation phi o f o phi^(-1) = z^alpha: the two
@@ -20,12 +24,13 @@ Newton inversion of phi is needed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import blocks as B
 from .coeffs import binomial, c_add, c_eq, c_from, c_is_zero, c_mul, c_scale
-from .errors import PrenormalizationRequiredError, ShapeError
+from .errors import ShapeError
 from .keys import Cut, Key, ell_key, min_key, zero_key
 from .series import (
     TransSeries,
@@ -44,6 +49,7 @@ from .series import (
     pow_rational,
     residual_keys,
     scale,
+    split_leading,
     sub,
     sum_powers,
     zero_series,
@@ -52,7 +58,6 @@ from .compose import (
     STRONGLY_HYPERBOLIC,
     compose,
     compose_power,
-    conjugate,
     is_parabolic,
     reduce_alpha,
     reduce_lambda,
@@ -110,76 +115,86 @@ def bottcher_R_op(f: TransSeries, h: TransSeries) -> TransSeries:
     return bottcher_op(alpha_part_series(f), h)
 
 
-# -- canonical prenormalization --------------------------------------------------
+# -- the triangular solve ---------------------------------------------------------
 #
-# Blocks R, S, T, W are series of z-order 0 on the grid of f.  The substitution
-# sigma: l_j -> l_j o (z^alpha (1 + R)) is composition with the right factor
-# f0 = z^alpha (1 + R), so compose's per-right-factor cache shares the
-# iterated-log images between calls with the same f0; R = 0 is sigma for the
-# pure power z^alpha.
+# Taking logs of phi o f = phi^alpha with phi = z exp(W) and f = z^alpha (1 + u)
+# gives the linear equation W = (log(1 + u) + W o f) / alpha.  A monomial
+# n = z^d l1^m1 ... of W maps to n o f, whose terms all lie above n except,
+# when d = 0, the diagonal term alpha^(-m1) n (l1 o f = l1/alpha + ..., and
+# l_j o f = l_j + ... for j >= 2).  So the equation is lex-triangular and W is
+# solved term by term in ascending key order.  On the alpha-block alone the
+# same solve gives the canonical prenormalization id + zS, S = exp(W) - 1.
 
 
-def _power_part(alpha, r: TransSeries) -> TransSeries:
-    """The right factor f0 = z^alpha (1 + R) of the substitution sigma."""
-    one = monomial(zero_key(r.depth), r.grid, r.mode)
-    return mul_monomial(add(one, r), Key(alpha, (0,) * r.depth))
+def solve_W(f: TransSeries) -> TransSeries:
+    """W with phi = z exp(W) solving phi o f = phi^alpha, for monic f, alpha > 1.
 
-
-def solve_prenorm_W(r: TransSeries, alpha) -> TransSeries:
-    """Unique solution of W = (1/alpha) log(1+R) + (1/alpha) W o sigma.
-
-    sigma substitutes l_j -> l_j o f0, f0 = z^alpha (1+R).  The equation is
-    lex-triangular with diagonal factors 1 - alpha^-(n1+1) in (0,1), so it is
-    solved term-by-term in ascending key order; contributions of a solved term
-    to higher keys come from the off-diagonal part of its sigma-image.
+    Pops the smallest pending key n, divides its value by the diagonal
+    1 - alpha^-(n1+1) (z-order 0) or 1 (z-order > 0), and pushes
+    (1/alpha) w_n (n o f) off the diagonal.  The frontier is the least of the
+    frontier of log(1 + u), those of the images n o f, and the first key past
+    `block_cap` solved terms in one z-block; the solve stops at the first
+    pending key at or above it.
     """
-    alpha = Fraction(alpha)
-    grid, mode = r.grid, r.mode
-    inv_a = Fraction(1) / alpha
-    f0 = _power_part(alpha, r)
-    a0 = scale(log1p(r), inv_a)
+    alpha = Fraction(_require_monic_power(f).alpha)
+    grid, mode = f.grid, f.mode
+    inv_a = 1 / alpha
+    _, _, u = split_leading(f)
+    a0 = scale(log1p(u), inv_a)
 
     pending: dict[Key, object] = dict(a0.terms)
     solved: dict[Key, object] = {}
+    per_block: Counter = Counter()
     frontier = a0.frontier
-    budget = grid.block_cap
-    while pending and budget > 0:
+    while pending:
         n = min(pending)
+        if not n < frontier:
+            break
+        if per_block[n.z] == grid.block_cap:
+            frontier = n
+            break
         b = pending.pop(n)
-        diag = 1 - inv_a * alpha ** (-n.l[0])
-        w_n = c_scale(b, Fraction(1) / diag)
+        w_n = c_scale(b, 1 / (1 - inv_a * alpha ** (-n.l[0]))) if n.z == 0 else b
         if c_is_zero(w_n):
             continue
         solved[n] = w_n
-        budget -= 1
-        sigma_n = compose(monomial(n, grid, mode), f0)
-        frontier = min_key(frontier, sigma_n.frontier)
-        for k, c in sigma_n.terms.items():
+        per_block[n.z] += 1
+        image = compose(monomial(n, grid, mode), f)
+        frontier = min_key(frontier, image.frontier)
+        for k, c in image.terms.items():
             if k == n:
                 continue
             contrib = c_scale(c_mul(w_n, c), inv_a)
             pending[k] = contrib if k not in pending else c_add(pending[k], contrib)
-    if pending:
-        frontier = min_key(frontier, min(pending))
     return make_series(solved, grid, mode, [frontier])
+
+
+def _phi_of(w: TransSeries) -> TransSeries:
+    """phi = z exp(W) = z (1 + exp(W) - 1)."""
+    one = monomial(zero_key(w.depth), w.grid, w.mode)
+    return mul_monomial(add(one, exp_minus_one(w)), Key(1, (0,) * w.depth))
 
 
 def prenormalize(f: TransSeries) -> TransSeries:
     """The unique canonical phi_1 = id + zS removing the z^alpha log block.
 
-    S = exp(W) - 1 with W from `solve_prenorm_W` for the alpha-block R of f.
+    `solve_W` on the same-z-order part z^alpha (1 + R_alpha) of f.
     """
-    alpha, r = alpha_block(f)
+    _, r = alpha_block(f)
     if r.is_zero():
         return identity_series(f.grid, f.mode)
     B.check_class(r, "B_>=m+", 1)
-    w = solve_prenorm_W(r, alpha)
-    one = monomial(zero_key(f.depth), f.grid, f.mode)
-    return mul_monomial(add(one, exp_minus_one(w)), Key(1, (0,) * f.depth))
+    return _phi_of(solve_W(alpha_part_series(f)))
+
+
+def _power_part(alpha, r: TransSeries) -> TransSeries:
+    """The right factor f0 = z^alpha (1 + R) of the substitution l_j -> l_j o f0."""
+    one = monomial(zero_key(r.depth), r.grid, r.mode)
+    return mul_monomial(add(one, r), Key(alpha, (0,) * r.depth))
 
 
 def prenorm_block_map(r: TransSeries, t: TransSeries, alpha, f0=None) -> TransSeries:
-    """One weak-iteration step: T -> ((1+R)(1+T o sigma))^(1/alpha) - 1."""
+    """One weak-iteration step: T -> ((1+R)(1+T o f0))^(1/alpha) - 1."""
     alpha_q = Fraction(alpha) if not isinstance(alpha, float) else alpha
     f0 = _power_part(alpha_q, r) if f0 is None else f0
     one = monomial(zero_key(r.depth), r.grid, r.mode)
@@ -223,18 +238,15 @@ def apply_S_op(s: TransSeries, r: TransSeries, alpha) -> TransSeries:
     return sub(sub(negate(r), mul(d1s_za, r)), apply_K_op(s, r, alpha))
 
 
-# -- direct normalization ----------------------------------------------------------
+# -- normalization ------------------------------------------------------------------
 
 
 @dataclass
 class NormalizationResult:
     phi: TransSeries
-    phi1: TransSeries
-    phi2: TransSeries
     alpha: object
     beta: object
-    iterations: int
-    achieved_order: object
+    iterations: int  # W terms solved
     psi: TransSeries | None = None
     alpha_input: object = None
     inverted_input: bool = False
@@ -253,51 +265,8 @@ def _beta_from(g: TransSeries, alpha, ignore_alpha_block=False):
     return cand - alpha + 1
 
 
-def normalize_direct(
-    f: TransSeries, beta=None, collect_iterates=False
-) -> NormalizationResult:
-    """Picard-iterate P_f from id with a contraction-certified stopping index.
-
-    P_f maps a difference h1 - h2 of z-order 1 + o to one of z-order at least
-    1 + alpha*o (acceptance 03 checks this on random pairs).  The start
-    h_0 = id differs from phi at z-order beta, so h_k agrees with phi below
-    reach_k, where reach_0 = beta and reach_(k+1) = 1 + alpha*(reach_k - 1);
-    the iteration stops at the first k with reach_k >= z_cap.  The additive
-    gain (alpha-1)(beta-1) of the contraction factor is only the first
-    step's worst case: reach_1 = beta + (alpha-1)(beta-1).
-    """
-    shape = _require_monic_power(f)
-    alpha = shape.alpha
-    grid = f.grid
-    ident = identity_series(grid, f.mode)
-    diff = sub(f, monomial(Key(alpha, (0,) * f.depth), grid, f.mode))
-    if diff.is_zero():
-        beta = grid.z_cap - alpha + 1
-        return NormalizationResult(ident, ident, ident, alpha, beta, 0, grid.z_cap)
-    beta = _beta_from(f, alpha) if beta is None else beta
-    if not beta > 1:
-        raise PrenormalizationRequiredError(
-            f"ord_z(f - z^alpha) = alpha + {beta - 1}; prenormalization required"
-        )
-    reach, steps = beta, 0
-    while reach < grid.z_cap:
-        reach = 1 + alpha * (reach - 1)
-        steps += 1
-    h = ident
-    iterates = [h]
-    for _ in range(steps):
-        h = bottcher_op(f, h)
-        if collect_iterates:
-            iterates.append(h)
-    achieved = min(reach, grid.z_cap, h.frontier.z)
-    res = NormalizationResult(h, ident, h, alpha, beta, steps, achieved)
-    if collect_iterates:
-        res.verification["iterates"] = iterates
-    return res
-
-
 def normalize(f: TransSeries, verify=True) -> NormalizationResult:
-    """Full pipeline: lambda/alpha reduction, prenormalization, fixed point."""
+    """lambda/alpha reduction, then `solve_W`; phi keeps its trusted terms only."""
     shape = shape_of(f)
     if shape.classification != STRONGLY_HYPERBOLIC:
         raise ShapeError(
@@ -313,29 +282,16 @@ def normalize(f: TransSeries, verify=True) -> NormalizationResult:
     psi = None
     if not c_eq(work.terms[min(work.terms)], c_from(1, work.mode)):
         psi, work = reduce_lambda(work)
-    alpha = shape_of(work).alpha
+    alpha, r = alpha_block(work)
 
-    _, r = alpha_block(work)
-    if not r.is_zero():
-        phi1 = prenormalize(work)
-        g = conjugate(phi1, work)
-    else:
-        phi1 = identity_series(work.grid, work.mode)
-        g = work
-
-    beta = _beta_from(g, alpha, ignore_alpha_block=not r.is_zero())
-    direct = normalize_direct(g, beta=beta)
-    phi2 = direct.phi
-    phi = compose(phi2, phi1)
-
+    w = solve_W(work)
+    phi = _phi_of(w)
+    trusted = {k: c for k, c in phi.terms.items() if k < phi.frontier}
     res = NormalizationResult(
-        phi,
-        phi1,
-        phi2,
+        make_series(trusted, phi.grid, phi.mode, [phi.frontier]),
         alpha,
-        beta,
-        direct.iterations,
-        direct.achieved_order,
+        _beta_from(work, alpha, ignore_alpha_block=not r.is_zero()),
+        len(w.terms),
         psi=psi,
         alpha_input=alpha_in,
         inverted_input=inverted,

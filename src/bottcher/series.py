@@ -231,12 +231,23 @@ def leading_term(f: TransSeries):
 
 
 def leading_block(f: TransSeries):
-    """The full alpha-block at alpha = ord_z(f), as (alpha, z-order-0 series)."""
+    """The full alpha-block at alpha = ord_z(f), as (alpha, z-order-0 series).
+
+    The block keeps the part of f's frontier that falls inside it: Key(0, l)
+    for a frontier Key(alpha, l), Cut(0) when no key of the block is trusted.
+    """
     if not f.terms:
         raise EmptySeriesError("leading block of the zero series")
     alpha = ord_z(f)
     terms = {Key(0, k.l): c for k, c in f.terms.items() if k.z == alpha}
-    return alpha, make_series(terms, f.grid, f.mode)
+    fr = f.frontier
+    if fr.z > alpha:
+        cands = []
+    elif fr.z == alpha and not isinstance(fr, Cut):
+        cands = [Key(0, fr.l)]
+    else:
+        cands = [Cut(0)]
+    return alpha, make_series(terms, f.grid, f.mode, cands)
 
 
 def ord_for_frontier(f: TransSeries) -> Key:

@@ -151,7 +151,7 @@ def test_acceptance_03_contraction_suite(rng):
                 assert lead >= out.frontier or lead.z >= o_in + gain, (
                     alpha, beta, o_in, lead,
                 )
-                # the geometric bound behind normalize_direct's stopping index
+                # the geometric bound: P_f multiplies the relative z-order by alpha
                 assert lead >= out.frontier or lead.z >= 1 + alpha * (o_in - 1), (
                     alpha, beta, o_in, lead,
                 )
@@ -325,34 +325,35 @@ def test_acceptance_12_homological_solver():
 def test_acceptance_13_theorem_c_surrogate():
     with criterion(13, "formal vs numeric normalization along a ray (n = 1, 2, 3)", 30.0):
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 50
+        dps = mpmath.mp.dps
+        with mpmath.workdps(50):
+            # z-chart expansion of f(zeta) = 2 zeta + e^-zeta is z^2 e^-z
+            coeffs = [F((-1) ** k, math.factorial(k)) for k in range(6)]
+            ladder = [(2 + k, [coeffs[k]]) for k in range(1, 6)]
+            d = DulacSeriesZ(1, 2, ladder)
+            phi_hat_z, res = dulac_normalize_full(d, z_cap=8, block_cap=6)
+            phi_hat = to_zeta_chart(phi_hat_z)
+            assert len(phi_hat.ladder) >= 3
 
-        # z-chart expansion of f(zeta) = 2 zeta + e^-zeta is z^2 e^-z
-        coeffs = [F((-1) ** k, math.factorial(k)) for k in range(6)]
-        ladder = [(2 + k, [coeffs[k]]) for k in range(1, 6)]
-        d = DulacSeriesZ(1, 2, ladder)
-        phi_hat_z, res = dulac_normalize_full(d, z_cap=8, block_cap=6)
-        phi_hat = to_zeta_chart(phi_hat_z)
-        assert len(phi_hat.ladder) >= 3
+            spec = AsymptoticSpec(2.0, 1.0, 1)
+            dom = DomainSpec.standard_quadratic(1.0)
+            fmap = lambda z: 2 * z + mpmath.exp(-z)
+            R = invariant_threshold(lambda z: 2 * z + complex(mpmath.exp(-z)), spec, dom)
+            numeric = koenigs_normalize(fmap, spec, dom, R, tol=1e-35, check_domain=False)
+            cache = {}
 
-        spec = AsymptoticSpec(2.0, 1.0, 1)
-        dom = DomainSpec.standard_quadratic(1.0)
-        fmap = lambda z: 2 * z + mpmath.exp(-z)
-        R = invariant_threshold(lambda z: 2 * z + complex(mpmath.exp(-z)), spec, dom)
-        numeric = koenigs_normalize(fmap, spec, dom, R, tol=1e-35, check_domain=False)
-        cache = {}
+            def phi(zeta):
+                key = complex(zeta)
+                if key not in cache:
+                    cache[key] = numeric.evaluator(zeta)
+                return cache[key]
 
-        def phi(zeta):
-            key = complex(zeta)
-            if key not in cache:
-                cache[key] = numeric.evaluator(zeta)
-            return cache[key]
-
-        xs = [mpmath.mpf(R) + mpmath.mpf(20.0) * i / 47 for i in range(48)]
-        for n in (1, 2, 3):
-            rep = compare_formal_numeric(phi, phi_hat, n, xs)
-            assert rep["pass"], (n, rep)
-            assert rep["sup"] < 10.0, (n, rep["sup"])
+            xs = [mpmath.mpf(R) + mpmath.mpf(20.0) * i / 47 for i in range(48)]
+            for n in (1, 2, 3):
+                rep = compare_formal_numeric(phi, phi_hat, n, xs)
+                assert rep["pass"], (n, rep)
+                assert rep["sup"] < 10.0, (n, rep["sup"])
+    assert mpmath.mp.dps == dps  # the 50 digits end with the test
 
 
 def test_acceptance_14_dulac_closure():

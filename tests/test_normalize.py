@@ -6,7 +6,7 @@ import oracles
 from bottcher import blocks as B
 from bottcher.coeffs import Exact
 from bottcher.compose import compose, conjugate, reduce_alpha, shape_of
-from bottcher.errors import PrenormalizationRequiredError, ShapeError
+from bottcher.errors import ShapeError
 from bottcher.keys import Key
 from bottcher.normalize import (
     NormalizationResult,
@@ -22,11 +22,10 @@ from bottcher.normalize import (
     convergence_mode,
     ell1_distance_on_parabolic,
     normalize,
-    normalize_direct,
     order_bound_check,
     prenormalize,
     semigroup_contains,
-    solve_prenorm_W,
+    solve_W,
     support_of_composition_bound,
     support_predict,
     verify_normalization,
@@ -39,6 +38,7 @@ from bottcher.series import (
     dist_z,
     exp_minus_one,
     identity_series,
+    leading_block,
     make_series,
     monomial,
     mul,
@@ -60,10 +60,12 @@ def assert_agree(a, b):
     assert agree_below_frontier(a, b), (a, b)
 
 
-def blk(terms, cap=8):
+BLOCK_GRID = TruncationGrid(z_cap=4, block_cap=8, depth=1, ell_stop=12)
+
+
+def blk(terms):
     """A depth-1 block: the z-order-0 series with log keys `terms`."""
-    grid = TruncationGrid(z_cap=4, block_cap=cap, depth=1, ell_stop=12)
-    return make_series({Key(0, k): c for k, c in terms.items()}, grid)
+    return make_series({Key(0, k): c for k, c in terms.items()}, BLOCK_GRID)
 
 
 # -- Bottcher operator ---------------------------------------------------------------
@@ -148,8 +150,8 @@ def test_non_contraction_witness_distance():
 
 
 def test_prenorm_W_hand_values():
-    # independent by-hand solve of W = log(1+l1)/2 + (W o sigma)/2
-    w = solve_prenorm_W(blk({(1,): 1}), 2)
+    # independent by-hand solve of W = log(1+l1)/2 + (W o f)/2, f = z^2 (1 + l1)
+    w = solve_W(parse("z^2 + z^2*l1", grid=BLOCK_GRID))
     assert w.coeff(Key(0, (1,))) == Exact.of(F(2, 3))
     assert w.coeff(Key(0, (2,))) == Exact.of(F(-2, 7))
     assert w.coeff(Key(0, (3,))) == Exact.of(F(4, 15))
@@ -176,8 +178,9 @@ def test_prenormalize_deeper_log_block():
     f = S("z^2 + z^2*l2", z_cap=5, block_cap=6, ell_stop=10)
     res = normalize(f)
     assert res.verification["conjugation_exact_below_frontier"]
-    assert res.phi1.coeff(Key(1, (0, 1))) == Exact.of(1)
-    assert res.phi1.coeff(Key(1, (0, 2))) == -Exact.log_of_rational(2)
+    phi1 = prenormalize(f)
+    assert phi1.coeff(Key(1, (0, 1))) == Exact.of(1)
+    assert phi1.coeff(Key(1, (0, 2))) == -Exact.log_of_rational(2)
 
 
 def test_prenormalize_noop():
@@ -199,7 +202,7 @@ def test_prenormalize_kills_alpha_block():
 def test_T_S_K_operator_identity():
     # at the solved S the pair T_f(S) = S_f(S) holds; K_f is the derived remainder
     r = blk({(1,): 1})
-    s = exp_minus_one(solve_prenorm_W(r, 2))
+    s = exp_minus_one(solve_W(parse("z^2 + z^2*l1", grid=BLOCK_GRID)))
     assert_agree(apply_T_op(s, r, 2), apply_S_op(s, r, 2))
 
 
@@ -220,7 +223,7 @@ def test_K_op_is_half_contraction_on_samples(rng):
 
 def test_normalize_direct_oracle():
     f = S("z^2 + z^3", z_cap=10)
-    res = normalize_direct(f)
+    res = normalize(f, verify=False)
     want = oracles.bottcher_coeffs([F(0), F(0), F(1), F(1)], 2, 8)
     for n in range(2, 9):
         key = Key(n, (0,))
@@ -231,7 +234,7 @@ def test_normalize_direct_oracle():
 
 def test_normalize_direct_oracle_alpha_three():
     f = S("z^3 + z^5", z_cap=12)
-    res = normalize_direct(f)
+    res = normalize(f, verify=False)
     want = oracles.bottcher_coeffs([F(0), F(0), F(0), F(1), F(0), F(1)], 3, 8)
     for n in range(2, 9):
         key = Key(n, (0,))
@@ -254,20 +257,14 @@ def test_normalize_float_fractional_alpha_verifies():
     # float-mode verification must not count rounding dust as a residual
     f = parse("z^(3/2) + z^2", mode="float", z_cap=6, block_cap=8)
     res = normalize(f)
-    assert res.iterations == 6
     assert res.verification["conjugation_exact_below_frontier"]
 
 
 def test_normalize_direct_trivial():
     f = S("z^2")
-    res = normalize_direct(f)
+    res = normalize(f)
     assert res.iterations == 0
     assert res.phi == identity_series(f.grid, f.mode)
-
-
-def test_normalize_direct_requires_beta_above_one():
-    with pytest.raises(PrenormalizationRequiredError):
-        normalize_direct(S("z^2 + z^2*l1"))
 
 
 def test_normalize_order_bound_case():
@@ -347,17 +344,51 @@ def test_verification_builds_no_inverse(text, monkeypatch):
     assert report["conjugation_exact_below_frontier"], report
 
 
+@pytest.mark.parametrize(
+    "text,kw",
+    [
+        ("z^2 + z^2*l1 + z^3", dict(z_cap=8, block_cap=8)),
+        ("z^2 + z^2*l2", dict(z_cap=6, block_cap=8)),
+        ("z^(3/2) + z^2", dict(z_cap=6, block_cap=8)),
+    ],
+)
+def test_normalization_builds_no_inverse(text, kw, monkeypatch):
+    import importlib
+
+    def no_inversion(f):
+        raise AssertionError("normalization inverted a series")
+
+    monkeypatch.setattr(importlib.import_module("bottcher.compose"), "invert", no_inversion)
+    res = normalize(S(text, **kw))
+    assert res.verification["conjugation_exact_below_frontier"], res.verification
+
+
 def test_normalize_phi_factorization():
-    res = normalize(S("z^2 + z^2*l1 + z^3"))
-    assert_agree(compose(res.phi2, res.phi1), res.phi)
+    # the z^1 block of phi is the canonical prenormalization id + zS
+    f = S("z^2 + z^2*l1 + z^3")
+    _, blk_phi = leading_block(normalize(f, verify=False).phi)
+    _, blk_pre = leading_block(prenormalize(f))
+    assert len(blk_phi.terms) == f.grid.block_cap
+    assert_agree(blk_phi, blk_pre)
 
 
 def test_uniqueness_across_beta_spaces():
-    # iterating inside id + L^(3/2) or id + L^2 gives the same fixed point
+    # iterating inside id + L^(3/2) or id + L^2 gives the same fixed point: the
+    # Picard iterate agrees with phi below the reach 1 + alpha^k (beta - 1)
     f = S("z^2 + z^3", z_cap=9)
-    res_a = normalize_direct(f, beta=F(3, 2))
-    res_b = normalize_direct(f, beta=F(2))
-    assert_agree(res_a.phi, res_b.phi)
+    ident = identity_series(f.grid, f.mode)
+    phi = normalize(f, verify=False).phi
+
+    def stopping_index(beta):
+        k = 0
+        while 1 + 2**k * (beta - 1) < f.grid.z_cap:
+            k += 1
+        return k
+
+    assert [stopping_index(b) for b in (F(3, 2), F(2))] == [4, 3]
+    for beta in (F(3, 2), F(2)):
+        assert_agree(bottcher_sequence(f, ident, stopping_index(beta)), phi)
+    assert not agree_below_frontier(bottcher_sequence(f, ident, 2), phi)
 
 
 def test_normalize_rejects_hyperbolic():
@@ -372,9 +403,8 @@ def test_normalize_float_mode_log_case():
     f = embed(f_exact, f_exact.grid, mode="float")
     res = normalize(f)
     assert res.verification["conjugation_exact_below_frontier"]
-    exact_res = normalize(f_exact, verify=False)
-    want = exact_res.phi1.coeff(Key(1, (1,))).evaluate()
-    assert abs(res.phi1.coeff(Key(1, (1,))) - want) < 1e-12
+    want = prenormalize(f_exact).coeff(Key(1, (1,))).evaluate()
+    assert abs(prenormalize(f).coeff(Key(1, (1,))) - want) < 1e-12
 
 
 def test_normalize_reduces_lambda():

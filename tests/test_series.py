@@ -6,7 +6,7 @@ from hypothesis import given
 
 from bottcher.coeffs import Exact
 from bottcher.errors import EmptySeriesError
-from bottcher.keys import Key
+from bottcher.keys import Cut, Key
 from bottcher.parser import parse
 from bottcher.series import (
     TruncationGrid,
@@ -92,6 +92,19 @@ def test_order_and_leading():
     assert ord_key(zero_series(GRID)) is None
     with pytest.raises(EmptySeriesError):
         leading_term(zero_series(GRID))
+
+
+def test_leading_block_keeps_the_frontier():
+    # block_cap 2 drops l1^2 and l1^3: they are untrusted, not exact zeros
+    f = parse("z + z*l1 + z*l1^2 + z*l1^3", z_cap=4, block_cap=2)
+    assert f.frontier == Key(1, (2,))
+    alpha, blk = leading_block(f)
+    assert alpha == 1 and blk.frontier == Key(0, (2,))
+    assert not agree_below_frontier(blk, parse("1 + 2*l1", z_cap=4, block_cap=2))
+    # a frontier above the block trusts all of it; one at or below trusts none
+    assert leading_block(parse("z + z*l1", z_cap=4))[1].frontier == Cut(4)
+    low = make_series({Key(1, (0,)): 1}, f.grid, frontier_candidates=[Cut(1)])
+    assert leading_block(low)[1].frontier == Cut(0)
 
 
 def test_supports():
