@@ -48,6 +48,7 @@ from .series import (
 )
 from .blocks import D_m, dist_ell
 from .compose import (
+    Composer,
     HyperbolicShape,
     compose,
     compose_ell,

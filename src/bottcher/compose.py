@@ -6,6 +6,11 @@ c z^d l1^n1 ... of g maps to c * (z^d o f) * prod (l_j o f)^nj, where z^d o f
 is a binomial series in u = (f - lambda z^alpha)/(lambda z^alpha) and the
 iterated-log images come from the recursion l_(m+1) o f = l1 o (l_m o f).
 The series stop certifiably past the truncation frontier (ord u > 0).
+
+What depends on f alone lives in a `Composer(f)`.  `compose(g, f)` takes f
+as a series, which gets a fresh Composer for that call, or as a Composer,
+which is reused.  Code composing many g with one f holds its Composer; it
+lives as long as its holder and is never kept process-wide.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from fractions import Fraction
 from .coeffs import (
     EXACT,
     Exact,
+    binomial,
     c_eq,
     c_from,
     c_inv,
@@ -117,20 +123,13 @@ def compose_log(f: TransSeries) -> TransSeries:
     if f.grid.depth < 1:
         raise DepthOverflowError("compose_log needs depth >= 1 for l1")
     _, lam, u = split_leading(f)
-    out = scale(monomial(ell_key(f.grid.depth, 1, -1), f.grid, f.mode), -Fraction(1))
-    out = scale(out, shape.alpha) if not isinstance(shape.alpha, float) else scale_f(out, shape.alpha)
+    out = scale(monomial(ell_key(f.grid.depth, 1, -1), f.grid, f.mode), -shape.alpha)
     logc = _log_coeff(lam, f.mode)
     if logc is not None:
         out = add(out, monomial(zero_key(f.grid.depth), f.grid, f.mode, logc))
     from .series import log1p
 
     return add(out, log1p(u))
-
-
-def scale_f(a: TransSeries, x: float) -> TransSeries:
-    return make_series(
-        {k: c_mul(c, complex(x)) for k, c in a.terms.items()}, a.grid, a.mode, [a.frontier]
-    )
 
 
 def _geom_after_prefactor(prefactor: TransSeries, v: TransSeries) -> TransSeries:
@@ -162,7 +161,7 @@ def _ell_images(f: TransSeries, upto: int) -> list[TransSeries]:
         raise DepthOverflowError(f"l_{upto} needs depth {upto}")
     _, lam, u = split_leading(f)
     alpha = shape.alpha
-    inv_alpha = Fraction(1) / alpha if not isinstance(alpha, float) else 1.0 / alpha
+    inv_alpha = 1 / alpha
 
     from .series import log1p
 
@@ -172,7 +171,7 @@ def _ell_images(f: TransSeries, upto: int) -> list[TransSeries]:
         big_l = add(big_l, monomial(zero_key(grid.depth), grid, mode, logc))
 
     l1 = monomial(ell_key(grid.depth, 1), grid, mode)
-    pref = scale(l1, inv_alpha) if not isinstance(alpha, float) else scale_f(l1, inv_alpha)
+    pref = scale(l1, inv_alpha)
     v1 = mul(big_l, pref)
     images = [_geom_after_prefactor(pref, v1)]
 
@@ -197,8 +196,12 @@ def _ell_images(f: TransSeries, upto: int) -> list[TransSeries]:
 # -- general composition -------------------------------------------------------
 
 
-class _ComposeCtx:
-    """Per-right-factor cache: split data, l-images, u-powers, binomial bodies."""
+class Composer:
+    """A right factor f = lambda z^alpha (1 + u) and what every g o f shares.
+
+    Built on demand: powers of u, binomial bodies Sigma_i binom(delta, i) u^i,
+    log images l_j o f, their powers and their products per log multi-index.
+    """
 
     def __init__(self, f: TransSeries):
         self.f = f
@@ -213,6 +216,11 @@ class _ComposeCtx:
         self.img_pows: dict[tuple[int, int], TransSeries] = {}
         self.prod_cache: dict[tuple, TransSeries] = {}
         self.u_ord = ord_for_frontier(self.u)
+
+    @classmethod
+    def of(cls, f: TransSeries | Composer) -> Composer:
+        """f itself if it is a Composer, else a fresh one for the series f."""
+        return f if isinstance(f, Composer) else cls(f)
 
     def u_power(self, i: int) -> TransSeries:
         while len(self.u_pows) <= i:
@@ -242,7 +250,7 @@ class _ComposeCtx:
         i_stop = self.stop_index(self.alpha * delta)
         acc = zero_series(grid, mode)
         for i in range(i_stop):
-            q = _binom_any(delta, i)
+            q = binomial(delta, i)
             if q != 0:
                 acc = add(acc, scale(self.u_power(i), q))
         penalty = self.u_ord.scale(i_stop)
@@ -265,14 +273,10 @@ class _ComposeCtx:
             out = monomial(zero_key(self.f.grid.depth), self.f.grid, self.f.mode)
         elif n > 0:
             out = mul(self.image_power(j, n - 1), self.ell_image(j))
+        elif n == -1:
+            out = series_inverse(self.ell_image(j))
         else:
-            inv_key = (j, -1)
-            if inv_key not in self.img_pows and n < -1:
-                self.img_pows[inv_key] = series_inverse(self.ell_image(j))
-            if n == -1:
-                out = series_inverse(self.ell_image(j))
-            else:
-                out = mul(self.image_power(j, n + 1), self.img_pows[(j, -1)])
+            out = mul(self.image_power(j, n + 1), self.image_power(j, -1))
         self.img_pows[key] = out
         return out
 
@@ -292,32 +296,21 @@ class _ComposeCtx:
         return out
 
 
-_CTX_CACHE: dict[int, tuple] = {}
-
-
-def _ctx_for(f: TransSeries) -> _ComposeCtx:
-    entry = _CTX_CACHE.get(id(f))
-    if entry is not None and entry[0] is f:
-        return entry[1]
-    ctx = _ComposeCtx(f)
-    if len(_CTX_CACHE) >= 48:
-        _CTX_CACHE.clear()
-    _CTX_CACHE[id(f)] = (f, ctx)
-    return ctx
-
-
-def compose(g: TransSeries, f: TransSeries) -> TransSeries:
+def compose(g: TransSeries, f: TransSeries | Composer) -> TransSeries:
     """g o f; the right factor must have a log-free leading term.
 
-    Computed term-group-wise: for each distinct log multi-index of g the
-    z-profile is assembled from cached binomial bodies, then multiplied once
-    by the cached product of iterated-log images.
+    f is a series or a `Composer` of one.  Computed term-group-wise: for each
+    distinct log multi-index of g the z-profile is assembled from the
+    Composer's binomial bodies, then multiplied once by its product of
+    iterated-log images.  When g and f live on different grids, f is
+    embedded into the merged grid and gets a fresh Composer.
     """
     from .series import _common
 
-    g, f = _common(g, f)
+    right = f.f if isinstance(f, Composer) else f
+    g, embedded = _common(g, right)
+    ctx = f if isinstance(f, Composer) and embedded is right else Composer(embedded)
     grid, mode = g.grid, g.mode
-    ctx = _ctx_for(f)
     alpha, lam = ctx.alpha, ctx.lam
     if g.is_zero():
         return make_series({}, grid, mode, [front_zscale(g.frontier, alpha)])
@@ -343,12 +336,6 @@ def compose(g: TransSeries, f: TransSeries) -> TransSeries:
     return make_series(acc.terms, grid, mode, [acc.frontier, tail_penalty])
 
 
-def _binom_any(delta, i):
-    from .coeffs import binomial
-
-    return binomial(delta if isinstance(delta, float) else Fraction(delta), i)
-
-
 # -- inversion and conjugation --------------------------------------------------
 
 
@@ -364,7 +351,8 @@ def invert(f: TransSeries) -> TransSeries:
     fprime = d_dz(f)
     last_ord = None
     for _ in range(64):
-        r = sub(compose(f, g), ident)
+        right = Composer(g)  # shared by f o g and f' o g
+        r = sub(compose(f, right), ident)
         bad = residual_keys(r)
         if not bad:
             return g
@@ -372,14 +360,14 @@ def invert(f: TransSeries) -> TransSeries:
         if last_ord is not None and not o > last_ord:
             raise ConvergenceError(f"Newton inversion stalled at residual order {o}")
         last_ord = o
-        g = sub(g, mul(r, series_inverse(compose(fprime, g))))
+        g = sub(g, mul(r, series_inverse(compose(fprime, right))))
     raise ConvergenceError("Newton inversion did not converge in 64 steps")
 
 
 def _invert_seed(f: TransSeries) -> TransSeries:
     shape = shape_of(f)
     alpha, lam = shape.alpha, f.terms[min(f.terms)]
-    inv_alpha = Fraction(1) / alpha if not isinstance(alpha, float) else 1.0 / alpha
+    inv_alpha = 1 / alpha
     lam_pow = c_pow_rational(c_inv(lam), inv_alpha)
     return monomial(Key(inv_alpha, (0,) * f.grid.depth), f.grid, f.mode, lam_pow)
 
@@ -390,11 +378,12 @@ def invert_graded(f: TransSeries) -> TransSeries:
     ident = identity_series(f.grid, f.mode)
     fprime = d_dz(f)
     for _ in range(600):
-        r = sub(compose(f, g), ident)
+        right = Composer(g)
+        r = sub(compose(f, right), ident)
         bad = residual_keys(r)
         if not bad:
             return g
-        den = compose(fprime, g)
+        den = compose(fprime, right)
         wk = min(bad)
         wc = r.terms[wk]
         dk, dc = leading_term(den)
@@ -411,7 +400,10 @@ def conjugate(phi: TransSeries, f: TransSeries) -> TransSeries:
 
 
 def reduce_lambda(f: TransSeries):
-    """psi = lambda^(1/(alpha-1)) z; returns (psi, psi o f o psi^(-1)) with lead z^alpha."""
+    """psi = lambda^(1/(alpha-1)) z; returns (psi, psi o f o psi^(-1)) with lead z^alpha.
+
+    psi = c z has the exact inverse z / c, so no Newton inversion is needed.
+    """
     shape = shape_of(f)
     if shape.classification != STRONGLY_HYPERBOLIC:
         raise ShapeError("lambda-reduction applies to strongly hyperbolic series")
@@ -419,20 +411,10 @@ def reduce_lambda(f: TransSeries):
     grid, mode = f.grid, f.mode
     if c_eq(lam, c_from(1, mode)):
         return identity_series(grid, mode), f
-    expo = Fraction(1) / (Fraction(alpha) - 1) if not isinstance(alpha, float) else 1.0 / (alpha - 1.0)
-    c = c_pow_rational(lam, expo)
-    psi = monomial(Key(1, (0,) * grid.depth), grid, mode, c)
-    log_free = all(all(n == 0 for n in k.l) for k in f.terms)
-    if log_free:
-        cinv = c_inv(c)
-        terms = {}
-        for k, v in f.terms.items():
-            w = c_mul(c, c_mul(v, c_pow_rational(cinv, k.z)))
-            terms[k] = w
-        reduced = make_series(terms, grid, mode, [f.frontier])
-    else:
-        reduced = compose(compose(psi, f), invert(psi))
-    return psi, reduced
+    c = c_pow_rational(lam, 1 / (alpha - 1))
+    z1 = Key(1, (0,) * grid.depth)
+    psi = monomial(z1, grid, mode, c)
+    return psi, compose(psi, compose(f, monomial(z1, grid, mode, c_inv(c))))
 
 
 def reduce_alpha(f: TransSeries) -> TransSeries:

@@ -20,6 +20,9 @@ residuals differ by composition with phi, (phi o f - phi^alpha) =
 (phi o f o phi^(-1) - z^alpha) o phi, which keeps the leading term because
 phi is parabolic.  So the verdict and the first bad key are the same, and no
 Newton inversion of phi is needed.
+
+`normalize` builds one `Composer` for the reduced f: `solve_W` composes with
+it, `NormalizationResult.composer` carries it and verification reuses it.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .series import (
 )
 from .compose import (
     STRONGLY_HYPERBOLIC,
+    Composer,
     compose,
     compose_power,
     is_parabolic,
@@ -79,14 +83,13 @@ def _require_monic_power(f: TransSeries, want_alpha_above_one=True):
     return shape
 
 
-def bottcher_op(f: TransSeries, h: TransSeries) -> TransSeries:
-    """P_f(h) = z^(1/alpha) o h o f on parabolic h."""
-    shape = _require_monic_power(f)
+def bottcher_op(f: TransSeries | Composer, h: TransSeries) -> TransSeries:
+    """P_f(h) = z^(1/alpha) o h o f on parabolic h; f may be a Composer."""
+    right = Composer.of(f)
+    shape = _require_monic_power(right.f)
     if not is_parabolic(h):
         raise ShapeError("Bottcher operator acts on parabolic series")
-    alpha = shape.alpha
-    inv_alpha = Fraction(1) / alpha if not isinstance(alpha, float) else 1.0 / alpha
-    return compose_power(inv_alpha, compose(h, f))
+    return compose_power(1 / shape.alpha, compose(h, right))
 
 
 def alpha_block(f: TransSeries):
@@ -126,8 +129,10 @@ def bottcher_R_op(f: TransSeries, h: TransSeries) -> TransSeries:
 # same solve gives the canonical prenormalization id + zS, S = exp(W) - 1.
 
 
-def solve_W(f: TransSeries) -> TransSeries:
+def solve_W(f: TransSeries | Composer) -> TransSeries:
     """W with phi = z exp(W) solving phi o f = phi^alpha, for monic f, alpha > 1.
+
+    f may be a Composer; every image n o f is composed through it.
 
     Pops the smallest pending key n, divides its value by the diagonal
     1 - alpha^-(n1+1) (z-order 0) or 1 (z-order > 0), and pushes
@@ -136,6 +141,8 @@ def solve_W(f: TransSeries) -> TransSeries:
     `block_cap` solved terms in one z-block; the solve stops at the first
     pending key at or above it.
     """
+    right = Composer.of(f)
+    f = right.f
     alpha = Fraction(_require_monic_power(f).alpha)
     grid, mode = f.grid, f.mode
     inv_a = 1 / alpha
@@ -159,7 +166,7 @@ def solve_W(f: TransSeries) -> TransSeries:
             continue
         solved[n] = w_n
         per_block[n.z] += 1
-        image = compose(monomial(n, grid, mode), f)
+        image = compose(monomial(n, grid, mode), right)
         frontier = min_key(frontier, image.frontier)
         for k, c in image.terms.items():
             if k == n:
@@ -194,13 +201,12 @@ def _power_part(alpha, r: TransSeries) -> TransSeries:
 
 
 def prenorm_block_map(r: TransSeries, t: TransSeries, alpha, f0=None) -> TransSeries:
-    """One weak-iteration step: T -> ((1+R)(1+T o f0))^(1/alpha) - 1."""
+    """One weak-iteration step: T -> ((1+R)(1+T o f0))^(1/alpha) - 1; f0 may be a Composer."""
     alpha_q = Fraction(alpha) if not isinstance(alpha, float) else alpha
     f0 = _power_part(alpha_q, r) if f0 is None else f0
     one = monomial(zero_key(r.depth), r.grid, r.mode)
     inner = mul(add(one, r), add(one, compose(t, f0)))
-    inv_a = 1.0 / alpha_q if isinstance(alpha_q, float) else Fraction(1) / alpha_q
-    return sub(pow_rational(inner, inv_a), one)
+    return sub(pow_rational(inner, 1 / alpha_q), one)
 
 
 # -- the T/S/K operator triple ----------------------------------------------------
@@ -251,6 +257,8 @@ class NormalizationResult:
     alpha_input: object = None
     inverted_input: bool = False
     verification: dict = field(default_factory=dict)
+    # the Composer of the reduced series phi normalizes; verification reuses it
+    composer: Composer | None = field(default=None, compare=False, repr=False)
 
 
 def _beta_from(g: TransSeries, alpha, ignore_alpha_block=False):
@@ -284,7 +292,8 @@ def normalize(f: TransSeries, verify=True) -> NormalizationResult:
         psi, work = reduce_lambda(work)
     alpha, r = alpha_block(work)
 
-    w = solve_W(work)
+    right = Composer(work)
+    w = solve_W(right)
     phi = _phi_of(w)
     trusted = {k: c for k, c in phi.terms.items() if k < phi.frontier}
     res = NormalizationResult(
@@ -295,6 +304,7 @@ def normalize(f: TransSeries, verify=True) -> NormalizationResult:
         psi=psi,
         alpha_input=alpha_in,
         inverted_input=inverted,
+        composer=right,
     )
     if verify:
         res.verification = verify_normalization(work, res)
@@ -307,7 +317,7 @@ def _front_json(front):
     return (str(front.z), list(front.l))
 
 
-def check_conjugation(f: TransSeries, phi: TransSeries):
+def check_conjugation(f: TransSeries | Composer, phi: TransSeries):
     """Check the Bottcher equation phi o f = phi^alpha below the frontier.
 
     The residual phi o f - phi^alpha equals (phi o f o phi^(-1) - z^alpha) o phi,
@@ -322,8 +332,8 @@ def check_conjugation(f: TransSeries, phi: TransSeries):
     """
     if not is_parabolic(phi):
         raise ShapeError("conjugating change of variables must be parabolic")
-    alpha = shape_of(f).alpha
-    residual = sub(compose(phi, f), pow_rational(phi, alpha))
+    right = Composer.of(f)
+    residual = sub(compose(phi, right), pow_rational(phi, right.alpha))
     bad = residual_keys(residual)
     return residual.frontier, min(bad) if bad else None
 
@@ -331,12 +341,10 @@ def check_conjugation(f: TransSeries, phi: TransSeries):
 def verify_normalization(f: TransSeries, res: NormalizationResult) -> dict:
     """`check_conjugation` of res.phi plus the order bound, as a report dict.
 
-    The conjugation phi o f o phi^(-1) = z^alpha is checked in the form
-    phi o f = phi^alpha, which needs no Newton inversion; `first_bad_key` is
-    the same key either way, because composing with the parabolic phi keeps
-    leading terms.
+    Reuses res.composer when f is the series `normalize` built it for.
     """
-    checked, first_bad = check_conjugation(f, res.phi)
+    right = res.composer if res.composer is not None and res.composer.f is f else f
+    checked, first_bad = check_conjugation(right, res.phi)
     report = {
         "conjugation_exact_below_frontier": first_bad is None,
         "checked_below": _front_json(checked),
@@ -352,9 +360,10 @@ def verify_normalization(f: TransSeries, res: NormalizationResult) -> dict:
 
 def bottcher_iterates(f: TransSeries, h: TransSeries, n: int) -> list[TransSeries]:
     """[h, P_f h, ..., P_f^n h] (the n-th entry is z^(1/alpha^n) o h o f^on)."""
+    right = Composer(f) if n else f  # n = 0 composes nothing and checks no shape
     out = [h]
     for _ in range(n):
-        out.append(bottcher_op(f, out[-1]))
+        out.append(bottcher_op(right, out[-1]))
     return out
 
 

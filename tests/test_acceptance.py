@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from bottcher.coeffs import EXACT, FLOAT, Exact, binomial
-from bottcher.compose import compose
+from bottcher.compose import Composer, compose
 from bottcher.domains import AsymptoticSpec, DomainSpec, M_eps_k, invariant_threshold
 from bottcher.dulac import (
     DulacSeriesZ,
@@ -211,7 +211,7 @@ def test_suite_phi_is_bottcher_fixed_point():
     f = S("z^(3/2) + z^2", z_cap=6, block_cap=8)
     cases.append((f, normalize(f, verify=False)))
     for f, res in cases:
-        assert agree_below_frontier(bottcher_op(f, res.phi), res.phi), f
+        assert agree_below_frontier(bottcher_op(res.composer, res.phi), res.phi), f
 
 
 def test_acceptance_07_support_containment():
@@ -278,7 +278,7 @@ def test_acceptance_10_prenormalization_cross_check():
         }
         grid = TruncationGrid(z_cap=5, block_cap=10, depth=1, ell_stop=14)
         r = monomial(Key(0, (1,)), grid, FLOAT)
-        f0 = mul_monomial(add(monomial(Key(0, (0,)), grid, FLOAT), r), Key(2, (0,)))
+        f0 = Composer(mul_monomial(add(monomial(Key(0, (0,)), grid, FLOAT), r), Key(2, (0,))))
         t = zero_series(grid, FLOAT)
         for _ in range(60):
             t = prenorm_block_map(r, t, F(2), f0=f0)

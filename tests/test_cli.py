@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bottcher.cli import main
+from bottcher.cli import build_parser, main
 from bottcher.io_json import series_from_json, series_to_json
 from bottcher.keys import Key
 from bottcher.normalize import normalize, verify_normalization
@@ -266,3 +266,19 @@ def test_series_json_roundtrip_float_and_log_coeffs():
     fl = embed(e2, e2.grid, mode="float")
     g2 = series_from_json(series_to_json(fl))
     assert g2 == fl
+
+
+def test_readme_cli_lines_parse():
+    # every README line that starts with "bottcher " is accepted by the parser
+    import shlex
+    from pathlib import Path
+
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [ln for ln in readme.read_text().splitlines() if ln.startswith("bottcher ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit as exc:
+            pytest.fail(f"README line does not parse ({exc.code}): {line}")

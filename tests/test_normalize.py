@@ -5,7 +5,7 @@ import pytest
 import oracles
 from bottcher import blocks as B
 from bottcher.coeffs import Exact
-from bottcher.compose import compose, conjugate, reduce_alpha, shape_of
+from bottcher.compose import compose, conjugate, shape_of
 from bottcher.errors import ShapeError
 from bottcher.keys import Key
 from bottcher.normalize import (
@@ -317,16 +317,17 @@ def test_check_conjugation_matches_inversion_oracle(text, kw):
         from bottcher.series import embed
 
         f = embed(f, f.grid, mode="float")
-    phi = normalize(f, verify=False).phi
-    g = reduce_alpha(f) if shape_of(f).alpha < 1 else f  # the series phi normalizes
+    res = normalize(f, verify=False)
+    phi, g = res.phi, res.composer.f  # g: the series phi normalizes
     below = sorted(k for k in phi.terms if k < phi.frontier and k != Key(1, (0,) * phi.depth))
     bad_phi = add(phi, monomial(below[0], phi.grid, phi.mode))
     want = _conjugation_oracle(g, phi)
     assert want[1] is None
     assert check_conjugation(g, phi) == want
+    assert check_conjugation(res.composer, phi) == want
     want = _conjugation_oracle(g, bad_phi)
     assert want[1] is not None and want[1] < want[0]
-    assert check_conjugation(g, bad_phi) == want
+    assert check_conjugation(res.composer, bad_phi) == want
 
 
 @pytest.mark.parametrize("text", ["z^2 + z^3*l1^-1", "z^(3/2) + z^2"])
@@ -342,6 +343,52 @@ def test_verification_builds_no_inverse(text, monkeypatch):
     monkeypatch.setattr(importlib.import_module("bottcher.compose"), "invert", no_inversion)
     report = verify_normalization(f, res)
     assert report["conjugation_exact_below_frontier"], report
+
+
+def test_verification_reuses_the_normalization_composer(monkeypatch):
+    import importlib
+
+    f = S("z^3 + z^4*l1^2*l2^-1", z_cap=12, block_cap=6, depth=2, ell_stop=10)
+    res = normalize(f, verify=False)
+
+    def no_log_images(f, upto):
+        raise AssertionError("verification rebuilt the log images l_j o f")
+
+    monkeypatch.setattr(importlib.import_module("bottcher.compose"), "_ell_images", no_log_images)
+    report = verify_normalization(f, res)
+    assert report["conjugation_exact_below_frontier"], report
+
+
+def _module_container_sizes():
+    import sys
+
+    return {
+        (name, attr): len(v)
+        for name, mod in list(sys.modules.items())
+        if name == "bottcher" or name.startswith("bottcher.")
+        for attr, v in vars(mod).items()
+        if isinstance(v, (dict, list, set))
+    }
+
+
+def test_interleaved_normalizations_share_no_module_state():
+    texts = {"A": "z^2 + z^3*l1^-1", "B": "z^2 + z^2*l1 + z^3"}
+    alone = {}
+    for name, text in texts.items():
+        f = S(text)
+        res = normalize(f, verify=False)
+        alone[name] = (res, verify_normalization(f, res))
+
+    f_a, f_b = S(texts["A"]), S(texts["B"])
+    before = _module_container_sizes()
+    res_a = normalize(f_a, verify=False)
+    res_b = normalize(f_b, verify=False)
+    rep_a = verify_normalization(f_a, res_a)
+    rep_b = verify_normalization(f_b, res_b)
+    assert _module_container_sizes() == before
+    assert (res_a, rep_a) == alone["A"]
+    assert (res_b, rep_b) == alone["B"]
+    assert rep_a["conjugation_exact_below_frontier"] and rep_b["conjugation_exact_below_frontier"]
 
 
 @pytest.mark.parametrize(
