@@ -28,8 +28,6 @@ from .series import (
     TruncationGrid,
     add,
     d_dz,
-    dist_z,
-    dist_z_info,
     identity_series,
     leading_block,
     leading_term,
@@ -43,7 +41,6 @@ from .series import (
     sub,
     supp,
     supp_z,
-    weak_delta,
     zero_series,
 )
 from .blocks import D_m, dist_ell
@@ -52,11 +49,8 @@ from .compose import (
     HyperbolicShape,
     compose,
     compose_ell,
-    compose_log,
     compose_power,
-    conjugate,
     invert,
-    invert_graded,
     reduce_alpha,
     reduce_lambda,
     shape_of,

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 shape/precondition error, 3 certification failure,
 4 parse error; any other error is reported in one line with exit code 2.
 A key=value config file (path in $BOTTCHER_CONFIG) supplies defaults for the
-truncation caps and tolerances.
+truncation caps, tolerances and analytic samples; a key that names no option
+of the chosen subcommand is ignored.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffs import EXACT, FLOAT
@@ -57,86 +57,55 @@ from .series import TruncationGrid
 from .keys import Cut, Key
 
 
-@dataclass
-class RunConfig:
-    depth: int | None = None
-    z_cap: Fraction = Fraction(12)
-    block_cap: int = 10
-    ell_stop: int = 16
-    mode: str = EXACT
-    tol: float = 1e-11
-    r_ceiling: float = 64.0
-    precision: int | None = None  # mpmath working digits for analytic evaluation
-    samples: str = "3:10:25"  # default analytic grid spec R0:SPAN:N
+# $BOTTCHER_CONFIG keys; each sets the default of the option with that dest
+CONFIG_KEYS = ("z_cap", "block_cap", "ell_stop", "depth", "mode", "tol", "r_ceiling",
+               "precision", "samples")
 
-    @staticmethod
-    def from_env_and_args(args) -> "RunConfig":
-        cfg = RunConfig()
-        path = os.environ.get("BOTTCHER_CONFIG")
-        if path and os.path.exists(path):
-            for line in open(path):
+
+def _read_config(path) -> dict:
+    """The key=value lines of the config file; blank and # lines are skipped."""
+    config = {}
+    if path and os.path.exists(path):
+        with open(path) as fh:
+            for line in fh:
                 line = line.strip()
-                if not line or line.startswith("#") or "=" not in line:
-                    continue
-                k, v = (s.strip() for s in line.split("=", 1))
-                if k == "z_cap":
-                    cfg.z_cap = Fraction(v)
-                elif k == "block_cap":
-                    cfg.block_cap = int(v)
-                elif k == "ell_stop":
-                    cfg.ell_stop = int(v)
-                elif k == "depth":
-                    cfg.depth = int(v)
-                elif k == "mode":
-                    cfg.mode = v
-                elif k == "tol":
-                    cfg.tol = float(v)
-                elif k == "r_ceiling":
-                    cfg.r_ceiling = float(v)
-                elif k == "precision":
-                    cfg.precision = int(v)
-                elif k == "samples":
-                    cfg.samples = v
-        for k in ("z_cap", "block_cap", "depth", "tol", "ell_stop", "precision"):
-            v = getattr(args, k.replace("-", "_"), None)
-            if v is not None:
-                if k == "z_cap":
-                    cfg.z_cap = Fraction(v)
-                elif k == "tol":
-                    cfg.tol = float(v)
-                else:
-                    setattr(cfg, k, int(v))
-        if getattr(args, "samples", None):
-            cfg.samples = args.samples
-        if getattr(args, "float_mode", False):
-            cfg.mode = FLOAT
-        return cfg
-
-    def grid_for(self, text_depth: int) -> TruncationGrid:
-        depth = self.depth if self.depth is not None else text_depth
-        return TruncationGrid(self.z_cap, self.block_cap, depth, self.ell_stop)
+                if line and not line.startswith("#") and "=" in line:
+                    k, v = (s.strip() for s in line.split("=", 1))
+                    config[k] = v
+    return config
 
 
-def _parse_expr(text: str, cfg: RunConfig):
-    probe = parse(text, mode=cfg.mode, z_cap=cfg.z_cap, block_cap=cfg.block_cap)
-    grid = cfg.grid_for(probe.depth)
-    return parse(text, grid=grid, mode=cfg.mode)
+def _parse_expr(text: str, args):
+    probe = parse(text, mode=args.mode, z_cap=args.z_cap, block_cap=args.block_cap)
+    depth = probe.depth if args.depth is None else args.depth
+    grid = TruncationGrid(args.z_cap, args.block_cap, depth, args.ell_stop)
+    return parse(text, grid=grid, mode=args.mode)
 
 
 def _emit(args, payload: dict, text: str):
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2))
     else:
         print(text)
 
 
 def _add_common(p):
-    p.add_argument("--z-cap", dest="z_cap")
-    p.add_argument("--block-cap", dest="block_cap", type=int)
-    p.add_argument("--ell-stop", dest="ell_stop", type=int)
-    p.add_argument("--depth", dest="depth", type=int)
-    p.add_argument("--float", dest="float_mode", action="store_true")
+    p.add_argument("--z-cap", dest="z_cap", type=Fraction, default="12")
+    p.add_argument("--block-cap", dest="block_cap", type=int, default=10)
+    p.add_argument("--ell-stop", dest="ell_stop", type=int, default=16)
+    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--float", dest="mode", action="store_const", const=FLOAT, default=EXACT)
     p.add_argument("--json", action="store_true")
+
+
+def _add_analytic(p):
+    """Defect type, domain and certification options of `analytic` and `bridge`."""
+    p.add_argument("--eps", type=float, default=1.0)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--sqd-C", dest="sqd_C", type=float, default=1.0)
+    p.add_argument("--r-ceiling", dest="r_ceiling", type=float, default=64.0)
+    p.add_argument("--tol", type=float, default=1e-11)
+    p.add_argument("--csv", default=None)
 
 
 def _term_map(alpha: float, terms, precision: int | None = None):
@@ -167,18 +136,20 @@ def _term_map(alpha: float, terms, precision: int | None = None):
     return f
 
 
-def _sample_point(x: float, precision: int | None):
-    if precision:
+def _sample_points(args) -> list:
+    """The points of the grid spec R0:SPAN:N (mpmath points with --precision)."""
+    r0, span, n = (float(x) for x in args.samples.split(":"))
+    n = int(n)
+    xs = [r0 + span * i / max(1, n - 1) for i in range(n)]
+    if args.precision:
         import mpmath
 
-        return mpmath.mpc(x, 0.0)
-    return complex(x, 0.0)
+        return [mpmath.mpc(x, 0.0) for x in xs]
+    return [complex(x, 0.0) for x in xs]
 
 
 def cmd_normalize(args) -> int:
-    cfg = RunConfig.from_env_and_args(args)
-    f = _parse_expr(args.expr, cfg)
-    res = normalize(f)
+    res = normalize(_parse_expr(args.expr, args))
     payload = normalization_result_to_json(res)
     _emit(
         args,
@@ -191,17 +162,14 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_prenormalize(args) -> int:
-    cfg = RunConfig.from_env_and_args(args)
-    f = _parse_expr(args.expr, cfg)
-    phi1 = prenormalize(f)
+    phi1 = prenormalize(_parse_expr(args.expr, args))
     _emit(args, series_to_json(phi1), f"phi1 = {format_series(phi1)}")
     return 0
 
 
 def cmd_bottcher_seq(args) -> int:
-    cfg = RunConfig.from_env_and_args(args)
-    f = _parse_expr(args.expr, cfg)
-    seed = _parse_expr(args.seed, cfg) if args.seed else None
+    f = _parse_expr(args.expr, args)
+    seed = _parse_expr(args.seed, args) if args.seed else None
     if seed is None:
         from .series import identity_series
 
@@ -212,9 +180,7 @@ def cmd_bottcher_seq(args) -> int:
 
 
 def cmd_support(args) -> int:
-    cfg = RunConfig.from_env_and_args(args)
-    f = _parse_expr(args.expr, cfg)
-    spec = support_predict(f)
+    spec = support_predict(_parse_expr(args.expr, args))
     gens = [{"z": str(g.z), "l": list(g.l)} for g in spec.generators]
     payload = {"generators": gens, "cutoff": str(spec.cutoff.z)}
     text = "generators: " + ", ".join(f"({g.z},{list(g.l)})" for g in spec.generators)
@@ -227,12 +193,11 @@ def cmd_support(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig.from_env_and_args(args)
-    f = _parse_expr(args.f, cfg)
+    f = _parse_expr(args.f, args)
     if args.phi_file:
         phi = series_from_json(json.load(open(args.phi_file)))
     else:
-        phi = _parse_expr(args.phi, cfg)
+        phi = _parse_expr(args.phi, args)
     fr, first_bad = check_conjugation(f, phi)
     ok = first_bad is None
     payload = {"pass": ok, "checked_below": {"z": str(fr.z), "l": "cut" if isinstance(fr, Cut) else list(fr.l)}}
@@ -244,75 +209,62 @@ def cmd_verify(args) -> int:
 
 def cmd_analytic(args) -> int:
     """The analytic subcommands; `--precision` digits hold only for this call."""
-    cfg = RunConfig.from_env_and_args(args)
-    if not cfg.precision:
-        return _analytic(args, cfg)
+    if not args.precision:
+        return _analytic(args)
     import mpmath
 
-    with mpmath.workdps(cfg.precision):
-        return _analytic(args, cfg)
+    with mpmath.workdps(args.precision):
+        return _analytic(args)
 
 
-def _analytic(args, cfg: RunConfig) -> int:
+def _analytic(args) -> int:
     spec = AsymptoticSpec(alpha=args.alpha, eps=args.eps, k=args.k)
     dom = DomainSpec.standard_quadratic(args.sqd_C)
-    prec = cfg.precision
+    prec = args.precision
+    homological = args.analytic_cmd == "homological"
+    f_terms = args.f_term if homological else args.term
+    g = _term_map(0.0, args.g_term, prec) if homological else None
+    R = invariant_threshold(_term_map(args.alpha, f_terms), spec, dom, r_ceiling=args.r_ceiling)
     if args.analytic_cmd == "domain-check":
-        R = invariant_threshold(_term_map(args.alpha, args.term), spec, dom,
-                                r_ceiling=args.r_ceiling)
         _emit(args, {"R": R}, f"certified R = {R}")
         return 0
-    if args.analytic_cmd == "koenigs":
-        f = _term_map(args.alpha, args.term, prec)
-        R = invariant_threshold(_term_map(args.alpha, args.term), spec, dom,
-                                r_ceiling=args.r_ceiling)
-        result = koenigs_normalize(f, spec, dom, R, tol=args.tol)
-        r0, span, n = (float(x) for x in cfg.samples.split(":"))
-        rows = []
-        for i in range(int(n)):
-            zeta = _sample_point(r0 + span * i / max(1, int(n) - 1), prec)
-            phi = result.evaluator(zeta)
-            rows.append(
-                {
-                    "zeta": float(zeta.real),
-                    "phi_re": float(phi.real),
-                    "phi_im": float(phi.imag),
-                    "residual": float(koenigs_residual(result, f, zeta)),
-                    "tail_bound": result.tail_bound(zeta),
-                    "id_bound": identity_deviation_bound(result, zeta),
-                }
-            )
-        if args.csv:
-            with open(args.csv, "w") as fh:
-                fh.write("zeta,phi_re,phi_im,residual,bound\n")
-                for r in rows:
-                    fh.write(
-                        f"{r['zeta']},{r['phi_re']},{r['phi_im']},{r['residual']},{r['tail_bound']}\n"
-                    )
-        _emit(args, {"R": R, "samples": rows}, f"R = {R}; worst residual = {max(r['residual'] for r in rows):.3e}")
-        return 0
-    if args.analytic_cmd == "homological":
-        f = _term_map(args.alpha, args.f_term, prec)
-        g = _term_map(0.0, args.g_term, prec)
-        R = invariant_threshold(_term_map(args.alpha, args.f_term), spec, dom,
-                                r_ceiling=args.r_ceiling)
+    f = _term_map(args.alpha, f_terms, prec)
+    if homological:
         res = solve_homological(f, g, args.nu, spec, dom, R, tol=args.tol)
-        r0, span, n = (float(x) for x in cfg.samples.split(":"))
         worst = 0.0
-        for i in range(int(n)):
-            zeta = _sample_point(r0 + span * i / max(1, int(n) - 1), prec)
+        for zeta in _sample_points(args):
             worst = max(worst, float(homological_residual(res, f, g, zeta)))
         _emit(args, {"R": R, "worst_residual": worst}, f"R = {R}; worst residual = {worst:.3e}")
         return 0
-    raise BottcherError(f"unknown analytic subcommand {args.analytic_cmd}")
+    result = koenigs_normalize(f, spec, dom, R, tol=args.tol)
+    rows = []
+    for zeta in _sample_points(args):
+        phi = result.evaluator(zeta)
+        rows.append(
+            {
+                "zeta": float(zeta.real),
+                "phi_re": float(phi.real),
+                "phi_im": float(phi.imag),
+                "residual": float(koenigs_residual(result, f, zeta)),
+                "tail_bound": result.tail_bound(zeta),
+                "id_bound": identity_deviation_bound(result, zeta),
+            }
+        )
+    if args.csv:
+        with open(args.csv, "w") as fh:
+            fh.write("zeta,phi_re,phi_im,residual,bound\n")
+            for r in rows:
+                fh.write(
+                    f"{r['zeta']},{r['phi_re']},{r['phi_im']},{r['residual']},{r['tail_bound']}\n"
+                )
+    _emit(args, {"R": R, "samples": rows}, f"R = {R}; worst residual = {max(r['residual'] for r in rows):.3e}")
+    return 0
 
 
 def cmd_bridge(args) -> int:
-    cfg = RunConfig.from_env_and_args(args)
     if args.bridge_cmd == "to-zeta":
-        f = _parse_expr(args.expr, cfg)
-        d = from_transseries(f)
-        out = to_zeta_chart(d, e_cap=Fraction(args.e_cap) if args.e_cap else None)
+        d = from_transseries(_parse_expr(args.expr, args))
+        out = to_zeta_chart(d, e_cap=args.e_cap)
         print(json.dumps(dulac_zeta_to_json(out), indent=2))
         return 0
     if args.bridge_cmd == "to-z":
@@ -322,35 +274,32 @@ def cmd_bridge(args) -> int:
         out = to_z_chart(dulac_zeta_from_json(data))
         print(json.dumps(dulac_z_to_json(out), indent=2))
         return 0
-    if args.bridge_cmd == "compare":
-        f_ts = _parse_expr(args.expr, cfg)
-        d = from_transseries(f_ts)
-        phi_hat_z, res = dulac_normalize_full(d, z_cap=cfg.z_cap, block_cap=cfg.block_cap)
-        phi_hat = to_zeta_chart(phi_hat_z)
-        spec = AsymptoticSpec(alpha=float(d.alpha), eps=args.eps, k=args.k)
-        dom = DomainSpec.standard_quadratic(args.sqd_C)
-        from .dulac import evaluate_zeta
+    d = from_transseries(_parse_expr(args.expr, args))
+    phi_hat_z, res = dulac_normalize_full(d, z_cap=args.z_cap, block_cap=args.block_cap)
+    phi_hat = to_zeta_chart(phi_hat_z)
+    spec = AsymptoticSpec(alpha=float(d.alpha), eps=args.eps, k=args.k)
+    dom = DomainSpec.standard_quadratic(args.sqd_C)
+    from .dulac import evaluate_zeta
 
-        f_zeta = to_zeta_chart(d)
-        fmap = lambda zeta: evaluate_zeta(f_zeta, zeta)
-        R = invariant_threshold(fmap, spec, dom, r_ceiling=args.r_ceiling)
-        numeric = koenigs_normalize(fmap, spec, dom, R, tol=args.tol)
-        xs = [R + args.ray_span * i / 63 for i in range(64)]
-        reports = {}
-        stats = {}
-        for n in range(1, min(args.n, len(phi_hat.ladder)) + 1):
-            reports[n] = compare_formal_numeric(numeric, phi_hat, n, xs)
-            stats[n] = reports[n].pop("statistic", [])
-        if args.csv:
-            with open(args.csv, "w") as fh:
-                fh.write("re_zeta," + ",".join(f"n{n}" for n in sorted(stats)) + "\n")
-                for i, x in enumerate(xs):
-                    row = [f"{x}"] + [f"{stats[n][i]}" for n in sorted(stats)]
-                    fh.write(",".join(row) + "\n")
-        payload = {"R": R, "reports": reports}
-        _emit(args, payload, "\n".join(f"n={n}: pass={r['pass']} sup={r['sup']:.3e}" for n, r in reports.items()))
-        return 0 if all(r["pass"] for r in reports.values()) else 3
-    raise BottcherError(f"unknown bridge subcommand {args.bridge_cmd}")
+    f_zeta = to_zeta_chart(d)
+    fmap = lambda zeta: evaluate_zeta(f_zeta, zeta)
+    R = invariant_threshold(fmap, spec, dom, r_ceiling=args.r_ceiling)
+    numeric = koenigs_normalize(fmap, spec, dom, R, tol=args.tol)
+    xs = [R + args.ray_span * i / 63 for i in range(64)]
+    reports = {}
+    stats = {}
+    for n in range(1, min(args.n, len(phi_hat.ladder)) + 1):
+        reports[n] = compare_formal_numeric(numeric, phi_hat, n, xs)
+        stats[n] = reports[n].pop("statistic", [])
+    if args.csv:
+        with open(args.csv, "w") as fh:
+            fh.write("re_zeta," + ",".join(f"n{n}" for n in sorted(stats)) + "\n")
+            for i, x in enumerate(xs):
+                row = [f"{x}"] + [f"{stats[n][i]}" for n in sorted(stats)]
+                fh.write(",".join(row) + "\n")
+    payload = {"R": R, "reports": reports}
+    _emit(args, payload, "\n".join(f"n={n}: pass={r['pass']} sup={r['sup']:.3e}" for n, r in reports.items()))
+    return 0 if all(r["pass"] for r in reports.values()) else 3
 
 
 def cmd_selftest(args) -> int:
@@ -407,47 +356,45 @@ def build_parser() -> argparse.ArgumentParser:
     p = sp.add_parser("analytic", help="domain certification / Koenigs / homological")
     p.add_argument("analytic_cmd", choices=["domain-check", "koenigs", "homological"])
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--sqd-C", dest="sqd_C", type=float, default=1.0)
-    p.add_argument("--r-ceiling", dest="r_ceiling", type=float, default=64.0)
-    p.add_argument("--tol", type=float, default=1e-11)
+    _add_analytic(p)
     p.add_argument("--nu", type=float, default=1.0)
     p.add_argument("--term", action="append", default=None, metavar="c,p,nu")
     p.add_argument("--f-term", dest="f_term", action="append", default=None)
     p.add_argument("--g-term", dest="g_term", action="append", default=None)
-    p.add_argument("--samples", default=None, help="grid spec R0:SPAN:N")
+    p.add_argument("--samples", default="3:10:25", help="grid spec R0:SPAN:N")
     p.add_argument("--precision", type=int, default=None, help="mpmath digits")
-    p.add_argument("--csv", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_analytic)
 
     p = sp.add_parser("bridge", help="Dulac chart conversions and comparison")
     p.add_argument("bridge_cmd", choices=["to-zeta", "to-z", "compare"])
     p.add_argument("expr", nargs="?")
-    p.add_argument("--e-cap", dest="e_cap", default=None)
+    p.add_argument("--e-cap", dest="e_cap", type=Fraction, default=None)
     p.add_argument("--infile", default=None)
-    p.add_argument("--csv", default=None)
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--sqd-C", dest="sqd_C", type=float, default=1.0)
-    p.add_argument("--r-ceiling", dest="r_ceiling", type=float, default=64.0)
-    p.add_argument("--tol", type=float, default=1e-11)
+    _add_analytic(p)
     p.add_argument("--ray-span", dest="ray_span", type=float, default=12.0)
     _add_common(p)
     p.set_defaults(fn=cmd_bridge)
 
     p = sp.add_parser("selftest", help="fast built-in anchor checks")
-    _add_common(p)
     p.set_defaults(fn=cmd_selftest)
     return ap
 
 
+def _subcommands(ap: argparse.ArgumentParser) -> dict:
+    """Subcommand name -> its parser, for a parser from `build_parser`."""
+    (sp,) = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return sp.choices
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    config = _read_config(os.environ.get("BOTTCHER_CONFIG"))
+    for p in _subcommands(ap).values():
+        dests = {a.dest for a in p._actions}
+        p.set_defaults(**{k: v for k, v in config.items() if k in CONFIG_KEYS and k in dests})
+    args = ap.parse_args(argv)  # applies each option's type to config values too
     try:
         return args.fn(args)
     except ParseError as e:

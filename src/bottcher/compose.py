@@ -1,4 +1,4 @@
-"""Formal composition, inversion and conjugation for logarithmic transseries.
+"""Formal composition and inversion for logarithmic transseries.
 
 Composition g o f is defined for right factors f whose leading term is a
 log-free power lambda*z^alpha.  It is computed term-by-term: each monomial
@@ -117,28 +117,13 @@ def compose_power(beta, f: TransSeries) -> TransSeries:
     return pow_rational(f, beta)
 
 
-def compose_log(f: TransSeries) -> TransSeries:
-    """log z o f = log lambda + alpha log z + log(1 + u), with log z = -l1^(-1)."""
-    shape = shape_of(f)
-    if f.grid.depth < 1:
-        raise DepthOverflowError("compose_log needs depth >= 1 for l1")
-    _, lam, u = split_leading(f)
-    out = scale(monomial(ell_key(f.grid.depth, 1, -1), f.grid, f.mode), -shape.alpha)
-    logc = _log_coeff(lam, f.mode)
-    if logc is not None:
-        out = add(out, monomial(zero_key(f.grid.depth), f.grid, f.mode, logc))
-    from .series import log1p
-
-    return add(out, log1p(u))
-
-
 def _geom_after_prefactor(prefactor: TransSeries, v: TransSeries) -> TransSeries:
     """prefactor * Sigma_i v^i."""
     return sum_powers(v, lambda i: Fraction(1), v.grid, v.mode, prefactor=prefactor)
 
 
 def compose_ell(m: int, f: TransSeries) -> TransSeries:
-    """l_m o f via l_1 o f = -1/compose_log(f) and l_(m+1) o f = l_1 o (l_m o f)."""
+    """l_m o f via l_1 o f = -1/(log z o f) and l_(m+1) o f = l_1 o (l_m o f)."""
     if m < 1:
         raise ValueError("log index must be >= 1")
     if m > f.grid.depth:
@@ -336,7 +321,7 @@ def compose(g: TransSeries, f: TransSeries | Composer) -> TransSeries:
     return make_series(acc.terms, grid, mode, [acc.frontier, tail_penalty])
 
 
-# -- inversion and conjugation --------------------------------------------------
+# -- inversion and reduction -----------------------------------------------------
 
 
 def invert(f: TransSeries) -> TransSeries:
@@ -370,33 +355,6 @@ def _invert_seed(f: TransSeries) -> TransSeries:
     inv_alpha = 1 / alpha
     lam_pow = c_pow_rational(c_inv(lam), inv_alpha)
     return monomial(Key(inv_alpha, (0,) * f.grid.depth), f.grid, f.mode, lam_pow)
-
-
-def invert_graded(f: TransSeries) -> TransSeries:
-    """Cross-check inversion: kill residual terms one leading term at a time."""
-    g = _invert_seed(f)
-    ident = identity_series(f.grid, f.mode)
-    fprime = d_dz(f)
-    for _ in range(600):
-        right = Composer(g)
-        r = sub(compose(f, right), ident)
-        bad = residual_keys(r)
-        if not bad:
-            return g
-        den = compose(fprime, right)
-        wk = min(bad)
-        wc = r.terms[wk]
-        dk, dc = leading_term(den)
-        g = add(g, monomial(wk - dk, g.grid, g.mode, c_mul(c_from(-1, g.mode), c_mul(wc, c_inv(dc)))))
-    raise ShapeError("graded inversion did not converge within the frontier")
-
-
-def conjugate(phi: TransSeries, f: TransSeries) -> TransSeries:
-    """phi o f o phi^(-1); phi must be parabolic."""
-    if not is_parabolic(phi):
-        raise ShapeError("conjugating change of variables must be parabolic")
-    shape_of(f)
-    return compose(compose(phi, f), invert(phi))
 
 
 def reduce_lambda(f: TransSeries):

@@ -48,7 +48,6 @@ class AsymptoticSpec:
     alpha: float
     eps: float
     k: int
-    bound_threshold: float | None = None
 
     def M(self, x: float) -> float:
         return M_eps_k(x, self.eps, self.k)
@@ -67,7 +66,6 @@ class DomainSpec:
     h_l: object = None
     h_u: object = None
     t: float | None = None
-    restriction: float | None = None
 
     @staticmethod
     def standard_quadratic(C: float) -> "DomainSpec":
@@ -182,6 +180,37 @@ def _grid(t: float, interval: float, n: int) -> list[float]:
     return [t + interval * i / (n - 1) for i in range(n)]
 
 
+def _map_check(h, d, t, interval, spec, dh, n, sign) -> MapCheckReport:
+    """The grid loop of both map criteria, with the terms in h multiplied by
+    sign: +1 checks the upper criterion, -1 the lower one."""
+    if dh is None:
+        eps = 1e-6 * max(1.0, interval)
+        dh = lambda x: (h(x + eps) - h(x - eps)) / (2 * eps)
+    ok_from = None
+    witnesses = []
+    deriv_ok = diff_ok = True
+    for x in _grid(t, interval, n):
+        try:
+            rx = spec.rho(x)
+        except DomainError:
+            witnesses.append((x, "outside M domain"))
+            ok_from = None
+            continue
+        c1 = sign * dh(x) >= sign * h(x) / x + d
+        c2 = rx > 0 and sign * (h(x + rx) - h(x)) >= sign * (spec.alpha - 1) * h(x) + spec.M(x)
+        if c1 and c2:
+            if ok_from is None:
+                ok_from = x
+        else:
+            if not c1:
+                deriv_ok = False
+            if not c2:
+                diff_ok = False
+            witnesses.append((x, "derivative" if not c1 else "difference"))
+            ok_from = None
+    return MapCheckReport(ok_from is not None, ok_from, witnesses, deriv_ok, diff_ok)
+
+
 def upper_map_check(
     h, d: float, t: float, interval: float, spec: AsymptoticSpec, dh=None, n: int = 200
 ) -> MapCheckReport:
@@ -190,33 +219,7 @@ def upper_map_check(
 
     Returns the first grid threshold from which both hold to the right.
     """
-    if dh is None:
-        eps = 1e-6 * max(1.0, interval)
-        dh = lambda x: (h(x + eps) - h(x - eps)) / (2 * eps)
-    xs = _grid(t, interval, n)
-    ok_from = None
-    witnesses = []
-    deriv_ok = diff_ok = True
-    for x in xs:
-        try:
-            rx = spec.rho(x)
-        except DomainError:
-            witnesses.append((x, "outside M domain"))
-            ok_from = None
-            continue
-        c1 = dh(x) >= d + h(x) / x
-        c2 = rx > 0 and h(x + rx) - h(x) >= (spec.alpha - 1) * h(x) + spec.M(x)
-        if c1 and c2:
-            if ok_from is None:
-                ok_from = x
-        else:
-            if not c1:
-                deriv_ok = False
-            if not c2:
-                diff_ok = False
-            witnesses.append((x, "derivative" if not c1 else "difference"))
-            ok_from = None
-    return MapCheckReport(ok_from is not None, ok_from, witnesses, deriv_ok, diff_ok)
+    return _map_check(h, d, t, interval, spec, dh, n, 1)
 
 
 def lower_map_check(
@@ -224,43 +227,20 @@ def lower_map_check(
 ) -> MapCheckReport:
     """Mirror criterion: h'(x) <= h(x)/x - d and
     h(x + rho(x)) - h(x) <= (alpha-1) h(x) - M(x)."""
-    if dh is None:
-        eps = 1e-6 * max(1.0, interval)
-        dh = lambda x: (h(x + eps) - h(x - eps)) / (2 * eps)
-    xs = _grid(t, interval, n)
-    ok_from = None
-    witnesses = []
-    deriv_ok = diff_ok = True
-    for x in xs:
-        try:
-            rx = spec.rho(x)
-        except DomainError:
-            witnesses.append((x, "outside M domain"))
-            ok_from = None
-            continue
-        c1 = dh(x) <= h(x) / x - d
-        c2 = rx > 0 and h(x + rx) - h(x) <= (spec.alpha - 1) * h(x) - spec.M(x)
-        if c1 and c2:
-            if ok_from is None:
-                ok_from = x
-        else:
-            if not c1:
-                deriv_ok = False
-            if not c2:
-                diff_ok = False
-            witnesses.append((x, "derivative" if not c1 else "difference"))
-            ok_from = None
-    return MapCheckReport(ok_from is not None, ok_from, witnesses, deriv_ok, diff_ok)
+    return _map_check(h, d, t, interval, spec, dh, n, -1)
 
 
 # -- invariance certification ------------------------------------------------------
 
 
-def _domain_samples(dom: DomainSpec, R: float, span: float, n: int) -> list[complex]:
-    """Interior and boundary-adjacent samples of D_R with Re in [R, R+span]."""
+SAMPLE_SPAN = 8.0  # invariant_threshold samples Re in [R, R + SAMPLE_SPAN]
+N_SAMPLES = 16  # abscissas per certification attempt
+
+
+def _domain_samples(dom: DomainSpec, R: float) -> list[complex]:
+    """Interior and boundary-adjacent samples of D_R with Re in [R, R + SAMPLE_SPAN]."""
     out = []
-    for i in range(n):
-        x = R + span * i / max(1, n - 1)
+    for x in _grid(R, SAMPLE_SPAN, N_SAMPLES):
         if dom.kind == "standard_quadratic":
             try:
                 y = sqd_im_extent(x, dom.C)
@@ -277,27 +257,19 @@ def _domain_samples(dom: DomainSpec, R: float, span: float, n: int) -> list[comp
     return out
 
 
-def invariant_threshold(
-    f,
-    spec: AsymptoticSpec,
-    dom: DomainSpec,
-    r_start: float | None = None,
-    r_ceiling: float = 64.0,
-    span: float = 8.0,
-    n_samples: int = 16,
-) -> float:
+def invariant_threshold(f, spec: AsymptoticSpec, dom: DomainSpec, r_ceiling: float = 64.0) -> float:
     """Smallest grid-certified R such that D_R looks f-invariant.
 
     Certifies on samples: rho(R) > 0 and increasing, the defect bound
     |f(z) - alpha z| <= M(Re z), and the step rectangle
     [Re+rho(Re), alpha Re+M(Re)] x [alpha Im -+ M(Re)] inside the domain.
+    The search starts just past R = exp^ok(0) + 1/2.
     Raises CertificationError if no R below the ceiling passes.
     """
-    lo = iter_exp(0.0, spec.k) + 1e-6
-    R = max(r_start if r_start is not None else lo + 0.5, lo)
+    R = iter_exp(0.0, spec.k) + 1e-6 + 0.5
     last_reasons = []
     while R <= r_ceiling:
-        reasons = _certify_at(f, spec, dom, R, span, n_samples)
+        reasons = _certify_at(f, spec, dom, R)
         if not reasons:
             return R
         last_reasons = reasons
@@ -307,7 +279,7 @@ def invariant_threshold(
     )
 
 
-def _certify_at(f, spec, dom, R, span, n_samples) -> list:
+def _certify_at(f, spec, dom, R) -> list:
     reasons = []
     try:
         r0 = spec.rho(R)
@@ -315,11 +287,11 @@ def _certify_at(f, spec, dom, R, span, n_samples) -> list:
         return [("rho-domain", R, str(e))]
     if r0 <= 0:
         return [("rho<=0", R, r0)]
-    xs = _grid(R, span, 8)
+    xs = _grid(R, SAMPLE_SPAN, 8)
     rhos = [spec.rho(x) for x in xs]
     if any(b <= a for a, b in zip(rhos, rhos[1:])):
         reasons.append(("rho-not-increasing", R))
-    for zeta in _domain_samples(dom, R, span, n_samples):
+    for zeta in _domain_samples(dom, R):
         if domain_member(dom, zeta, R) is False:
             continue
         defect = abs(f(zeta) - spec.alpha * zeta)

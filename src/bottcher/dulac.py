@@ -84,14 +84,6 @@ def _as_exp(x):
     return x if isinstance(x, float) else Fraction(x)
 
 
-def ord_e_inv(d: DulacSeriesZeta):
-    """Order in e^(-1): minimal beta_i with Q_i != 0 (None for trivial ladder)."""
-    for b, q in d.ladder:
-        if any(not c_is_zero(c) for c in q):
-            return b
-    return None
-
-
 # -- ladders as depth-1 series -------------------------------------------------
 
 
@@ -126,21 +118,20 @@ def _ladder_series_op(ladder: dict, op, mode, e_cap) -> dict:
 # -- chart conversions ------------------------------------------------------------
 
 
-def to_zeta_chart(d: DulacSeriesZ, e_cap=None, c0=None) -> DulacSeriesZeta:
+def to_zeta_chart(d: DulacSeriesZ, e_cap=None) -> DulacSeriesZeta:
     """f(zeta) = -log f(e^(-zeta)) = alpha zeta - log lambda - log(1 + u)."""
     mode = d.mode
     if c_is_zero(d.lam):
         raise ShapeError("lambda must be nonzero")
     if e_cap is None:
         e_cap = (d.ladder[-1][0] - d.alpha) + 1 if d.ladder else Fraction(1)
-    if c0 is None:
-        if mode == EXACT:
-            re, im = d.lam.rational_parts()
-            if im != 0 or re <= 0:
-                raise ModeError("-log(lambda) not exact here; pass c0 or use float mode")
-            c0 = -Exact.log_of_rational(re)
-        else:
-            c0 = -cmath.log(complex(d.lam))
+    if mode == EXACT:
+        re, im = d.lam.rational_parts()
+        if im != 0 or re <= 0:
+            raise ModeError("-log(lambda) not exact here; use float mode")
+        c0 = -Exact.log_of_rational(re)
+    else:
+        c0 = -cmath.log(complex(d.lam))
     from .coeffs import c_inv
 
     lam_inv = c_inv(d.lam)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .domains import AsymptoticSpec, DomainSpec, domain_member
 from .errors import CertificationError, DomainError
 
+MAX_ITER = 10_000  # iteration budget of one Koenigs or homological evaluation
 
 @dataclass
 class KoenigsResult:
@@ -39,7 +40,6 @@ def koenigs_normalize(
     dom: DomainSpec | None,
     R: float,
     tol: float = 1e-11,
-    max_iter: int = 10_000,
     check_domain: bool = True,
 ) -> KoenigsResult:
     """Evaluator for phi = lim alpha^(-n) f^on on D_R with certified tails."""
@@ -71,7 +71,7 @@ def koenigs_normalize(
             tail = _tail_majorant(spec, x, n)
             if tail < tol:
                 break
-            if n >= max_iter:
+            if n >= MAX_ITER:
                 raise CertificationError("iteration budget exhausted before tail < tol")
             w = f(w)
             n += 1
@@ -139,12 +139,10 @@ def solve_homological(
     dom: DomainSpec | None,
     R: float,
     tol: float = 1e-13,
-    grid_check: int = 12,
-    max_iter: int = 10_000,
 ) -> HomologicalResult:
     """phi_g = -sum_{n>=0} alpha^-(n+1) g(f^on), solving phi_g o f - alpha phi_g = g.
 
-    Precondition |g| <= e^(-nu Re) is sampled on [R, R+10]; the remaining-tail
+    Precondition |g| <= e^(-nu Re) is sampled at 12 points of [R, R+10]; the remaining-tail
     majorant sum_{m>=n} alpha^-(m+1) e^(-nu Re_n) q^(m-n), q = e^(-nu rho(R))/alpha,
     certifies the stopping index pointwise.
     """
@@ -152,8 +150,8 @@ def solve_homological(
     rho_R = spec.rho(R)
     if rho_R <= 0:
         raise CertificationError(f"rho(R) = {rho_R} <= 0 at R = {R}")
-    for i in range(grid_check):
-        x = R + 10.0 * i / max(1, grid_check - 1)
+    for i in range(12):
+        x = R + 10.0 * i / 11
         if abs(g(complex(x, 0.0))) > math.exp(-nu * x) * (1 + 1e-9):
             raise DomainError(f"|g| > e^(-nu Re) at {x}: precondition fails")
     q = math.exp(-nu * rho_R) / a
@@ -169,7 +167,7 @@ def solve_homological(
             x = float(w.real)
             if tail_from(x, n) < tol:
                 break
-            if n >= max_iter:
+            if n >= MAX_ITER:
                 raise CertificationError("homological sum did not certify below tol")
             acc = acc + (a ** (-(n + 1))) * g(w)
             w = f(w)

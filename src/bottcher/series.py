@@ -357,35 +357,6 @@ def d_dz(f: TransSeries) -> TransSeries:
     return make_series(terms, f.grid, f.mode, [front])
 
 
-# -- metric and weak-topology diagnostics ------------------------------------
-
-
-def dist_z_info(a: TransSeries, b: TransSeries):
-    """Power metric 2^(-ord_z(a-b)) with a status string.
-
-    Status is "measured" when the leading difference is certified,
-    "indistinguishable-at-frontier" when the series agree below both
-    frontiers (the true metric is uncomputable beyond them), and
-    "untrusted" when the leading difference sits at or above the frontier.
-    """
-    a, b = _common(a, b)
-    diff = sub(a, b)
-    if diff.is_zero():
-        return 0.0, "indistinguishable-at-frontier"
-    o = ord_z(diff)
-    status = "measured" if min(diff.terms) < diff.frontier else "untrusted"
-    return float(2.0 ** (-float(o))), status
-
-
-def dist_z(a: TransSeries, b: TransSeries) -> float:
-    return dist_z_info(a, b)[0]
-
-
-def weak_delta(seq, key: Key):
-    """Coefficient trajectory at `key` across a sequence of series."""
-    return [s.coeff(key) for s in seq]
-
-
 def agree_below_frontier(a: TransSeries, b: TransSeries) -> bool:
     a, b = _common(a, b)
     diff = sub(a, b)

@@ -1,0 +1,112 @@
+"""Cross-check and diagnostic operations that only the tests use.
+
+Unlike `oracles.py`, these are built on the package: a second inversion
+scheme, conjugation through Newton inversion, log z o f, the z-adic metric
+and coefficient trajectories.  They check the package against itself by a
+different route, so they are not independent oracles.
+"""
+
+from __future__ import annotations
+
+from bottcher.coeffs import c_from, c_inv, c_is_zero, c_mul
+from bottcher.compose import (
+    Composer,
+    _invert_seed,
+    _log_coeff,
+    compose,
+    invert,
+    is_parabolic,
+    shape_of,
+)
+from bottcher.errors import DepthOverflowError, ShapeError
+from bottcher.keys import Key, ell_key, zero_key
+from bottcher.series import (
+    TransSeries,
+    _common,
+    add,
+    d_dz,
+    identity_series,
+    leading_term,
+    log1p,
+    monomial,
+    ord_z,
+    residual_keys,
+    scale,
+    split_leading,
+    sub,
+)
+
+
+def compose_log(f: TransSeries) -> TransSeries:
+    """log z o f = log lambda + alpha log z + log(1 + u), with log z = -l1^(-1)."""
+    shape = shape_of(f)
+    if f.grid.depth < 1:
+        raise DepthOverflowError("compose_log needs depth >= 1 for l1")
+    _, lam, u = split_leading(f)
+    out = scale(monomial(ell_key(f.grid.depth, 1, -1), f.grid, f.mode), -shape.alpha)
+    logc = _log_coeff(lam, f.mode)
+    if logc is not None:
+        out = add(out, monomial(zero_key(f.grid.depth), f.grid, f.mode, logc))
+    return add(out, log1p(u))
+
+
+def invert_graded(f: TransSeries) -> TransSeries:
+    """Cross-check inversion: kill residual terms one leading term at a time."""
+    g = _invert_seed(f)
+    ident = identity_series(f.grid, f.mode)
+    fprime = d_dz(f)
+    for _ in range(600):
+        right = Composer(g)
+        r = sub(compose(f, right), ident)
+        bad = residual_keys(r)
+        if not bad:
+            return g
+        den = compose(fprime, right)
+        wk = min(bad)
+        wc = r.terms[wk]
+        dk, dc = leading_term(den)
+        g = add(g, monomial(wk - dk, g.grid, g.mode, c_mul(c_from(-1, g.mode), c_mul(wc, c_inv(dc)))))
+    raise ShapeError("graded inversion did not converge within the frontier")
+
+
+def conjugate(phi: TransSeries, f: TransSeries) -> TransSeries:
+    """phi o f o phi^(-1); phi must be parabolic."""
+    if not is_parabolic(phi):
+        raise ShapeError("conjugating change of variables must be parabolic")
+    shape_of(f)
+    return compose(compose(phi, f), invert(phi))
+
+
+def dist_z_info(a: TransSeries, b: TransSeries):
+    """Power metric 2^(-ord_z(a-b)) with a status string.
+
+    Status is "measured" when the leading difference is certified,
+    "indistinguishable-at-frontier" when the series agree below both
+    frontiers (the true metric is uncomputable beyond them), and
+    "untrusted" when the leading difference sits at or above the frontier.
+    """
+    a, b = _common(a, b)
+    diff = sub(a, b)
+    if diff.is_zero():
+        return 0.0, "indistinguishable-at-frontier"
+    o = ord_z(diff)
+    status = "measured" if min(diff.terms) < diff.frontier else "untrusted"
+    return float(2.0 ** (-float(o))), status
+
+
+def dist_z(a: TransSeries, b: TransSeries) -> float:
+    return dist_z_info(a, b)[0]
+
+
+def weak_delta(seq, key: Key):
+    """Coefficient trajectory at `key` across a sequence of series."""
+    return [s.coeff(key) for s in seq]
+
+
+def ord_e_inv(d):
+    """Order in e^(-1) of a DulacSeriesZeta: minimal beta_i with Q_i != 0
+    (None for the trivial ladder)."""
+    for b, q in d.ladder:
+        if any(not c_is_zero(c) for c in q):
+            return b
+    return None

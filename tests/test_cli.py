@@ -249,6 +249,59 @@ def test_config_file_defaults(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["phi"]["grid"]["z_cap"] == "6"
 
 
+KOENIGS = ["analytic", "koenigs", "--alpha", "2", "--term", "1,0,1"]
+
+
+def test_config_r_ceiling_acts_like_the_flag(capsys, tmp_path, monkeypatch):
+    code, _ = run(capsys, *KOENIGS, "--r-ceiling", "2")
+    assert code == 3
+    cfg = tmp_path / "cfg"
+    cfg.write_text("r_ceiling = 2\n")
+    monkeypatch.setenv("BOTTCHER_CONFIG", str(cfg))
+    code, _ = run(capsys, *KOENIGS)
+    assert code == 3
+    code, _ = run(capsys, *KOENIGS, "--r-ceiling", "64")  # a flag overrides the file
+    assert code == 0
+
+
+def test_config_tol_reaches_the_koenigs_tail(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("# loose tolerance\ntol = 1e-3\nsamples = 4:8:3\n")
+    monkeypatch.setenv("BOTTCHER_CONFIG", str(cfg))
+    code, out = run(capsys, *KOENIGS, "--json")
+    assert code == 0
+    tails = [r["tail_bound"] for r in json.loads(out)["samples"]]
+    assert len(tails) == 3 and min(tails) > 1e-11 and max(tails) < 1e-3
+
+
+def test_malformed_config_value_exits_2_without_traceback(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import bottcher
+
+    cfg = tmp_path / "cfg"
+    cfg.write_text("z_cap = abc\n")
+    env = dict(os.environ, BOTTCHER_CONFIG=str(cfg), PYTHONPATH=str(Path(bottcher.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "bottcher.cli", "normalize", "z^2 + z^3"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr and "invalid Fraction value: 'abc'" in done.stderr
+
+
+def test_options_no_command_reads_are_rejected(capsys):
+    for argv in (["bridge", "to-zeta", "z^2", "--alpha", "2"], ["selftest", "--z-cap", "6"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_series_json_roundtrip():
     f = parse("z^2 - 1/3*z^3*l1^-1 + (1+2i)*z^4")
     g = series_from_json(series_to_json(f))
@@ -282,3 +335,18 @@ def test_readme_cli_lines_parse():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit as exc:
             pytest.fail(f"README line does not parse ({exc.code}): {line}")
+
+
+def test_readme_config_keys_are_option_dests():
+    # the README's $BOTTCHER_CONFIG key list is the parser's, and each key sets an option
+    import re
+    from pathlib import Path
+
+    from bottcher.cli import CONFIG_KEYS, _subcommands
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = readme.split("`$BOTTCHER_CONFIG`", 1)[1].split(")", 1)[0]
+    keys = re.findall(r"`(\w+)`", listed)
+    assert keys == list(CONFIG_KEYS)
+    dests = {a.dest for p in _subcommands(build_parser()).values() for a in p._actions}
+    assert set(keys) <= dests, set(keys) - dests

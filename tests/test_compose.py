@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
+from crosschecks import compose_log, conjugate, invert_graded
 from bottcher.coeffs import Exact
 from bottcher.compose import (
     compose,
     compose_ell,
-    compose_log,
     compose_power,
-    conjugate,
     invert,
-    invert_graded,
     reduce_alpha,
     reduce_lambda,
     shape_of,

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from crosschecks import ord_e_inv
 from bottcher.coeffs import Exact
 from bottcher.domains import AsymptoticSpec, DomainSpec, invariant_threshold
 from bottcher.dulac import (
@@ -16,7 +17,6 @@ from bottcher.dulac import (
     evaluate_zeta,
     from_transseries,
     is_dulac,
-    ord_e_inv,
     partial_normalizations,
     to_transseries,
     to_z_chart,

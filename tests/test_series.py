@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from crosschecks import dist_z, dist_z_info, weak_delta
 from bottcher.coeffs import Exact
 from bottcher.errors import EmptySeriesError
 from bottcher.keys import Cut, Key
@@ -13,8 +14,6 @@ from bottcher.series import (
     add,
     agree_below_frontier,
     d_dz,
-    dist_z,
-    dist_z_info,
     embed,
     leading_block,
     leading_term,
@@ -26,7 +25,6 @@ from bottcher.series import (
     sub,
     supp,
     supp_z,
-    weak_delta,
     zero_series,
 )
 
