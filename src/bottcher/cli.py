@@ -136,10 +136,21 @@ def _term_map(alpha: float, terms, precision: int | None = None):
     return f
 
 
+def _samples_spec(text: str) -> tuple[float, float, int]:
+    """The `--samples` type: R0:SPAN:N, N >= 1 points from R0 to R0 + SPAN."""
+    try:
+        r0, span, n = text.split(":")
+        spec = float(r0), float(span), int(n)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected R0:SPAN:N, got {text!r}") from None
+    if spec[2] < 1:
+        raise argparse.ArgumentTypeError(f"N must be at least 1, got {text!r}")
+    return spec
+
+
 def _sample_points(args) -> list:
     """The points of the grid spec R0:SPAN:N (mpmath points with --precision)."""
-    r0, span, n = (float(x) for x in args.samples.split(":"))
-    n = int(n)
+    r0, span, n = args.samples
     xs = [r0 + span * i / max(1, n - 1) for i in range(n)]
     if args.precision:
         import mpmath
@@ -195,7 +206,8 @@ def cmd_support(args) -> int:
 def cmd_verify(args) -> int:
     f = _parse_expr(args.f, args)
     if args.phi_file:
-        phi = series_from_json(json.load(open(args.phi_file)))
+        with open(args.phi_file) as fh:
+            phi = series_from_json(json.load(fh))
     else:
         phi = _parse_expr(args.phi, args)
     fr, first_bad = check_conjugation(f, phi)
@@ -268,7 +280,11 @@ def cmd_bridge(args) -> int:
         print(json.dumps(dulac_zeta_to_json(out), indent=2))
         return 0
     if args.bridge_cmd == "to-z":
-        data = json.load(open(args.infile) if args.infile else sys.stdin)
+        if args.infile:
+            with open(args.infile) as fh:
+                data = json.load(fh)
+        else:
+            data = json.load(sys.stdin)
         from .dulac import to_z_chart
 
         out = to_z_chart(dulac_zeta_from_json(data))
@@ -361,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--term", action="append", default=None, metavar="c,p,nu")
     p.add_argument("--f-term", dest="f_term", action="append", default=None)
     p.add_argument("--g-term", dest="g_term", action="append", default=None)
-    p.add_argument("--samples", default="3:10:25", help="grid spec R0:SPAN:N")
+    p.add_argument("--samples", type=_samples_spec, default="3:10:25", help="grid spec R0:SPAN:N")
     p.add_argument("--precision", type=int, default=None, help="mpmath digits")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_analytic)

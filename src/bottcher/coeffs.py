@@ -250,6 +250,16 @@ def c_to_complex(a) -> complex:
     return a.evaluate() if isinstance(a, Exact) else complex(a)
 
 
+def log_coeff(a, mode: str):
+    """log(a) as a coefficient; exact mode needs a positive rational a."""
+    if mode == EXACT:
+        re, im = a.rational_parts()
+        if im != 0 or re <= 0:
+            raise ModeError(f"log({re}+{im}i) is not an exact coefficient; use float mode")
+        return Exact.log_of_rational(re)
+    return cmath.log(complex(a))
+
+
 def exp_of_log_exact(c: Exact) -> Exact:
     """e^c when c is an integer combination of log p, i.e. e^c rational."""
     if c.is_zero():

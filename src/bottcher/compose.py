@@ -15,7 +15,6 @@ lives as long as its holder and is never kept process-wide.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,8 +30,9 @@ from .coeffs import (
     c_mul,
     c_one,
     c_pow_rational,
+    log_coeff,
 )
-from .errors import ConvergenceError, DepthOverflowError, ModeError, ShapeError
+from .errors import ConvergenceError, DepthOverflowError, ShapeError
 from .keys import Key, ell_key, front_zscale, zero_key
 from .series import (
     TransSeries,
@@ -40,11 +40,11 @@ from .series import (
     d_dz,
     identity_series,
     leading_term,
+    log1p,
     make_series,
     monomial,
     mul,
     mul_monomial,
-    ord_for_frontier,
     pow_rational,
     residual_keys,
     scale,
@@ -93,21 +93,6 @@ def is_parabolic(f: TransSeries) -> bool:
         return False
 
 
-def _log_coeff(lam, mode):
-    """log(lambda) as a coefficient; exact mode needs a positive rational lambda."""
-    if mode == EXACT:
-        re, im = lam.rational_parts()
-        if im != 0 or re <= 0:
-            raise ModeError(
-                f"log({re}+{im}i) is not an exact coefficient; use float mode"
-            )
-        val = Exact.log_of_rational(re)
-        return None if val.is_zero() else val
-    z = lam if isinstance(lam, complex) else complex(lam)
-    val = cmath.log(z)
-    return None if val == 0 else val
-
-
 # -- elementary right-compositions -------------------------------------------
 
 
@@ -117,65 +102,13 @@ def compose_power(beta, f: TransSeries) -> TransSeries:
     return pow_rational(f, beta)
 
 
-def _geom_after_prefactor(prefactor: TransSeries, v: TransSeries) -> TransSeries:
-    """prefactor * Sigma_i v^i."""
-    return sum_powers(v, lambda i: Fraction(1), v.grid, v.mode, prefactor=prefactor)
-
-
 def compose_ell(m: int, f: TransSeries) -> TransSeries:
     """l_m o f via l_1 o f = -1/(log z o f) and l_(m+1) o f = l_1 o (l_m o f)."""
     if m < 1:
         raise ValueError("log index must be >= 1")
     if m > f.grid.depth:
         raise DepthOverflowError(f"l_{m} needs depth {m}, grid has {f.grid.depth}")
-    return _ell_images(f, m)[m - 1]
-
-
-def _ell_images(f: TransSeries, upto: int) -> list[TransSeries]:
-    """Images l_1 o f .. l_upto o f.
-
-    Level 1:  -1/(log lambda + alpha log z + log1p u)
-            = (l1/alpha) Sigma_i ((log lambda + log1p u) l1/alpha)^i.
-    Level m+1 from E_m = c_m l_m (1 + w):
-              l_(m+1) Sigma_i ((log c_m + log1p w) l_(m+1))^i,
-    where c_1 = 1/alpha and c_m = 1 for m >= 2.
-    """
-    shape = shape_of(f)
-    grid, mode = f.grid, f.mode
-    if upto > grid.depth:
-        raise DepthOverflowError(f"l_{upto} needs depth {upto}")
-    _, lam, u = split_leading(f)
-    alpha = shape.alpha
-    inv_alpha = 1 / alpha
-
-    from .series import log1p
-
-    big_l = log1p(u)
-    logc = _log_coeff(lam, mode)
-    if logc is not None:
-        big_l = add(big_l, monomial(zero_key(grid.depth), grid, mode, logc))
-
-    l1 = monomial(ell_key(grid.depth, 1), grid, mode)
-    pref = scale(l1, inv_alpha)
-    v1 = mul(big_l, pref)
-    images = [_geom_after_prefactor(pref, v1)]
-
-    for m in range(2, upto + 1):
-        prev = images[-1]
-        key, c, w = split_leading(prev)
-        if m == 2:
-            if mode == EXACT:
-                log_cm = Exact.log_of_rational(Fraction(1) / Fraction(alpha))
-            else:
-                log_cm = complex(-math.log(float(alpha)))
-        else:
-            log_cm = None
-        inner = log1p(w)
-        if log_cm is not None and not c_is_zero(log_cm):
-            inner = add(inner, monomial(zero_key(grid.depth), grid, mode, log_cm))
-        lm = monomial(ell_key(grid.depth, m), grid, mode)
-        images.append(_geom_after_prefactor(lm, mul(inner, lm)))
-    return images
+    return Composer(f).ell_image(m)
 
 
 # -- general composition -------------------------------------------------------
@@ -200,52 +133,56 @@ class Composer:
         self.bodies: dict[object, TransSeries] = {}
         self.img_pows: dict[tuple[int, int], TransSeries] = {}
         self.prod_cache: dict[tuple, TransSeries] = {}
-        self.u_ord = ord_for_frontier(self.u)
 
     @classmethod
     def of(cls, f: TransSeries | Composer) -> Composer:
         """f itself if it is a Composer, else a fresh one for the series f."""
         return f if isinstance(f, Composer) else cls(f)
 
-    def u_power(self, i: int) -> TransSeries:
-        while len(self.u_pows) <= i:
-            self.u_pows.append(mul(self.u_pows[-1], self.u))
-        return self.u_pows[i]
-
-    def stop_index(self, base_z) -> int:
-        grid = self.f.grid
-        n0 = self.u_ord
-        i = 0
-        while True:
-            if n0.z > 0:
-                if base_z + i * n0.z >= grid.z_cap:
-                    return i
-            elif i > grid.ell_stop:
-                return i
-            i += 1
-
     def body(self, delta) -> TransSeries:
         """Sigma_i binom(delta, i) u^i with the certified stop and tail penalty."""
         if delta == 0:  # binom(0, i) = 0 for i >= 1: exactly 1, no tail
-            return self.u_power(0)
+            return self.u_pows[0]
         hit = self.bodies.get(delta)
-        if hit is not None:
-            return hit
-        grid, mode = self.f.grid, self.f.mode
-        i_stop = self.stop_index(self.alpha * delta)
-        acc = zero_series(grid, mode)
-        for i in range(i_stop):
-            q = binomial(delta, i)
-            if q != 0:
-                acc = add(acc, scale(self.u_power(i), q))
-        penalty = self.u_ord.scale(i_stop)
-        out = make_series(acc.terms, grid, mode, [acc.frontier, penalty])
-        self.bodies[delta] = out
-        return out
+        if hit is None:
+            hit = self.bodies[delta] = sum_powers(
+                self.u, lambda i: binomial(delta, i), self.alpha * delta, self.u_pows
+            )
+        return hit
 
     def ell_image(self, j: int) -> TransSeries:
-        if len(self.images) < j:
-            self.images = _ell_images(self.f, j)
+        """l_j o f, each level built once from the level below.
+
+        Level 1:  -1/(log lambda + alpha log z + log1p u)
+                = (l1/alpha) Sigma_i ((log lambda + log1p u) l1/alpha)^i.
+        Level m+1 from E_m = c_m l_m (1 + w):
+                  l_(m+1) Sigma_i ((log c_m + log1p w) l_(m+1))^i,
+        where c_1 = 1/alpha and c_m = 1 for m >= 2.
+        """
+        grid, mode = self.f.grid, self.f.mode
+        if j > grid.depth:
+            raise DepthOverflowError(f"l_{j} needs depth {j}")
+        while len(self.images) < j:
+            m = len(self.images) + 1
+            if m == 1:
+                inner = log1p(self.u)
+                log_cm = log_coeff(self.lam, mode)
+                pref = scale(monomial(ell_key(grid.depth, 1), grid, mode), 1 / self.alpha)
+            else:
+                _, _, w = split_leading(self.images[-1])
+                inner = log1p(w)
+                if m == 2:
+                    if mode == EXACT:
+                        log_cm = Exact.log_of_rational(Fraction(1) / Fraction(self.alpha))
+                    else:
+                        log_cm = complex(-math.log(float(self.alpha)))
+                else:
+                    log_cm = None
+                pref = monomial(ell_key(grid.depth, m), grid, mode)
+            if log_cm is not None and not c_is_zero(log_cm):
+                inner = add(inner, monomial(zero_key(grid.depth), grid, mode, log_cm))
+            geom = sum_powers(mul(inner, pref), lambda i: Fraction(1))
+            self.images.append(mul(pref, geom))
         return self.images[j - 1]
 
     def image_power(self, j: int, n: int) -> TransSeries:

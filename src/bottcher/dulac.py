@@ -23,8 +23,9 @@ from .coeffs import (
     c_neg,
     c_to_complex,
     c_zero,
+    log_coeff,
 )
-from .errors import BottcherError, DomainError, ModeError, ShapeError
+from .errors import BottcherError, DomainError, ShapeError
 from .keys import Key
 from .series import (
     TransSeries,
@@ -125,13 +126,7 @@ def to_zeta_chart(d: DulacSeriesZ, e_cap=None) -> DulacSeriesZeta:
         raise ShapeError("lambda must be nonzero")
     if e_cap is None:
         e_cap = (d.ladder[-1][0] - d.alpha) + 1 if d.ladder else Fraction(1)
-    if mode == EXACT:
-        re, im = d.lam.rational_parts()
-        if im != 0 or re <= 0:
-            raise ModeError("-log(lambda) not exact here; use float mode")
-        c0 = -Exact.log_of_rational(re)
-    else:
-        c0 = -cmath.log(complex(d.lam))
+    c0 = c_neg(log_coeff(d.lam, mode))
     from .coeffs import c_inv
 
     lam_inv = c_inv(d.lam)

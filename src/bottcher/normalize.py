@@ -216,9 +216,7 @@ def apply_T_op(s: TransSeries, r: TransSeries, alpha) -> TransSeries:
     """T_f(S) = S o z^alpha + (S o z^alpha) R - Sigma_{i>=1} binom(alpha,i) S^i."""
     alpha = Fraction(alpha)
     s_za = compose(s, _power_part(alpha, zero_series(s.grid, s.mode)))
-    tail = sum_powers(
-        s, lambda i: binomial(alpha, i) if i >= 1 else Fraction(0), s.grid, s.mode
-    )
+    tail = sum_powers(s, lambda i: binomial(alpha, i) if i >= 1 else Fraction(0))
     return sub(add(s_za, mul(s_za, r)), tail)
 
 

@@ -387,43 +387,37 @@ def split_leading(f: TransSeries):
     return key, c, v
 
 
-def sum_powers(v: TransSeries, coeff_of, grid: TruncationGrid, mode, prefactor=None):
-    """Sigma_{i>=0} coeff_of(i) * v^i (optionally times prefactor), certified stop.
+def sum_powers(v: TransSeries, coeff_of, base_z=0, pows=None):
+    """Sigma_{i>=0} coeff_of(i) * v^i on v's grid, with the certified stop.
 
-    Requires ord(v) > 0 (lex).  When the order of v has a z-component the sum
-    stops once contributions pass z_cap; for pure-log v it stops after
-    ell_stop powers and the first untrusted key is recorded in the frontier.
+    Requires ord(v) > 0 (lex).  `base_z` is the z-order of the factor the sum
+    will be multiplied by.  When the order of v has a z-component the sum
+    stops once base_z + i ord_z(v) reaches z_cap; for pure-log v it stops
+    after ell_stop powers.  The first untrusted key of the cut-off tail is
+    recorded in the frontier.  `pows` is a caller's list [1, v, v^2, ...],
+    extended only when a nonzero coefficient needs the next power.
     """
+    grid, mode = v.grid, v.mode
     n0 = ord_for_frontier(v)
     if not n0.is_positive():
         raise ShapeError(f"power sum needs ord(v) > 0, got {n0!r}")
-    base = zero_key(grid.depth) if prefactor is None else ord_for_frontier(prefactor)
-
+    if pows is None:
+        pows = [monomial(zero_key(grid.depth), grid, mode)]
     acc = zero_series(grid, mode)
-    vp = monomial(zero_key(grid.depth), grid, mode)
     i = 0
-    while True:
-        if n0.z > 0:
-            if base.z + i * n0.z >= grid.z_cap:
-                break
-        elif i > grid.ell_stop:
-            break
+    while (base_z + i * n0.z < grid.z_cap) if n0.z > 0 else (i <= grid.ell_stop):
         q = coeff_of(i)
         if q != 0:
-            acc = add(acc, scale(vp, q))
-        vp = mul(vp, v)
+            while len(pows) <= i:
+                pows.append(mul(pows[-1], v))
+            acc = add(acc, scale(pows[i], q))
         i += 1
-    penalty = base + n0.scale(i)
-    if prefactor is not None:
-        acc = mul(prefactor, acc)
-    return make_series(acc.terms, grid, mode, [acc.frontier, penalty])
+    return make_series(acc.terms, grid, mode, [acc.frontier, n0.scale(i)])
 
 
 def log1p(v: TransSeries) -> TransSeries:
     """log(1 + v) = Sigma (-1)^(i+1) v^i / i, ord(v) > 0."""
-    return sum_powers(
-        v, lambda i: Fraction((-1) ** (i + 1), i) if i else Fraction(0), v.grid, v.mode
-    )
+    return sum_powers(v, lambda i: Fraction((-1) ** (i + 1), i) if i else Fraction(0))
 
 
 def exp_minus_one(v: TransSeries) -> TransSeries:
@@ -435,7 +429,7 @@ def exp_minus_one(v: TransSeries) -> TransSeries:
             fact.append(fact[-1] / len(fact))
         return fact[i] if i else Fraction(0)
 
-    return sum_powers(v, coeff, v.grid, v.mode)
+    return sum_powers(v, coeff)
 
 
 def pow_rational(f: TransSeries, beta) -> TransSeries:
@@ -460,7 +454,7 @@ def pow_rational(f: TransSeries, beta) -> TransSeries:
             )
         mkey = Key(key.z * beta, key.l)
     cpow = c_pow_rational(c, beta)
-    body = sum_powers(v, lambda i: binomial(beta, i), f.grid, f.mode)
+    body = sum_powers(v, lambda i: binomial(beta, i))
     return mul_monomial(body, mkey, cpow)
 
 

@@ -8,11 +8,10 @@ different route, so they are not independent oracles.
 
 from __future__ import annotations
 
-from bottcher.coeffs import c_from, c_inv, c_is_zero, c_mul
+from bottcher.coeffs import c_from, c_inv, c_is_zero, c_mul, log_coeff
 from bottcher.compose import (
     Composer,
     _invert_seed,
-    _log_coeff,
     compose,
     invert,
     is_parabolic,
@@ -44,8 +43,8 @@ def compose_log(f: TransSeries) -> TransSeries:
         raise DepthOverflowError("compose_log needs depth >= 1 for l1")
     _, lam, u = split_leading(f)
     out = scale(monomial(ell_key(f.grid.depth, 1, -1), f.grid, f.mode), -shape.alpha)
-    logc = _log_coeff(lam, f.mode)
-    if logc is not None:
+    logc = log_coeff(lam, f.mode)
+    if not c_is_zero(logc):
         out = add(out, monomial(zero_key(f.grid.depth), f.grid, f.mode, logc))
     return add(out, log1p(u))
 

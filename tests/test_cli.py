@@ -274,7 +274,8 @@ def test_config_tol_reaches_the_koenigs_tail(capsys, tmp_path, monkeypatch):
     assert len(tails) == 3 and min(tails) > 1e-11 and max(tails) < 1e-3
 
 
-def test_malformed_config_value_exits_2_without_traceback(tmp_path):
+def cli_subprocess(*argv, python_flags=(), **env):
+    """Run `python -m bottcher.cli` in a fresh interpreter with extra env vars."""
     import os
     import subprocess
     import sys
@@ -282,16 +283,61 @@ def test_malformed_config_value_exits_2_without_traceback(tmp_path):
 
     import bottcher
 
-    cfg = tmp_path / "cfg"
-    cfg.write_text("z_cap = abc\n")
-    env = dict(os.environ, BOTTCHER_CONFIG=str(cfg), PYTHONPATH=str(Path(bottcher.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", "bottcher.cli", "normalize", "z^2 + z^3"],
+    env = dict(os.environ, PYTHONPATH=str(Path(bottcher.__file__).parents[1]), **env)
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "bottcher.cli", *argv],
         env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def test_malformed_config_value_exits_2_without_traceback(tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("z_cap = abc\n")
+    done = cli_subprocess("normalize", "z^2 + z^3", BOTTCHER_CONFIG=str(cfg))
     assert done.returncode == 2
     assert done.stdout == ""
     assert "Traceback" not in done.stderr and "invalid Fraction value: 'abc'" in done.stderr
+
+
+def test_input_files_are_closed(capsys, tmp_path):
+    _, out = run(capsys, "normalize", "z^2 + z^3", "--z-cap", "8", "--json")
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps(json.loads(out)["phi"]))
+    _, out = run(capsys, "bridge", "to-zeta", "z^2 - z^3*l1^-1", "--e-cap", "3")
+    fhat = tmp_path / "fhat.json"
+    fhat.write_text(out)
+    for argv in (
+        ["verify", "--f", "z^2 + z^3", "--phi-file", str(phi), "--z-cap", "8"],
+        ["bridge", "to-z", "--infile", str(fhat)],
+    ):
+        done = cli_subprocess(*argv, python_flags=("-X", "dev"))
+        assert done.returncode == 0, done.stderr
+        assert "ResourceWarning" not in done.stderr, argv
+
+
+@pytest.mark.parametrize(
+    "samples, command",
+    [("3:10:0", "koenigs"), ("3:10", "koenigs"), ("3:10:0", "homological")],
+)
+def test_bad_samples_spec_exits_2_naming_the_option(capsys, monkeypatch, samples, command):
+    import bottcher.cli as cli
+
+    def no_setup(*args, **kwargs):
+        raise AssertionError("the analytic set-up ran on a bad --samples")
+
+    monkeypatch.setattr(cli, "invariant_threshold", no_setup)
+    with pytest.raises(SystemExit) as exc:
+        main(["analytic", command, "--alpha", "2", "--samples", samples])
+    assert exc.value.code == 2
+    assert "argument --samples" in capsys.readouterr().err
+
+
+def test_bad_samples_in_config_exits_2(tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("samples = 3:10:0\n")
+    done = cli_subprocess(*KOENIGS, BOTTCHER_CONFIG=str(cfg))
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr and "argument --samples" in done.stderr
 
 
 def test_options_no_command_reads_are_rejected(capsys):

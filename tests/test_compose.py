@@ -9,6 +9,7 @@ import oracles
 from crosschecks import compose_log, conjugate, invert_graded
 from bottcher.coeffs import Exact
 from bottcher.compose import (
+    Composer,
     compose,
     compose_ell,
     compose_power,
@@ -126,6 +127,15 @@ def test_compose_ell_depth_overflow():
 
     with pytest.raises(DepthOverflowError):
         compose_ell(3, S("z^2"))
+
+
+def test_composer_builds_each_log_image_once():
+    c = Composer(S("z^2 + z^3*l1 + z^4*l2^-1"))
+    e1 = c.ell_image(1)
+    e2 = c.ell_image(2)
+    assert c.ell_image(1) is e1
+    assert c.ell_image(2) is e2
+    assert e2 == compose_ell(2, S("z^2 + z^3*l1 + z^4*l2^-1"))
 
 
 # -- compose ------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given
 from crosschecks import dist_z, dist_z_info, weak_delta
 from bottcher.coeffs import Exact
 from bottcher.errors import EmptySeriesError
+from bottcher.io_json import series_to_json
 from bottcher.keys import Cut, Key
 from bottcher.parser import parse
 from bottcher.series import (
@@ -22,7 +23,9 @@ from bottcher.series import (
     mul,
     ord_key,
     ord_z,
+    split_leading,
     sub,
+    sum_powers,
     supp,
     supp_z,
     zero_series,
@@ -171,6 +174,19 @@ def test_frontier_soundness_mul(a, b):
     for k, c in out.terms.items():
         if k < out.frontier:
             assert out_big.coeff(k) == c, (k, c, out_big.coeff(k))
+
+
+@pytest.mark.parametrize("text", ["z^2 + z^3*l1 + z^4", "z^2 + z^2*l1 + z^2*l2^-1"])
+def test_sum_powers_with_a_shared_power_list(text):
+    v = split_leading(S(text))[2]
+    pows = [monomial(Key(0, (0, 0)), GRID)]
+    geom = lambda i: F(1)
+    finite = lambda i: F(1) if i < 3 else F(0)  # 1 + v + v^2
+    for coeff_of, base_z in ((geom, 0), (finite, F(3, 2)), (geom, 1)):
+        alone = sum_powers(v, coeff_of, base_z)
+        shared = sum_powers(v, coeff_of, base_z, pows)
+        assert series_to_json(shared) == series_to_json(alone)
+    assert all(series_to_json(p) == series_to_json(mul(pows[i - 1], v)) for i, p in enumerate(pows) if i)
 
 
 def test_truncation_records_first_loss():
