@@ -27,7 +27,6 @@ from .series import (
     TransSeries,
     TruncationGrid,
     add,
-    d_dz,
     identity_series,
     leading_block,
     leading_term,

@@ -26,7 +26,7 @@ EXACT = "exact"
 FLOAT = "float"
 
 # Float-mode coefficients no larger than this count as rounding dust wherever
-# a residual is tested for zero (Newton inversion, verification).
+# a residual is tested for zero (verification and its cross-checks).
 FLOAT_TOL = 1e-9
 
 _ZERO = Fraction(0)

@@ -23,21 +23,22 @@ from .coeffs import (
     EXACT,
     Exact,
     binomial,
+    c_add,
     c_eq,
     c_from,
     c_inv,
     c_is_zero,
     c_mul,
+    c_neg,
     c_one,
     c_pow_rational,
     log_coeff,
 )
-from .errors import ConvergenceError, DepthOverflowError, ShapeError
-from .keys import Key, ell_key, front_zscale, zero_key
+from .errors import DepthOverflowError, ShapeError
+from .keys import Key, ell_key, front_zscale, min_key, zero_key
 from .series import (
     TransSeries,
     add,
-    d_dz,
     identity_series,
     leading_term,
     log1p,
@@ -46,11 +47,9 @@ from .series import (
     mul,
     mul_monomial,
     pow_rational,
-    residual_keys,
     scale,
     series_inverse,
     split_leading,
-    sub,
     sum_powers,
     zero_series,
 )
@@ -262,42 +261,43 @@ def compose(g: TransSeries, f: TransSeries | Composer) -> TransSeries:
 
 
 def invert(f: TransSeries) -> TransSeries:
-    """Compositional inverse by Newton refinement from the leading-monomial seed.
+    """Compositional inverse g of f from the linear equation g o f = z.
 
-    Converged when f o g - id vanishes below its frontier (`residual_keys`:
-    float-mode rounding dust does not count).  Raises ConvergenceError when
-    the residual order stops rising or after 64 steps.
+    n = z^d l1^m1 ... maps to n o f with least key t = (alpha d, m), so the
+    residual z - g o f is cleared in ascending key order through one
+    Composer(f): its least key t sets g_n = r_t / (n o f)[t].  The solve
+    stops at the least frontier of the images, mapped back by z -> z / alpha.
     """
-    g = _invert_seed(f)
-    ident = identity_series(f.grid, f.mode)
-    fprime = d_dz(f)
-    last_ord = None
-    for _ in range(64):
-        right = Composer(g)  # shared by f o g and f' o g
-        r = sub(compose(f, right), ident)
-        bad = residual_keys(r)
-        if not bad:
-            return g
-        o = min(bad)
-        if last_ord is not None and not o > last_ord:
-            raise ConvergenceError(f"Newton inversion stalled at residual order {o}")
-        last_ord = o
-        g = sub(g, mul(r, series_inverse(compose(fprime, right))))
-    raise ConvergenceError("Newton inversion did not converge in 64 steps")
-
-
-def _invert_seed(f: TransSeries) -> TransSeries:
-    shape = shape_of(f)
-    alpha, lam = shape.alpha, f.terms[min(f.terms)]
-    inv_alpha = 1 / alpha
-    lam_pow = c_pow_rational(c_inv(lam), inv_alpha)
-    return monomial(Key(inv_alpha, (0,) * f.grid.depth), f.grid, f.mode, lam_pow)
+    right = Composer(f)
+    alpha, grid, mode = right.alpha, f.grid, f.mode
+    residual = {Key(1, (0,) * grid.depth): c_one(mode)}
+    solved: dict[Key, object] = {}
+    frontier = grid.trunc_key()
+    while residual:
+        t = min(residual)
+        if not t < frontier:
+            break
+        r_t = residual.pop(t)
+        if c_is_zero(r_t):
+            continue
+        n = Key(t.z / alpha, t.l)
+        image = compose(monomial(n, grid, mode), right)
+        frontier = min_key(frontier, image.frontier)
+        if not t < frontier:
+            break
+        g_n = solved[n] = c_mul(r_t, c_inv(image.terms[t]))
+        for k, c in image.terms.items():
+            if k != t:
+                contrib = c_neg(c_mul(g_n, c))
+                residual[k] = contrib if k not in residual else c_add(residual[k], contrib)
+    return make_series(solved, grid, mode, [front_zscale(frontier, 1 / alpha)])
 
 
 def reduce_lambda(f: TransSeries):
     """psi = lambda^(1/(alpha-1)) z; returns (psi, psi o f o psi^(-1)) with lead z^alpha.
 
-    psi = c z has the exact inverse z / c, so no Newton inversion is needed.
+    psi = c z has the exact inverse z / c.  The lead c lambda c^(-alpha) is 1
+    by the choice of c, so it is stored as exactly 1, also in float mode.
     """
     shape = shape_of(f)
     if shape.classification != STRONGLY_HYPERBOLIC:
@@ -309,7 +309,9 @@ def reduce_lambda(f: TransSeries):
     c = c_pow_rational(lam, 1 / (alpha - 1))
     z1 = Key(1, (0,) * grid.depth)
     psi = monomial(z1, grid, mode, c)
-    return psi, compose(psi, compose(f, monomial(z1, grid, mode, c_inv(c))))
+    red = compose(psi, compose(f, monomial(z1, grid, mode, c_inv(c))))
+    terms = {**red.terms, Key(alpha, z1.l): c_one(mode)}
+    return psi, make_series(terms, grid, mode, [red.frontier])
 
 
 def reduce_alpha(f: TransSeries) -> TransSeries:

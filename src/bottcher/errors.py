@@ -1,7 +1,7 @@
 """Exception taxonomy shared by the whole toolkit.
 
-CLI exit codes: parse errors map to 4, shape/precondition and convergence
-errors to 2, certification failures to 3.
+CLI exit codes: parse errors map to 4, shape/precondition and mode errors
+to 2, certification failures to 3.
 """
 
 
@@ -31,10 +31,6 @@ class DomainError(BottcherError):
 
 class CertificationError(BottcherError):
     """A grid-based certification (invariance, bounds) could not be established."""
-
-
-class ConvergenceError(BottcherError):
-    """An iterative solver stopped before its residual vanished below the frontier."""
 
 
 class ParseError(BottcherError):

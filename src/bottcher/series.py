@@ -332,31 +332,6 @@ def mul_monomial(a: TransSeries, key: Key, coeff=None) -> TransSeries:
     return make_series(terms, a.grid, a.mode, [a.frontier + key])
 
 
-def d_dz(f: TransSeries) -> TransSeries:
-    """Termwise d/dz with d l_m/dz = (1/z) l_1...l_{m-1} l_m^2."""
-    depth = f.depth
-    terms: dict[Key, object] = {}
-
-    def bump(key, c):
-        if key in terms:
-            terms[key] = c_add(terms[key], c)
-        else:
-            terms[key] = c
-
-    for k, c in f.terms.items():
-        if k.z != 0:
-            bump(Key(k.z - 1, k.l), c_scale(c, k.z))
-        for m in range(1, depth + 1):
-            nm = k.l[m - 1]
-            if nm == 0:
-                continue
-            shift = tuple(1 if j < m else 0 for j in range(depth))
-            lk = tuple(k.l[j] + shift[j] for j in range(depth))
-            bump(Key(k.z - 1, lk), c_scale(c, nm))
-    front = f.frontier + Key(-1, (0,) * depth)
-    return make_series(terms, f.grid, f.mode, [front])
-
-
 def agree_below_frontier(a: TransSeries, b: TransSeries) -> bool:
     a, b = _common(a, b)
     diff = sub(a, b)

@@ -1,32 +1,35 @@
 """Cross-check and diagnostic operations that only the tests use.
 
-Unlike `oracles.py`, these are built on the package: a second inversion
-scheme, conjugation through Newton inversion, log z o f, the z-adic metric
-and coefficient trajectories.  They check the package against itself by a
+Unlike `oracles.py`, these are built on the package: the termwise
+derivative, a second inversion scheme that corrects a leading-monomial seed
+through f', conjugation through inversion, log z o f, the z-adic metric and
+coefficient trajectories.  They check the package against itself by a
 different route, so they are not independent oracles.
 """
 
 from __future__ import annotations
 
-from bottcher.coeffs import c_from, c_inv, c_is_zero, c_mul, log_coeff
-from bottcher.compose import (
-    Composer,
-    _invert_seed,
-    compose,
-    invert,
-    is_parabolic,
-    shape_of,
+from bottcher.coeffs import (
+    c_add,
+    c_from,
+    c_inv,
+    c_is_zero,
+    c_mul,
+    c_pow_rational,
+    c_scale,
+    log_coeff,
 )
+from bottcher.compose import Composer, compose, invert, is_parabolic, shape_of
 from bottcher.errors import DepthOverflowError, ShapeError
 from bottcher.keys import Key, ell_key, zero_key
 from bottcher.series import (
     TransSeries,
     _common,
     add,
-    d_dz,
     identity_series,
     leading_term,
     log1p,
+    make_series,
     monomial,
     ord_z,
     residual_keys,
@@ -47,6 +50,40 @@ def compose_log(f: TransSeries) -> TransSeries:
     if not c_is_zero(logc):
         out = add(out, monomial(zero_key(f.grid.depth), f.grid, f.mode, logc))
     return add(out, log1p(u))
+
+
+def d_dz(f: TransSeries) -> TransSeries:
+    """Termwise d/dz with d l_m/dz = (1/z) l_1...l_{m-1} l_m^2."""
+    depth = f.depth
+    terms: dict[Key, object] = {}
+
+    def bump(key, c):
+        if key in terms:
+            terms[key] = c_add(terms[key], c)
+        else:
+            terms[key] = c
+
+    for k, c in f.terms.items():
+        if k.z != 0:
+            bump(Key(k.z - 1, k.l), c_scale(c, k.z))
+        for m in range(1, depth + 1):
+            nm = k.l[m - 1]
+            if nm == 0:
+                continue
+            shift = tuple(1 if j < m else 0 for j in range(depth))
+            lk = tuple(k.l[j] + shift[j] for j in range(depth))
+            bump(Key(k.z - 1, lk), c_scale(c, nm))
+    front = f.frontier + Key(-1, (0,) * depth)
+    return make_series(terms, f.grid, f.mode, [front])
+
+
+def _invert_seed(f: TransSeries) -> TransSeries:
+    """The leading monomial lambda^(-1/alpha) z^(1/alpha) of f^(-1)."""
+    shape = shape_of(f)
+    alpha, lam = shape.alpha, f.terms[min(f.terms)]
+    inv_alpha = 1 / alpha
+    lam_pow = c_pow_rational(c_inv(lam), inv_alpha)
+    return monomial(Key(inv_alpha, (0,) * f.grid.depth), f.grid, f.mode, lam_pow)
 
 
 def invert_graded(f: TransSeries) -> TransSeries:

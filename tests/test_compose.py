@@ -1,4 +1,5 @@
 import importlib
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from crosschecks import compose_log, conjugate, invert_graded
+from crosschecks import compose_log, conjugate, d_dz, invert_graded
 from bottcher.coeffs import Exact
 from bottcher.compose import (
     Composer,
@@ -18,19 +19,19 @@ from bottcher.compose import (
     reduce_lambda,
     shape_of,
 )
-from bottcher.errors import ConvergenceError, ModeError, ShapeError
-from bottcher.keys import Key
+from bottcher.errors import ModeError, ShapeError
+from bottcher.keys import Cut, Key
 from bottcher.parser import parse
 from bottcher.series import (
     TruncationGrid,
     add,
     agree_below_frontier,
-    d_dz,
     identity_series,
     make_series,
+    monomial,
     mul,
+    residual_keys,
     sub,
-    zero_series,
 )
 
 F = Fraction
@@ -195,7 +196,10 @@ def test_chain_rule(gt, ft):
 
 
 def test_invert_pure_power():
-    assert invert(S("z^2")) == S("z^(1/2)")
+    q = invert(S("z^2"))
+    assert q == S("z^(1/2)")
+    # z^(7/2) in g depends on f at z^8, which the grid cuts off
+    assert q.frontier == Cut(F(7, 2))
 
 
 def test_invert_matches_reversion_oracle():
@@ -218,19 +222,91 @@ def test_invert_defining_property(text):
     assert_agree(compose(q, f), ident)
 
 
-def test_invert_raises_when_newton_stalls(monkeypatch):
+def test_invert_builds_one_composer(monkeypatch):
     C = importlib.import_module("bottcher.compose")  # the package exports compose()
+    built = []
 
-    # a Newton correction of zero leaves the residual order where it was
-    monkeypatch.setattr(C, "series_inverse", lambda a: zero_series(a.grid, a.mode))
-    with pytest.raises(ConvergenceError, match="stalled"):
-        invert(S("z + z^2"))
+    class CountingComposer(C.Composer):
+        def __init__(self, f):
+            built.append(f)
+            super().__init__(f)
+
+    monkeypatch.setattr(C, "Composer", CountingComposer)
+    f = S("z^2 + z^2*l1 + z^3")
+    invert(f)
+    assert built == [f]
 
 
 def test_invert_graded_cross_check():
     for text in ("z + z^2", "z + z*l1", "z^2 + z^3*l1^-1"):
         f = S(text)
         assert_agree(invert(f), invert_graded(f))
+
+
+def _close(a, b, mode):
+    return a == b if mode == "exact" else abs(a - b) <= 1e-9
+
+
+def assert_agree_below(a, b, front):
+    keys = set(a.terms) | set(b.terms)
+    assert all(_close(a.coeff(k), b.coeff(k), a.mode) for k in keys if k < front), (a, b)
+
+
+def assert_invert_frontier_sound(f, big):
+    """invert(f) agrees with invert(f + h) on the grid `big` below its frontier.
+
+    h = 3 n for a key n at f's frontier: the frontier key itself, or
+    z^z0 l1^-2 (z^z0 at depth 0) for a cut at z0.  f + h carries big's
+    frontier, so a coefficient of invert(f) that depends on f at or above
+    f's frontier shows as a difference.
+    """
+    q, fr, depth = invert(f), f.frontier, f.grid.depth
+    n = Key(fr.z, (-2,) + (0,) * (depth - 1) if depth else ()) if isinstance(fr, Cut) else fr
+    lifted = add(make_series(f.terms, big, f.mode), monomial(n, big, f.mode, 3))
+    assert_agree_below(q, invert(lifted), q.frontier)
+
+
+def test_invert_frontier_is_sound():
+    small = TruncationGrid(z_cap=4, block_cap=4, depth=1, ell_stop=5)
+    big = TruncationGrid(z_cap=5, block_cap=6, depth=1, ell_stop=7)
+    for text in ("z^2", "z^3", "z^2 + z^3", "z^2 + z^2*l1 + z^3", "z^(1/2) + z*l1"):
+        assert_invert_frontier_sound(S(text, small), big)
+
+
+def _random_series(rng):
+    """lambda z^alpha plus 1-3 higher terms, on a small grid, exact or float."""
+    alpha = rng.choice([F(1, 2), F(2, 3), F(3, 4), F(3, 2), F(2), F(5, 2), F(3)])
+    lam, depth = rng.choice([F(1), F(4), F(1, 4), F(9)]), rng.randint(0, 2)
+    grid = TruncationGrid(max(alpha, 1 / alpha) + 1, 3, depth, 4)
+    terms = {Key(alpha, (0,) * depth): lam}
+    for _ in range(rng.randint(1, 3)):
+        l = tuple(rng.randint(-2, 2) for _ in range(depth))
+        e = rng.choice([F(0), F(1, 2), F(1), F(3, 2)])
+        if e == 0 and not Key(0, l).is_positive():
+            e = F(1, 2)  # a z^alpha term must lie above the leading one
+        terms[Key(alpha + e, l)] = rng.choice([F(1), F(-1), F(1, 2), F(-2, 3), F(2)])
+    return make_series(terms, grid, rng.choice(["exact", "float"]))
+
+
+def test_invert_seeded_fuzz():
+    """30 seeded inputs: g o f = z, the graded route and frontier soundness.
+
+    An exact input whose lambda powers are irrational raises ModeError; it is
+    checked in float mode, as the error asks, and so is the graded route,
+    which needs more such powers than `invert`.
+    """
+    rng = random.Random(2026)
+    for _ in range(30):
+        f = _random_series(rng)
+        try:
+            g, q = invert(f), invert_graded(f)
+        except ModeError:
+            f = make_series(f.terms, f.grid, "float")
+            g, q = invert(f), invert_graded(f)
+        assert not residual_keys(sub(compose(g, f), identity_series(f.grid, f.mode))), f
+        assert_agree_below(g, q, min(g.frontier, q.frontier))
+        big = TruncationGrid(f.grid.z_cap + F(1, 2), 4, f.grid.depth, 5)
+        assert_invert_frontier_sound(f, big)
 
 
 # -- conjugation and reductions ---------------------------------------------------------

@@ -474,6 +474,31 @@ def test_normalize_combined_reductions():
     assert res.verification["conjugation_exact_below_frontier"]
 
 
+def test_normalize_combined_reductions_with_logs():
+    # exact throughout: the inverse is trusted inside its z^(3/2) block only,
+    # where it divides by powers of alpha and (1/4)^(3/2) = 1/8
+    f = S("(1/4)*z^(2/3) - 2/3*z^(2/3)*l1^2 - 2/3*z^(7/6) + z^(8/3)",
+          z_cap=5, block_cap=4, ell_stop=5)
+    res = normalize(f)
+    assert res.inverted_input and res.psi is not None
+    assert res.alpha == F(3, 2)
+    assert res.verification["conjugation_exact_below_frontier"]
+    assert res.verification["order_bound_ok"]
+
+
+@pytest.mark.parametrize("text", ["3*z^2 + z^3", "5*z^2 + z^3", "9*z^3 + z^4", "4*z^(1/2) + z"])
+def test_float_lambda_reduction_matches_exact(text):
+    from bottcher.series import embed
+
+    f = S(text)
+    want = normalize(f).phi
+    res = normalize(embed(f, f.grid, mode="float"))
+    assert res.verification["conjugation_exact_below_frontier"]
+    assert res.phi.frontier == want.frontier
+    for k in set(want.terms) | set(res.phi.terms):
+        assert abs(res.phi.coeff(k) - want.coeff(k).evaluate()) <= 1e-9, k
+
+
 # -- contraction / invariance properties ------------------------------------------------------
 
 

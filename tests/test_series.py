@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from crosschecks import dist_z, dist_z_info, weak_delta
+from crosschecks import d_dz, dist_z, dist_z_info, weak_delta
 from bottcher.coeffs import Exact
 from bottcher.errors import EmptySeriesError
 from bottcher.io_json import series_to_json
@@ -14,7 +14,6 @@ from bottcher.series import (
     TruncationGrid,
     add,
     agree_below_frontier,
-    d_dz,
     embed,
     leading_block,
     leading_term,
