@@ -80,7 +80,6 @@ from .domains import (
     lower_map_check,
     rho,
     sqd_boundary,
-    sqd_membership,
     upper_map_check,
 )
 from .koenigs import (

@@ -10,17 +10,20 @@ of the chosen subcommand is ignored.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
 from fractions import Fraction
 
-from .coeffs import EXACT, FLOAT
+from .coeffs import EXACT, FLOAT, Exact
 from .domains import AsymptoticSpec, DomainSpec, invariant_threshold
 from .dulac import (
     compare_formal_numeric,
     dulac_normalize_full,
+    evaluate_zeta,
     from_transseries,
+    to_z_chart,
     to_zeta_chart,
 )
 from .errors import (
@@ -44,6 +47,7 @@ from .koenigs import (
     solve_homological,
 )
 from .normalize import (
+    bottcher_R_op,
     bottcher_sequence,
     check_conjugation,
     normalize,
@@ -53,7 +57,7 @@ from .normalize import (
 )
 from .parser import parse
 from .printer import format_series
-from .series import TruncationGrid
+from .series import TruncationGrid, identity_series
 from .keys import Cut, Key
 
 
@@ -114,8 +118,6 @@ def _term_map(alpha: float, terms, precision: int | None = None):
     With `precision` the map evaluates through mpmath at the caller's working
     precision (`cmd_analytic` scopes it with `mpmath.workdps`).
     """
-    import cmath
-
     if precision:
         import mpmath
 
@@ -182,8 +184,6 @@ def cmd_bottcher_seq(args) -> int:
     f = _parse_expr(args.expr, args)
     seed = _parse_expr(args.seed, args) if args.seed else None
     if seed is None:
-        from .series import identity_series
-
         seed = identity_series(f.grid, f.mode)
     out = bottcher_sequence(f, seed, args.n)
     _emit(args, series_to_json(out), format_series(out))
@@ -285,8 +285,6 @@ def cmd_bridge(args) -> int:
                 data = json.load(fh)
         else:
             data = json.load(sys.stdin)
-        from .dulac import to_z_chart
-
         out = to_z_chart(dulac_zeta_from_json(data))
         print(json.dumps(dulac_z_to_json(out), indent=2))
         return 0
@@ -295,8 +293,6 @@ def cmd_bridge(args) -> int:
     phi_hat = to_zeta_chart(phi_hat_z)
     spec = AsymptoticSpec(alpha=float(d.alpha), eps=args.eps, k=args.k)
     dom = DomainSpec.standard_quadratic(args.sqd_C)
-    from .dulac import evaluate_zeta
-
     f_zeta = to_zeta_chart(d)
     fmap = lambda zeta: evaluate_zeta(f_zeta, zeta)
     R = invariant_threshold(fmap, spec, dom, r_ceiling=args.r_ceiling)
@@ -320,10 +316,6 @@ def cmd_bridge(args) -> int:
 
 def cmd_selftest(args) -> int:
     """Fast built-in checks of the exact pipeline anchors."""
-    from .coeffs import Exact
-    from .normalize import bottcher_R_op
-    from .series import identity_series
-
     f = parse("z^2 + z^2*l1", mode=EXACT, z_cap=6, block_cap=8)
     ident = identity_series(f.grid, f.mode)
     r1 = bottcher_R_op(f, ident)

@@ -38,6 +38,7 @@ from .errors import DepthOverflowError, ShapeError
 from .keys import Key, ell_key, front_zscale, min_key, zero_key
 from .series import (
     TransSeries,
+    _common,
     add,
     identity_series,
     leading_term,
@@ -226,8 +227,6 @@ def compose(g: TransSeries, f: TransSeries | Composer) -> TransSeries:
     iterated-log images.  When g and f live on different grids, f is
     embedded into the merged grid and gets a fresh Composer.
     """
-    from .series import _common
-
     right = f.f if isinstance(f, Composer) else f
     g, embedded = _common(g, right)
     ctx = f if isinstance(f, Composer) and embedded is right else Composer(embedded)

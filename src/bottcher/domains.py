@@ -8,7 +8,6 @@ numeric checking on grids plus the sufficient analytic criteria; reports say
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -58,35 +57,28 @@ class AsymptoticSpec:
 
 @dataclass
 class DomainSpec:
-    """Standard quadratic domain (kind='standard_quadratic', parameter C) or an
-    explicit lower/upper boundary pair on [t, inf)."""
+    """The domain {Re zeta >= t, h_l(Re zeta) < Im zeta < h_u(Re zeta)}.
 
-    kind: str
-    C: float | None = None
-    h_l: object = None
-    h_u: object = None
-    t: float | None = None
+    `standard_quadratic(C)` gives the standard quadratic domain kappa(C+),
+    kappa(w) = w + C sqrt(w + 1), as (-Y_C, Y_C, C) with Y_C = `sqd_im_extent`.
+    """
+
+    h_l: object
+    h_u: object
+    t: float
 
     @staticmethod
     def standard_quadratic(C: float) -> "DomainSpec":
         if C <= 0:
             raise DomainError("standard quadratic domain needs C > 0")
-        return DomainSpec(kind="standard_quadratic", C=C)
-
-    @staticmethod
-    def lower_upper(h_l, h_u, t: float) -> "DomainSpec":
-        return DomainSpec(kind="lower_upper", h_l=h_l, h_u=h_u, t=t)
+        return DomainSpec(lambda x: -sqd_im_extent(x, C), lambda x: sqd_im_extent(x, C), C)
 
 
 # -- standard quadratic domains -------------------------------------------------
 
 
-def sqd_kappa(w: complex, C: float) -> complex:
-    return w + C * cmath.sqrt(w + 1)
-
-
 def sqd_boundary(r: float, C: float) -> complex:
-    """Boundary point x(r) + i y(r) of the upper half boundary, r >= 0."""
+    """Boundary point x(r) + i y(r) = kappa(i r) of the upper half boundary, r >= 0."""
     if r < 0 or C <= 0:
         raise DomainError("need r >= 0 and C > 0")
     s1 = math.sin(0.5 * math.atan(r))
@@ -95,73 +87,24 @@ def sqd_boundary(r: float, C: float) -> complex:
     return complex(C * quarter * s2, r + C * quarter * s1)
 
 
-def sqd_membership(zeta: complex, C: float, tol: float = 1e-9):
-    """Is zeta in kappa(C+), kappa(w) = w + C sqrt(w+1)?  True/False/None.
-
-    The quadratic (zeta - w)^2 = C^2 (w + 1) gives both inversion candidates;
-    each verified against kappa with the principal branch.  None means the
-    numeric inversion was inconclusive (near-boundary); never silently False.
-    """
-    zeta = complex(zeta)
-    b = -(2.0 * zeta + C * C)
-    c = zeta * zeta - C * C
-    disc = cmath.sqrt(b * b - 4.0 * c)
-    scale = max(1.0, abs(zeta))
-    best_residual = math.inf
-    for w in ((-b + disc) / 2.0, (-b - disc) / 2.0):
-        w = _newton_polish_kappa(w, zeta, C)
-        residual = abs(sqd_kappa(w, C) - zeta)
-        best_residual = min(best_residual, residual)
-        if residual <= tol * scale and w.real > 0:
-            return True
-    if best_residual <= tol * scale:
-        return False  # inverted fine, but the preimage is not in C+
-    if best_residual <= math.sqrt(tol) * scale:
-        return None
-    return False
-
-
-def _newton_polish_kappa(w: complex, zeta: complex, C: float, steps: int = 8) -> complex:
-    for _ in range(steps):
-        root = cmath.sqrt(w + 1)
-        fval = w + C * root - zeta
-        fprime = 1 + C / (2 * root) if root != 0 else 1
-        step = fval / fprime
-        w = w - step
-        if abs(step) < 1e-15 * max(1.0, abs(w)):
-            break
-    return w
-
-
 def sqd_im_extent(x: float, C: float) -> float:
-    """The boundary ordinate y at abscissa x (bisection on the monotone x(r))."""
-    if x < sqd_boundary(0.0, C).real:
+    """The boundary ordinate Y_C(x) at abscissa x >= C, in closed form.
+
+    With s = sqrt(1 + r^2) the boundary kappa(i r) is x = C sqrt((s + 1)/2),
+    y = r + C sqrt((s - 1)/2); so s = 2 (x/C)^2 - 1 and r = sqrt(s^2 - 1).
+    """
+    if x < C:
         raise DomainError(f"abscissa {x} left of the domain tip")
-    lo, hi = 0.0, max(1.0, 4.0 * x)
-    while sqd_boundary(hi, C).real < x:
-        hi *= 2.0
-        if hi > 1e12:
-            raise DomainError("boundary inversion diverged")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if sqd_boundary(mid, C).real < x:
-            lo = mid
-        else:
-            hi = mid
-    return sqd_boundary(0.5 * (lo + hi), C).imag
+    s = 2.0 * (x / C) ** 2 - 1.0
+    return math.sqrt(s * s - 1.0) + C * math.sqrt(0.5 * (s - 1.0))
 
 
-def domain_member(dom: DomainSpec, zeta: complex, R: float | None = None):
-    """Membership (with optional Re >= R cut); True/False/None as in sqd_membership."""
-    if R is not None and zeta.real < R:
+def domain_member(dom: DomainSpec, zeta: complex, R: float | None = None) -> bool:
+    """Is zeta in the domain (and, with R, in its part Re zeta >= R)?"""
+    x = zeta.real
+    if (R is not None and x < R) or x < dom.t:
         return False
-    if dom.kind == "standard_quadratic":
-        return sqd_membership(zeta, dom.C)
-    if dom.kind == "lower_upper":
-        if zeta.real < dom.t:
-            return False
-        return dom.h_l(zeta.real) < zeta.imag < dom.h_u(zeta.real)
-    raise DomainError(f"unknown domain kind {dom.kind}")
+    return dom.h_l(x) < zeta.imag < dom.h_u(x)
 
 
 # -- upper/lower map criteria ----------------------------------------------------
@@ -241,19 +184,13 @@ def _domain_samples(dom: DomainSpec, R: float) -> list[complex]:
     """Interior and boundary-adjacent samples of D_R with Re in [R, R + SAMPLE_SPAN]."""
     out = []
     for x in _grid(R, SAMPLE_SPAN, N_SAMPLES):
-        if dom.kind == "standard_quadratic":
-            try:
-                y = sqd_im_extent(x, dom.C)
-            except DomainError:
-                continue
-        else:
-            if x < dom.t:
-                continue
-            y = dom.h_u(x)
+        if x < dom.t:
+            continue
+        lo, hi = dom.h_l(x), dom.h_u(x)
         for frac in (0.0, 0.5, 0.95):
-            out.append(complex(x, frac * y))
+            out.append(complex(x, frac * hi))
             if frac:
-                out.append(complex(x, -frac * y))
+                out.append(complex(x, frac * lo))
     return out
 
 
@@ -292,7 +229,7 @@ def _certify_at(f, spec, dom, R) -> list:
     if any(b <= a for a, b in zip(rhos, rhos[1:])):
         reasons.append(("rho-not-increasing", R))
     for zeta in _domain_samples(dom, R):
-        if domain_member(dom, zeta, R) is False:
+        if not domain_member(dom, zeta, R):
             continue
         defect = abs(f(zeta) - spec.alpha * zeta)
         bound = spec.M(zeta.real)
@@ -308,7 +245,7 @@ def _certify_at(f, spec, dom, R) -> list:
             for b in rect_im
         ] + [complex(0.5 * sum(rect_re), b) for b in rect_im]
         for c in corners:
-            if domain_member(dom, c) is False:
+            if not domain_member(dom, c):
                 reasons.append(("rectangle-escape", zeta, c))
                 break
     return reasons

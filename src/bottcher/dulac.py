@@ -18,11 +18,13 @@ from .coeffs import (
     Exact,
     c_add,
     c_from,
+    c_inv,
     c_is_zero,
     c_mul,
     c_neg,
     c_to_complex,
     c_zero,
+    exp_of_log_exact,
     log_coeff,
 )
 from .errors import BottcherError, DomainError, ShapeError
@@ -127,8 +129,6 @@ def to_zeta_chart(d: DulacSeriesZ, e_cap=None) -> DulacSeriesZeta:
     if e_cap is None:
         e_cap = (d.ladder[-1][0] - d.alpha) + 1 if d.ladder else Fraction(1)
     c0 = c_neg(log_coeff(d.lam, mode))
-    from .coeffs import c_inv
-
     lam_inv = c_inv(d.lam)
     u = {}
     for a_i, p in d.ladder:
@@ -147,8 +147,6 @@ def to_z_chart(d: DulacSeriesZeta, e_cap=None) -> DulacSeriesZ:
     if e_cap is None:
         e_cap = (d.ladder[-1][0] + 1) if d.ladder else Fraction(1)
     if mode == EXACT:
-        from .coeffs import exp_of_log_exact
-
         lam = exp_of_log_exact(-d.c0)
     else:
         lam = cmath.exp(-complex(c_to_complex(d.c0)))
@@ -375,7 +373,7 @@ def compare_formal_numeric(
     evaluator = phi_numeric.evaluator if hasattr(phi_numeric, "evaluator") else phi_numeric
     stats = []
     for x in xs:
-        zeta = _complex_like(x, im, xs)
+        zeta = _complex_like(x, im)
         diff = abs(evaluator(zeta) - evaluate_zeta(phin, zeta))
         stats.append(float(diff) * math.exp(beta * float(x)))
     rep = _decay_report([float(x) for x in xs], stats, noise_floor)
@@ -385,8 +383,8 @@ def compare_formal_numeric(
     return rep
 
 
-def _complex_like(x, im, xs):
-    if type(x).__module__.startswith("mpmath"):
+def _complex_like(x, im):
+    if _is_mp(x):
         import mpmath
 
         return mpmath.mpc(x, im)

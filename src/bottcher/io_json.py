@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeffs import EXACT, Exact
+from .dulac import DulacSeriesZeta
 from .keys import Cut, Key
 from .series import TransSeries, TruncationGrid, make_series
 
@@ -142,8 +143,6 @@ def dulac_zeta_to_json(d) -> dict:
 
 
 def dulac_zeta_from_json(d: dict):
-    from .dulac import DulacSeriesZeta
-
     mode = d.get("mode", EXACT)
     return DulacSeriesZeta(
         _zexp_in(d["alpha"]),

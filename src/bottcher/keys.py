@@ -21,36 +21,6 @@ def as_zexp(x) -> Fraction | float:
     return Fraction(x)
 
 
-class _NegInf:
-    """Singleton standing below every log-exponent tuple in comparisons."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return not isinstance(other, _NegInf)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, _NegInf)
-
-    def __eq__(self, other):
-        return isinstance(other, _NegInf)
-
-    def __hash__(self):
-        return hash("neg-inf-logs")
-
-    def __repr__(self):
-        return "-inf"
-
-
-NEG_INF_LOGS = _NegInf()
-
-
 class Key:
     """A point (z_exp, log_exps) of R x Z^k with lex order."""
 
@@ -129,14 +99,15 @@ class Cut:
 
     Used as a truncation frontier: every key with z-part >= z lies at or
     above the cut, whatever its log exponents.  Shares the tuple-comparison
-    path with Key via the -inf sentinel; depth-free.
+    path with Key: the 1-tuple (z,) is a prefix of every (z, l), so it orders
+    below every key at z; depth-free.
     """
 
     __slots__ = ("z", "_t")
 
     def __init__(self, z):
         self.z = as_zexp(z)
-        self._t = (self.z, NEG_INF_LOGS)
+        self._t = (self.z,)
 
     def pad(self, depth: int) -> "Cut":
         return self

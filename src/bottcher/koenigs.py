@@ -64,7 +64,7 @@ def koenigs_normalize(
                     f"monotone escape violated at step {n}: Re = {x} < {expected}"
                 )
             if check_domain and dom is not None and n <= 3:
-                if domain_member(dom, complex(float(w.real), float(w.imag)), R) is False:
+                if not domain_member(dom, complex(float(w.real), float(w.imag)), R):
                     raise CertificationError(
                         f"iterate {n} left the domain at {complex(w):.6g}"
                     )

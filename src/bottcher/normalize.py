@@ -27,6 +27,7 @@ it, `NormalizationResult.composer` carries it and verification reuses it.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -517,8 +518,6 @@ def semigroup_contains(gens: list[Key], w: Key) -> bool:
 
 def enumerate_semigroup(spec: SemigroupSpec, ell_window: int = 8) -> list[Key]:
     """All semigroup sums below the cutoff with log exponents in [-w, w]."""
-    import heapq
-
     seen: set[Key] = set()
     heap = [g for g in spec.generators if g < spec.cutoff]
     heapq.heapify(heap)

@@ -29,6 +29,7 @@ from .coeffs import (
     binomial,
     c_add,
     c_from,
+    c_inv,
     c_is_zero,
     c_mul,
     c_neg,
@@ -38,6 +39,7 @@ from .coeffs import (
 )
 from .errors import DepthOverflowError, EmptySeriesError, ShapeError
 from .keys import Cut, Key, min_key, zero_key
+from .printer import format_series
 
 
 @dataclass(frozen=True)
@@ -114,8 +116,6 @@ class TransSeries:
         return hash(frozenset(self.terms))
 
     def __repr__(self):
-        from .printer import format_series
-
         return f"<TransSeries {format_series(self)}>"
 
     # -- convenience operators ----------------------------------------------
@@ -353,8 +353,6 @@ def split_leading(f: TransSeries):
     key, c = leading_term(f)
     rest = {k - key: cc for k, cc in f.terms.items() if k != key}
     shifted_front = f.frontier + (-key)
-    from .coeffs import c_inv
-
     cinv = c_inv(c)
     v = make_series(
         {k: c_mul(cc, cinv) for k, cc in rest.items()}, f.grid, f.mode, [shifted_front]
@@ -417,6 +415,9 @@ def pow_rational(f: TransSeries, beta) -> TransSeries:
     if f.is_zero():
         if beta == 0:
             return monomial(zero_key(f.grid.depth), f.grid, f.mode)
+        if beta > 0 and f.frontier.z > 0:
+            # every term of f^beta lies at z >= beta * (f's frontier z)
+            return make_series({}, f.grid, f.mode, [Cut(beta * f.frontier.z)])
         raise EmptySeriesError("power of the zero series")
     key, c, v = split_leading(f)
     integral = isinstance(beta, Fraction) and beta.denominator == 1

@@ -41,6 +41,13 @@ def test_prenormalize(capsys):
     assert terms[("1", (1,))] == "2/3"
 
 
+def test_zero_base_power_normalizes(capsys):
+    code, out = run(capsys, "normalize", "0^2 + z^2 + z^3", "--z-cap", "5")
+    _, ref = run(capsys, "normalize", "z^2 + z^3", "--z-cap", "5")
+    assert code == 0
+    assert out.splitlines()[0] == ref.splitlines()[0] == "phi = z + 1/2*z^2 + 1/8*z^3"
+
+
 def test_parse_error_exit_code(capsys):
     code, _ = run(capsys, "normalize", "z^^")
     assert code == 4

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import pytest
 
@@ -13,11 +14,13 @@ from bottcher.domains import (
     rho,
     sqd_boundary,
     sqd_im_extent,
-    sqd_kappa,
-    sqd_membership,
     upper_map_check,
 )
 from bottcher.errors import CertificationError, DomainError
+
+
+def sqd_kappa(w: complex, C: float) -> complex:
+    return w + C * cmath.sqrt(w + 1)
 
 
 def test_M_examples():
@@ -72,34 +75,16 @@ def test_lower_map_mirror():
 
 def test_sqd_upper_boundary_satisfies_criterion():
     """The standard quadratic boundary passes the derivative criterion with
-    d = sqrt(t)/(C s2(t)) via its parametrization."""
+    d = sqrt(t)/(C s2(t)), t = x(r_t), via its parametrization."""
     C = 1.0
     t = 4.0
-
-    def x_of(r):
-        return sqd_boundary(r, C).real
-
-    def y_of(r):
-        return sqd_boundary(r, C).imag
-
-    def r_of_x(x):
-        lo, hi = 0.0, 10.0 + 4 * x
-        while x_of(hi) < x:
-            hi *= 2
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if x_of(mid) < x:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    h_u = lambda x: y_of(r_of_x(x))
-    r_t = r_of_x(t)
+    s = 2.0 * (t / C) ** 2 - 1.0
+    r_t = math.sqrt(s * s - 1.0)  # kappa(i r_t) has abscissa t
+    assert abs(sqd_boundary(r_t, C).real - t) < 1e-12
     s2 = math.cos(0.5 * math.atan(r_t))
     d = math.sqrt(r_t) / (C * s2)
     spec = AsymptoticSpec(2.0, 1.0, 1)
-    rep = upper_map_check(h_u, d=d, t=t, interval=20.0, spec=spec, n=60)
+    rep = upper_map_check(lambda x: sqd_im_extent(x, C), d=d, t=t, interval=20.0, spec=spec, n=60)
     assert rep.ok
 
 
@@ -124,21 +109,71 @@ def test_sqd_boundary_formula():
 
 def test_sqd_membership():
     C = 1.0
-    assert sqd_membership(complex(C + 10.0, 0.0), C) is True
-    assert sqd_membership(complex(-1.0, 0.0), C) is False
-    assert sqd_membership(complex(0.1, 0.0), C) is False
+    dom = DomainSpec.standard_quadratic(C)
+    assert domain_member(dom, complex(C + 10.0, 0.0)) is True
+    assert domain_member(dom, complex(-1.0, 0.0)) is False
+    assert domain_member(dom, complex(0.1, 0.0)) is False
     # deep interior point
-    assert sqd_membership(complex(6.0, 1.0), C) is True
+    assert domain_member(dom, complex(6.0, 1.0)) is True
 
 
 def test_sqd_im_extent_monotone():
     C = 1.0
     ys = [sqd_im_extent(x, C) for x in (2.0, 4.0, 8.0)]
     assert ys[0] < ys[1] < ys[2]
+    with pytest.raises(DomainError):
+        sqd_im_extent(0.5, C)  # left of the tip x = C
+
+
+@pytest.mark.parametrize("C", [0.5, 1.0, 2.0, 4.0])
+def test_sqd_im_extent_matches_boundary(C):
+    """The closed form inverts the parametrization r -> kappa(i r) = x + i y.
+
+    Near the tip dx/dr -> 0, so the rounding of x alone moves y by
+    (dy/dx) ulp(x); the bound allows that on top of 1e-12 max(1, y).
+    """
+    for i in range(141):
+        r = 10.0 ** (-3 + 7 * i / 140)
+        z = sqd_boundary(r, C)
+        s = math.sqrt(1.0 + r * r)
+        dx_dr = C * r / (2.0 * s * math.sqrt(2.0 * (s + 1.0)))
+        dy_dr = 1.0 + C * r / (2.0 * s * math.sqrt(2.0 * (s - 1.0)))
+        tol = 1e-12 * max(1.0, z.imag) + dy_dr / dx_dr * math.ulp(z.real)
+        assert abs(sqd_im_extent(z.real, C) - z.imag) <= tol
+
+
+def _kappa_preimage_re(zeta: complex, C: float):
+    """Re w for the w with kappa(w) = zeta, principal branch; None if there is none.
+
+    Solves (zeta - w)^2 = C^2 (w + 1) and keeps the root that kappa maps back
+    to zeta.
+    """
+    disc = C * cmath.sqrt(4 * zeta + C * C + 4)
+    for w in ((2 * zeta + C * C + disc) / 2, (2 * zeta + C * C - disc) / 2):
+        if abs(sqd_kappa(w, C) - zeta) <= 1e-9 * max(1.0, abs(zeta)):
+            return w.real
+    return None
+
+
+def test_sqd_membership_matches_kappa_inversion():
+    rng = random.Random(4000)
+    checked = 0
+    for _ in range(4000):
+        C = rng.choice([0.5, 1.0, 2.0, 4.0])
+        x = rng.uniform(-2.0, 30.0)
+        y = rng.uniform(-1.5, 1.5) * (2.0 * (max(x, 0.0) / C) ** 2 + 2.0)
+        zeta = complex(x, y)
+        re_w = _kappa_preimage_re(zeta, C)
+        if re_w is not None and abs(re_w) < 1e-6:
+            continue  # within about 1e-6 of the boundary kappa(i R)
+        expected = re_w is not None and re_w > 0
+        assert domain_member(DomainSpec.standard_quadratic(C), zeta) is expected, (zeta, C)
+        checked += 1
+    assert checked > 3900
 
 
 def test_domain_member_lower_upper():
-    dom = DomainSpec.lower_upper(lambda x: -x, lambda x: x, t=2.0)
+    dom = DomainSpec(lambda x: -x, lambda x: x, t=2.0)
     assert domain_member(dom, complex(3.0, 0.5)) is True
     assert domain_member(dom, complex(3.0, 4.0)) is False
     assert domain_member(dom, complex(1.0, 0.0)) is False

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -5,11 +6,11 @@ import pytest
 from hypothesis import given
 
 from bottcher.coeffs import Exact
-from bottcher.errors import ParseError
+from bottcher.errors import BottcherError, ParseError
 from bottcher.keys import Key
 from bottcher.parser import parse
 from bottcher.printer import format_series
-from bottcher.series import TruncationGrid, make_series
+from bottcher.series import TransSeries, TruncationGrid, make_series
 
 F = Fraction
 
@@ -114,3 +115,70 @@ def test_print_parse_identity_property(triples):
     if f.is_zero():
         return
     assert parse(format_series(f), grid=grid) == f
+
+
+# -- seeded fuzz ----------------------------------------------------------------------
+
+
+def _random_series(rng):
+    depth = rng.randint(0, 2)
+    grid = TruncationGrid(z_cap=24, block_cap=16, depth=depth)
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        z = F(rng.randint(-6, 20), rng.randint(1, 4))
+        key = Key(z, tuple(rng.randint(-3, 3) for _ in range(depth)))
+        terms[key] = Exact.of(F(rng.randint(-9, 9), rng.randint(1, 6)),
+                              F(rng.randint(-9, 9), rng.randint(1, 6)) * rng.randint(0, 1))
+    return make_series(terms, grid)
+
+
+def test_print_parse_roundtrip_fuzz():
+    rng = random.Random(7)
+    for _ in range(300):
+        f = _random_series(rng)
+        assert parse(format_series(f), grid=f.grid).terms == f.terms, format_series(f)
+
+
+_FUZZ_TOKENS = ["z", "l1", "l2", "i", "(", ")", "+", "-", "*", "/", "^", " ", "LG", "#"]
+
+
+def _grammar_tokens(rng, depth=0):
+    """Tokens of a random expression of the parser's grammar."""
+    r = rng.random()
+    if depth > 2 or r < 0.4:
+        return [rng.choice(["z", "l1", "l2", str(rng.randint(0, 12))])]
+    if r < 0.55:
+        return ["(", str(rng.randint(0, 5)), rng.choice("+-"), str(rng.randint(1, 5)), "i", ")"]
+    if r < 0.7:
+        q = [str(rng.randint(-3, 5))] + (["/", str(rng.randint(1, 4))] if rng.random() < 0.5 else [])
+        return ["("] + _grammar_tokens(rng, depth + 1) + [")", "^", "("] + q + [")"]
+    return _grammar_tokens(rng, depth + 1) + [rng.choice("+-*")] + _grammar_tokens(rng, depth + 1)
+
+
+def _fuzz_text(rng):
+    if rng.random() < 0.5:
+        toks = _grammar_tokens(rng)
+        if rng.random() < 0.5:  # one mutation: drop, insert or replace a token
+            j = rng.randrange(len(toks) + 1)
+            new = [rng.choice(_FUZZ_TOKENS)]
+            toks[j:j + rng.randint(0, 1)] = new if rng.random() < 0.7 else []
+    else:
+        toks = [str(rng.randint(0, 12)) if rng.random() < 0.3 else rng.choice(_FUZZ_TOKENS)
+                for _ in range(rng.randint(0, 12))]
+    text = ""
+    for tok in toks:
+        if text[-1:].isdigit() and tok[:1].isdigit():
+            text += " "  # keep numbers small: 2^99999 would only test bignums
+        text += tok
+    return text
+
+
+def test_parse_token_strings_fuzz():
+    """Random token strings parse or raise a BottcherError, nothing else."""
+    rng = random.Random(11)
+    for _ in range(2000):
+        text = _fuzz_text(rng)
+        try:
+            assert isinstance(parse(text, z_cap=6, block_cap=6), TransSeries)
+        except BottcherError:
+            pass

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 from crosschecks import d_dz, dist_z, dist_z_info, weak_delta
-from bottcher.coeffs import Exact
+from bottcher.coeffs import EXACT, Exact
 from bottcher.errors import EmptySeriesError
 from bottcher.io_json import series_to_json
 from bottcher.keys import Cut, Key
@@ -22,6 +22,7 @@ from bottcher.series import (
     mul,
     ord_key,
     ord_z,
+    pow_rational,
     split_leading,
     sub,
     sum_powers,
@@ -92,6 +93,21 @@ def test_order_and_leading():
     assert ord_key(zero_series(GRID)) is None
     with pytest.raises(EmptySeriesError):
         leading_term(zero_series(GRID))
+
+
+def test_pow_rational_of_zero():
+    # zero below z^2: any power beta > 0 is zero below z^(2 beta)
+    f = make_series({}, GRID, EXACT, [Cut(2)])
+    assert pow_rational(f, F(3, 2)).is_zero()
+    assert pow_rational(f, F(3, 2)).frontier == Cut(3)
+    assert pow_rational(f, 2).frontier == Cut(4)
+    assert pow_rational(zero_series(GRID), 2).frontier == Cut(8)  # capped by the grid
+    # the untrusted z^2 could be there: its power sits at the frontier, not below
+    assert all(k >= Cut(3) for k in pow_rational(S("z^2"), F(3, 2)).terms)
+    with pytest.raises(EmptySeriesError):
+        pow_rational(f, -1)
+    with pytest.raises(EmptySeriesError):
+        pow_rational(make_series({}, GRID, EXACT, [Cut(0)]), 2)
 
 
 def test_leading_block_keeps_the_frontier():
