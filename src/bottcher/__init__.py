@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .keys import Key, ell_key, z_key, zero_key
+from .keys import Key, ell_key, zero_key
 from .series import (
     TransSeries,
     TruncationGrid,

@@ -160,10 +160,6 @@ def zero_key(depth: int) -> Key:
     return Key(0, (0,) * depth)
 
 
-def z_key(depth: int, z_exp=1) -> Key:
-    return Key(z_exp, (0,) * depth)
-
-
 def ell_key(depth: int, m: int, power: int = 1) -> Key:
     """Key of l_m^power (1-based m)."""
     if not 1 <= m <= depth:

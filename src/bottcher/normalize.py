@@ -21,15 +21,17 @@ residuals differ by composition with phi, (phi o f - phi^alpha) =
 phi is parabolic.  So the verdict and the first bad key are the same, and no
 Newton inversion of phi is needed.
 
-`normalize` builds one `Composer` for the reduced f: `solve_W` composes with
-it, `NormalizationResult.composer` carries it and verification reuses it.
+`solve_W` works on the least grid W's frontier needs: the reduced f cut just
+above it, deepened only while the cut itself sets the frontier.  W and phi
+live on f's own grid.  `NormalizationResult.composer` carries the `Composer`
+of the cut f, and verification composes phi through it.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import blocks as B
@@ -40,6 +42,7 @@ from .series import (
     TransSeries,
     add,
     agree_below_frontier,
+    embed,
     exp_minus_one,
     identity_series,
     leading_block,
@@ -133,7 +136,48 @@ def bottcher_R_op(f: TransSeries, h: TransSeries) -> TransSeries:
 def solve_W(f: TransSeries | Composer) -> TransSeries:
     """W with phi = z exp(W) solving phi o f = phi^alpha, for monic f, alpha > 1.
 
-    f may be a Composer; every image n o f is composed through it.
+    W lives on f's grid; f may be a Composer.  `_triangular_solve` runs on f
+    cut at z' = min(z_cap, alpha + 1), then at twice that, while the cut sets
+    the frontier: W.frontier.z + alpha >= z'.  The last step is the full
+    grid.  A log-free f starts there, because its frontier is always set by
+    z_cap: each z-block holds one key and no pure-log power sum runs.
+
+    Why the stop is sound.  On the grid cut at z', u = f / z^alpha - 1 has the
+    frontier Cut(z' - alpha), and every frontier candidate the cut adds lies
+    at z >= z' - alpha: `log1p(u)` and each log image `Composer.ell_image`
+    inherit Cut(z' - alpha), their powers and inverses keep it (the leading
+    keys are pure logs), `compose` shifts a body of u by z^(alpha d), and a
+    `sum_powers` stopped by z_cap leaves its tail at or above z'.  The
+    `block_cap` and `ell_stop` candidates count terms and powers inside one
+    z-block, so they do not depend on z_cap.  Every key of every series here
+    has z >= 0, so the terms below z' are the ones the full grid gives.  So
+    once W.frontier.z + alpha < z', no cut candidate reached the frontier: it
+    is the one the full grid gives, and every pending sum below it is the
+    same exact sum.  Starting on the full grid and shrinking it as the
+    running frontier drops is slower: the first image already builds the
+    full-grid log images.
+    """
+    return _least_grid_solve(f)[0]
+
+
+def _least_grid_solve(f: TransSeries | Composer) -> tuple[TransSeries, Composer]:
+    """`solve_W`, and the Composer of the cut grid its last step solved on."""
+    right = Composer.of(f)
+    f = right.f
+    alpha = Fraction(_require_monic_power(f).alpha)
+    grid = f.grid
+    log_free = not any(any(k.l) for k in f.terms)
+    z_cut = grid.z_cap if log_free else min(grid.z_cap, alpha + 1)
+    while True:
+        cut = right if z_cut == grid.z_cap else Composer(embed(f, replace(grid, z_cap=z_cut)))
+        w = _triangular_solve(cut)
+        if z_cut == grid.z_cap or w.frontier.z + alpha < z_cut:
+            return make_series(w.terms, grid, f.mode, [w.frontier]), cut
+        z_cut = min(grid.z_cap, 2 * z_cut)
+
+
+def _triangular_solve(right: Composer) -> TransSeries:
+    """W on right's grid, every image n o f composed through `right`.
 
     Pops the smallest pending key n, divides its value by the diagonal
     1 - alpha^-(n1+1) (z-order 0) or 1 (z-order > 0), and pushes
@@ -142,9 +186,8 @@ def solve_W(f: TransSeries | Composer) -> TransSeries:
     `block_cap` solved terms in one z-block; the solve stops at the first
     pending key at or above it.
     """
-    right = Composer.of(f)
     f = right.f
-    alpha = Fraction(_require_monic_power(f).alpha)
+    alpha = Fraction(right.alpha)
     grid, mode = f.grid, f.mode
     inv_a = 1 / alpha
     _, _, u = split_leading(f)
@@ -256,7 +299,8 @@ class NormalizationResult:
     alpha_input: object = None
     inverted_input: bool = False
     verification: dict = field(default_factory=dict)
-    # the Composer of the reduced series phi normalizes; verification reuses it
+    # the Composer W was solved through: the reduced series phi normalizes, cut
+    # just above the frontier; verification reuses it
     composer: Composer | None = field(default=None, compare=False, repr=False)
 
 
@@ -291,8 +335,7 @@ def normalize(f: TransSeries, verify=True) -> NormalizationResult:
         psi, work = reduce_lambda(work)
     alpha, r = alpha_block(work)
 
-    right = Composer(work)
-    w = solve_W(right)
+    w, right = _least_grid_solve(work)
     phi = _phi_of(w)
     trusted = {k: c for k, c in phi.terms.items() if k < phi.frontier}
     res = NormalizationResult(
@@ -337,13 +380,31 @@ def check_conjugation(f: TransSeries | Composer, phi: TransSeries):
     return residual.frontier, min(bad) if bad else None
 
 
+def _is_cut_of(g: TransSeries, f: TransSeries) -> bool:
+    """Whether g is f embedded on g's grid, which differs from f's in z_cap only."""
+    if g is f:
+        return True
+    if g.grid != replace(f.grid, z_cap=g.grid.z_cap) or g.mode != f.mode:
+        return False
+    cut = embed(f, g.grid)
+    return cut.terms == g.terms and cut.frontier == g.frontier
+
+
 def verify_normalization(f: TransSeries, res: NormalizationResult) -> dict:
     """`check_conjugation` of res.phi plus the order bound, as a report dict.
 
-    Reuses res.composer when f is the series `normalize` built it for.
+    Reuses res.composer when its series is f cut to the composer's grid, as
+    `normalize` built it, and checks phi on that grid.  The cut z' lies above
+    W.frontier.z + alpha, the z of the frontier of phi^alpha, and every
+    frontier candidate the cut adds to phi o f lies at z >= z' (phi has
+    z-order 1), so the same keys are checked as on f's own grid.
     """
-    right = res.composer if res.composer is not None and res.composer.f is f else f
-    checked, first_bad = check_conjugation(right, res.phi)
+    right, phi = res.composer, res.phi
+    if right is not None and _is_cut_of(right.f, f):
+        phi = embed(phi, right.f.grid)
+    else:
+        right = f
+    checked, first_bad = check_conjugation(right, phi)
     report = {
         "conjugation_exact_below_frontier": first_bad is None,
         "checked_below": _front_json(checked),

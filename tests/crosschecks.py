@@ -2,9 +2,10 @@
 
 Unlike `oracles.py`, these are built on the package: the termwise
 derivative, a second inversion scheme that corrects a leading-monomial seed
-through f', conjugation through inversion, log z o f, the z-adic metric and
-coefficient trajectories.  They check the package against itself by a
-different route, so they are not independent oracles.
+through f', conjugation through inversion, log z o f, the W-solve on the
+whole grid, the z-adic metric and coefficient trajectories.  They check the
+package against itself by a different route, so they are not independent
+oracles.
 """
 
 from __future__ import annotations
@@ -19,9 +20,18 @@ from bottcher.coeffs import (
     c_scale,
     log_coeff,
 )
-from bottcher.compose import Composer, compose, invert, is_parabolic, shape_of
+from bottcher.compose import (
+    Composer,
+    compose,
+    invert,
+    is_parabolic,
+    reduce_alpha,
+    reduce_lambda,
+    shape_of,
+)
 from bottcher.errors import DepthOverflowError, ShapeError
 from bottcher.keys import Key, ell_key, zero_key
+from bottcher.normalize import _phi_of, _triangular_solve
 from bottcher.series import (
     TransSeries,
     _common,
@@ -111,6 +121,22 @@ def conjugate(phi: TransSeries, f: TransSeries) -> TransSeries:
         raise ShapeError("conjugating change of variables must be parabolic")
     shape_of(f)
     return compose(compose(phi, f), invert(phi))
+
+
+def full_grid_normalize(f: TransSeries):
+    """`normalize`'s reductions, then the W-solve on the whole grid of f.
+
+    Returns (phi below its frontier, the reduced series, its Composer).  The
+    reference for `normalize`, which solves on the least grid W's frontier
+    needs.
+    """
+    if shape_of(f).alpha < 1:
+        f = reduce_alpha(f)
+    _, f = reduce_lambda(f)
+    right = Composer(f)
+    phi = _phi_of(_triangular_solve(right))
+    trusted = {k: c for k, c in phi.terms.items() if k < phi.frontier}
+    return make_series(trusted, phi.grid, phi.mode, [phi.frontier]), f, right
 
 
 def dist_z_info(a: TransSeries, b: TransSeries):

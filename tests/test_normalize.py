@@ -1,16 +1,20 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from crosschecks import conjugate, dist_z
+from crosschecks import conjugate, dist_z, full_grid_normalize
 from bottcher import blocks as B
 from bottcher.coeffs import Exact
 from bottcher.compose import compose, shape_of
 from bottcher.errors import ShapeError
+from bottcher.io_json import series_to_json
 from bottcher.keys import Key
 from bottcher.normalize import (
     NormalizationResult,
+    _front_json,
     apply_K_op,
     apply_S_op,
     apply_T_op,
@@ -497,6 +501,79 @@ def test_float_lambda_reduction_matches_exact(text):
     assert res.phi.frontier == want.frontier
     for k in set(want.terms) | set(res.phi.terms):
         assert abs(res.phi.coeff(k) - want.coeff(k).evaluate()) <= 1e-9, k
+
+
+# -- the least working grid -------------------------------------------------------------------
+
+
+def _random_log_input(rng):
+    """z^alpha plus 1-3 higher terms, at least one with logarithms, z_cap <= 8."""
+    alpha = rng.choice([F(3, 2), F(2), F(5, 2), F(3)])
+    depth = rng.randint(1, 2)
+    terms = {Key(alpha, (0,) * depth): F(1)}
+    for i in range(rng.randint(1, 3)):
+        l = tuple(rng.randint(-2, 2) for _ in range(depth))
+        if i == 0 and not any(l):
+            l = (1,) + l[1:]
+        e = rng.choice([F(0), F(1, 2), F(1)])  # below z_cap: a log term is kept
+        if e == 0 and not Key(0, l).is_positive():
+            e = F(1)  # a z^alpha term must lie above the leading one
+        terms[Key(alpha + e, l)] = rng.choice([F(1), F(-1), F(1, 2), F(-2, 3)])
+    z_cap = rng.randint(int(alpha) + 2, 8 if depth == 1 else 6)
+    return make_series(terms, TruncationGrid(z_cap, 3, depth, 5))
+
+
+def _differential_inputs():
+    """The golden inputs with logarithms at their first coefficient, then 15
+    seeded log inputs.  A log-free input is solved on its full grid, which
+    `test_solve_grid_is_cut_only_for_log_inputs` checks."""
+    from test_normalize_golden import COEFFS, cases
+
+    out = []
+    for text, (z_cap, block_cap, depth, *rest), mode in cases():
+        if "l" in text and f"({COEFFS[1]})" not in text:
+            grid = TruncationGrid(z_cap, block_cap, depth, rest[0] if rest else 12)
+            out.append(parse(text, grid=grid, mode=mode))
+    rng = random.Random(1111)
+    return out + [_random_log_input(rng) for _ in range(15)]
+
+
+@pytest.mark.parametrize("f", _differential_inputs(), ids=repr)
+def test_least_grid_matches_full_grid_solve(f):
+    """normalize and its verification agree with the solve on the whole grid.
+
+    phi's terms and frontier, `checked_below`, and the first bad key of phi
+    with its least trusted coefficient past z perturbed.
+    """
+    res = normalize(f, verify=False)
+    ref, g, right = full_grid_normalize(f)
+    assert series_to_json(res.phi) == series_to_json(ref)
+    checked, bad = check_conjugation(right, ref)
+    report = verify_normalization(g, res)
+    assert bad is None and report["checked_below"] == _front_json(checked)
+    trusted = sorted(k for k in ref.terms if k != Key(1, (0,) * ref.depth))
+    if not trusted:
+        return
+    bump = monomial(trusted[0], ref.grid, ref.mode, 3)
+    checked, bad = check_conjugation(right, add(ref, bump))
+    report = verify_normalization(g, replace(res, phi=add(res.phi, bump)))
+    assert bad is not None
+    assert report["checked_below"] == _front_json(checked)
+    assert report["first_bad_key"] == (str(bad.z), list(bad.l))
+
+
+@pytest.mark.parametrize(
+    "text,grid,cut",
+    [
+        ("z^3 + z^4*l1^2*l2^-1", (12, 6, 2, 10), True),
+        ("z^(3/2) + z^2", (6, 8, 0, 16), False),
+        ("z^2 + z^3", (12, 6, 0), False),
+    ],
+)
+def test_solve_grid_is_cut_only_for_log_inputs(text, grid, cut):
+    f = parse(text, grid=TruncationGrid(*grid))
+    z_cap = normalize(f, verify=False).composer.f.grid.z_cap
+    assert z_cap < grid[0] if cut else z_cap == grid[0]
 
 
 # -- contraction / invariance properties ------------------------------------------------------
