@@ -39,7 +39,6 @@ from .series import (
     series_inverse,
     sub,
     supp,
-    supp_z,
     zero_series,
 )
 from .blocks import D_m, dist_ell
@@ -94,7 +93,6 @@ from .dulac import (
     DulacSeriesZeta,
     compare_formal_numeric,
     defect_decay_check,
-    dulac_normalize_formal,
     dulac_normalize_full,
     evaluate_zeta,
     from_transseries,

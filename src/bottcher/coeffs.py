@@ -77,6 +77,14 @@ class Exact:
         }
         self._hash = None
 
+    @classmethod
+    def _nonzero(cls, parts: dict[tuple, tuple[Fraction, Fraction]]) -> "Exact":
+        """An Exact over parts already known to hold no (0, 0) entry."""
+        e = object.__new__(cls)
+        e.parts = parts
+        e._hash = None
+        return e
+
     @staticmethod
     def of(re, im=0) -> "Exact":
         return Exact({(): (_asfrac(re), _asfrac(im))})
@@ -115,6 +123,12 @@ class Exact:
             return other
         if not other.parts:
             return self
+        if len(self.parts) == 1 and len(other.parts) == 1:
+            ((k1, (a, b)),) = self.parts.items()
+            ((k2, (c, d)),) = other.parts.items()
+            if k1 == k2:
+                re, im = a + c, b + d
+                return Exact._nonzero({k1: (re, im)} if re or im else {})
         parts = dict(self.parts)
         for k, (re, im) in other.parts.items():
             cur = parts.get(k)
@@ -133,11 +147,13 @@ class Exact:
     def __mul__(self, other: "Exact") -> "Exact":
         sp, op = self.parts, other.parts
         if len(sp) == 1 and len(op) == 1:
+            # Q(i) is a field: a product of nonzero parts is nonzero
             ((k1, (a, b)),) = sp.items()
             ((k2, (c, d)),) = op.items()
+            k = _mono_mul(k1, k2) if k1 and k2 else k1 or k2
             if b == 0 and d == 0:
-                return Exact({_mono_mul(k1, k2): (a * c, _ZERO)})
-            return Exact({_mono_mul(k1, k2): (a * c - b * d, a * d + b * c)})
+                return Exact._nonzero({k: (a * c, _ZERO)})
+            return Exact._nonzero({k: (a * c - b * d, a * d + b * c)})
         parts: dict[tuple, tuple[Fraction, Fraction]] = {}
         for k1, (a, b) in sp.items():
             for k2, (c, d) in op.items():

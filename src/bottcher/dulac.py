@@ -228,10 +228,6 @@ def dulac_normalize_full(d: DulacSeriesZ, z_cap=10, block_cap=12):
     return from_transseries(phi), res
 
 
-def dulac_normalize_formal(d: DulacSeriesZ, z_cap=10, block_cap=12) -> DulacSeriesZ:
-    return dulac_normalize_full(d, z_cap, block_cap)[0]
-
-
 def _is_real_dulac(d: DulacSeriesZ) -> bool:
     def real(c):
         return c.is_real() if isinstance(c, Exact) else complex(c).imag == 0

@@ -219,10 +219,6 @@ def supp(f: TransSeries) -> list[Key]:
     return sorted(f.terms)
 
 
-def supp_z(f: TransSeries) -> list:
-    return sorted({k.z for k in f.terms})
-
-
 def leading_term(f: TransSeries):
     if not f.terms:
         raise EmptySeriesError("leading term of the zero series")
@@ -297,13 +293,27 @@ def mul(a: TransSeries, b: TransSeries) -> TransSeries:
     bb: dict = {}
     for k, c in b.terms.items():
         bb.setdefault(k.z, []).append((k.l, c))
-    # accumulate per z-block so the rational z-sum is computed once per pair
+    # The right z-blocks are scanned in ascending z, so the scan stops at the
+    # first za + zb at or above z_cap (the sum rises with zb, also for z <= 0)
+    # instead of paying a rational add and compare for every dropped pair.
+    # The kept blocks are then paired in the right operand's insertion order,
+    # and the left operand keeps its own.  For a fixed za each output z has
+    # one zb, so every (z, l) sum, and the key order of the output, are formed
+    # as by the all-pairs loop: float coefficients stay bit-identical.
+    # Sorting the left blocks too would reorder the float sums at (z, l).
+    right = list(bb.items())
+    by_z = sorted(range(len(right)), key=lambda i: right[i][0])
     out: dict = {}
     for za, la in ab.items():
-        for zb, lb in bb.items():
-            z = za + zb
+        kept = []
+        for i in by_z:
+            z = za + right[i][0]
             if z >= z_cap:
-                continue
+                break
+            kept.append((i, z))
+        kept.sort()
+        for i, z in kept:
+            lb = right[i][1]
             blk = out.get(z)
             if blk is None:
                 blk = out[z] = {}

@@ -3,9 +3,9 @@
 Unlike `oracles.py`, these are built on the package: the termwise
 derivative, a second inversion scheme that corrects a leading-monomial seed
 through f', conjugation through inversion, log z o f, the W-solve on the
-whole grid, the z-adic metric and coefficient trajectories.  They check the
-package against itself by a different route, so they are not independent
-oracles.
+whole grid, the product over every pair of z-blocks, the z-adic metric and
+coefficient trajectories.  They check the package against itself by a
+different route, so they are not independent oracles.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from bottcher.series import (
     log1p,
     make_series,
     monomial,
+    ord_for_frontier,
     ord_z,
     residual_keys,
     scale,
@@ -137,6 +138,37 @@ def full_grid_normalize(f: TransSeries):
     phi = _phi_of(_triangular_solve(right))
     trusted = {k: c for k, c in phi.terms.items() if k < phi.frontier}
     return make_series(trusted, phi.grid, phi.mode, [phi.frontier]), f, right
+
+
+def mul_all_pairs(a: TransSeries, b: TransSeries) -> TransSeries:
+    """a * b over every pair of z-blocks, each in its operand's insertion order.
+
+    The reference for `series.mul`, which never forms the block pairs whose
+    z-sum reaches z_cap: its terms, in the same order, and its frontier must
+    equal these exactly, in float mode too.
+    """
+    a, b = _common(a, b)
+    ab: dict = {}
+    for k, c in a.terms.items():
+        ab.setdefault(k.z, []).append((k.l, c))
+    bb: dict = {}
+    for k, c in b.terms.items():
+        bb.setdefault(k.z, []).append((k.l, c))
+    out: dict = {}
+    for za, la in ab.items():
+        for zb, lb in bb.items():
+            z = za + zb
+            if z >= a.grid.z_cap:
+                continue
+            blk = out.setdefault(z, {})
+            for l1, c1 in la:
+                for l2, c2 in lb:
+                    l = tuple(x + y for x, y in zip(l1, l2))
+                    c = c_mul(c1, c2)
+                    blk[l] = c_add(blk[l], c) if l in blk else c
+    terms = {Key(z, l): c for z, blk in out.items() for l, c in blk.items()}
+    cands = [a.frontier + ord_for_frontier(b), b.frontier + ord_for_frontier(a)]
+    return make_series(terms, a.grid, a.mode, cands)
 
 
 def dist_z_info(a: TransSeries, b: TransSeries):

@@ -241,6 +241,28 @@ def test_bridge_compare(capsys, tmp_path):
     assert len(lines) == 65
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known bug: the default e_cap drops f's later rungs and double "
+    "precision is too coarse; exits 3 with sup 3.756e2 at n = 3",
+)
+def test_bridge_compare_third_rung(capsys):
+    code, _ = run(capsys, "bridge", "compare", "z^2 - z^3 + 1/2*z^4", "--n", "3", "--sqd-C", "1")
+    assert code == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known bug: the zeta-chart defect bound ignores c0 = -log lambda, so "
+    "every lambda != 1 exits 3 with no invariant threshold",
+)
+def test_bridge_compare_lambda_not_one(capsys):
+    code, _ = run(capsys, "bridge", "compare", "2*z^2 - z^3", "--n", "2", "--sqd-C", "1")
+    assert code == 0
+
+
 def test_selftest(capsys):
     code, out = run(capsys, "selftest")
     assert code == 0

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -77,3 +78,55 @@ def test_pow_integer_exponents():
     # square-and-multiply: a huge exponent costs a few dozen products
     assert c_pow_rational(Exact.of(1), 10**7) == Exact.of(1)
     assert c_pow_rational(Exact.of(-1), 10**7 + 1) == Exact.of(-1)
+
+
+# monomials in log 2, log 3 and log 5; () is the constant
+MONOS = [(), ((2, 1),), ((3, 1),), ((2, 2),), ((2, 1), (3, 1)), ((5, 1),)]
+
+
+def _draw_exact(rng):
+    """Mostly single-part values (the fast paths), some with 2-3 parts."""
+    parts = {}
+    for _ in range(rng.choice([0, 1, 1, 1, 2, 3])):
+        im = rng.choice([0, F(rng.randint(-4, 4), rng.randint(1, 3))])
+        parts[rng.choice(MONOS)] = (F(rng.randint(-4, 4), rng.randint(1, 3)), F(im))
+    return Exact(parts)
+
+
+def _ref_parts(pairs):
+    """Sum (monomial, (re, im)) pairs into a dict without zero entries."""
+    out = {}
+    for k, (re, im) in pairs:
+        r0, i0 = out.get(k, (0, 0))
+        out[k] = (r0 + re, i0 + im)
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+def _ref_mono(k1, k2):
+    m = dict(k1)
+    for p, e in k2:
+        m[p] = m.get(p, 0) + e
+    return tuple(sorted((p, e) for p, e in m.items() if e))
+
+
+def test_exact_fast_paths_match_a_dict_reference():
+    rng = random.Random(1201)
+    for _ in range(600):
+        a = _draw_exact(rng)
+        # -a, a multiple of a, and a with its first part negated make sums and
+        # cross terms cancel: (x + y log 2)(x - y log 2) = x^2 - y^2 log^2 2
+        flip = Exact({k: (-v[0], -v[1]) if i else v for i, (k, v) in enumerate(a.parts.items())})
+        b = rng.choice([_draw_exact(rng), -a, a.scale(rng.choice([2, F(-1, 3)])), flip])
+        prod = _ref_parts(
+            (_ref_mono(k1, k2), (x * u - y * v, x * v + y * u))
+            for k1, (x, y) in a.parts.items()
+            for k2, (u, v) in b.parts.items()
+        )
+        total = _ref_parts([*a.parts.items(), *b.parts.items()])
+        assert (a * b).parts == prod
+        assert (a + b).parts == total
+        assert a * b == b * a and hash(a * b) == hash(b * a)
+        for c in (a * b, a + b, a - b, -a):
+            assert all(v != (0, 0) for v in c.parts.values()), c
+        zero = a + (-a)
+        assert zero.is_zero() and zero == Exact({}) and hash(zero) == hash(Exact({}))

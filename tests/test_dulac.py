@@ -12,7 +12,6 @@ from bottcher.dulac import (
     DulacSeriesZeta,
     compare_formal_numeric,
     defect_decay_check,
-    dulac_normalize_formal,
     dulac_normalize_full,
     evaluate_zeta,
     from_transseries,
@@ -121,7 +120,7 @@ def test_dulac_normalize_polynomial():
 
 def test_dulac_normalize_identity():
     d = DulacSeriesZ(1, 2, [])
-    phi = dulac_normalize_formal(d, z_cap=6)
+    phi = dulac_normalize_full(d, z_cap=6)[0]
     assert phi.ladder == []
 
 
@@ -174,7 +173,7 @@ def test_defect_decays_faster_per_rung():
     d = DulacSeriesZ(
         1, 2, [(3, [-1]), (4, [F(1, 2)]), (5, [F(-1, 6)]), (6, [F(1, 24)])]
     )
-    phi_hat = to_zeta_chart(dulac_normalize_formal(d, z_cap=8))
+    phi_hat = to_zeta_chart(dulac_normalize_full(d, z_cap=8)[0])
     xs = [2.5 + 0.25 * i for i in range(24)]
     rates = []
     for n in (0, 1, 2):
@@ -205,7 +204,7 @@ def test_compare_formal_numeric_negative_control():
     d = DulacSeriesZ(
         1, 2, [(3, [-1]), (4, [F(1, 2)]), (5, [F(-1, 6)]), (6, [F(1, 24)])]
     )
-    phi_hat = to_zeta_chart(dulac_normalize_formal(d, z_cap=8))
+    phi_hat = to_zeta_chart(dulac_normalize_full(d, z_cap=8)[0])
     wrong = DulacSeriesZeta(
         1, 0, [(b, [-c for c in q]) for b, q in phi_hat.ladder], phi_hat.mode
     )

@@ -1,16 +1,18 @@
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from crosschecks import d_dz, dist_z, dist_z_info, weak_delta
-from bottcher.coeffs import EXACT, Exact
+from crosschecks import d_dz, dist_z, dist_z_info, mul_all_pairs, weak_delta
+from bottcher.coeffs import EXACT, FLOAT, Exact
 from bottcher.errors import EmptySeriesError
 from bottcher.io_json import series_to_json
 from bottcher.keys import Cut, Key
 from bottcher.parser import parse
 from bottcher.series import (
+    TransSeries,
     TruncationGrid,
     add,
     agree_below_frontier,
@@ -27,7 +29,6 @@ from bottcher.series import (
     sub,
     sum_powers,
     supp,
-    supp_z,
     zero_series,
 )
 
@@ -73,6 +74,51 @@ def test_mul_examples():
     assert mul(S("z*l1"), S("z*l1^-1")) == S("z^2")
     sq = mul(S("z + z^2"), S("z + z^2"))
     assert sq == S("z^2 + 2*z^3 + z^4")
+
+
+# z-exponents with denominators 1, 2, 3 and 5, negative ones and z = 0; float
+# mode may also draw float exponents
+Z_EXPS = [F(-1), F(-1, 2), F(0), F(1, 5), F(1, 3), F(1, 2), F(1), F(3, 2), F(2), F(7, 3), F(5, 2)]
+FLOAT_Z_EXPS = [0.1, 0.2, 0.7, 1.3]
+
+
+def _draw_coeff(rng, mode):
+    if mode == FLOAT:
+        return complex(rng.uniform(-2, 2), rng.choice([0.0, rng.uniform(-2, 2)]))
+    im = rng.choice([0, F(rng.randint(-3, 3), 2)])
+    c = Exact.of(F(rng.randint(-5, 5), rng.randint(1, 6)), im)
+    if rng.random() < 0.2:
+        c = c + Exact.log_of_rational(rng.choice([2, 3, F(3, 2)]))
+    return c
+
+
+def _draw_series(rng, mode):
+    """A series on its own grid and depth 0-2, its terms in shuffled order."""
+    depth = rng.randint(0, 2)
+    grid = TruncationGrid(rng.choice([F(1, 3), F(2), F(5, 2), F(4)]), rng.randint(1, 6), depth, 6)
+    exps = Z_EXPS + (FLOAT_Z_EXPS if mode == FLOAT else [])
+    terms = {}
+    for _ in range(rng.choice([0, 1, 3, 6, 12])):
+        l = tuple(rng.randint(-2, 2) for _ in range(depth))
+        terms[Key(rng.choice(exps), l)] = _draw_coeff(rng, mode)
+    cands = [Key(rng.choice(Z_EXPS), (1,) * depth)] if rng.random() < 0.3 else []
+    f = make_series(terms, grid, mode, cands)
+    items = list(f.terms.items())
+    rng.shuffle(items)
+    return TransSeries(f.depth, f.mode, f.grid, dict(items), f.frontier)
+
+
+def test_mul_matches_all_pairs_reference():
+    """`mul` forms only the z-block pairs below z_cap; the all-pairs product
+    must agree exactly: the same terms in the same order, float bits
+    included, and the same frontier and grid."""
+    rng = random.Random(1212)
+    for _ in range(200):
+        modes = rng.choice([(EXACT, EXACT), (FLOAT, FLOAT), (EXACT, FLOAT)])
+        a, b = (_draw_series(rng, m) for m in modes)
+        got, want = mul(a, b), mul_all_pairs(a, b)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert (got.frontier, got.grid, got.mode) == (want.frontier, want.grid, want.mode)
 
 
 def test_d_dz_examples():
@@ -125,7 +171,6 @@ def test_leading_block_keeps_the_frontier():
 
 def test_supports():
     f = S("z^2 + z^3*l1 + z^3*l1^2")
-    assert supp_z(f) == [2, 3]
     assert supp(f) == [Key(2, (0, 0)), Key(3, (1, 0)), Key(3, (2, 0))]
 
 
