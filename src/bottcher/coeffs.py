@@ -36,10 +36,20 @@ def _asfrac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+# Trial divisors tried by `_factorize`; a cofactor below the bound's square
+# that no divisor splits is prime.
+TRIAL_DIVISORS = 1 << 20
+
+
 def _factorize(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
+        if d > TRIAL_DIVISORS:
+            raise ModeError(
+                f"log of a {n.bit_length()}-bit integer with no prime factor up to "
+                f"{TRIAL_DIVISORS} is not an exact coefficient; use float mode"
+            )
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
@@ -288,23 +298,26 @@ def exp_of_log_exact(c: Exact) -> Exact:
     return Exact.of(val)
 
 
+def _iroot(m: int, n: int) -> int:
+    """floor(m ** (1/n)) for an integer m >= 0, in integer arithmetic only."""
+    if m < 2 or n == 1:
+        return m
+    if n == 2:
+        return math.isqrt(m)
+    r = 1 << -(-m.bit_length() // n)  # 2^ceil(bits / n) > m ** (1/n)
+    while True:  # Newton from above decreases to the floor
+        t = ((n - 1) * r + m // r ** (n - 1)) // n
+        if t >= r:
+            return r
+        r = t
+
+
 def nth_root_fraction(x: Fraction, n: int) -> Fraction | None:
     """Exact n-th root of a positive rational, or None if irrational."""
     if x <= 0:
         return None
-
-    def iroot(m: int) -> int | None:
-        if m == 0:
-            return 0
-        r = round(m ** (1.0 / n))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand**n == m:
-                return cand
-        return None
-
-    p = iroot(x.numerator)
-    q = iroot(x.denominator)
-    if p is None or q is None:
+    p, q = _iroot(x.numerator, n), _iroot(x.denominator, n)
+    if p**n != x.numerator or q**n != x.denominator:
         return None
     return Fraction(p, q)
 

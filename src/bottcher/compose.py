@@ -22,7 +22,6 @@ from fractions import Fraction
 from .coeffs import (
     EXACT,
     Exact,
-    binomial,
     c_add,
     c_eq,
     c_from,
@@ -40,6 +39,7 @@ from .series import (
     TransSeries,
     _common,
     add,
+    binomial_body,
     identity_series,
     leading_term,
     log1p,
@@ -117,8 +117,10 @@ def compose_ell(m: int, f: TransSeries) -> TransSeries:
 class Composer:
     """A right factor f = lambda z^alpha (1 + u) and what every g o f shares.
 
-    Built on demand: powers of u, binomial bodies Sigma_i binom(delta, i) u^i,
-    log images l_j o f, their powers and their products per log multi-index.
+    Built on demand: binomial bodies Sigma_i binom(delta, i) u^i, log images
+    l_j o f, their powers and their products per log multi-index.  The powers
+    of u in `u_pows` are only built for a u with logarithms: a log-free u
+    takes the one-pass recurrence of `series.binomial_body`.
     """
 
     def __init__(self, f: TransSeries):
@@ -145,8 +147,8 @@ class Composer:
             return self.u_pows[0]
         hit = self.bodies.get(delta)
         if hit is None:
-            hit = self.bodies[delta] = sum_powers(
-                self.u, lambda i: binomial(delta, i), self.alpha * delta, self.u_pows
+            hit = self.bodies[delta] = binomial_body(
+                self.u, delta, self.alpha * delta, self.u_pows
             )
         return hit
 

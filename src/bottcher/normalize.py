@@ -148,6 +148,10 @@ def solve_W(f: TransSeries | Composer) -> TransSeries:
     inherit Cut(z' - alpha), their powers and inverses keep it (the leading
     keys are pure logs), `compose` shifts a body of u by z^(alpha d), and a
     `sum_powers` stopped by z_cap leaves its tail at or above z'.  The
+    one-pass recurrence that replaces `sum_powers` for log-free series adds
+    the same candidates: the operand's frontier, and Cut(z') or, for a body
+    that `compose` shifts by z^(alpha d), Cut(z' - alpha d), which the shift
+    moves to Cut(z').  The
     `block_cap` and `ell_stop` candidates count terms and powers inside one
     z-block, so they do not depend on z_cap.  Every key of every series here
     has z >= 0, so the terms below z' are the ones the full grid gives.  So
@@ -330,6 +334,10 @@ def normalize(f: TransSeries, verify=True) -> NormalizationResult:
     if shape.alpha < 1:
         work = reduce_alpha(work)
         inverted = True
+        if work.is_zero():
+            raise ShapeError(
+                f"grid too small: f^(-1) has no term below z_cap = {work.grid.z_cap}"
+            )
     psi = None
     if not c_eq(work.terms[min(work.terms)], c_from(1, work.mode)):
         psi, work = reduce_lambda(work)

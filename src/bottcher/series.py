@@ -15,10 +15,20 @@ This is the one truncated-series kernel of the package.  The pure-logarithm
 blocks B_m are the series of z-order 0 (every key is Key(0, l); `block_cap`
 caps their terms and `ell_stop` their power sums), and the Dulac ladders of
 `dulac` are depth-1 series with keys Key(beta, (-degree,)).
+
+Power sums Sigma_i c_i v^i take one of two routes.  For a log-free v with
+rational z-exponents and ord_z(v) > 0, `log1p`, `exp_minus_one` and the
+binomial bodies of `pow_rational` and `compose` solve a first-order linear
+recurrence in one pass (`_theta_solve`), over the integer numerators of the
+exponents.  Every other power sum goes through `sum_powers`, one product per
+power of v: on pure-log keys the recurrence has a zero diagonal, and with
+logs the `block_cap` truncations of the powers set the frontier.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -33,6 +43,7 @@ from .coeffs import (
     c_is_zero,
     c_mul,
     c_neg,
+    c_one,
     c_pow_rational,
     c_scale,
     c_zero,
@@ -379,6 +390,13 @@ def sum_powers(v: TransSeries, coeff_of, base_z=0, pows=None):
     after ell_stop powers.  The first untrusted key of the cut-off tail is
     recorded in the frontier.  `pows` is a caller's list [1, v, v^2, ...],
     extended only when a nonzero coefficient needs the next power.
+
+    `log1p`, `exp_minus_one` and the binomial bodies of `pow_rational` and
+    `compose` come here only for a v with logarithms or float z-exponents;
+    a log-free v with rational exponents and ord_z(v) > 0 takes the one-pass
+    recurrence `_theta_solve`.  With logs the recurrence does not apply: on
+    a pure-log key theta = z d/dz is 0, so its diagonal vanishes, and the
+    `block_cap` truncations of the intermediate powers v^i set the frontier.
     """
     grid, mode = v.grid, v.mode
     n0 = ord_for_frontier(v)
@@ -398,13 +416,99 @@ def sum_powers(v: TransSeries, coeff_of, base_z=0, pows=None):
     return make_series(acc.terms, grid, mode, [acc.frontier, n0.scale(i)])
 
 
+def _recurrent(v: TransSeries, base_z=0) -> bool:
+    """Whether `_theta_solve` applies: v log-free, exponents rational, ord_z(v) > 0."""
+    n0 = ord_for_frontier(v)
+    return (
+        type(n0.z) is Fraction
+        and n0.z > 0
+        and isinstance(base_z, (int, Fraction))
+        and all(type(k.z) is Fraction and not any(k.l) for k in v.terms)
+    )
+
+
+def _theta_solve(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
+    """F with F(0) = 0 and (1 + s v) theta F = theta v (a F + b), theta = z d/dz.
+
+    (s, a, b) = (1, beta, beta) gives (1 + v)^beta - 1, (0, 1, 1) exp(v) - 1
+    and (1, 0, 1) log(1 + v), for a v that `_recurrent` accepts (J. C. P.
+    Miller's recurrence, Knuth TAOCP 2, 4.7).  The coefficient at N is
+
+        F_N = b v_N + Sigma_k ((a + s) k / N - s) v_k F_(N-k),
+
+    solved in ascending N over the integer numerators of the z-exponents
+    over their common denominator q; only the sums of exponents of v that a
+    nonzero F_(N-k) reaches are visited.  The diagonal N is never 0.
+
+    Stores every key z < z_cap - max(base_z, 0), plus the constant 1 when
+    `one`.  For base_z <= 0 these are the terms `sum_powers` stores, and the
+    frontier is the one it gives: Cut(z_cap), and v's frontier when b != 0
+    (v^1 enters), since its stopped tail lies above Cut(z_cap).  A body that
+    `compose` multiplies by z^base_z, base_z > 0, stops at Cut(z_cap -
+    base_z), which the shift moves onto the grid's Cut(z_cap), so the product
+    is the one `sum_powers` gives too.
+    """
+    grid, mode = v.grid, v.mode
+    limit = grid.z_cap - max(base_z, 0)
+    q = math.lcm(*(k.z.denominator for k in v.terms))
+    top = limit * q
+    v_at = {k.z.numerator * (q // k.z.denominator): c for k, c in v.terms.items()}
+    vs = sorted((n, c) for n, c in v_at.items() if n < top)  # the n are distinct
+    heap = [n for n, _ in vs]  # ascending, so already a heap
+    sol: dict[int, object] = {}
+    last = None
+    while heap:
+        n = heapq.heappop(heap)
+        if n == last:
+            continue
+        last = n
+        c = v_at.get(n)
+        acc = c_scale(c, b) if c is not None and b else None
+        for k, vk in vs:
+            if k >= n:
+                break
+            fm = sol.get(n - k)
+            if fm is None:
+                continue
+            w = ((a + s) * k - s * n) / Fraction(n)
+            if w:
+                t = c_scale(c_mul(vk, fm), w)
+                acc = t if acc is None else c_add(acc, t)
+        if acc is None or c_is_zero(acc):
+            continue
+        sol[n] = acc
+        for k, _ in vs:
+            if n + k >= top:
+                break
+            heapq.heappush(heap, n + k)
+    zl = (0,) * grid.depth
+    terms = {Key(0, zl): c_one(mode)} if one and limit > 0 else {}
+    for n, c in sol.items():
+        terms[Key(Fraction(n, q), zl)] = c
+    frontier = Cut(limit)
+    if b:
+        frontier = min_key(frontier, v.frontier)
+    return TransSeries(grid.depth, mode, grid, terms, frontier)
+
+
+def binomial_body(v: TransSeries, beta, base_z=0, pows=None) -> TransSeries:
+    """Sigma_i binom(beta, i) v^i = (1 + v)^beta, ord(v) > 0; see `sum_powers`."""
+    if _recurrent(v, base_z):
+        return _theta_solve(v, 1, beta, beta, base_z, one=True)
+    return sum_powers(v, lambda i: binomial(beta, i), base_z, pows)
+
+
 def log1p(v: TransSeries) -> TransSeries:
     """log(1 + v) = Sigma (-1)^(i+1) v^i / i, ord(v) > 0."""
+    if _recurrent(v):
+        return _theta_solve(v, 1, 0, 1)
     return sum_powers(v, lambda i: Fraction((-1) ** (i + 1), i) if i else Fraction(0))
 
 
 def exp_minus_one(v: TransSeries) -> TransSeries:
     """exp(v) - 1 for ord(v) > 0."""
+    if _recurrent(v):
+        return _theta_solve(v, 0, 1, 1)
     fact = [Fraction(1)]
 
     def coeff(i):
@@ -440,8 +544,7 @@ def pow_rational(f: TransSeries, beta) -> TransSeries:
             )
         mkey = Key(key.z * beta, key.l)
     cpow = c_pow_rational(c, beta)
-    body = sum_powers(v, lambda i: binomial(beta, i))
-    return mul_monomial(body, mkey, cpow)
+    return mul_monomial(binomial_body(v, beta), mkey, cpow)
 
 
 def series_inverse(f: TransSeries) -> TransSeries:

@@ -3,14 +3,19 @@
 Unlike `oracles.py`, these are built on the package: the termwise
 derivative, a second inversion scheme that corrects a leading-monomial seed
 through f', conjugation through inversion, log z o f, the W-solve on the
-whole grid, the product over every pair of z-blocks, the z-adic metric and
-coefficient trajectories.  They check the package against itself by a
+whole grid, the product over every pair of z-blocks, the power sums of
+log-free series power by power, the z-adic metric and coefficient
+trajectories.  They check the package against itself by a
 different route, so they are not independent oracles.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from bottcher.coeffs import (
+    binomial,
     c_add,
     c_from,
     c_inv,
@@ -47,6 +52,7 @@ from bottcher.series import (
     scale,
     split_leading,
     sub,
+    sum_powers,
 )
 
 
@@ -169,6 +175,21 @@ def mul_all_pairs(a: TransSeries, b: TransSeries) -> TransSeries:
     terms = {Key(z, l): c for z, blk in out.items() for l, c in blk.items()}
     cands = [a.frontier + ord_for_frontier(b), b.frontier + ord_for_frontier(a)]
     return make_series(terms, a.grid, a.mode, cands)
+
+
+def power_sum(v: TransSeries, kind: str, beta=None, base_z=0) -> TransSeries:
+    """log(1 + v), exp(v) - 1 or Sigma_i binom(beta, i) v^i by `sum_powers`.
+
+    `kind` is "log", "exp" or "pow".  The reference for the one-pass
+    recurrence `series._theta_solve` that `log1p`, `exp_minus_one` and
+    `binomial_body` take for log-free v: one `mul` per power of v.
+    """
+    coeff_of = {
+        "log": lambda i: Fraction((-1) ** (i + 1), i) if i else Fraction(0),
+        "exp": lambda i: Fraction(1, math.factorial(i)) if i else Fraction(0),
+        "pow": lambda i: binomial(beta, i),
+    }[kind]
+    return sum_powers(v, coeff_of, base_z)
 
 
 def dist_z_info(a: TransSeries, b: TransSeries):

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -46,6 +47,15 @@ def test_zero_base_power_normalizes(capsys):
     _, ref = run(capsys, "normalize", "z^2 + z^3", "--z-cap", "5")
     assert code == 0
     assert out.splitlines()[0] == ref.splitlines()[0] == "phi = z + 1/2*z^2 + 1/8*z^3"
+
+
+@pytest.mark.parametrize("coeff", [(2**60 + 12345) ** 2, 10**400])
+def test_huge_perfect_square_coefficient_normalizes(capsys, coeff):
+    # lambda-reduction takes the square root of the leading coefficient
+    code = main(["normalize", f"{coeff}*z^(3/2) + z^2", "--z-cap", "4"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert out.startswith("phi = z + ") and "Traceback" not in err
 
 
 def test_parse_error_exit_code(capsys):
@@ -154,6 +164,78 @@ def test_huge_integer_power_is_fast(capsys):
     code, _ = run(capsys, "normalize", "z^2 + z^(10000000)", "--z-cap", "4")
     assert code == 0
     assert time.monotonic() - t0 < 1.0
+
+
+def test_log_of_a_huge_leading_coefficient_exits_2_quickly(capsys):
+    # log(lambda) needs the prime factors of lambda = 10^300 + 1
+    t0 = time.monotonic()
+    code = main(["normalize", f"{10**300}*z^(3/2) + (z + z^2)^(3/2) + z^2*l1",
+                 "--z-cap", "4", "--depth", "1"])
+    err = capsys.readouterr().err
+    assert code == 2 and "use float mode" in err
+    assert time.monotonic() - t0 < 5.0
+
+
+def test_alpha_below_one_with_an_empty_inverse_exits_2(capsys):
+    # the inverse z^3 - ... of z^(1/3) + ... lies at z_cap = 3 and above
+    code = main(["normalize", "z^(1/3) + z^2*l1", "--z-cap", "3", "--depth", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: grid too small: f^(-1) has no term below z_cap = 3\n"
+
+
+def _fuzz_expr(rng) -> str:
+    """A normalize input: alpha < 1 or > 1, lambda != 1, huge coefficients, logs."""
+    big = rng.choice([str(10 ** rng.randint(20, 400)), str((2**60 + rng.randint(1, 99)) ** 2)])
+    lam = rng.choice(["", "", "2*", "4*", "-1*", "(1+1i)*", "1/9*", f"{big}*", f"1/{big}*"])
+    alpha = rng.choice(["2", "3", "3/2", "5/2", "1/2", "2/3", "1", "-1"])
+    rest = ["z^3", "z^(7/2)", "z^2*l1", "z^3*l1^-1", f"{big}*z^4", "(z + z^2)^(3/2)", "z^(1/3)"]
+    terms = [f"{lam}z^({alpha})"] + rng.sample(rest, rng.randint(0, 2))
+    return " + ".join(terms)
+
+
+def _mutate(rng, text: str) -> str:
+    """One to three character edits: delete, insert or replace."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(chars) + 1)
+        op = rng.choice(["del", "ins", "rep"]) if chars else "ins"
+        new = rng.choice("^*()+-/zl0123456789 i.x")
+        if op == "del" and at < len(chars):
+            del chars[at]
+        elif op == "rep" and at < len(chars):
+            chars[at] = new
+        else:
+            chars.insert(at, new)
+    return "".join(chars)
+
+
+def test_cli_exit_codes_fuzz(capsys):
+    """Seeded inputs through `main`: malformed, huge coefficients, alpha < 1 and
+    lambda != 1.  Every run exits 0/2/3/4 and prints no traceback."""
+    rng = random.Random(1317)
+    seen = set()
+    for _ in range(300):
+        text = _fuzz_expr(rng)
+        if rng.random() < 0.4:
+            text = _mutate(rng, text)
+        argv = [rng.choice(["normalize", "normalize", "prenormalize"]), text]
+        argv += ["--z-cap", rng.choice(["3", "4", "4", "4", "5", "0", "x"])]
+        if "l1" in text or rng.random() < 0.2:
+            argv += ["--depth", rng.choice(["1", "1", "0"]), "--block-cap", "3", "--ell-stop", "4"]
+        if rng.random() < 0.3:
+            argv.append("--float")
+        if rng.random() < 0.3:
+            argv.append("--json")
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse rejects a malformed option value
+            code = e.code
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+        seen.add(code)
+    assert {0, 2, 4} <= seen, seen
 
 
 def test_analytic_domain_check(capsys):

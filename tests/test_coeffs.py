@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,15 @@ def test_log_relations_are_canonical():
     assert combo == l2.scale(3) - Exact.log_of_rational(3).scale(3)
 
 
+def test_log_of_a_rational_with_large_prime_factors_stops():
+    # 2^31 - 1 is prime: trial division up to its square root proves it
+    assert Exact.log_of_rational(2**31 - 1).parts == {((2**31 - 1, 1),): (1, 0)}
+    t0 = time.monotonic()
+    with pytest.raises(ModeError):
+        Exact.log_of_rational(F(3, (2**31 - 1) * (2**61 - 1)))
+    assert time.monotonic() - t0 < 2.0
+
+
 def test_log_evaluation():
     v = Exact.log_of_rational(F(9, 8)).evaluate()
     assert abs(v - math.log(9 / 8)) < 1e-14
@@ -63,6 +73,37 @@ def test_pow_rational():
 def test_nth_root():
     assert nth_root_fraction(F(27, 8), 3) == F(3, 2)
     assert nth_root_fraction(F(2), 2) is None
+
+
+def test_nth_root_of_integers_past_the_float_range():
+    big = 2**60 + 12345  # its square is not a float: round(m ** 0.5) misses it
+    assert nth_root_fraction(F(big**2), 2) == big
+    assert nth_root_fraction(F(1, big**2), 2) == F(1, big)
+    assert nth_root_fraction(F(big**2 + 1), 2) is None
+    assert nth_root_fraction(F(10**400), 2) == 10**200  # m ** 0.5 overflows
+    assert nth_root_fraction(F(3**500, 7**300), 5) == F(3**100, 7**60)
+    assert nth_root_fraction(F(10**400), 3) is None
+    assert nth_root_fraction(F(10**400 + 1, 10**400), 2) is None
+
+
+def test_nth_root_of_seeded_perfect_powers_and_neighbours():
+    rng = random.Random(1301)
+    for n in range(2, 8):
+        for _ in range(100):
+            r = rng.randrange(2, 10 ** rng.randint(1, 60))
+            d = rng.randrange(1, 10**6)
+            assert nth_root_fraction(F(r**n, d**n), n) == F(r, d)
+            # (r - 1)^n < r^n - 1 < r^n < r^n + 1 < (r + 1)^n
+            assert nth_root_fraction(F(r**n + 1), n) is None
+            assert nth_root_fraction(F(r**n - 1), n) is None
+
+
+def test_pow_rational_of_huge_perfect_powers():
+    big = 2**60 + 12345
+    assert c_pow_rational(Exact.of(F(big**2)), F(3, 2)) == Exact.of(big**3)
+    assert c_pow_rational(Exact.of(F(1, 10**400)), F(-1, 2)) == Exact.of(10**200)
+    with pytest.raises(ModeError):
+        c_pow_rational(Exact.of(F(big**2 + 1)), F(1, 2))
 
 
 def test_binomial_values():

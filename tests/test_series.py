@@ -5,9 +5,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from crosschecks import d_dz, dist_z, dist_z_info, mul_all_pairs, weak_delta
+from crosschecks import d_dz, dist_z, dist_z_info, mul_all_pairs, power_sum, weak_delta
 from bottcher.coeffs import EXACT, FLOAT, Exact
-from bottcher.errors import EmptySeriesError
+from bottcher.errors import EmptySeriesError, ShapeError
 from bottcher.io_json import series_to_json
 from bottcher.keys import Cut, Key
 from bottcher.parser import parse
@@ -15,13 +15,18 @@ from bottcher.series import (
     TransSeries,
     TruncationGrid,
     add,
+    _recurrent,
     agree_below_frontier,
+    binomial_body,
     embed,
+    exp_minus_one,
     leading_block,
     leading_term,
+    log1p,
     make_series,
     monomial,
     mul,
+    mul_monomial,
     ord_key,
     ord_z,
     pow_rational,
@@ -119,6 +124,75 @@ def test_mul_matches_all_pairs_reference():
         got, want = mul(a, b), mul_all_pairs(a, b)
         assert list(got.terms.items()) == list(want.terms.items())
         assert (got.frontier, got.grid, got.mode) == (want.frontier, want.grid, want.mode)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ShapeError as e:
+        return type(e)
+
+
+def _draw_log_free(rng, mode):
+    """A log-free v for a power sum: denominators up to 5, 0-5 terms, maybe a low frontier."""
+    depth = rng.randint(0, 1)
+    z_cap = rng.choice([F(1), F(2), F(5, 2), F(3)])
+    grid = TruncationGrid(z_cap, rng.randint(1, 4), depth, 6)
+    exps = [F(n, d) for d in range(1, 6) for n in range(1, 3 * d) if F(n, d) < z_cap]
+    terms = {}
+    for _ in range(rng.choice([0, 1, 1, 2, 3, 5])):
+        terms[Key(rng.choice(exps), (0,) * depth)] = _draw_coeff(rng, mode)
+    if rng.random() < 0.05:  # ord(v) <= 0: no power sum, the same error on both routes
+        terms[Key(rng.choice([F(-1, 2), F(0)]), (0,) * depth)] = _draw_coeff(rng, mode)
+    cands = []
+    if not terms or rng.random() < 0.3:
+        fz = rng.choice(exps)
+        cands = [rng.choice([Cut(fz), Key(fz, (rng.randint(-1, 1),) * depth)])]
+    return make_series(terms, grid, mode, cands)
+
+
+def test_power_sums_of_log_free_series_match_the_power_by_power_sum():
+    """`log1p`, `exp_minus_one` and `binomial_body` solve a log-free v by the
+    one-pass recurrence.  Against `sum_powers`: exact mode gives the same
+    series_to_json, a body shifted by z^base_z (base_z > 0) the same product
+    as `compose` forms; float mode the same frontier and support with
+    coefficients equal to 1e-12 relative; and the same error."""
+    rng = random.Random(1313)
+    checked = 0
+    for _ in range(200):
+        mode = rng.choice([EXACT, FLOAT])
+        v = _draw_log_free(rng, mode)
+        kind = rng.choice(["log", "exp", "pow", "pow"])
+        beta = rng.choice([F(1, 2), F(-1), F(3, 2), F(-2, 3), F(2), F(0), F(7, 5)])
+        base_z = F(0)
+        if kind == "pow":
+            base_z = rng.choice([F(-3, 2), F(-1, 3), F(0), F(1, 2), F(4, 3), v.grid.z_cap])
+        got = _outcome(
+            {
+                "log": lambda: log1p(v),
+                "exp": lambda: exp_minus_one(v),
+                "pow": lambda: binomial_body(v, beta, base_z),
+            }[kind]
+        )
+        want = _outcome(lambda: power_sum(v, kind, beta, base_z))
+        if not isinstance(want, TransSeries):
+            assert got is want, (v, kind)
+            continue
+        checked += 1
+        assert _recurrent(v, base_z), v
+        if base_z > 0:
+            shift = Key(base_z, (0,) * v.depth)
+            got, want = mul_monomial(got, shift), mul_monomial(want, shift)
+        gj, wj = series_to_json(got), series_to_json(want)
+        if mode == EXACT:
+            assert gj == wj, (v, kind, beta, base_z)
+            continue
+        assert gj["frontier"] == wj["frontier"]
+        assert [(e["z"], e["l"]) for e in gj["terms"]] == [(e["z"], e["l"]) for e in wj["terms"]]
+        for g, w in zip(gj["terms"], wj["terms"]):
+            gv, wv = complex(g["re"], g["im"]), complex(w["re"], w["im"])
+            assert abs(gv - wv) <= 1e-12 * abs(wv), (v, kind, beta, g, w)
+    assert checked > 180
 
 
 def test_d_dz_examples():
