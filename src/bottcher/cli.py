@@ -47,6 +47,7 @@ from .koenigs import (
     solve_homological,
 )
 from .normalize import (
+    NOT_MONIC,
     bottcher_R_op,
     bottcher_sequence,
     check_conjugation,
@@ -412,6 +413,11 @@ def main(argv=None) -> int:
         print(f"certification failed: {e}", file=sys.stderr)
         return 3
     except BottcherError as e:
+        if str(e) == NOT_MONIC:
+            e = (
+                f"{args.cmd} needs leading coefficient 1; rescale z to make it 1, "
+                "or run `normalize`, which reduces it itself"
+            )
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

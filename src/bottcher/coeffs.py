@@ -145,7 +145,7 @@ class Exact:
             if cur is None:
                 parts[k] = (re, im)
             else:
-                parts[k] = (cur[0] + re, cur[1] + im)
+                parts[k] = (cur[0] + re, cur[1] + im if im else cur[1])
         return Exact(parts)
 
     def __neg__(self) -> "Exact":
@@ -164,12 +164,19 @@ class Exact:
             if b == 0 and d == 0:
                 return Exact._nonzero({k: (a * c, _ZERO)})
             return Exact._nonzero({k: (a * c - b * d, a * d + b * c)})
+        # Real parts (im == 0) take one Fraction product, not four.
         parts: dict[tuple, tuple[Fraction, Fraction]] = {}
         for k1, (a, b) in sp.items():
             for k2, (c, d) in op.items():
                 k = _mono_mul(k1, k2)
-                re, im = parts.get(k, (_ZERO, _ZERO))
-                parts[k] = (re + a * c - b * d, im + a * d + b * c)
+                if b or d:
+                    re, im = a * c - b * d, a * d + b * c
+                else:
+                    re, im = a * c, _ZERO
+                cur = parts.get(k)
+                if cur is not None:
+                    re, im = cur[0] + re, cur[1] + im if im else cur[1]
+                parts[k] = (re, im)
         return Exact(parts)
 
     def scale(self, q) -> "Exact":

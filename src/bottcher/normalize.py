@@ -76,10 +76,15 @@ from .compose import (
 # -- the Bottcher operator ------------------------------------------------------
 
 
+# The ShapeError of a leading coefficient other than 1; the CLI, whose users
+# cannot call reduce_lambda, replaces it by a remedy they have.
+NOT_MONIC = "leading coefficient must be 1 (apply reduce_lambda first)"
+
+
 def _require_monic_power(f: TransSeries, want_alpha_above_one=True):
     shape = shape_of(f)
     if not c_eq(f.terms[min(f.terms)], c_from(1, f.mode)):
-        raise ShapeError("leading coefficient must be 1 (apply reduce_lambda first)")
+        raise ShapeError(NOT_MONIC)
     if want_alpha_above_one and not shape.alpha > 1:
         raise ShapeError(
             f"alpha = {shape.alpha} <= 1; apply reduce_alpha / out of scope"

@@ -16,6 +16,12 @@ blocks B_m are the series of z-order 0 (every key is Key(0, l); `block_cap`
 caps their terms and `ell_stop` their power sums), and the Dulac ladders of
 `dulac` are depth-1 series with keys Key(beta, (-degree,)).
 
+`mul` forms only what `make_series` keeps: no pair of z-blocks whose z-sum
+reaches z_cap, and in each output z-block only the coefficients up to its
+block_cap + 1-th nonzero key, in ascending key order (the last one sets the
+frontier).  Each coefficient it forms is summed in the order of the product
+over all pairs, so float coefficients are bit-identical to that product's.
+
 Power sums Sigma_i c_i v^i take one of two routes.  For a log-free v with
 rational z-exponents and ord_z(v) > 0, `log1p`, `exp_minus_one` and the
 binomial bodies of `pow_rational` and `compose` solve a first-order linear
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -309,9 +316,8 @@ def mul(a: TransSeries, b: TransSeries) -> TransSeries:
     # instead of paying a rational add and compare for every dropped pair.
     # The kept blocks are then paired in the right operand's insertion order,
     # and the left operand keeps its own.  For a fixed za each output z has
-    # one zb, so every (z, l) sum, and the key order of the output, are formed
-    # as by the all-pairs loop: float coefficients stay bit-identical.
-    # Sorting the left blocks too would reorder the float sums at (z, l).
+    # one zb, so the pairs of every (z, l) come in the order of the all-pairs
+    # loop.  Sorting the left blocks too would reorder the float sums at (z, l).
     right = list(bb.items())
     by_z = sorted(range(len(right)), key=lambda i: right[i][0])
     out: dict = {}
@@ -330,13 +336,34 @@ def mul(a: TransSeries, b: TransSeries) -> TransSeries:
                 blk = out[z] = {}
             for l1, c1 in la:
                 for l2, c2 in lb:
-                    l = tuple(x + y for x, y in zip(l1, l2))
-                    c = c_mul(c1, c2)
-                    if l in blk:
-                        blk[l] = c_add(blk[l], c)
+                    l = tuple(map(operator.add, l1, l2))
+                    pairs = blk.get(l)
+                    if pairs is None:
+                        blk[l] = [c1, c2]
                     else:
-                        blk[l] = c
-    terms = {Key(z, l): c for z, blk in out.items() for l, c in blk.items()}
+                        pairs += (c1, c2)
+    # Each z-block's pairs are grouped by their summed log tuple l, in the
+    # loop order above.  `make_series` keeps the block_cap least nonzero keys
+    # of a block and puts the frontier at the next one, so the sums are formed
+    # in ascending l only until block_cap + 1 of them are nonzero; the keys
+    # past that are never products.  Each sum is formed in the pairs' order
+    # (first product, then c_add of each later one), as by the all-pairs
+    # loop, so float coefficients stay bit-identical.
+    cap = a.grid.block_cap
+    terms = {}
+    for z, blk in out.items():
+        n = 0
+        for l in sorted(blk):
+            pairs = blk[l]
+            c = c_mul(pairs[0], pairs[1])
+            for j in range(2, len(pairs), 2):
+                c = c_add(c, c_mul(pairs[j], pairs[j + 1]))
+            if c_is_zero(c):
+                continue
+            terms[Key(z, l)] = c
+            n += 1
+            if n > cap:
+                break
     cands = []
     oa, ob = ord_for_frontier(a), ord_for_frontier(b)
     cands.append(a.frontier + ob)

@@ -3,8 +3,9 @@
 Unlike `oracles.py`, these are built on the package: the termwise
 derivative, a second inversion scheme that corrects a leading-monomial seed
 through f', conjugation through inversion, log z o f, the W-solve on the
-whole grid, the product over every pair of z-blocks, the power sums of
-log-free series power by power, the z-adic metric and coefficient
+whole grid, the product over every pair of z-blocks and every key of a
+block, the power sums of log-free series power by power, `Exact` sums and
+products by the full complex formula, the z-adic metric and coefficient
 trajectories.  They check the package against itself by a
 different route, so they are not independent oracles.
 """
@@ -15,6 +16,8 @@ import math
 from fractions import Fraction
 
 from bottcher.coeffs import (
+    Exact,
+    _mono_mul,
     binomial,
     c_add,
     c_from,
@@ -149,9 +152,12 @@ def full_grid_normalize(f: TransSeries):
 def mul_all_pairs(a: TransSeries, b: TransSeries) -> TransSeries:
     """a * b over every pair of z-blocks, each in its operand's insertion order.
 
-    The reference for `series.mul`, which never forms the block pairs whose
-    z-sum reaches z_cap: its terms, in the same order, and its frontier must
-    equal these exactly, in float mode too.
+    Every coefficient of every block is formed, and `make_series` then keeps
+    the block_cap least nonzero keys of each block.  The reference for
+    `series.mul`, which never forms the block pairs whose z-sum reaches z_cap
+    and, in each block, forms only the sums up to its block_cap + 1-th
+    nonzero key: its terms, in the same order, and its frontier must equal
+    these exactly, in float mode too.
     """
     a, b = _common(a, b)
     ab: dict = {}
@@ -175,6 +181,30 @@ def mul_all_pairs(a: TransSeries, b: TransSeries) -> TransSeries:
     terms = {Key(z, l): c for z, blk in out.items() for l, c in blk.items()}
     cands = [a.frontier + ord_for_frontier(b), b.frontier + ord_for_frontier(a)]
     return make_series(terms, a.grid, a.mode, cands)
+
+
+def exact_mul_reference(a: Exact, b: Exact) -> Exact:
+    """a * b by the full complex formula on every pair of parts.
+
+    The reference for `Exact.__mul__`, which takes one Fraction product for
+    a pair of real parts: its parts, in the same order, must equal these.
+    """
+    parts: dict = {}
+    for k1, (x, y) in a.parts.items():
+        for k2, (u, v) in b.parts.items():
+            k = _mono_mul(k1, k2)
+            re, im = parts.get(k, (Fraction(0), Fraction(0)))
+            parts[k] = (re + x * u - y * v, im + x * v + y * u)
+    return Exact(parts)
+
+
+def exact_add_reference(a: Exact, b: Exact) -> Exact:
+    """a + b adding both components of every shared part; see `exact_mul_reference`."""
+    parts = dict(a.parts)
+    for k, (re, im) in b.parts.items():
+        cur = parts.get(k)
+        parts[k] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+    return Exact(parts)
 
 
 def power_sum(v: TransSeries, kind: str, beta=None, base_z=0) -> TransSeries:

@@ -88,6 +88,15 @@ def test_shape_error_exit_code(capsys):
     assert code == 2
 
 
+def test_leading_coefficient_error_names_the_cli_remedy(capsys):
+    code = main(["prenormalize", "4*z^2 + z^2*l1", "--z-cap", "4", "--depth", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "reduce_lambda" not in err
+    assert "rescale z" in err and "`normalize`" in err
+    assert main(["normalize", "4*z^2 + z^2*l1", "--z-cap", "4", "--depth", "1"]) == 0
+
+
 def test_bottcher_seq(capsys):
     code, out = run(capsys, "bottcher-seq", "z^2 + z^3", "--n", "1", "--z-cap", "6")
     assert code == 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from crosschecks import exact_add_reference, exact_mul_reference
 from bottcher.coeffs import (
     Exact,
     binomial,
@@ -171,3 +172,35 @@ def test_exact_fast_paths_match_a_dict_reference():
             assert all(v != (0, 0) for v in c.parts.values()), c
         zero = a + (-a)
         assert zero.is_zero() and zero == Exact({}) and hash(zero) == hash(Exact({}))
+
+
+def _draw_multi_part(rng):
+    """2-4 parts, each real, imaginary or mixed."""
+    parts = {}
+    for _ in range(rng.randint(2, 4)):
+        x = F(rng.randint(-4, 4), rng.randint(1, 3))
+        y = F(rng.randint(-4, 4), rng.randint(1, 3))
+        kind = rng.choice(["real", "real", "imag", "mixed"])
+        parts[rng.choice(MONOS)] = {"real": (x, F(0)), "imag": (F(0), y), "mixed": (x, y)}[kind]
+    return Exact(parts)
+
+
+def test_exact_real_parts_match_the_full_complex_formula():
+    """Real parts skip the imaginary products and sums; against the full
+    formula the parts, their order and the hash are the same, and no (0, 0)
+    part is stored.  Partners of a make sums and cross terms cancel:
+    (x + y log 2)(x - y log 2), (x + i y log 2)(x - i y log 2), a + (-a)."""
+    rng = random.Random(1414)
+    i = Exact.of(0, 1)
+    zeros = 0
+    for _ in range(500):
+        a = _draw_multi_part(rng)
+        flip = Exact({k: (-v[0], -v[1]) if j else v for j, (k, v) in enumerate(a.parts.items())})
+        b = rng.choice([_draw_multi_part(rng), -a, flip, i * a, a.scale(F(-1, 2)), Exact.of(2)])
+        for got, want in ((a * b, exact_mul_reference(a, b)), (a + b, exact_add_reference(a, b))):
+            assert list(got.parts.items()) == list(want.parts.items()), (a, b)
+            assert hash(got) == hash(want)
+            assert all(v != (0, 0) for v in got.parts.values()), got
+            assert all(type(x) is F for v in got.parts.values() for x in v)
+            zeros += got.is_zero()
+    assert zeros > 20

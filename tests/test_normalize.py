@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from crosschecks import conjugate, dist_z, full_grid_normalize
+from crosschecks import conjugate, dist_z, full_grid_normalize, mul_all_pairs
 from bottcher import blocks as B
-from bottcher.coeffs import Exact
+from bottcher.coeffs import EXACT, FLOAT, Exact
 from bottcher.compose import compose, shape_of
-from bottcher.errors import ShapeError
+from bottcher.errors import BottcherError, ShapeError
 from bottcher.io_json import series_to_json
 from bottcher.keys import Key
 from bottcher.normalize import (
@@ -40,6 +40,7 @@ from bottcher.series import (
     TruncationGrid,
     add,
     agree_below_frontier,
+    embed,
     exp_minus_one,
     identity_series,
     leading_block,
@@ -560,6 +561,43 @@ def test_least_grid_matches_full_grid_solve(f):
     assert bad is not None
     assert report["checked_below"] == _front_json(checked)
     assert report["first_bad_key"] == (str(bad.z), list(bad.l))
+
+
+def _normalize_report(f):
+    """phi's series_to_json, its verification report and that of phi with its
+    least trusted coefficient past z perturbed; or the error's type."""
+    try:
+        res = normalize(f, verify=False)
+    except BottcherError as e:
+        return type(e)
+    reports = [verify_normalization(f, res)]
+    trusted = sorted(k for k in res.phi.terms if k != Key(1, (0,) * f.depth))
+    if trusted:
+        bump = monomial(trusted[0], f.grid, f.mode, 3)
+        reports.append(verify_normalization(f, replace(res, phi=add(res.phi, bump))))
+    return series_to_json(res.phi), reports
+
+
+def test_normalize_is_unchanged_by_the_block_cap_cut(monkeypatch):
+    """`series.mul` forms each block's sums only up to its block_cap + 1-th
+    nonzero key.  With every `mul` replaced by the all-pairs product, which
+    forms every sum, normalize gives the same phi (every stored term and the
+    frontier) and verification gives the same reports, in exact and float
+    mode, on seeded log inputs with block_cap 2-4 and depth 1-2."""
+    import importlib
+
+    rng = random.Random(1616)
+    inputs = []
+    for _ in range(30):
+        f = _random_log_input(rng)
+        grid = replace(f.grid, z_cap=min(f.grid.z_cap, 5), block_cap=rng.randint(2, 4))
+        inputs.append(embed(f, grid, rng.choice([EXACT, FLOAT])))
+    got = [_normalize_report(f) for f in inputs]
+    for name in ("bottcher.series", "bottcher.compose", "bottcher.normalize"):
+        monkeypatch.setattr(importlib.import_module(name), "mul", mul_all_pairs)
+    want = [_normalize_report(f) for f in inputs]
+    assert got == want
+    assert sum(isinstance(g, tuple) for g in got) > 20
 
 
 @pytest.mark.parametrize(

@@ -126,6 +126,60 @@ def test_mul_matches_all_pairs_reference():
         assert (got.frontier, got.grid, got.mode) == (want.frontier, want.grid, want.mode)
 
 
+def test_mul_skips_cancelled_keys_before_the_block_cap_cut():
+    """(1 + l1 + l2)(1 - l1 + l2) = 1 + 2 l2 + l2^2 - l1^2: with block_cap 3
+    the frontier is the fourth nonzero key l1^2, past the cancelled l1 and
+    l1 l2."""
+    grid = TruncationGrid(3, 3, 2, 6)
+    for mode in (EXACT, FLOAT):
+        a, b = (embed(S(t, grid), grid, mode) for t in ("1 + l1 + l2", "1 - l1 + l2"))
+        got = mul(a, b)
+        assert list(got.terms) == [Key(0, (0, 0)), Key(0, (0, 1)), Key(0, (0, 2))]
+        assert got.frontier == Key(0, (2, 0))
+        assert series_to_json(got) == series_to_json(mul_all_pairs(a, b))
+
+
+def _draw_cancelling_pair(rng, mode):
+    """a and b with the same keys, b's coefficients those of a up to sign (or
+    with their log 2 / log 3 part negated), 2-4 keys per z-block and
+    block_cap 1-3: cross terms c_i c_j - c_j c_i cancel exactly, in float
+    mode too, and a product block holds more than block_cap keys."""
+    depth = rng.randint(1, 2)
+    grid = TruncationGrid(rng.choice([F(2), F(3), F(9, 2)]), rng.randint(1, 3), depth, 6)
+    ta, tb = {}, {}
+    for z in rng.sample([F(0), F(1, 2), F(1), F(3, 2)], rng.randint(1, 2)):
+        for _ in range(rng.randint(2, 4)):
+            k = Key(z, tuple(rng.randint(-1, 2) for _ in range(depth)))
+            x, y = F(rng.randint(1, 5), rng.randint(1, 3)), F(rng.randint(1, 3), rng.randint(1, 2))
+            log = Exact.log_of_rational(rng.choice([2, 3]))
+            sign = rng.choice([1, -1])
+            if mode == EXACT and rng.random() < 0.5:
+                ta[k] = Exact.of(x) + log.scale(y)
+                tb[k] = Exact.of(sign * x) + log.scale(-sign * y)
+            else:
+                ta[k] = Exact.of(x, rng.choice([0, y]))
+                tb[k] = ta[k].scale(sign)
+    a, b = (make_series(t, grid, EXACT) for t in (ta, tb))
+    return embed(a, grid, mode), embed(b, grid, mode)
+
+
+def test_mul_matches_all_pairs_reference_under_cancellation():
+    """Blocks with more than block_cap keys, some of whose sums are 0: `mul`
+    forms sums only up to the block_cap + 1-th nonzero key, which then lies
+    past zero keys; the all-pairs product agrees on term order, coefficients
+    (float bits included) and frontier."""
+    rng = random.Random(1515)
+    cut = 0
+    for _ in range(300):
+        mode = rng.choice([EXACT, FLOAT])
+        a, b = _draw_cancelling_pair(rng, mode)
+        got, want = mul(a, b), mul_all_pairs(a, b)
+        assert list(got.terms.items()) == list(want.terms.items()), (a, b)
+        assert got.frontier == want.frontier
+        cut += isinstance(want.frontier, Key)
+    assert cut > 150
+
+
 def _outcome(fn):
     try:
         return fn()
