@@ -239,30 +239,30 @@ def c_from(value, mode: str):
 def c_add(a, b):
     if isinstance(a, Exact) and isinstance(b, Exact):
         return a + b
-    return _f(a) + _f(b)
+    return c_to_complex(a) + c_to_complex(b)
 
 
 def c_mul(a, b):
     if isinstance(a, Exact) and isinstance(b, Exact):
         return a * b
-    return _f(a) * _f(b)
+    return c_to_complex(a) * c_to_complex(b)
 
 
 def c_neg(a):
-    return -a if isinstance(a, Exact) else -_f(a)
+    return -a if isinstance(a, Exact) else -c_to_complex(a)
 
 
 def c_scale(a, q):
     """Multiply by a rational scalar."""
     if isinstance(a, Exact):
         return a.scale(q)
-    return _f(a) * float(q)
+    return c_to_complex(a) * float(q)
 
 
 def c_inv(a):
     if isinstance(a, Exact):
         return a.inverse()
-    return 1.0 / _f(a)
+    return 1.0 / c_to_complex(a)
 
 
 def c_is_zero(a) -> bool:
@@ -272,11 +272,7 @@ def c_is_zero(a) -> bool:
 def c_eq(a, b) -> bool:
     if isinstance(a, Exact) and isinstance(b, Exact):
         return a == b
-    return _f(a) == _f(b)
-
-
-def _f(a) -> complex:
-    return a.evaluate() if isinstance(a, Exact) else complex(a)
+    return c_to_complex(a) == c_to_complex(b)
 
 
 def c_to_complex(a) -> complex:
@@ -360,7 +356,7 @@ def c_pow_rational(a, beta):
         if root is None:
             raise ModeError(f"{re} ** {beta} not exactly representable; use float mode")
         return Exact.of(root**beta.numerator)
-    z = _f(a)
+    z = c_to_complex(a)
     if z == 0:
         raise ZeroDivisionError("0 ** negative/fractional power")
     return cmath.exp(float(beta) * cmath.log(z))

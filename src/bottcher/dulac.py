@@ -4,19 +4,24 @@ z-chart: lambda z^alpha + sum_i z^(alpha_i) P_i(-log z), alpha_i strictly
 increasing above alpha.  zeta-chart (zeta = -log z): alpha zeta - log lambda
 + sum_i e^(-beta_i zeta) Q_i(zeta) with beta_i = alpha_i - alpha.  Ladders are
 finite by construction; the e^(-1)-order cap plays the role of z_cap - alpha.
+
+A ladder [(exp, P)] is a depth-1 series with keys Key(exp, (-deg,)), since
+-log z = 1/l1.  One pair of converters, `_ladder_terms` and `_terms_ladder`,
+moves between the two forms: the chart maps apply the kernel's `log1p` and
+`exp_minus_one` to that series, and `to_transseries` / `from_transseries`
+embed a z-chart series into the normalizer's input and read its output back.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .coeffs import (
     EXACT,
     Exact,
-    c_add,
     c_from,
     c_inv,
     c_is_zero,
@@ -90,32 +95,39 @@ def _as_exp(x):
 # -- ladders as depth-1 series -------------------------------------------------
 
 
-def _ladder_series_op(ladder: dict, op, mode, e_cap) -> dict:
-    """op applied to the ladder {beta: P} embedded as the depth-1 series
-    sum P[deg] e^(-beta zeta) zeta^deg, with zeta = 1/l1 (keys Key(beta, (-deg,))).
+def _ladder_terms(ladder) -> dict:
+    """The rungs [(exp, P)] as depth-1 terms {Key(exp, (-deg,)): P[deg]}."""
+    return {Key(b, (-deg,)): c for b, p in ladder for deg, c in enumerate(p)}
+
+
+def _terms_ladder(terms: dict, mode) -> list:
+    """Depth-1 terms back to rungs [(exp, P)]: exponents ascending, each P
+    dense up to its top degree.  A depth-0 key is a degree-0 term."""
+    rungs: dict = {}
+    for k, c in terms.items():
+        rungs.setdefault(k.z, {})[-k.l[0] if k.l else 0] = c
+    return [
+        (b, [p.get(deg, c_zero(mode)) for deg in range(max(p) + 1)])
+        for b, p in sorted(rungs.items())
+    ]
+
+
+def _ladder_series_op(ladder: list, op, mode, e_cap) -> list:
+    """op applied to the ladder [(beta, P)] embedded as the depth-1 series
+    sum P[deg] e^(-beta zeta) zeta^deg, with zeta = 1/l1.
 
     The grid stores every term below e_cap: op(u) = Sigma_j c_j u^j needs
     j <= e_cap / min beta, so a block holds at most
-    (max deg) * (int(e_cap / min beta) + 1) + 1 terms.
+    (max deg) * (int(e_cap / min beta) + 1) + 1 terms.  Float mode returns
+    float exponents.
     """
     if not ladder:  # also covers e_cap <= 0, where every rung is cut
-        return {}
-    max_deg = max(len(p) for p in ladder.values()) - 1
-    reach = int(e_cap / min(ladder)) + 1
+        return []
+    max_deg = max(len(p) for _, p in ladder) - 1
+    reach = int(e_cap / min(b for b, _ in ladder)) + 1
     grid = TruncationGrid(z_cap=e_cap, block_cap=max_deg * reach + 1, depth=1)
-    u = make_series(
-        {Key(b, (-deg,)): c for b, p in ladder.items() for deg, c in enumerate(p)},
-        grid,
-        mode,
-    )
-    out: dict = {}
-    for k, c in op(u).terms.items():
-        b = k.z if mode == EXACT else float(k.z)  # float mode keeps float exponents
-        out.setdefault(b, {})[-k.l[0]] = c
-    return {
-        b: [p.get(deg, c_zero(mode)) for deg in range(max(p) + 1)]
-        for b, p in out.items()
-    }
+    out = _terms_ladder(op(make_series(_ladder_terms(ladder), grid, mode)).terms, mode)
+    return out if mode == EXACT else [(float(b), p) for b, p in out]
 
 
 # -- chart conversions ------------------------------------------------------------
@@ -130,14 +142,10 @@ def to_zeta_chart(d: DulacSeriesZ, e_cap=None) -> DulacSeriesZeta:
         e_cap = (d.ladder[-1][0] - d.alpha) + 1 if d.ladder else Fraction(1)
     c0 = c_neg(log_coeff(d.lam, mode))
     lam_inv = c_inv(d.lam)
-    u = {}
-    for a_i, p in d.ladder:
-        beta = a_i - d.alpha
-        if beta >= e_cap:
-            continue
-        u[beta] = [c_mul(c, lam_inv) for c in p]
+    u = [(a - d.alpha, [c_mul(c, lam_inv) for c in p])
+         for a, p in d.ladder if a - d.alpha < e_cap]
     body = _ladder_series_op(u, log1p, mode, e_cap)
-    ladder = [(b, [c_neg(c) for c in p]) for b, p in sorted(body.items())]
+    ladder = [(b, [c_neg(c) for c in p]) for b, p in body]
     return DulacSeriesZeta(d.alpha, c0, ladder, mode)
 
 
@@ -150,11 +158,9 @@ def to_z_chart(d: DulacSeriesZeta, e_cap=None) -> DulacSeriesZ:
         lam = exp_of_log_exact(-d.c0)
     else:
         lam = cmath.exp(-complex(c_to_complex(d.c0)))
-    v = {b: list(q) for b, q in d.ladder if b < e_cap}
+    v = [(b, q) for b, q in d.ladder if b < e_cap]
     body = _ladder_series_op(v, lambda s: exp_minus_one(negate(s)), mode, e_cap)
-    ladder = []
-    for b, p in sorted(body.items()):
-        ladder.append((d.alpha + b, [c_mul(c, lam) for c in p]))
+    ladder = [(d.alpha + b, [c_mul(c, lam) for c in p]) for b, p in body]
     return DulacSeriesZ(lam, d.alpha, ladder, mode)
 
 
@@ -178,14 +184,10 @@ def is_dulac(f: TransSeries, below_frontier: bool = True) -> bool:
 
 
 def to_transseries(d: DulacSeriesZ, grid: TruncationGrid) -> TransSeries:
+    """d on `grid`, raised to depth 1 if the grid has depth 0."""
     if grid.depth < 1:
-        grid = grid.with_depth(1)
-    terms = {Key(d.alpha, (0,) * grid.depth): d.lam}
-    for a_i, p in d.ladder:
-        for deg, c in enumerate(p):
-            if not c_is_zero(c):
-                key = Key(a_i, (-deg,) + (0,) * (grid.depth - 1))
-                terms[key] = c_add(terms.get(key, c_zero(d.mode)), c)
+        grid = replace(grid, depth=1)
+    terms = {Key(d.alpha, (0,)): d.lam, **_ladder_terms(d.ladder)}
     return make_series(terms, grid, d.mode)
 
 
@@ -193,24 +195,12 @@ def from_transseries(f: TransSeries) -> DulacSeriesZ:
     """Certified part of f as a Dulac series (keys at/above the frontier dropped)."""
     if not is_dulac(f):
         raise ShapeError("series is not a Dulac series (depth/log-sign violation)")
-    keys = [k for k in f.terms if k < f.frontier]
-    if not keys:
+    terms = {k: c for k, c in f.terms.items() if k < f.frontier}
+    if not terms:
         raise ShapeError("no certified terms to convert")
-    lead = min(keys)
-    lam = f.terms[lead]
-    alpha = lead.z
-    blocks: dict = {}
-    for k in keys:
-        if k == lead:
-            continue
-        deg = -k.l[0] if k.l else 0
-        blocks.setdefault(k.z, {})[deg] = f.terms[k]
-    ladder = []
-    for a_i in sorted(blocks):
-        poly_map = blocks[a_i]
-        p = [poly_map.get(dg, c_zero(f.mode)) for dg in range(max(poly_map) + 1)]
-        ladder.append((a_i, p))
-    return DulacSeriesZ(lam, alpha, ladder, f.mode)
+    lead = min(terms)
+    lam = terms.pop(lead)
+    return DulacSeriesZ(lam, lead.z, _terms_ladder(terms, f.mode), f.mode)
 
 
 def dulac_normalize_full(d: DulacSeriesZ, z_cap=10, block_cap=12):
@@ -223,16 +213,9 @@ def dulac_normalize_full(d: DulacSeriesZ, z_cap=10, block_cap=12):
         raise BottcherError(
             "internal: normalization of a Dulac series left the Dulac class"
         )
-    if _is_real_dulac(d) and not _series_real_below_frontier(phi):
+    if _series_real_below_frontier(f) and not _series_real_below_frontier(phi):
         raise BottcherError("internal: real Dulac input produced non-real output")
     return from_transseries(phi), res
-
-
-def _is_real_dulac(d: DulacSeriesZ) -> bool:
-    def real(c):
-        return c.is_real() if isinstance(c, Exact) else complex(c).imag == 0
-
-    return real(d.lam) and all(real(c) for _, p in d.ladder for c in p)
 
 
 def _series_real_below_frontier(f: TransSeries) -> bool:
@@ -360,28 +343,26 @@ def defect_decay_check(f, phi_n: DulacSeriesZeta, beta_n, alpha, xs, im=0.0, noi
     return rep
 
 
-def compare_formal_numeric(
-    phi_numeric, phi_hat: DulacSeriesZeta, n: int, xs, im=0.0, noise_floor=0.0
-):
+def compare_formal_numeric(phi_numeric, phi_hat: DulacSeriesZeta, n: int, xs):
     """sup of |phi(zeta) - phi_hat_n(zeta)| e^(beta_n Re) along a ray, with trend."""
     phin = partial_normalizations(phi_hat, n)
     beta = float(phi_hat.ladder[n - 1][0]) if n >= 1 else 0.0
     evaluator = phi_numeric.evaluator if hasattr(phi_numeric, "evaluator") else phi_numeric
     stats = []
     for x in xs:
-        zeta = _complex_like(x, im)
+        zeta = _complex_like(x)
         diff = abs(evaluator(zeta) - evaluate_zeta(phin, zeta))
         stats.append(float(diff) * math.exp(beta * float(x)))
-    rep = _decay_report([float(x) for x in xs], stats, noise_floor)
+    rep = _decay_report([float(x) for x in xs], stats)
     rep["sup"] = max(stats) if stats else 0.0
     rep["statistic"] = stats
     rep["beta_n"] = beta
     return rep
 
 
-def _complex_like(x, im):
+def _complex_like(x):
     if _is_mp(x):
         import mpmath
 
-        return mpmath.mpc(x, im)
-    return complex(float(x), im)
+        return mpmath.mpc(x)
+    return complex(float(x))

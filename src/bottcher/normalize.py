@@ -81,11 +81,11 @@ from .compose import (
 NOT_MONIC = "leading coefficient must be 1 (apply reduce_lambda first)"
 
 
-def _require_monic_power(f: TransSeries, want_alpha_above_one=True):
+def _require_monic_power(f: TransSeries):
     shape = shape_of(f)
     if not c_eq(f.terms[min(f.terms)], c_from(1, f.mode)):
         raise ShapeError(NOT_MONIC)
-    if want_alpha_above_one and not shape.alpha > 1:
+    if not shape.alpha > 1:
         raise ShapeError(
             f"alpha = {shape.alpha} <= 1; apply reduce_alpha / out of scope"
         )
@@ -521,79 +521,53 @@ def support_of_composition_bound(g: TransSeries, f: TransSeries) -> SemigroupSpe
     return SemigroupSpec(tuple(sorted(gens)), cutoff)
 
 
-def semigroup_contains(gens: list[Key], w: Key) -> bool:
-    """Exact membership of w in the generated additive semigroup.
+def _lex_positive(gens) -> list[Key]:
+    """The nonzero generators; a generator at or below zero raises ValueError.
 
-    Generators are lex-positive, so the pure-log generators are triangular:
-    grouping them by first nonzero coordinate makes the search finite.
+    Membership and enumeration both need lex-positive generators: without
+    them neither the multiplicities nor the sums below a cutoff are finite.
     """
-    if w.is_zero():
-        return True
-    depth = w.depth
-    zpos = [g for g in gens if g.z > 0]
-    lonly: dict[int, list[Key]] = {}
     for g in gens:
-        if g.z == 0:
-            m = next((j for j, n in enumerate(g.l) if n != 0), None)
-            if m is None:
-                continue
-            lonly.setdefault(m, []).append(g)
+        if not (g.is_zero() or g.is_positive()):
+            raise ValueError(f"semigroup generator {g} is not lex-positive")
+    return [g for g in gens if not g.is_zero()]
 
-    zpos = sorted(zpos, reverse=True)
 
-    def ell_feasible(target: tuple, group: int) -> bool:
-        if group >= depth:
-            return all(t == 0 for t in target)
-        rem = target[group]
-        if all(t == 0 for t in target[group:]):
+def semigroup_contains(gens: list[Key], w: Key) -> bool:
+    """Exact membership of w in the additive semigroup the generators span.
+
+    A key is the vector (z, l1, ..., lk).  Level i holds the generators whose
+    first nonzero coordinate is i; they are lex-positive (else ValueError),
+    so that coordinate is positive.  No later level moves coordinate i, so a
+    level-i multiplicity is bounded by the target's coordinate i, and after
+    level i that coordinate must be 0 (at once, for a level without
+    generators).  `spans(i, j, t)`: is t a sum of the level-i generators from
+    the j-th on and of later levels?
+    """
+    levels: list[list[tuple]] = [[] for _ in range(w.depth + 1)]
+    for g in sorted(_lex_positive(gens), reverse=True):
+        v = (g.z, *g.pad(w.depth).l)
+        levels[next(i for i, x in enumerate(v) if x)].append(v)
+
+    def spans(i: int, j: int, t: tuple) -> bool:
+        if i == len(levels):
             return True
-        group_gens = lonly.get(group, [])
-        if not group_gens:
-            if rem != 0:
-                return False
-            return ell_feasible(target, group + 1)
-
-        def rec(i: int, rem_m: int, tgt: tuple) -> bool:
-            if i == len(group_gens):
-                if rem_m != 0:
-                    return False
-                cleared = tuple(0 if j == group else t for j, t in enumerate(tgt))
-                return ell_feasible(cleared, group + 1)
-            g = group_gens[i]
-            step = g.l[group]
-            k = 0
-            while k * step <= rem_m:
-                new_tgt = tuple(
-                    t - k * g.l[j] if j > group else t for j, t in enumerate(tgt)
-                )
-                if rec(i + 1, rem_m - k * step, new_tgt):
-                    return True
-                k += 1
-            return False
-
-        return rec(0, rem, target)
-
-    def search(i: int, z_rem, l_rem: tuple) -> bool:
-        if i == len(zpos):
-            if z_rem != 0:
-                return False
-            return ell_feasible(l_rem, 0)
-        g = zpos[i]
-        k = 0
-        while k * g.z <= z_rem:
-            nl = tuple(a - k * b for a, b in zip(l_rem, g.l))
-            if search(i + 1, z_rem - k * g.z, nl):
+        if j == len(levels[i]):
+            return t[i] == 0 and spans(i + 1, 0, t)
+        while t[i] >= 0:
+            if spans(i, j + 1, t):
                 return True
-            k += 1
+            t = tuple(a - b for a, b in zip(t, levels[i][j]))
         return False
 
-    return search(0, w.z, w.l)
+    return spans(0, 0, (w.z, *w.l))
 
 
 def enumerate_semigroup(spec: SemigroupSpec, ell_window: int = 8) -> list[Key]:
     """All semigroup sums below the cutoff with log exponents in [-w, w]."""
+    gens = _lex_positive(spec.generators)
     seen: set[Key] = set()
-    heap = [g for g in spec.generators if g < spec.cutoff]
+    heap = [g for g in gens if g < spec.cutoff]
     heapq.heapify(heap)
     out = []
     while heap:
@@ -602,7 +576,7 @@ def enumerate_semigroup(spec: SemigroupSpec, ell_window: int = 8) -> list[Key]:
             continue
         seen.add(k)
         out.append(k)
-        for g in spec.generators:
+        for g in gens:
             nk = k + g
             if nk < spec.cutoff and nk not in seen and all(
                 abs(n) <= ell_window for n in nk.l

@@ -17,19 +17,19 @@ def _frac_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def format_coeff(c) -> tuple[str, bool]:
-    """Return (text, needs_explicit_sign_handling_done) with text sign-free or wrapped."""
+def format_coeff(c) -> str:
+    """Text of a coefficient: a real rational or float with its sign, others in parentheses."""
     if isinstance(c, Exact):
         if c.is_rational_complex():
             re, im = c.rational_parts()
             if im == 0:
                 if re < 0:
-                    return "-" + _frac_str(-re), True
-                return _frac_str(re), True
+                    return "-" + _frac_str(-re)
+                return _frac_str(re)
             if re == 0 and im == 1:
-                return "(0+1i)", True
+                return "(0+1i)"
             sign = "+" if im >= 0 else "-"
-            return f"({_frac_str(re)}{sign}{_frac_str(abs(im))}i)", True
+            return f"({_frac_str(re)}{sign}{_frac_str(abs(im))}i)"
         monos = []
         for k in sorted(c.parts):
             re, im = c.parts[k]
@@ -41,13 +41,12 @@ def format_coeff(c) -> tuple[str, bool]:
                     f"log({p})" if e == 1 else f"log({p})^{e}" for p, e in k
                 )
                 monos.append(f"{base}*{sym}")
-        return "(" + " + ".join(monos) + ")", True
+        return "(" + " + ".join(monos) + ")"
     if isinstance(c, complex):
         if c.imag == 0:
-            r = c.real
-            return (repr(r), True)
-        return f"({c.real!r}+{c.imag!r}i)", True
-    return str(c), True
+            return repr(c.real)
+        return f"({c.real!r}+{c.imag!r}i)"
+    return str(c)
 
 
 def format_monomial(key) -> str:
@@ -70,7 +69,7 @@ def format_series(f) -> str:
         return "0"
     out = []
     for key, c in f.sorted_terms():
-        ctxt, _ = format_coeff(c)
+        ctxt = format_coeff(c)
         mono = format_monomial(key)
         if mono:
             if ctxt == "1":

@@ -36,7 +36,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffs import (
@@ -81,9 +81,6 @@ class TruncationGrid:
     def trunc_key(self) -> Cut:
         """The grid-implied frontier: the lex-infimum below everything dropped."""
         return Cut(self.z_cap)
-
-    def with_depth(self, depth: int) -> "TruncationGrid":
-        return replace(self, depth=depth)
 
 
 def merge_grids(a: TruncationGrid, b: TruncationGrid) -> TruncationGrid:

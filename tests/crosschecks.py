@@ -5,8 +5,9 @@ derivative, a second inversion scheme that corrects a leading-monomial seed
 through f', conjugation through inversion, log z o f, the W-solve on the
 whole grid, the product over every pair of z-blocks and every key of a
 block, the power sums of log-free series power by power, `Exact` sums and
-products by the full complex formula, the z-adic metric and coefficient
-trajectories.  They check the package against itself by a
+products by the full complex formula, semigroup membership by nested
+searches (z-generators, then each log level), the z-adic metric and
+coefficient trajectories.  They check the package against itself by a
 different route, so they are not independent oracles.
 """
 
@@ -241,6 +242,72 @@ def dist_z_info(a: TransSeries, b: TransSeries):
 
 def dist_z(a: TransSeries, b: TransSeries) -> float:
     return dist_z_info(a, b)[0]
+
+
+def semigroup_contains_reference(gens: list[Key], w: Key) -> bool:
+    """Membership of w in the semigroup of lex-positive generators, searched
+    over the z-generators first and then over each log level in turn."""
+    if w.is_zero():
+        return True
+    depth = w.depth
+    zpos = [g for g in gens if g.z > 0]
+    lonly: dict[int, list[Key]] = {}
+    for g in gens:
+        if g.z == 0:
+            m = next((j for j, n in enumerate(g.l) if n != 0), None)
+            if m is None:
+                continue
+            lonly.setdefault(m, []).append(g)
+
+    zpos = sorted(zpos, reverse=True)
+
+    def ell_feasible(target: tuple, group: int) -> bool:
+        if group >= depth:
+            return all(t == 0 for t in target)
+        rem = target[group]
+        if all(t == 0 for t in target[group:]):
+            return True
+        group_gens = lonly.get(group, [])
+        if not group_gens:
+            if rem != 0:
+                return False
+            return ell_feasible(target, group + 1)
+
+        def rec(i: int, rem_m: int, tgt: tuple) -> bool:
+            if i == len(group_gens):
+                if rem_m != 0:
+                    return False
+                cleared = tuple(0 if j == group else t for j, t in enumerate(tgt))
+                return ell_feasible(cleared, group + 1)
+            g = group_gens[i]
+            step = g.l[group]
+            k = 0
+            while k * step <= rem_m:
+                new_tgt = tuple(
+                    t - k * g.l[j] if j > group else t for j, t in enumerate(tgt)
+                )
+                if rec(i + 1, rem_m - k * step, new_tgt):
+                    return True
+                k += 1
+            return False
+
+        return rec(0, rem, target)
+
+    def search(i: int, z_rem, l_rem: tuple) -> bool:
+        if i == len(zpos):
+            if z_rem != 0:
+                return False
+            return ell_feasible(l_rem, 0)
+        g = zpos[i]
+        k = 0
+        while k * g.z <= z_rem:
+            nl = tuple(a - k * b for a, b in zip(l_rem, g.l))
+            if search(i + 1, z_rem - k * g.z, nl):
+                return True
+            k += 1
+        return False
+
+    return search(0, w.z, w.l)
 
 
 def weak_delta(seq, key: Key):

@@ -1,11 +1,12 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from crosschecks import ord_e_inv
-from bottcher.coeffs import Exact
+from bottcher.coeffs import EXACT, FLOAT, Exact, c_to_complex
 from bottcher.domains import AsymptoticSpec, DomainSpec, invariant_threshold
 from bottcher.dulac import (
     DulacSeriesZ,
@@ -63,14 +64,52 @@ def test_to_zeta_lambda_rational_exact():
     assert back.ladder[0][0] == 3 and back.ladder[0][1][0] == Exact.of(1)
 
 
+def _seeded_ladder(rng, mode):
+    """1-3 rungs above alpha = 2 (one may lie past the chart cap 4), degree
+    <= 2, each P ending in a nonzero coefficient."""
+    def coeff(nonzero):
+        while True:
+            if mode == EXACT:
+                c = F(rng.randint(-3, 3), rng.randint(1, 3))
+            else:
+                c = complex(rng.uniform(-2, 2), rng.choice((0.0, rng.uniform(-1, 1))))
+            if c or not nonzero:
+                return c
+
+    exps = sorted(rng.sample([F(5, 2), 3, F(7, 2), 4, F(9, 2), 5, F(13, 2)], rng.randint(1, 3)))
+    return [(a, [coeff(False) for _ in range(rng.randint(0, 2))] + [coeff(True)]) for a in exps]
+
+
+def _ladder_map(ladder):
+    return {(a, deg): c_to_complex(c) for a, p in ladder for deg, c in enumerate(p)}
+
+
 def test_roundtrips():
-    for ladder in ([], [(3, [0, 1])], [(F(5, 2), [1]), (3, [2, 0, 1])]):
-        d = DulacSeriesZ(1, 2, ladder)
-        cap = F(4)
-        rt = to_z_chart(to_zeta_chart(d, e_cap=cap), e_cap=cap)
-        assert rt.alpha == d.alpha
-        for (a1, p1), (a2, p2) in zip(d.ladder, rt.ladder):
-            assert a1 == a2 and p1 == p2
+    """z -> zeta -> z below a common cap, and transseries -> Dulac -> transseries,
+    on fixed and seeded ladders, exact and float, at grid depths 0, 1 and 2."""
+    rng = random.Random(1151)
+    cap = F(4)
+    grids = [TruncationGrid(8, 6, depth, 10) for depth in (0, 1, 2)]
+    for mode, lam in ((EXACT, 1), (EXACT, F(1, 2)), (FLOAT, 1), (FLOAT, complex(2, 1))):
+        ladders = [[], [(3, [0, 1])], [(F(5, 2), [1]), (3, [2, 0, 1])]]
+        ladders += [_seeded_ladder(rng, mode) for _ in range(6)]
+        for ladder in ladders:
+            d = DulacSeriesZ(lam, 2, ladder, mode)
+            rt = to_z_chart(to_zeta_chart(d, e_cap=cap), e_cap=cap)
+            kept = [(a, p) for a, p in d.ladder if a - d.alpha < cap]
+            assert rt.alpha == d.alpha
+            if mode == EXACT:
+                assert rt.lam == d.lam and rt.ladder == kept
+            else:
+                assert abs(rt.lam - d.lam) < 1e-12
+                want, got = _ladder_map(kept), _ladder_map(rt.ladder)
+                assert all(abs(got.get(k, 0) - want.get(k, 0)) < 1e-9 for k in {*want, *got})
+            for grid in grids:
+                back = from_transseries(to_transseries(d, grid))
+                assert (back.lam, back.alpha, back.ladder) == (d.lam, d.alpha, d.ladder)
+    # a depth-0 series: every term is a degree-0 rung
+    back = from_transseries(parse("z^2 + z^3 - 1/2*z^(7/2)", z_cap=8, depth=0))
+    assert (back.alpha, back.ladder) == (2, [(3, [Exact.of(1)]), (F(7, 2), [Exact.of(F(-1, 2))])])
 
 
 def test_ord_e_inv():

@@ -1,19 +1,28 @@
 import random
+import re
+import signal
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from crosschecks import conjugate, dist_z, full_grid_normalize, mul_all_pairs
+from crosschecks import (
+    conjugate,
+    dist_z,
+    full_grid_normalize,
+    mul_all_pairs,
+    semigroup_contains_reference,
+)
 from bottcher import blocks as B
 from bottcher.coeffs import EXACT, FLOAT, Exact
 from bottcher.compose import compose, shape_of
 from bottcher.errors import BottcherError, ShapeError
 from bottcher.io_json import series_to_json
-from bottcher.keys import Key
+from bottcher.keys import Cut, Key
 from bottcher.normalize import (
     NormalizationResult,
+    SemigroupSpec,
     _front_json,
     apply_K_op,
     apply_S_op,
@@ -26,6 +35,7 @@ from bottcher.normalize import (
     check_conjugation,
     convergence_mode,
     ell1_distance_on_parabolic,
+    enumerate_semigroup,
     normalize,
     order_bound_check,
     prenormalize,
@@ -721,6 +731,69 @@ def test_semigroup_membership_corners():
     gens2 = [Key(1, (-2,)), Key(0, (1,))]
     assert semigroup_contains(gens2, Key(2, (-1,)))  # (1,-2)+(1,-2)+3 units
     assert not semigroup_contains(gens2, Key(1, (-3,)))
+
+
+def _semigroup_case(rng):
+    """Generators of depth 0-2 (z-generators with any logs, lex-positive
+    pure-log ones, now and then the zero key) and a target: half the time a
+    sum of generators, else any key, negative coordinates included."""
+    depth = rng.randint(0, 2)
+
+    def logs(lo, hi):
+        return tuple(rng.randint(lo, hi) for _ in range(depth))
+
+    gens = [Key(F(rng.randint(1, 4), rng.choice((1, 2))), logs(-2, 2))
+            for _ in range(rng.randint(0, 3))]
+    for _ in range(rng.randint(0, 3) if depth else 0):
+        m = rng.randrange(depth)
+        gens.append(Key(0, (0,) * m + (rng.randint(1, 2),) + logs(-2, 2)[m + 1:]))
+    if rng.random() < 0.1:
+        gens.append(Key(0, (0,) * depth))
+    if gens and rng.random() < 0.5:
+        w = Key(0, (0,) * depth)
+        for _ in range(rng.randint(0, 4)):
+            w = w + rng.choice(gens)
+    else:
+        w = Key(F(rng.randint(-1, 8), 2), logs(-3, 3))
+    return gens, w
+
+
+def test_semigroup_contains_matches_the_nested_search():
+    rng = random.Random(20231)
+    answers = []
+    for _ in range(2000):
+        gens, w = _semigroup_case(rng)
+        want = semigroup_contains_reference(gens, w)
+        assert semigroup_contains(gens, w) == want, (gens, w)
+        answers.append(want)
+    assert 0.2 < sum(answers) / len(answers) < 0.8
+
+
+def _stop(signum, frame):
+    raise TimeoutError("still running after 5 s")
+
+
+def test_generators_that_are_not_lex_positive_raise():
+    g = S("z + z^2", z_cap=8, depth=1)
+    f = S("z + l1^-1", z_cap=8, depth=1)
+    cases = [
+        lambda: semigroup_contains([Key(0, (-1,))], Key(0, (2,))),
+        lambda: enumerate_semigroup(SemigroupSpec((Key(-1, (0,)),), Cut(5))),
+        lambda: support_of_composition_bound(g, f).contains(Key(0, (-1,))),
+    ]
+    old = signal.signal(signal.SIGALRM, _stop)
+    try:
+        for case, bad in zip(cases, ("Key(0, (-1,))", "Key(-1, (0,))", "Key(0, (-1,))")):
+            signal.alarm(5)
+            with pytest.raises(ValueError, match=re.escape(bad)):
+                case()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    # the zero key is dropped, not an error
+    assert semigroup_contains([Key(0, (0,)), Key(1, (0,))], Key(2, (0,)))
+    spec = SemigroupSpec((Key(0, (0,)), Key(1, (0,))), Cut(3))
+    assert enumerate_semigroup(spec) == [Key(1, (0,)), Key(2, (0,))]
 
 
 def test_support_of_composition_bound():
