@@ -97,7 +97,8 @@ def _emit(args, payload: dict, text: str):
 def _add_common(p):
     p.add_argument("--z-cap", dest="z_cap", type=Fraction, default="12")
     p.add_argument("--block-cap", dest="block_cap", type=int, default=10)
-    p.add_argument("--ell-stop", dest="ell_stop", type=int, default=16)
+    p.add_argument("--ell-stop", dest="ell_stop", type=int, default=16,
+                   help="kept for compatibility; bounds nothing")
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--float", dest="mode", action="store_const", const=FLOAT, default=EXACT)
     p.add_argument("--json", action="store_true")

@@ -48,10 +48,10 @@ from .series import (
     mul,
     mul_monomial,
     pow_rational,
+    power_sum,
     scale,
     series_inverse,
     split_leading,
-    sum_powers,
     zero_series,
 )
 
@@ -118,9 +118,8 @@ class Composer:
     """A right factor f = lambda z^alpha (1 + u) and what every g o f shares.
 
     Built on demand: binomial bodies Sigma_i binom(delta, i) u^i, log images
-    l_j o f, their powers and their products per log multi-index.  The powers
-    of u in `u_pows` are only built for a u with logarithms: a log-free u
-    takes the one-pass recurrence of `series.binomial_body`.
+    l_j o f, their powers and their products per log multi-index.  Each body
+    and each geometric sum of a log image is one `series.power_sum`.
     """
 
     def __init__(self, f: TransSeries):
@@ -129,11 +128,9 @@ class Composer:
         self.alpha = shape.alpha
         _, self.lam, self.u = split_leading(f)
         self.images: list[TransSeries] = []
-        self.u_pows: list[TransSeries] = [
-            monomial(zero_key(f.grid.depth), f.grid, f.mode)
-        ]
+        self.one = monomial(zero_key(f.grid.depth), f.grid, f.mode)
         self.bodies: dict[object, TransSeries] = {}
-        self.img_pows: dict[tuple[int, int], TransSeries] = {}
+        self.power_cache: dict[tuple[int, int], TransSeries] = {}
         self.prod_cache: dict[tuple, TransSeries] = {}
 
     @classmethod
@@ -142,14 +139,12 @@ class Composer:
         return f if isinstance(f, Composer) else cls(f)
 
     def body(self, delta) -> TransSeries:
-        """Sigma_i binom(delta, i) u^i with the certified stop and tail penalty."""
+        """Sigma_i binom(delta, i) u^i, one `power_sum` per delta, cached."""
         if delta == 0:  # binom(0, i) = 0 for i >= 1: exactly 1, no tail
-            return self.u_pows[0]
+            return self.one
         hit = self.bodies.get(delta)
         if hit is None:
-            hit = self.bodies[delta] = binomial_body(
-                self.u, delta, self.alpha * delta, self.u_pows
-            )
+            hit = self.bodies[delta] = binomial_body(self.u, delta, self.alpha * delta)
         return hit
 
     def ell_image(self, j: int) -> TransSeries:
@@ -183,25 +178,25 @@ class Composer:
                 pref = monomial(ell_key(grid.depth, m), grid, mode)
             if log_cm is not None and not c_is_zero(log_cm):
                 inner = add(inner, monomial(zero_key(grid.depth), grid, mode, log_cm))
-            geom = sum_powers(mul(inner, pref), lambda i: Fraction(1))
+            geom = power_sum(mul(inner, pref), -1, 1, 1, one=True)  # 1 / (1 - v)
             self.images.append(mul(pref, geom))
         return self.images[j - 1]
 
     def image_power(self, j: int, n: int) -> TransSeries:
         """E_j^n built incrementally (one mul per new power, inverse cached)."""
         key = (j, n)
-        hit = self.img_pows.get(key)
+        hit = self.power_cache.get(key)
         if hit is not None:
             return hit
         if n == 0:
-            out = monomial(zero_key(self.f.grid.depth), self.f.grid, self.f.mode)
+            out = self.one
         elif n > 0:
             out = mul(self.image_power(j, n - 1), self.ell_image(j))
         elif n == -1:
             out = series_inverse(self.ell_image(j))
         else:
             out = mul(self.image_power(j, n + 1), self.image_power(j, -1))
-        self.img_pows[key] = out
+        self.power_cache[key] = out
         return out
 
     def image_product(self, lvec: tuple) -> TransSeries | None:

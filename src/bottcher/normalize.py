@@ -54,11 +54,11 @@ from .series import (
     negate,
     ord_z,
     pow_rational,
+    power_sum,
     residual_keys,
     scale,
     split_leading,
     sub,
-    sum_powers,
     zero_series,
 )
 from .compose import (
@@ -151,18 +151,17 @@ def solve_W(f: TransSeries | Composer) -> TransSeries:
     frontier Cut(z' - alpha), and every frontier candidate the cut adds lies
     at z >= z' - alpha: `log1p(u)` and each log image `Composer.ell_image`
     inherit Cut(z' - alpha), their powers and inverses keep it (the leading
-    keys are pure logs), `compose` shifts a body of u by z^(alpha d), and a
-    `sum_powers` stopped by z_cap leaves its tail at or above z'.  The
-    one-pass recurrence that replaces `sum_powers` for log-free series adds
-    the same candidates: the operand's frontier, and Cut(z') or, for a body
-    that `compose` shifts by z^(alpha d), Cut(z' - alpha d), which the shift
-    moves to Cut(z').  The
-    `block_cap` and `ell_stop` candidates count terms and powers inside one
-    z-block, so they do not depend on z_cap.  Every key of every series here
-    has z >= 0, so the terms below z' are the ones the full grid gives.  So
-    once W.frontier.z + alpha < z', no cut candidate reached the frontier: it
-    is the one the full grid gives, and every pending sum below it is the
-    same exact sum.  Starting on the full grid and shrinking it as the
+    keys are pure logs), and `compose` shifts a body of u by z^(alpha d).
+    `power_sum`, behind every power sum here, adds three candidates: its
+    operand's frontier; Cut(z'), or, for a body that `compose` shifts by
+    z^(alpha d), Cut(z' - alpha d), which the shift moves to Cut(z'); and
+    the first key past `block_cap` in a z-block.  That last one, like the
+    `block_cap` cut of `make_series`, counts terms inside one z-block, so it
+    does not depend on z_cap.  Every key of every series here has z >= 0,
+    so the terms below z' are the ones the full grid gives.  So once
+    W.frontier.z + alpha < z', no cut candidate reached the frontier: it is
+    the one the full grid gives, and every pending sum below it is the same
+    exact sum.  Starting on the full grid and shrinking it as the
     running frontier drops is slower: the first image already builds the
     full-grid log images.
     """
@@ -269,7 +268,7 @@ def apply_T_op(s: TransSeries, r: TransSeries, alpha) -> TransSeries:
     """T_f(S) = S o z^alpha + (S o z^alpha) R - Sigma_{i>=1} binom(alpha,i) S^i."""
     alpha = Fraction(alpha)
     s_za = compose(s, _power_part(alpha, zero_series(s.grid, s.mode)))
-    tail = sum_powers(s, lambda i: binomial(alpha, i) if i >= 1 else Fraction(0))
+    tail = power_sum(s, 1, alpha, alpha)  # (1 + S)^alpha - 1
     return sub(add(s_za, mul(s_za, r)), tail)
 
 

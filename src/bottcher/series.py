@@ -13,8 +13,8 @@ normalization pipeline are checked where they are needed, not here.
 
 This is the one truncated-series kernel of the package.  The pure-logarithm
 blocks B_m are the series of z-order 0 (every key is Key(0, l); `block_cap`
-caps their terms and `ell_stop` their power sums), and the Dulac ladders of
-`dulac` are depth-1 series with keys Key(beta, (-degree,)).
+caps their terms), and the Dulac ladders of `dulac` are depth-1 series with
+keys Key(beta, (-degree,)).
 
 `mul` forms only what `make_series` keeps: no pair of z-blocks whose z-sum
 reaches z_cap, and in each output z-block only the coefficients up to its
@@ -22,13 +22,10 @@ block_cap + 1-th nonzero key, in ascending key order (the last one sets the
 frontier).  Each coefficient it forms is summed in the order of the product
 over all pairs, so float coefficients are bit-identical to that product's.
 
-Power sums Sigma_i c_i v^i take one of two routes.  For a log-free v with
-rational z-exponents and ord_z(v) > 0, `log1p`, `exp_minus_one` and the
-binomial bodies of `pow_rational` and `compose` solve a first-order linear
-recurrence in one pass (`_theta_solve`), over the integer numerators of the
-exponents.  Every other power sum goes through `sum_powers`, one product per
-power of v: on pure-log keys the recurrence has a zero diagonal, and with
-logs the `block_cap` truncations of the powers set the frontier.
+Every power sum (`log1p`, `exp_minus_one`, the binomial bodies of
+`pow_rational` and `compose`, the geometric sums of the log images) is one
+`power_sum`: a first-order linear recurrence solved in one pass, in
+ascending key order, logs included, with no product of powers of v.
 """
 
 from __future__ import annotations
@@ -36,6 +33,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,7 +41,6 @@ from .coeffs import (
     EXACT,
     FLOAT,
     FLOAT_TOL,
-    binomial,
     c_add,
     c_from,
     c_inv,
@@ -64,8 +61,8 @@ from .printer import format_series
 class TruncationGrid:
     """Caps for stored data: z-order frontier, per-block term count, depth.
 
-    `ell_stop` bounds the number of summed powers in pure-log geometric
-    expansions (their tail is recorded in the frontier, never trusted).
+    `ell_stop` bounds nothing; it is kept so that `--ell-stop`, the config
+    key and the JSON grid field still parse.
     """
 
     z_cap: Fraction
@@ -405,142 +402,111 @@ def split_leading(f: TransSeries):
     return key, c, v
 
 
-def sum_powers(v: TransSeries, coeff_of, base_z=0, pows=None):
-    """Sigma_{i>=0} coeff_of(i) * v^i on v's grid, with the certified stop.
+def power_sum(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
+    """F with F(0) = 0 and (1 + s v) E F = E v (a F + b), plus 1 when `one`.
 
-    Requires ord(v) > 0 (lex).  `base_z` is the z-order of the factor the sum
-    will be multiplied by.  When the order of v has a z-component the sum
-    stops once base_z + i ord_z(v) reaches z_cap; for pure-log v it stops
-    after ell_stop powers.  The first untrusted key of the cut-off tail is
-    recorded in the frontier.  `pows` is a caller's list [1, v, v^2, ...],
-    extended only when a nonzero coefficient needs the next power.
+    E m = lambda(m) m for an additive weight lambda positive on supp(v),
+    which needs ord(v) > 0.  (s, a, b) = (1, beta, beta) gives
+    (1 + v)^beta - 1, (0, 1, 1) exp(v) - 1, (1, 0, 1) log(1 + v) and
+    (-1, 1, 1) v / (1 - v), by J. C. P. Miller's recurrence (Knuth, TAOCP 2,
+    4.7) with lambda for the exponent:
 
-    `log1p`, `exp_minus_one` and the binomial bodies of `pow_rational` and
-    `compose` come here only for a v with logarithms or float z-exponents;
-    a log-free v with rational exponents and ord_z(v) > 0 takes the one-pass
-    recurrence `_theta_solve`.  With logs the recurrence does not apply: on
-    a pure-log key theta = z d/dz is 0, so its diagonal vanishes, and the
-    `block_cap` truncations of the intermediate powers v^i set the frontier.
+        F_N = b v_N + Sigma_k ((a + s) lambda(k) / lambda(N) - s) v_k F_(N-k).
+
+    A key is the int vector x = (q z, l1, ..., lk), q the lcm of v's
+    z-denominators (a float enters as its exact Fraction), and lambda(x) =
+    x0 M^k + ... + xk with M the least power of two making lambda > 0 on
+    supp(v), hence on every sum of its keys (log-free v: lambda = x0).  Keys
+    come off a heap in ascending lex order; only the sums a nonzero F_(N-k)
+    reaches are visited.
+
+    The frontier is the least of Cut(z_cap - max(base_z, 0)), v's frontier
+    when b != 0, and the first nonzero key past block_cap stored keys in its
+    z-block; nothing is stored at or above it.  `compose` shifts a body by
+    z^base_z, which moves Cut(z_cap - base_z) onto Cut(z_cap).
     """
     grid, mode = v.grid, v.mode
     n0 = ord_for_frontier(v)
     if not n0.is_positive():
         raise ShapeError(f"power sum needs ord(v) > 0, got {n0!r}")
-    if pows is None:
-        pows = [monomial(zero_key(grid.depth), grid, mode)]
-    acc = zero_series(grid, mode)
-    i = 0
-    while (base_z + i * n0.z < grid.z_cap) if n0.z > 0 else (i <= grid.ell_stop):
-        q = coeff_of(i)
-        if q != 0:
-            while len(pows) <= i:
-                pows.append(mul(pows[-1], v))
-            acc = add(acc, scale(pows[i], q))
-        i += 1
-    return make_series(acc.terms, grid, mode, [acc.frontier, n0.scale(i)])
-
-
-def _recurrent(v: TransSeries, base_z=0) -> bool:
-    """Whether `_theta_solve` applies: v log-free, exponents rational, ord_z(v) > 0."""
-    n0 = ord_for_frontier(v)
-    return (
-        type(n0.z) is Fraction
-        and n0.z > 0
-        and isinstance(base_z, (int, Fraction))
-        and all(type(k.z) is Fraction and not any(k.l) for k in v.terms)
-    )
-
-
-def _theta_solve(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
-    """F with F(0) = 0 and (1 + s v) theta F = theta v (a F + b), theta = z d/dz.
-
-    (s, a, b) = (1, beta, beta) gives (1 + v)^beta - 1, (0, 1, 1) exp(v) - 1
-    and (1, 0, 1) log(1 + v), for a v that `_recurrent` accepts (J. C. P.
-    Miller's recurrence, Knuth TAOCP 2, 4.7).  The coefficient at N is
-
-        F_N = b v_N + Sigma_k ((a + s) k / N - s) v_k F_(N-k),
-
-    solved in ascending N over the integer numerators of the z-exponents
-    over their common denominator q; only the sums of exponents of v that a
-    nonzero F_(N-k) reaches are visited.  The diagonal N is never 0.
-
-    Stores every key z < z_cap - max(base_z, 0), plus the constant 1 when
-    `one`.  For base_z <= 0 these are the terms `sum_powers` stores, and the
-    frontier is the one it gives: Cut(z_cap), and v's frontier when b != 0
-    (v^1 enters), since its stopped tail lies above Cut(z_cap).  A body that
-    `compose` multiplies by z^base_z, base_z > 0, stops at Cut(z_cap -
-    base_z), which the shift moves onto the grid's Cut(z_cap), so the product
-    is the one `sum_powers` gives too.
-    """
-    grid, mode = v.grid, v.mode
     limit = grid.z_cap - max(base_z, 0)
-    q = math.lcm(*(k.z.denominator for k in v.terms))
-    top = limit * q
-    v_at = {k.z.numerator * (q // k.z.denominator): c for k, c in v.terms.items()}
-    vs = sorted((n, c) for n, c in v_at.items() if n < top)  # the n are distinct
-    heap = [n for n, _ in vs]  # ascending, so already a heap
-    sol: dict[int, object] = {}
+    frontier = min_key(Cut(limit), v.frontier) if b else Cut(limit)
+    gens = sorted(k for k in v.terms if k < frontier)
+    q = math.lcm(*(Fraction(k.z).denominator for k in gens))
+    vs = [((Fraction(k.z) * q).numerator,) + k.l for k in gens]
+    m = 1
+    while not all(_weight(x, m) > 0 for x in vs):
+        m *= 2
+    v_at = {x: (v.terms[k], _weight(x, m)) for x, k in zip(vs, gens)}
+    floats = any(type(k.z) is float for k in gens)
+
+    def key_of(x):
+        z = Fraction(x[0], q)
+        return Key(float(z) if floats else z, x[1:])
+
+    # every pushed key lies below the frontier: lex order is translation-invariant
+    fvec = (Fraction(frontier.z) * q,) + (frontier.l if isinstance(frontier, Key) else ())
+    terms = {zero_key(grid.depth): c_one(mode)} if one and limit > 0 else {}
+    per_block = Counter({0: len(terms)})
+    sol: dict[tuple, object] = {}
+    heap = list(vs)  # ascending, so already a heap
     last = None
     while heap:
         n = heapq.heappop(heap)
         if n == last:
             continue
         last = n
-        c = v_at.get(n)
-        acc = c_scale(c, b) if c is not None and b else None
-        for k, vk in vs:
+        acc = c_scale(v_at[n][0], b) if n in v_at and b else None
+        ln = _weight(n, m)
+        for k in vs:
             if k >= n:
                 break
-            fm = sol.get(n - k)
+            fm = sol.get(tuple(map(operator.sub, n, k)))
             if fm is None:
                 continue
-            w = ((a + s) * k - s * n) / Fraction(n)
+            vk, lk = v_at[k]
+            w = ((a + s) * lk - s * ln) / Fraction(ln)
             if w:
                 t = c_scale(c_mul(vk, fm), w)
                 acc = t if acc is None else c_add(acc, t)
         if acc is None or c_is_zero(acc):
             continue
+        if per_block[n[0]] == grid.block_cap:
+            frontier = key_of(n)
+            break
+        per_block[n[0]] += 1
         sol[n] = acc
-        for k, _ in vs:
-            if n + k >= top:
+        for k in vs:
+            nk = tuple(map(operator.add, n, k))
+            if not nk < fvec:
                 break
-            heapq.heappush(heap, n + k)
-    zl = (0,) * grid.depth
-    terms = {Key(0, zl): c_one(mode)} if one and limit > 0 else {}
-    for n, c in sol.items():
-        terms[Key(Fraction(n, q), zl)] = c
-    frontier = Cut(limit)
-    if b:
-        frontier = min_key(frontier, v.frontier)
+            heapq.heappush(heap, nk)
+    for x, c in sol.items():
+        terms[key_of(x)] = c
     return TransSeries(grid.depth, mode, grid, terms, frontier)
 
 
-def binomial_body(v: TransSeries, beta, base_z=0, pows=None) -> TransSeries:
-    """Sigma_i binom(beta, i) v^i = (1 + v)^beta, ord(v) > 0; see `sum_powers`."""
-    if _recurrent(v, base_z):
-        return _theta_solve(v, 1, beta, beta, base_z, one=True)
-    return sum_powers(v, lambda i: binomial(beta, i), base_z, pows)
+def _weight(x, m):
+    """lambda(x) = x0 m^k + x1 m^(k-1) + ... + xk."""
+    out = 0
+    for xi in x:
+        out = out * m + xi
+    return out
+
+
+def binomial_body(v: TransSeries, beta, base_z=0) -> TransSeries:
+    """Sigma_i binom(beta, i) v^i = (1 + v)^beta, ord(v) > 0; see `power_sum`."""
+    return power_sum(v, 1, beta, beta, base_z, one=True)
 
 
 def log1p(v: TransSeries) -> TransSeries:
     """log(1 + v) = Sigma (-1)^(i+1) v^i / i, ord(v) > 0."""
-    if _recurrent(v):
-        return _theta_solve(v, 1, 0, 1)
-    return sum_powers(v, lambda i: Fraction((-1) ** (i + 1), i) if i else Fraction(0))
+    return power_sum(v, 1, 0, 1)
 
 
 def exp_minus_one(v: TransSeries) -> TransSeries:
     """exp(v) - 1 for ord(v) > 0."""
-    if _recurrent(v):
-        return _theta_solve(v, 0, 1, 1)
-    fact = [Fraction(1)]
-
-    def coeff(i):
-        while len(fact) <= i:
-            fact.append(fact[-1] / len(fact))
-        return fact[i] if i else Fraction(0)
-
-    return sum_powers(v, coeff)
+    return power_sum(v, 0, 1, 1)
 
 
 def pow_rational(f: TransSeries, beta) -> TransSeries:

@@ -4,11 +4,11 @@ Unlike `oracles.py`, these are built on the package: the termwise
 derivative, a second inversion scheme that corrects a leading-monomial seed
 through f', conjugation through inversion, log z o f, the W-solve on the
 whole grid, the product over every pair of z-blocks and every key of a
-block, the power sums of log-free series power by power, `Exact` sums and
-products by the full complex formula, semigroup membership by nested
-searches (z-generators, then each log level), the z-adic metric and
-coefficient trajectories.  They check the package against itself by a
-different route, so they are not independent oracles.
+block, power sums power by power, `Exact` sums and products by the full
+complex formula, semigroup membership by nested searches (z-generators,
+then each log level), the z-adic metric and coefficient trajectories.  They
+check the package against itself by a different route, so they are not
+independent oracles.
 """
 
 from __future__ import annotations
@@ -50,13 +50,14 @@ from bottcher.series import (
     log1p,
     make_series,
     monomial,
+    mul,
     ord_for_frontier,
     ord_z,
     residual_keys,
     scale,
     split_leading,
     sub,
-    sum_powers,
+    zero_series,
 )
 
 
@@ -208,17 +209,41 @@ def exact_add_reference(a: Exact, b: Exact) -> Exact:
     return Exact(parts)
 
 
-def power_sum(v: TransSeries, kind: str, beta=None, base_z=0) -> TransSeries:
-    """log(1 + v), exp(v) - 1 or Sigma_i binom(beta, i) v^i by `sum_powers`.
+def sum_powers(v: TransSeries, coeff_of, base_z=0) -> TransSeries:
+    """Sigma_{i>=0} coeff_of(i) * v^i, one `mul` per power of v, ord(v) > 0.
 
-    `kind` is "log", "exp" or "pow".  The reference for the one-pass
-    recurrence `series._theta_solve` that `log1p`, `exp_minus_one` and
-    `binomial_body` take for log-free v: one `mul` per power of v.
+    The stop of the power-by-power sum: once base_z + i ord_z(v) reaches
+    z_cap, or, for a pure-log v, after `ell_stop` powers; the first key of
+    the cut-off tail, ord(v) * i, enters the frontier.  `base_z` is the
+    z-order of the factor the sum will be multiplied by.
+    """
+    grid, mode = v.grid, v.mode
+    n0 = ord_for_frontier(v)
+    if not n0.is_positive():
+        raise ShapeError(f"power sum needs ord(v) > 0, got {n0!r}")
+    power = monomial(zero_key(grid.depth), grid, mode)
+    acc = zero_series(grid, mode)
+    i = 0
+    while (base_z + i * n0.z < grid.z_cap) if n0.z > 0 else (i <= grid.ell_stop):
+        q = coeff_of(i)
+        if q != 0:
+            acc = add(acc, scale(power, q))
+        power = mul(power, v)
+        i += 1
+    return make_series(acc.terms, grid, mode, [acc.frontier, n0.scale(i)])
+
+
+def power_sum_by_powers(v: TransSeries, kind: str, beta=None, base_z=0) -> TransSeries:
+    """log(1 + v), exp(v) - 1, Sigma_i binom(beta, i) v^i or 1 / (1 - v) by
+    `sum_powers`, the reference for `series.power_sum`.
+
+    `kind` is "log", "exp", "pow" or "geom".
     """
     coeff_of = {
         "log": lambda i: Fraction((-1) ** (i + 1), i) if i else Fraction(0),
         "exp": lambda i: Fraction(1, math.factorial(i)) if i else Fraction(0),
         "pow": lambda i: binomial(beta, i),
+        "geom": lambda i: Fraction(1),
     }[kind]
     return sum_powers(v, coeff_of, base_z)
 

@@ -158,6 +158,17 @@ def test_compose_matches_polynomial_substitution_oracle():
             assert out.coeff(Key(n, (0, 0))) == Exact.of(c), n
 
 
+def test_integer_powers_of_a_log_right_factor_have_no_tail():
+    """binom(d, i) = 0 for i > d: z^d o f is a finite sum for an integer
+    d >= 1, so with a pure-log u its only frontier is the grid's Cut(z_cap)."""
+    grid = TruncationGrid(6, 10, 1, 12)
+    f = S("z^2 + z^2*l1", grid)
+    assert compose(S("z", grid), f) == f
+    z2 = compose(S("z^2", grid), f)
+    assert z2 == S("z^4 + 2*z^4*l1 + z^4*l1^2", grid)
+    assert compose(S("z", grid), f).frontier == z2.frontier == Cut(6)
+
+
 def test_compose_ell_factor():
     assert_agree(compose(S("z*l1"), S("z^2")), S("1/2*z^2*l1"))
 

@@ -2,15 +2,13 @@
 
 `tests/data/kernel_golden.json` holds, for each input below, the full
 `series_to_json` (frontier included) of the kernel operations built on the
-certified power sum `series.sum_powers`: every log image `l_m o f`,
-`invert`, `pow_rational` at 1/2 and -1, `log1p` and `exp_minus_one` of
+power sum `series.power_sum`: every log image `l_m o f`, `invert`,
+`pow_rational` at 1/2 and -1, `log1p` and `exp_minus_one` of
 u = f / (lambda z^alpha) - 1, one composition `g o f`, `prenormalize` and
 `bottcher_sequence` at n = 2.  An operation that raises is recorded by the
 exception's class name.  Exact mode must match byte for byte, float mode must
 have the same frontier and support with coefficients equal to 1e-12 relative.
-`invert` is compared on its frontier and its terms below it, and must store
-nothing at or above it; the file was written by an earlier Newton inversion,
-which left terms above its frontier.
+`invert` must store nothing at or above its frontier.
 
 Regenerate (only on purpose) with `PYTHONPATH=src python tests/test_kernel_golden.py`.
 """
@@ -123,7 +121,6 @@ def test_kernel_matches_golden(case):
     got = golden_entry(*case)
     assert sorted(got) == sorted(want)
     assert got["invert"] == _below_frontier(got["invert"])
-    want["invert"] = _below_frontier(want["invert"])
     for name in want:
         if case[3] == "exact":
             assert json.dumps(got[name], sort_keys=True) == json.dumps(

@@ -624,6 +624,47 @@ def test_solve_grid_is_cut_only_for_log_inputs(text, grid, cut):
     assert z_cap < grid[0] if cut else z_cap == grid[0]
 
 
+def _trusted(phi):
+    return {k: c for k, c in phi.terms.items() if k < phi.frontier}
+
+
+def test_trusted_terms_survive_grid_refinement():
+    """A trusted coefficient is a coefficient of the untruncated phi.  So on a
+    grid with a larger z_cap, block_cap or both, every key trusted on the
+    smaller grid is trusted with the same coefficient, and no other key
+    below the smaller frontier is trusted: an oracle-free check of the
+    exactness contract, on seeded log inputs."""
+    rng = random.Random(1717)
+    rose = 0
+    for _ in range(20):
+        f = _random_log_input(rng)
+        phi = normalize(f, verify=False).phi
+        small = _trusted(phi)
+        for dz, db in ((2, 0), (0, 2), (2, 2)):
+            grid = replace(f.grid, z_cap=f.grid.z_cap + dz, block_cap=f.grid.block_cap + db)
+            big = normalize(make_series(f.terms, grid), verify=False).phi
+            assert all(k < big.frontier for k in small), (f, grid)
+            below = {k: c for k, c in _trusted(big).items() if k < phi.frontier}
+            assert below == small, (f, grid)
+            rose += big.frontier > phi.frontier
+    assert rose > 20
+
+
+def test_ell_stop_bounds_nothing():
+    """Grids that differ only in ell_stop give the same phi, frontier and
+    verification report: no power sum counts powers."""
+    reports = []
+    for ell_stop in (4, 16):
+        f = parse("z^2 + z^2*l1", grid=TruncationGrid(6, 8, 1, ell_stop))
+        res = normalize(f)
+        phi = series_to_json(res.phi)
+        del phi["grid"]["ell_stop"]
+        reports.append((phi, res.verification))
+    assert reports[0] == reports[1]
+    phi = reports[0][0]
+    assert phi["frontier"] == {"z": "1", "l": [8]} and len(phi["terms"]) == 8
+
+
 # -- contraction / invariance properties ------------------------------------------------------
 
 
