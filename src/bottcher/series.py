@@ -30,6 +30,7 @@ ascending key order, logs included, with no product of powers of v.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import operator
@@ -414,11 +415,13 @@ def power_sum(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
         F_N = b v_N + Sigma_k ((a + s) lambda(k) / lambda(N) - s) v_k F_(N-k).
 
     A key is the int vector x = (q z, l1, ..., lk), q the lcm of v's
-    z-denominators (a float enters as its exact Fraction), and lambda(x) =
+    z-denominators (a float enters as `_exact_z`), and lambda(x) =
     x0 M^k + ... + xk with M the least power of two making lambda > 0 on
     supp(v), hence on every sum of its keys (log-free v: lambda = x0).  Keys
-    come off a heap in ascending lex order; only the sums a nonzero F_(N-k)
-    reaches are visited.
+    come off a heap in ascending order of their stored key, whose z is
+    rounded for float exponents (sums that round to one key add up); only
+    the sums a nonzero F_(N-k) reaches are visited.  In float mode an F_N
+    within FLOAT_TOL of its parts' magnitudes is rounding dust, so 0.
 
     The frontier is the least of Cut(z_cap - max(base_z, 0)), v's frontier
     when b != 0, and the first nonzero key past block_cap stored keys in its
@@ -432,31 +435,30 @@ def power_sum(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
     limit = grid.z_cap - max(base_z, 0)
     frontier = min_key(Cut(limit), v.frontier) if b else Cut(limit)
     gens = sorted(k for k in v.terms if k < frontier)
-    q = math.lcm(*(Fraction(k.z).denominator for k in gens))
-    vs = [((Fraction(k.z) * q).numerator,) + k.l for k in gens]
+    q = math.lcm(*(_exact_z(k.z).denominator for k in gens))
+    vs = [((_exact_z(k.z) * q).numerator,) + k.l for k in gens]
     m = 1
     while not all(_weight(x, m) > 0 for x in vs):
         m *= 2
     v_at = {x: (v.terms[k], _weight(x, m)) for x, k in zip(vs, gens)}
     floats = any(type(k.z) is float for k in gens)
 
-    def key_of(x):
-        z = Fraction(x[0], q)
-        return Key(float(z) if floats else z, x[1:])
+    def at(x):  # where x is stored, (z, l1, ..., lk) in lex order; exact z: x itself
+        return (x[0] / q,) + x[1:] if floats else x
 
-    # every pushed key lies below the frontier: lex order is translation-invariant
-    fvec = (Fraction(frontier.z) * q,) + (frontier.l if isinstance(frontier, Key) else ())
+    # every pushed key lies below the frontier; z grows with k, as vs is sorted
+    fpos = (frontier.z if floats else _exact_z(frontier.z) * q,) + getattr(frontier, "l", ())
     terms = {zero_key(grid.depth): c_one(mode)} if one and limit > 0 else {}
     per_block = Counter({0: len(terms)})
     sol: dict[tuple, object] = {}
-    heap = list(vs)  # ascending, so already a heap
+    heap = sorted((at(x), x) for x in vs)  # sorted, so a heap
     last = None
     while heap:
-        n = heapq.heappop(heap)
+        o, n = heapq.heappop(heap)
         if n == last:
             continue
         last = n
-        acc = c_scale(v_at[n][0], b) if n in v_at and b else None
+        parts = [c_scale(v_at[n][0], b)] if n in v_at and b else []
         ln = _weight(n, m)
         for k in vs:
             if k >= n:
@@ -467,23 +469,32 @@ def power_sum(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
             vk, lk = v_at[k]
             w = ((a + s) * lk - s * ln) / Fraction(ln)
             if w:
-                t = c_scale(c_mul(vk, fm), w)
-                acc = t if acc is None else c_add(acc, t)
-        if acc is None or c_is_zero(acc):
+                parts.append(c_scale(c_mul(vk, fm), w))
+        acc = functools.reduce(c_add, parts) if parts else c_zero(mode)
+        if c_is_zero(acc) or mode == FLOAT and abs(acc) <= FLOAT_TOL * sum(map(abs, parts)):
             continue
-        if per_block[n[0]] == grid.block_cap:
-            frontier = key_of(n)
-            break
-        per_block[n[0]] += 1
+        key = Key(o[0], o[1:]) if floats else Key(Fraction(n[0], q), n[1:])
+        if key not in terms:  # else float exponents: another sum rounded to key
+            if per_block[o[0]] == grid.block_cap:
+                frontier = key
+                break
+            per_block[o[0]] += 1
+        terms[key] = c_add(terms[key], acc) if key in terms else acc
         sol[n] = acc
         for k in vs:
             nk = tuple(map(operator.add, n, k))
-            if not nk < fvec:
+            o = at(nk)
+            if o < fpos:
+                heapq.heappush(heap, (o, nk))
+            elif o[0] > fpos[0]:
                 break
-            heapq.heappush(heap, nk)
-    for x, c in sol.items():
-        terms[key_of(x)] = c
     return TransSeries(grid.depth, mode, grid, terms, frontier)
+
+
+def _exact_z(z) -> Fraction:
+    """z, or for a float the fraction of denominator <= 10^6 rounding to it (1/3)."""
+    near = Fraction(z).limit_denominator(10**6)
+    return near if type(z) is float and float(near) == z else Fraction(z)
 
 
 def _weight(x, m):

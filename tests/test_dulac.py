@@ -81,17 +81,19 @@ def _seeded_ladder(rng, mode):
 
 
 def _ladder_map(ladder):
-    return {(a, deg): c_to_complex(c) for a, p in ladder for deg, c in enumerate(p)}
+    return {(float(a), deg): c_to_complex(c) for a, p in ladder for deg, c in enumerate(p)}
 
 
 def test_roundtrips():
     """z -> zeta -> z below a common cap, and transseries -> Dulac -> transseries,
-    on fixed and seeded ladders, exact and float, at grid depths 0, 1 and 2."""
+    on fixed and seeded ladders, exact and float, at grid depths 0, 1 and 2.
+    A 7/3 rung makes float exponents in thirds, whose float sums (such as
+    float(1/3) + float(2/3)) need not be exact."""
     rng = random.Random(1151)
     cap = F(4)
     grids = [TruncationGrid(8, 6, depth, 10) for depth in (0, 1, 2)]
     for mode, lam in ((EXACT, 1), (EXACT, F(1, 2)), (FLOAT, 1), (FLOAT, complex(2, 1))):
-        ladders = [[], [(3, [0, 1])], [(F(5, 2), [1]), (3, [2, 0, 1])]]
+        ladders = [[], [(3, [0, 1])], [(F(5, 2), [1]), (3, [2, 0, 1])], [(F(7, 3), [1]), (3, [0, 1])]]
         ladders += [_seeded_ladder(rng, mode) for _ in range(6)]
         for ladder in ladders:
             d = DulacSeriesZ(lam, 2, ladder, mode)
