@@ -28,7 +28,6 @@ from .series import (
     TruncationGrid,
     add,
     identity_series,
-    leading_block,
     leading_term,
     make_series,
     monomial,
@@ -38,15 +37,13 @@ from .series import (
     pow_rational,
     series_inverse,
     sub,
-    supp,
     zero_series,
 )
-from .blocks import D_m, dist_ell
+from . import blocks  # noqa: F401  (empty; bench/tracer.py looks it up by name)
 from .compose import (
     Composer,
     HyperbolicShape,
     compose,
-    compose_ell,
     compose_power,
     invert,
     reduce_alpha,
@@ -56,12 +53,10 @@ from .compose import (
 from .normalize import (
     NormalizationResult,
     SemigroupSpec,
-    binomial_bound_check,
     bottcher_R_op,
     bottcher_iterates,
     bottcher_op,
     bottcher_sequence,
-    convergence_mode,
     enumerate_semigroup,
     normalize,
     order_bound_check,
@@ -78,21 +73,18 @@ from .domains import (
     invariant_threshold,
     lower_map_check,
     rho,
-    sqd_boundary,
     upper_map_check,
 )
 from .koenigs import (
     KoenigsResult,
     koenigs_normalize,
     koenigs_residual,
-    real_line_invariance_check,
     solve_homological,
 )
 from .dulac import (
     DulacSeriesZ,
     DulacSeriesZeta,
     compare_formal_numeric,
-    defect_decay_check,
     dulac_normalize_full,
     evaluate_zeta,
     from_transseries,

@@ -358,8 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sp.add_parser("verify", help="check phi o f = phi^alpha below frontier")
     p.add_argument("--f", required=True)
-    p.add_argument("--phi", default=None)
-    p.add_argument("--phi-file", dest="phi_file", default=None)
+    phi = p.add_mutually_exclusive_group(required=True)
+    phi.add_argument("--phi", default=None)
+    phi.add_argument("--phi-file", dest="phi_file", default=None)
     _add_common(p)
     p.set_defaults(fn=cmd_verify)
 
@@ -398,6 +399,21 @@ def _subcommands(ap: argparse.ArgumentParser) -> dict:
     return sp.choices
 
 
+CSV_WRITERS = ("analytic koenigs", "bridge compare")
+
+
+def _usage_problem(args) -> str | None:
+    """A usage error that depends on the choice argument of `analytic` or `bridge`."""
+    if args.cmd not in ("analytic", "bridge"):
+        return None
+    command = f"{args.cmd} {args.analytic_cmd if args.cmd == 'analytic' else args.bridge_cmd}"
+    if args.cmd == "bridge" and args.bridge_cmd != "to-z" and args.expr is None:
+        return f"{command} needs the argument expr"
+    if args.csv and command not in CSV_WRITERS:
+        return f"{command} writes no --csv; {' and '.join(CSV_WRITERS)} do"
+    return None
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     config = _read_config(os.environ.get("BOTTCHER_CONFIG"))
@@ -405,6 +421,9 @@ def main(argv=None) -> int:
         dests = {a.dest for a in p._actions}
         p.set_defaults(**{k: v for k, v in config.items() if k in CONFIG_KEYS and k in dests})
     args = ap.parse_args(argv)  # applies each option's type to config values too
+    problem = _usage_problem(args)
+    if problem:
+        _subcommands(ap)[args.cmd].error(problem)  # exits 2, like argparse's own errors
     try:
         return args.fn(args)
     except ParseError as e:

@@ -360,17 +360,3 @@ def c_pow_rational(a, beta):
     if z == 0:
         raise ZeroDivisionError("0 ** negative/fractional power")
     return cmath.exp(float(beta) * cmath.log(z))
-
-
-def binomial(beta, i: int):
-    """Generalized binomial coefficient; Fraction for rational beta, float for float."""
-    if isinstance(beta, float):
-        b = 1.0
-        for j in range(i):
-            b = b * (beta - j) / (j + 1)
-        return b
-    b = Fraction(1)
-    beta = _asfrac(beta)
-    for j in range(i):
-        b = b * (beta - j) / (j + 1)
-    return b

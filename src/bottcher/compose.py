@@ -102,15 +102,6 @@ def compose_power(beta, f: TransSeries) -> TransSeries:
     return pow_rational(f, beta)
 
 
-def compose_ell(m: int, f: TransSeries) -> TransSeries:
-    """l_m o f via l_1 o f = -1/(log z o f) and l_(m+1) o f = l_1 o (l_m o f)."""
-    if m < 1:
-        raise ValueError("log index must be >= 1")
-    if m > f.grid.depth:
-        raise DepthOverflowError(f"l_{m} needs depth {m}, grid has {f.grid.depth}")
-    return Composer(f).ell_image(m)
-
-
 # -- general composition -------------------------------------------------------
 
 
@@ -157,8 +148,10 @@ class Composer:
         where c_1 = 1/alpha and c_m = 1 for m >= 2.
         """
         grid, mode = self.f.grid, self.f.mode
+        if j < 1:
+            raise ValueError(f"log index must be >= 1, got {j}")
         if j > grid.depth:
-            raise DepthOverflowError(f"l_{j} needs depth {j}")
+            raise DepthOverflowError(f"l_{j} needs depth {j}, grid has {grid.depth}")
         while len(self.images) < j:
             m = len(self.images) + 1
             if m == 1:

@@ -77,16 +77,6 @@ class DomainSpec:
 # -- standard quadratic domains -------------------------------------------------
 
 
-def sqd_boundary(r: float, C: float) -> complex:
-    """Boundary point x(r) + i y(r) = kappa(i r) of the upper half boundary, r >= 0."""
-    if r < 0 or C <= 0:
-        raise DomainError("need r >= 0 and C > 0")
-    s1 = math.sin(0.5 * math.atan(r))
-    s2 = math.cos(0.5 * math.atan(r))
-    quarter = (r * r + 1.0) ** 0.25
-    return complex(C * quarter * s2, r + C * quarter * s1)
-
-
 def sqd_im_extent(x: float, C: float) -> float:
     """The boundary ordinate Y_C(x) at abscissa x >= C, in closed form.
 

@@ -299,13 +299,13 @@ def evaluate_zeta(d: DulacSeriesZeta, zeta):
     return out
 
 
-def _decay_report(xs, vals, noise_floor=0.0):
+def _decay_report(xs, vals):
     """Trend of a statistic along increasing Re: bounded + trending down.
 
     "Decays" means: last-decade mean below 0.5x first-decade mean, and the
     least-squares slope of log(statistic) is negative (documented thresholds).
     """
-    pts = [(x, v) for x, v in zip(xs, vals) if v > noise_floor]
+    pts = [(x, v) for x, v in zip(xs, vals) if v > 0.0]
     if len(pts) < 4:
         return {"pass": False, "reason": "too few points above noise floor", "points": pts}
     k = max(1, len(pts) // 4)
@@ -327,20 +327,6 @@ def _decay_report(xs, vals, noise_floor=0.0):
         "last_decade": last,
         "n_points": n,
     }
-
-
-def defect_decay_check(f, phi_n: DulacSeriesZeta, beta_n, alpha, xs, im=0.0, noise_floor=0.0):
-    """sup-grid of |phi_n(f(zeta)) - alpha phi_n(zeta)| e^(beta_n Re) and its trend."""
-    beta = float(beta_n)
-    stats = []
-    for x in xs:
-        zeta = complex(x, im)
-        d = abs(evaluate_zeta(phi_n, f(zeta)) - alpha * evaluate_zeta(phi_n, zeta))
-        stats.append(float(d) * math.exp(beta * x))
-    rep = _decay_report(xs, stats, noise_floor)
-    rep["sup"] = max(stats) if stats else 0.0
-    rep["statistic"] = stats
-    return rep
 
 
 def compare_formal_numeric(phi_numeric, phi_hat: DulacSeriesZeta, n: int, xs):

@@ -101,24 +101,6 @@ def identity_deviation_bound(result: KoenigsResult, zeta) -> float:
     return result.spec.M(float(zeta.real)) / (1.0 - 1.0 / a)
 
 
-def cauchy_step_bound(result: KoenigsResult, zeta, n: int) -> float:
-    """Per-step majorant alpha^-(n+1) M(R + n rho(R)) of the Koenigs sequence."""
-    spec = result.spec
-    return spec.alpha ** (-(n + 1)) * spec.M(result.R + n * spec.rho(result.R))
-
-
-def real_line_invariance_check(result: KoenigsResult, f, xs, tol: float = 1e-9) -> bool:
-    """If f preserves the real samples (within tol), phi must too."""
-    phi = result.evaluator
-    for x in xs:
-        z = complex(float(x), 0.0)
-        if abs(f(z).imag) > tol:
-            raise DomainError(f"f is not real-preserving at {x}")
-        if abs(phi(z).imag) > tol:
-            return False
-    return True
-
-
 # -- homological equation ---------------------------------------------------------
 
 

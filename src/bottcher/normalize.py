@@ -9,10 +9,11 @@ equation phi o f = phi^alpha becomes the linear equation
 
 solved term by term in ascending key order by `solve_W`.  Its pure-log terms
 are the canonical prenormalization id + zS of the same-z-order log block;
-`prenormalize` runs the same solve on that block alone.  The paper's
-operators stay as references: the Bottcher operator P_f(h) = z^(1/alpha) o h
-o f, whose Picard iterates converge to phi, the weak-iteration map of the
-prenormalization and the T/S/K operator triple.
+`prenormalize` runs the same solve on that block alone.  The Bottcher
+operator P_f(h) = z^(1/alpha) o h o f, whose Picard iterates converge to
+phi, stays for `bottcher-seq`.  The paper's other operators, the
+weak-iteration map of the prenormalization and the T/S/K operator triple,
+are test references in `tests/crosschecks.py`, with their metrics.
 
 Verification checks the Bottcher equation phi o f = phi^alpha below the
 frontier rather than the conjugation phi o f o phi^(-1) = z^alpha: the two
@@ -34,32 +35,25 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from . import blocks as B
-from .coeffs import binomial, c_add, c_eq, c_from, c_is_zero, c_mul, c_scale
+from .coeffs import c_add, c_eq, c_from, c_is_zero, c_mul, c_scale
 from .errors import ShapeError
 from .keys import Cut, Key, ell_key, min_key, zero_key
 from .series import (
     TransSeries,
     add,
-    agree_below_frontier,
     embed,
     exp_minus_one,
     identity_series,
-    leading_block,
     log1p,
     make_series,
     monomial,
-    mul,
     mul_monomial,
-    negate,
     ord_z,
     pow_rational,
-    power_sum,
     residual_keys,
     scale,
     split_leading,
     sub,
-    zero_series,
 )
 from .compose import (
     STRONGLY_HYPERBOLIC,
@@ -242,56 +236,7 @@ def prenormalize(f: TransSeries) -> TransSeries:
     _, r = alpha_block(f)
     if r.is_zero():
         return identity_series(f.grid, f.mode)
-    B.check_class(r, "B_>=m+", 1)
     return _phi_of(solve_W(alpha_part_series(f)))
-
-
-def _power_part(alpha, r: TransSeries) -> TransSeries:
-    """The right factor f0 = z^alpha (1 + R) of the substitution l_j -> l_j o f0."""
-    one = monomial(zero_key(r.depth), r.grid, r.mode)
-    return mul_monomial(add(one, r), Key(alpha, (0,) * r.depth))
-
-
-def prenorm_block_map(r: TransSeries, t: TransSeries, alpha, f0=None) -> TransSeries:
-    """One weak-iteration step: T -> ((1+R)(1+T o f0))^(1/alpha) - 1; f0 may be a Composer."""
-    alpha_q = Fraction(alpha) if not isinstance(alpha, float) else alpha
-    f0 = _power_part(alpha_q, r) if f0 is None else f0
-    one = monomial(zero_key(r.depth), r.grid, r.mode)
-    inner = mul(add(one, r), add(one, compose(t, f0)))
-    return sub(pow_rational(inner, 1 / alpha_q), one)
-
-
-# -- the T/S/K operator triple ----------------------------------------------------
-
-
-def apply_T_op(s: TransSeries, r: TransSeries, alpha) -> TransSeries:
-    """T_f(S) = S o z^alpha + (S o z^alpha) R - Sigma_{i>=1} binom(alpha,i) S^i."""
-    alpha = Fraction(alpha)
-    s_za = compose(s, _power_part(alpha, zero_series(s.grid, s.mode)))
-    tail = power_sum(s, 1, alpha, alpha)  # (1 + S)^alpha - 1
-    return sub(add(s_za, mul(s_za, r)), tail)
-
-
-def apply_K_op(s: TransSeries, r: TransSeries, alpha) -> TransSeries:
-    """Derived closed form of the contraction remainder K_f.
-
-    K_f(S) = (S o f0 - S o z^alpha)(1 + R) - ((D_1 S) o z^alpha) R, the unique
-    remainder making T_f(S) = S_f(S) equivalent to the fixed-point equation.
-    """
-    alpha = Fraction(alpha)
-    pure = _power_part(alpha, zero_series(s.grid, s.mode))
-    delta = sub(compose(s, _power_part(alpha, r)), compose(s, pure))
-    one = monomial(zero_key(s.depth), s.grid, s.mode)
-    d1s_za = compose(B.D_m(s, 1), pure)
-    return sub(mul(delta, add(one, r)), mul(d1s_za, r))
-
-
-def apply_S_op(s: TransSeries, r: TransSeries, alpha) -> TransSeries:
-    """S_f(S) = -R - ((D_1 S) o z^alpha) R - K_f(S)."""
-    alpha = Fraction(alpha)
-    pure = _power_part(alpha, zero_series(s.grid, s.mode))
-    d1s_za = compose(B.D_m(s, 1), pure)
-    return sub(sub(negate(r), mul(d1s_za, r)), apply_K_op(s, r, alpha))
 
 
 # -- normalization ------------------------------------------------------------------
@@ -427,7 +372,7 @@ def verify_normalization(f: TransSeries, res: NormalizationResult) -> dict:
     return report
 
 
-# -- sequences and diagnostics ------------------------------------------------------
+# -- Bottcher sequences ----------------------------------------------------------------
 
 
 def bottcher_iterates(f: TransSeries, h: TransSeries, n: int) -> list[TransSeries]:
@@ -443,22 +388,6 @@ def bottcher_sequence(f: TransSeries, h: TransSeries, n: int) -> TransSeries:
     if n < 0:
         raise ValueError("n must be >= 0")
     return bottcher_iterates(f, h, n)[-1]
-
-
-def convergence_mode(f: TransSeries, h: TransSeries) -> dict:
-    """Weak convergence always holds; power-metric iff Lb_z(h) = Lb_z(phi)."""
-    res = normalize(f, verify=False)
-    a_h, lb_h = leading_block(h)
-    a_p, lb_p = leading_block(res.phi)
-    same_block = agree_below_frontier(lb_h, lb_p)
-    return {"weak_always": True, "power_metric": bool(a_h == a_p and same_block)}
-
-
-def ell1_distance_on_parabolic(h1: TransSeries, h2: TransSeries) -> float:
-    """The l1-order metric d(id+zR, id+zS) = 2^(-ord_l1(R-S)) on 1-blocks."""
-    _, b1 = leading_block(h1)
-    _, b2 = leading_block(h2)
-    return B.dist_ell(b1, b2, 1)
 
 
 # -- support control -----------------------------------------------------------------
@@ -584,7 +513,7 @@ def enumerate_semigroup(spec: SemigroupSpec, ell_window: int = 8) -> list[Key]:
     return out
 
 
-# -- scalar bounds -----------------------------------------------------------------
+# -- the order bound ---------------------------------------------------------------
 
 
 def order_bound_check(f: TransSeries, phi: TransSeries) -> bool:
@@ -596,10 +525,3 @@ def order_bound_check(f: TransSeries, phi: TransSeries) -> bool:
     if o is None:
         return True
     return o >= beta
-
-
-def binomial_bound_check(alpha, n: int, i: int) -> bool:
-    """|binom(1/alpha^n, i)| <= 1/alpha^n, exactly."""
-    alpha = Fraction(alpha)
-    x = Fraction(1) / alpha**n
-    return abs(binomial(x, i)) <= x

@@ -228,35 +228,11 @@ def ord_z(f: TransSeries):
     return min(k.z for k in f.terms)
 
 
-def supp(f: TransSeries) -> list[Key]:
-    return sorted(f.terms)
-
-
 def leading_term(f: TransSeries):
     if not f.terms:
         raise EmptySeriesError("leading term of the zero series")
     k = min(f.terms)
     return k, f.terms[k]
-
-
-def leading_block(f: TransSeries):
-    """The full alpha-block at alpha = ord_z(f), as (alpha, z-order-0 series).
-
-    The block keeps the part of f's frontier that falls inside it: Key(0, l)
-    for a frontier Key(alpha, l), Cut(0) when no key of the block is trusted.
-    """
-    if not f.terms:
-        raise EmptySeriesError("leading block of the zero series")
-    alpha = ord_z(f)
-    terms = {Key(0, k.l): c for k, c in f.terms.items() if k.z == alpha}
-    fr = f.frontier
-    if fr.z > alpha:
-        cands = []
-    elif fr.z == alpha and not isinstance(fr, Cut):
-        cands = [Key(0, fr.l)]
-    else:
-        cands = [Cut(0)]
-    return alpha, make_series(terms, f.grid, f.mode, cands)
 
 
 def ord_for_frontier(f: TransSeries) -> Key:
@@ -373,12 +349,6 @@ def mul_monomial(a: TransSeries, key: Key, coeff=None) -> TransSeries:
     for k, c in a.terms.items():
         terms[k + key] = c if coeff is None else c_mul(c, coeff)
     return make_series(terms, a.grid, a.mode, [a.frontier + key])
-
-
-def agree_below_frontier(a: TransSeries, b: TransSeries) -> bool:
-    a, b = _common(a, b)
-    diff = sub(a, b)
-    return diff.is_zero() or min(diff.terms) >= diff.frontier
 
 
 def residual_keys(r: TransSeries) -> list[Key]:

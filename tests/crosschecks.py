@@ -1,14 +1,27 @@
-"""Cross-check and diagnostic operations that only the tests use.
+"""Cross-check references, the paper's operators and diagnostics: what only
+the tests use.
 
-Unlike `oracles.py`, these are built on the package: the termwise
-derivative, a second inversion scheme that corrects a leading-monomial seed
-through f', conjugation through inversion, log z o f, the W-solve on the
-whole grid, the product over every pair of z-blocks and every key of a
-block, power sums power by power, `Exact` sums and products by the full
-complex formula, semigroup membership by nested searches (z-generators,
-then each log level), the z-adic metric and coefficient trajectories.  They
-check the package against itself by a different route, so they are not
-independent oracles.
+Unlike `oracles.py`, these are built on the package.  They check it against
+itself by a different route, so they are not independent oracles:
+
+* second routes for the kernel: the termwise derivative, a second inversion
+  scheme that corrects a leading-monomial seed through f', conjugation
+  through inversion, log z o f, the W-solve on the whole grid, the product
+  over every pair of z-blocks and every key of a block, power sums power by
+  power, `Exact` sums and products by the full complex formula, semigroup
+  membership by nested searches (z-generators, then each log level);
+* series helpers: the support, the leading z-block, agreement below the
+  frontier, the generalized binomial coefficient and l_m o f;
+* the pure-logarithm blocks B_m: membership, the l_m-order, the metric d_m
+  and the derivation D_m;
+* the paper's operators, which `normalize.solve_W` replaces by one
+  triangular solve: the T/S/K triple, the weak-iteration map of the
+  prenormalization, the convergence mode of a Bottcher sequence, the
+  l1-order metric and the binomial bound;
+* metrics and diagnostics: the z-adic metric, coefficient trajectories, the
+  e^(-1)-order of a Dulac series, the standard quadratic domain's boundary
+  (the reference for `domains.sqd_im_extent`), the Koenigs step bound, real
+  line invariance and the defect decay of a partial Dulac normalization.
 """
 
 from __future__ import annotations
@@ -18,8 +31,8 @@ from fractions import Fraction
 
 from bottcher.coeffs import (
     Exact,
+    _asfrac,
     _mono_mul,
-    binomial,
     c_add,
     c_from,
     c_inv,
@@ -38,9 +51,11 @@ from bottcher.compose import (
     reduce_lambda,
     shape_of,
 )
-from bottcher.errors import DepthOverflowError, ShapeError
-from bottcher.keys import Key, ell_key, zero_key
-from bottcher.normalize import _phi_of, _triangular_solve
+from bottcher.dulac import DulacSeriesZeta, _decay_report, evaluate_zeta
+from bottcher.errors import DepthOverflowError, DomainError, EmptySeriesError, ShapeError
+from bottcher.keys import Cut, Key, ell_key, zero_key
+from bottcher.koenigs import KoenigsResult
+from bottcher.normalize import _phi_of, _triangular_solve, normalize
 from bottcher.series import (
     TransSeries,
     _common,
@@ -51,15 +66,18 @@ from bottcher.series import (
     make_series,
     monomial,
     mul,
+    mul_monomial,
+    negate,
     ord_for_frontier,
     ord_z,
+    pow_rational,
+    power_sum,
     residual_keys,
     scale,
     split_leading,
     sub,
     zero_series,
 )
-
 
 def compose_log(f: TransSeries) -> TransSeries:
     """log z o f = log lambda + alpha log z + log(1 + u), with log z = -l1^(-1)."""
@@ -347,3 +365,218 @@ def ord_e_inv(d):
         if any(not c_is_zero(c) for c in q):
             return b
     return None
+
+
+# -- series helpers ---------------------------------------------------------------
+
+
+def supp(f: TransSeries) -> list[Key]:
+    return sorted(f.terms)
+
+
+def leading_block(f: TransSeries):
+    """The full alpha-block at alpha = ord_z(f), as (alpha, z-order-0 series).
+
+    The block keeps the part of f's frontier that falls inside it: Key(0, l)
+    for a frontier Key(alpha, l), Cut(0) when no key of the block is trusted.
+    """
+    if not f.terms:
+        raise EmptySeriesError("leading block of the zero series")
+    alpha = ord_z(f)
+    terms = {Key(0, k.l): c for k, c in f.terms.items() if k.z == alpha}
+    fr = f.frontier
+    if fr.z > alpha:
+        cands = []
+    elif fr.z == alpha and not isinstance(fr, Cut):
+        cands = [Key(0, fr.l)]
+    else:
+        cands = [Cut(0)]
+    return alpha, make_series(terms, f.grid, f.mode, cands)
+
+
+def agree_below_frontier(a: TransSeries, b: TransSeries) -> bool:
+    a, b = _common(a, b)
+    diff = sub(a, b)
+    return diff.is_zero() or min(diff.terms) >= diff.frontier
+
+
+def binomial(beta, i: int):
+    """Generalized binomial coefficient; Fraction for rational beta, float for float."""
+    if isinstance(beta, float):
+        b = 1.0
+        for j in range(i):
+            b = b * (beta - j) / (j + 1)
+        return b
+    b = Fraction(1)
+    beta = _asfrac(beta)
+    for j in range(i):
+        b = b * (beta - j) / (j + 1)
+    return b
+
+
+def compose_ell(m: int, f: TransSeries) -> TransSeries:
+    """l_m o f via l_1 o f = -1/(log z o f) and l_(m+1) o f = l_1 o (l_m o f)."""
+    return Composer(f).ell_image(m)
+
+
+# -- pure-logarithm blocks: the differential algebras B_m and their metric ---------
+#
+# A block is a series in l_m, ..., l_k alone: a `TransSeries` of z-order 0.
+
+
+def in_Bm(r: TransSeries, m: int) -> bool:
+    """Support uses only coordinates >= m."""
+    return all(all(k.l[j] == 0 for j in range(m - 1)) for k in r.terms)
+
+
+def ord_ell(r: TransSeries, m: int):
+    """Minimal exponent of l_m over the support (None for the zero block)."""
+    if not r.terms:
+        return None
+    return min(k.l[m - 1] for k in r.terms)
+
+
+def is_positive_class(r: TransSeries) -> bool:
+    """ord(R) > 0 lex, the B_{>=m}+ condition."""
+    return all(k.is_positive() for k in r.terms)
+
+
+def dist_ell(r: TransSeries, s: TransSeries, m: int = 1) -> float:
+    """The metric d_m(R, S) = 2^(-ord_{l_m}(R - S)) on B_m."""
+    d = sub(r, s)
+    if d.is_zero():
+        return 0.0
+    return 2.0 ** (-ord_ell(d, m))
+
+
+def D_m(r: TransSeries, m: int) -> TransSeries:
+    """The derivation D_m = l_m^2 d/dl_m: l_m^n -> n l_m^(n+1); raises the
+    l_m-order by at least one."""
+    if not in_Bm(r, m):
+        raise ShapeError(f"D_{m} applied outside B_{m}")
+    bump = Key(0, tuple(1 if j == m - 1 else 0 for j in range(r.depth)))
+    terms = {k + bump: c_scale(c, k.l[m - 1]) for k, c in r.terms.items() if k.l[m - 1]}
+    return make_series(terms, r.grid, r.mode, [r.frontier + bump])
+
+
+# -- the paper's operators and their metrics ----------------------------------------
+#
+# `normalize.solve_W` computes phi in one lex-triangular pass; the paper gets
+# it as the limit of Picard sequences of these operators.
+
+
+def _power_part(alpha, r: TransSeries) -> TransSeries:
+    """The right factor f0 = z^alpha (1 + R) of the substitution l_j -> l_j o f0."""
+    one = monomial(zero_key(r.depth), r.grid, r.mode)
+    return mul_monomial(add(one, r), Key(alpha, (0,) * r.depth))
+
+
+def prenorm_block_map(r: TransSeries, t: TransSeries, alpha, f0=None) -> TransSeries:
+    """One weak-iteration step: T -> ((1+R)(1+T o f0))^(1/alpha) - 1; f0 may be a Composer."""
+    alpha_q = Fraction(alpha) if not isinstance(alpha, float) else alpha
+    f0 = _power_part(alpha_q, r) if f0 is None else f0
+    one = monomial(zero_key(r.depth), r.grid, r.mode)
+    inner = mul(add(one, r), add(one, compose(t, f0)))
+    return sub(pow_rational(inner, 1 / alpha_q), one)
+
+
+def apply_T_op(s: TransSeries, r: TransSeries, alpha) -> TransSeries:
+    """T_f(S) = S o z^alpha + (S o z^alpha) R - Sigma_{i>=1} binom(alpha,i) S^i."""
+    alpha = Fraction(alpha)
+    s_za = compose(s, _power_part(alpha, zero_series(s.grid, s.mode)))
+    tail = power_sum(s, 1, alpha, alpha)  # (1 + S)^alpha - 1
+    return sub(add(s_za, mul(s_za, r)), tail)
+
+
+def apply_K_op(s: TransSeries, r: TransSeries, alpha) -> TransSeries:
+    """Derived closed form of the contraction remainder K_f.
+
+    K_f(S) = (S o f0 - S o z^alpha)(1 + R) - ((D_1 S) o z^alpha) R, the unique
+    remainder making T_f(S) = S_f(S) equivalent to the fixed-point equation.
+    """
+    alpha = Fraction(alpha)
+    pure = _power_part(alpha, zero_series(s.grid, s.mode))
+    delta = sub(compose(s, _power_part(alpha, r)), compose(s, pure))
+    one = monomial(zero_key(s.depth), s.grid, s.mode)
+    d1s_za = compose(D_m(s, 1), pure)
+    return sub(mul(delta, add(one, r)), mul(d1s_za, r))
+
+
+def apply_S_op(s: TransSeries, r: TransSeries, alpha) -> TransSeries:
+    """S_f(S) = -R - ((D_1 S) o z^alpha) R - K_f(S)."""
+    alpha = Fraction(alpha)
+    pure = _power_part(alpha, zero_series(s.grid, s.mode))
+    d1s_za = compose(D_m(s, 1), pure)
+    return sub(sub(negate(r), mul(d1s_za, r)), apply_K_op(s, r, alpha))
+
+
+def convergence_mode(f: TransSeries, h: TransSeries) -> dict:
+    """Weak convergence always holds; power-metric iff Lb_z(h) = Lb_z(phi)."""
+    res = normalize(f, verify=False)
+    a_h, lb_h = leading_block(h)
+    a_p, lb_p = leading_block(res.phi)
+    same_block = agree_below_frontier(lb_h, lb_p)
+    return {"weak_always": True, "power_metric": bool(a_h == a_p and same_block)}
+
+
+def ell1_distance_on_parabolic(h1: TransSeries, h2: TransSeries) -> float:
+    """The l1-order metric d(id+zR, id+zS) = 2^(-ord_l1(R-S)) on 1-blocks."""
+    _, b1 = leading_block(h1)
+    _, b2 = leading_block(h2)
+    return dist_ell(b1, b2, 1)
+
+
+def binomial_bound_check(alpha, n: int, i: int) -> bool:
+    """|binom(1/alpha^n, i)| <= 1/alpha^n, exactly."""
+    alpha = Fraction(alpha)
+    x = Fraction(1) / alpha**n
+    return abs(binomial(x, i)) <= x
+
+
+# -- analytic diagnostics -------------------------------------------------------------
+
+
+def sqd_boundary(r: float, C: float) -> complex:
+    """Boundary point x(r) + i y(r) = kappa(i r) of the upper half boundary, r >= 0.
+
+    The reference for `domains.sqd_im_extent`, its closed form in x.
+    """
+    if r < 0 or C <= 0:
+        raise DomainError("need r >= 0 and C > 0")
+    s1 = math.sin(0.5 * math.atan(r))
+    s2 = math.cos(0.5 * math.atan(r))
+    quarter = (r * r + 1.0) ** 0.25
+    return complex(C * quarter * s2, r + C * quarter * s1)
+
+
+def cauchy_step_bound(result: KoenigsResult, zeta, n: int) -> float:
+    """Per-step majorant alpha^-(n+1) M(R + n rho(R)) of the Koenigs sequence."""
+    spec = result.spec
+    return spec.alpha ** (-(n + 1)) * spec.M(result.R + n * spec.rho(result.R))
+
+
+def real_line_invariance_check(result: KoenigsResult, f, xs, tol: float = 1e-9) -> bool:
+    """If f preserves the real samples (within tol), phi must too."""
+    phi = result.evaluator
+    for x in xs:
+        z = complex(float(x), 0.0)
+        if abs(f(z).imag) > tol:
+            raise DomainError(f"f is not real-preserving at {x}")
+        if abs(phi(z).imag) > tol:
+            return False
+    return True
+
+
+def defect_decay_check(f, phi_n: DulacSeriesZeta, beta_n, alpha, xs, im=0.0, noise_floor=0.0):
+    """sup-grid of |phi_n(f(zeta)) - alpha phi_n(zeta)| e^(beta_n Re) and its trend."""
+    beta = float(beta_n)
+    stats = []
+    for x in xs:
+        zeta = complex(x, im)
+        d = abs(evaluate_zeta(phi_n, f(zeta)) - alpha * evaluate_zeta(phi_n, zeta))
+        stats.append(float(d) * math.exp(beta * x))
+    kept = [(x, v) for x, v in zip(xs, stats) if v > noise_floor]
+    rep = _decay_report([x for x, _ in kept], [v for _, v in kept])
+    rep["sup"] = max(stats) if stats else 0.0
+    rep["statistic"] = stats
+    return rep

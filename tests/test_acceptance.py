@@ -9,7 +9,15 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from bottcher.coeffs import EXACT, FLOAT, Exact, binomial
+from crosschecks import (
+    agree_below_frontier,
+    binomial,
+    binomial_bound_check,
+    convergence_mode,
+    ell1_distance_on_parabolic,
+    prenorm_block_map,
+)
+from bottcher.coeffs import EXACT, FLOAT, Exact
 from bottcher.compose import Composer, compose
 from bottcher.domains import AsymptoticSpec, DomainSpec, M_eps_k, invariant_threshold
 from bottcher.dulac import (
@@ -30,12 +38,8 @@ from bottcher.normalize import (
     bottcher_R_op,
     bottcher_iterates,
     bottcher_op,
-    convergence_mode,
-    binomial_bound_check,
-    ell1_distance_on_parabolic,
     normalize,
     order_bound_check,
-    prenorm_block_map,
     prenormalize,
     support_predict,
 )
@@ -43,7 +47,6 @@ from bottcher.parser import parse
 from bottcher.series import (
     TruncationGrid,
     add,
-    agree_below_frontier,
     identity_series,
     monomial,
     mul_monomial,

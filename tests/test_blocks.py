@@ -4,14 +4,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from bottcher import blocks as B
+import crosschecks as B  # the B_m membership tests, metric and D_m
+from crosschecks import agree_below_frontier, compose_ell
 from bottcher.coeffs import Exact
-from bottcher.compose import compose, compose_ell
+from bottcher.compose import compose
 from bottcher.errors import ShapeError
 from bottcher.keys import Key
 from bottcher.series import (
     TruncationGrid,
-    agree_below_frontier,
     exp_minus_one,
     log1p,
     make_series,
@@ -62,12 +62,11 @@ def test_dist_examples():
 
 
 def test_classes():
-    B.check_class(blk({(1, 0): 1}), "B_m+", 1)
-    B.check_class(blk({(0, 1): 1}), "B_>=m+", 1)
-    with pytest.raises(ShapeError):
-        B.check_class(blk({(0, 1): 1}), "B_m+", 1)  # ord_l1 = 0
-    with pytest.raises(ShapeError):
-        B.check_class(blk({(-1, 0): 1}), "B_>=m+", 1)
+    # B_1+: in B_1 with ord_l1 >= 1; B_>=1+: every key lex-positive
+    assert B.in_Bm(blk({(1, 0): 1}), 1) and B.ord_ell(blk({(1, 0): 1}), 1) >= 1
+    assert B.is_positive_class(blk({(0, 1): 1}))
+    assert B.ord_ell(blk({(0, 1): 1}), 1) < 1  # ord_l1 = 0: not in B_1+
+    assert not B.is_positive_class(blk({(-1, 0): 1}))
 
 
 def test_log_exp_roundtrip():

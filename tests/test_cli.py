@@ -468,6 +468,41 @@ def test_options_no_command_reads_are_rejected(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["verify", "--f", "z^2 + z^3"], "--phi"),
+        (["verify", "--f", "z^2 + z^3", "--phi", "z", "--phi-file", "phi.json"], "--phi"),
+        (["bridge", "to-zeta"], "argument expr"),
+        (["bridge", "compare"], "argument expr"),
+    ],
+)
+def test_missing_argument_is_a_usage_error(capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert named in err and "NoneType" not in err
+
+
+@pytest.mark.parametrize("command", ["homological", "domain-check"])
+def test_csv_is_rejected_where_nothing_writes_it(capsys, tmp_path, command):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["analytic", command, "--alpha", "2", "--g-term", "1,0,1", "--csv", str(out)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "analytic koenigs" in err and "bridge compare" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["z^2 + z^2*l1^-1", "z^2 + z^2*l1^-1*l2^3"])
+def test_prenormalize_lex_negative_alpha_block_exits_2(capsys, text):
+    code = main(["prenormalize", text])
+    assert code == 2
+    assert "leading term contains logarithms" in capsys.readouterr().err
+
+
 def test_series_json_roundtrip():
     f = parse("z^2 - 1/3*z^3*l1^-1 + (1+2i)*z^4")
     g = series_from_json(series_to_json(f))
@@ -476,7 +511,7 @@ def test_series_json_roundtrip():
 
 
 def test_series_json_roundtrip_float_and_log_coeffs():
-    from bottcher.compose import compose_ell
+    from crosschecks import compose_ell
     from bottcher.series import TruncationGrid, embed
 
     e2 = compose_ell(2, parse("z^3", depth=2, z_cap=6))  # carries log(3) symbols

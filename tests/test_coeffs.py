@@ -5,14 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from crosschecks import exact_add_reference, exact_mul_reference
-from bottcher.coeffs import (
-    Exact,
-    binomial,
-    c_pow_rational,
-    exp_of_log_exact,
-    nth_root_fraction,
-)
+from crosschecks import binomial, exact_add_reference, exact_mul_reference
+from bottcher.coeffs import Exact, c_pow_rational, exp_of_log_exact, nth_root_fraction
 from bottcher.errors import ModeError
 
 F = Fraction

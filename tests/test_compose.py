@@ -7,12 +7,18 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from crosschecks import compose_log, conjugate, d_dz, invert_graded
+from crosschecks import (
+    agree_below_frontier,
+    compose_ell,
+    compose_log,
+    conjugate,
+    d_dz,
+    invert_graded,
+)
 from bottcher.coeffs import Exact
 from bottcher.compose import (
     Composer,
     compose,
-    compose_ell,
     compose_power,
     invert,
     reduce_alpha,
@@ -25,7 +31,6 @@ from bottcher.parser import parse
 from bottcher.series import (
     TruncationGrid,
     add,
-    agree_below_frontier,
     identity_series,
     make_series,
     monomial,
@@ -137,6 +142,14 @@ def test_composer_builds_each_log_image_once():
     assert c.ell_image(1) is e1
     assert c.ell_image(2) is e2
     assert e2 == compose_ell(2, S("z^2 + z^3*l1 + z^4*l2^-1"))
+
+
+def test_ell_image_rejects_an_index_below_one():
+    c = Composer(S("z^2 + z^3*l1"))
+    c.ell_image(2)  # with l1 and l2 built, an unchecked index would wrap round the list
+    for j in (0, -1):
+        with pytest.raises(ValueError, match="log index"):
+            c.ell_image(j)
 
 
 # -- compose ------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from crosschecks import sqd_boundary
 from bottcher.domains import (
     AsymptoticSpec,
     DomainSpec,
@@ -12,7 +13,6 @@ from bottcher.domains import (
     invariant_threshold,
     lower_map_check,
     rho,
-    sqd_boundary,
     sqd_im_extent,
     upper_map_check,
 )

@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from crosschecks import ord_e_inv
+from crosschecks import defect_decay_check, ord_e_inv
 from bottcher.coeffs import EXACT, FLOAT, Exact, c_to_complex
 from bottcher.domains import AsymptoticSpec, DomainSpec, invariant_threshold
 from bottcher.dulac import (
     DulacSeriesZ,
     DulacSeriesZeta,
     compare_formal_numeric,
-    defect_decay_check,
     dulac_normalize_full,
     evaluate_zeta,
     from_transseries,

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from bottcher.compose import compose, compose_ell, invert
+from crosschecks import compose_ell
+from bottcher.compose import compose, invert
 from bottcher.errors import BottcherError
 from bottcher.io_json import series_to_json
 from bottcher.keys import Cut, Key

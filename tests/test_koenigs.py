@@ -3,15 +3,14 @@ import math
 
 import pytest
 
+from crosschecks import cauchy_step_bound, real_line_invariance_check
 from bottcher.domains import AsymptoticSpec, DomainSpec, invariant_threshold
 from bottcher.errors import DomainError
 from bottcher.koenigs import (
-    cauchy_step_bound,
     homological_residual,
     identity_deviation_bound,
     koenigs_normalize,
     koenigs_residual,
-    real_line_invariance_check,
     solve_homological,
 )
 

@@ -8,7 +8,17 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from crosschecks import d_dz, dist_z, dist_z_info, mul_all_pairs, power_sum_by_powers, weak_delta
+from crosschecks import (
+    agree_below_frontier,
+    d_dz,
+    dist_z,
+    dist_z_info,
+    leading_block,
+    mul_all_pairs,
+    power_sum_by_powers,
+    supp,
+    weak_delta,
+)
 from bottcher.coeffs import EXACT, FLOAT, Exact, c_to_complex
 from bottcher.errors import EmptySeriesError, ShapeError
 from bottcher.io_json import series_to_json
@@ -18,11 +28,9 @@ from bottcher.series import (
     TransSeries,
     TruncationGrid,
     add,
-    agree_below_frontier,
     binomial_body,
     embed,
     exp_minus_one,
-    leading_block,
     leading_term,
     log1p,
     make_series,
@@ -34,7 +42,6 @@ from bottcher.series import (
     power_sum,
     scale,
     sub,
-    supp,
     zero_series,
 )
 
