@@ -96,6 +96,7 @@ from .dulac import (
 )
 from .parser import parse
 from .printer import format_series
+from types import ModuleType as _ModuleType
 
-__all__ = [n for n in dir() if not n.startswith("_")]
+__all__ = sorted(n for n, v in globals().items() if not (n[0] == "_" or isinstance(v, _ModuleType)))
 __version__ = "0.1.0"

@@ -2,6 +2,7 @@
 
 Exit codes: 0 success, 2 shape/precondition error, 3 certification failure,
 4 parse error; any other error is reported in one line with exit code 2.
+Each command takes only the options it reads; argparse rejects the rest.
 A key=value config file (path in $BOTTCHER_CONFIG) supplies defaults for the
 truncation caps, tolerances and analytic samples; a key that names no option
 of the chosen subcommand is ignored.
@@ -94,24 +95,39 @@ def _emit(args, payload: dict, text: str):
         print(text)
 
 
-def _add_common(p):
+def _add_grid(p):
     p.add_argument("--z-cap", dest="z_cap", type=Fraction, default="12")
     p.add_argument("--block-cap", dest="block_cap", type=int, default=10)
     p.add_argument("--ell-stop", dest="ell_stop", type=int, default=16,
                    help="kept for compatibility; bounds nothing")
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--float", dest="mode", action="store_const", const=FLOAT, default=EXACT)
+
+
+def _add_common(p):
+    _add_grid(p)
     p.add_argument("--json", action="store_true")
 
 
-def _add_analytic(p):
-    """Defect type, domain and certification options of `analytic` and `bridge`."""
+def _add_domain(p):
+    """Defect type, domain and threshold options of `analytic` and `bridge compare`."""
     p.add_argument("--eps", type=float, default=1.0)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--sqd-C", dest="sqd_C", type=float, default=1.0)
     p.add_argument("--r-ceiling", dest="r_ceiling", type=float, default=64.0)
-    p.add_argument("--tol", type=float, default=1e-11)
-    p.add_argument("--csv", default=None)
+
+
+def _add_analytic(p, numeric=True):
+    """`_add_domain`, alpha and --json; numeric adds --tol, --samples and --precision."""
+    p.add_argument("--alpha", type=float, required=True)
+    _add_domain(p)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(fn=cmd_analytic)
+    if numeric:
+        p.add_argument("--tol", type=float, default=1e-11)
+        p.add_argument("--samples", type=_samples_spec, default="3:10:25",
+                       help="grid spec R0:SPAN:N")
+        p.add_argument("--precision", type=int, default=None, help="mpmath digits")
 
 
 def _term_map(alpha: float, terms, precision: int | None = None):
@@ -275,21 +291,25 @@ def _analytic(args) -> int:
     return 0
 
 
-def cmd_bridge(args) -> int:
-    if args.bridge_cmd == "to-zeta":
-        d = from_transseries(_parse_expr(args.expr, args))
-        out = to_zeta_chart(d, e_cap=args.e_cap)
-        print(json.dumps(dulac_zeta_to_json(out), indent=2))
-        return 0
-    if args.bridge_cmd == "to-z":
-        if args.infile:
-            with open(args.infile) as fh:
-                data = json.load(fh)
-        else:
-            data = json.load(sys.stdin)
-        out = to_z_chart(dulac_zeta_from_json(data))
-        print(json.dumps(dulac_z_to_json(out), indent=2))
-        return 0
+def cmd_to_zeta(args) -> int:
+    d = from_transseries(_parse_expr(args.expr, args))
+    out = to_zeta_chart(d, e_cap=args.e_cap)
+    print(json.dumps(dulac_zeta_to_json(out), indent=2))
+    return 0
+
+
+def cmd_to_z(args) -> int:
+    if args.infile:
+        with open(args.infile) as fh:
+            data = json.load(fh)
+    else:
+        data = json.load(sys.stdin)
+    out = to_z_chart(dulac_zeta_from_json(data))
+    print(json.dumps(dulac_z_to_json(out), indent=2))
+    return 0
+
+
+def cmd_compare(args) -> int:
     d = from_transseries(_parse_expr(args.expr, args))
     phi_hat_z, res = dulac_normalize_full(d, z_cap=args.z_cap, block_cap=args.block_cap)
     phi_hat = to_zeta_chart(phi_hat_z)
@@ -364,29 +384,45 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_verify)
 
-    p = sp.add_parser("analytic", help="domain certification / Koenigs / homological")
-    p.add_argument("analytic_cmd", choices=["domain-check", "koenigs", "homological"])
-    p.add_argument("--alpha", type=float, required=True)
+    an = sp.add_parser("analytic", help="domain certification / Koenigs / homological")
+    an = an.add_subparsers(dest="analytic_cmd", required=True)
+    p = an.add_parser("domain-check", help="certify an invariant threshold R")
+    _add_analytic(p, numeric=False)
+    p.add_argument("--term", action="append", default=None, metavar="c,p,nu")
+    p.set_defaults(precision=None)  # the threshold search runs in double precision
+
+    p = an.add_parser("koenigs", help="Koenigs normalizer at sample points")
+    _add_analytic(p)
+    p.add_argument("--term", action="append", default=None, metavar="c,p,nu")
+    p.add_argument("--csv", default=None)
+
+    p = an.add_parser("homological", help="solve h o f - alpha h = g")
     _add_analytic(p)
     p.add_argument("--nu", type=float, default=1.0)
-    p.add_argument("--term", action="append", default=None, metavar="c,p,nu")
     p.add_argument("--f-term", dest="f_term", action="append", default=None)
     p.add_argument("--g-term", dest="g_term", action="append", default=None)
-    p.add_argument("--samples", type=_samples_spec, default="3:10:25", help="grid spec R0:SPAN:N")
-    p.add_argument("--precision", type=int, default=None, help="mpmath digits")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_analytic)
 
-    p = sp.add_parser("bridge", help="Dulac chart conversions and comparison")
-    p.add_argument("bridge_cmd", choices=["to-zeta", "to-z", "compare"])
-    p.add_argument("expr", nargs="?")
+    br = sp.add_parser("bridge", help="Dulac chart conversions and comparison")
+    br = br.add_subparsers(dest="bridge_cmd", required=True)
+    p = br.add_parser("to-zeta", help="a Dulac series in the zeta chart, as JSON")
+    p.add_argument("expr")
     p.add_argument("--e-cap", dest="e_cap", type=Fraction, default=None)
-    p.add_argument("--infile", default=None)
+    _add_grid(p)
+    p.set_defaults(fn=cmd_to_zeta)
+
+    p = br.add_parser("to-z", help="a zeta-chart JSON series back in the z chart")
+    p.add_argument("--infile", default=None, help="default: standard input")
+    p.set_defaults(fn=cmd_to_z)
+
+    p = br.add_parser("compare", help="formal against numeric Koenigs normalizer")
+    p.add_argument("expr")
     p.add_argument("--n", type=int, default=2)
-    _add_analytic(p)
+    _add_domain(p)
+    p.add_argument("--tol", type=float, default=1e-11)
+    p.add_argument("--csv", default=None)
     p.add_argument("--ray-span", dest="ray_span", type=float, default=12.0)
     _add_common(p)
-    p.set_defaults(fn=cmd_bridge)
+    p.set_defaults(fn=cmd_compare)
 
     p = sp.add_parser("selftest", help="fast built-in anchor checks")
     p.set_defaults(fn=cmd_selftest)
@@ -394,24 +430,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _subcommands(ap: argparse.ArgumentParser) -> dict:
-    """Subcommand name -> its parser, for a parser from `build_parser`."""
-    (sp,) = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-    return sp.choices
-
-
-CSV_WRITERS = ("analytic koenigs", "bridge compare")
-
-
-def _usage_problem(args) -> str | None:
-    """A usage error that depends on the choice argument of `analytic` or `bridge`."""
-    if args.cmd not in ("analytic", "bridge"):
-        return None
-    command = f"{args.cmd} {args.analytic_cmd if args.cmd == 'analytic' else args.bridge_cmd}"
-    if args.cmd == "bridge" and args.bridge_cmd != "to-z" and args.expr is None:
-        return f"{command} needs the argument expr"
-    if args.csv and command not in CSV_WRITERS:
-        return f"{command} writes no --csv; {' and '.join(CSV_WRITERS)} do"
-    return None
+    """Command name ("normalize", "bridge to-zeta", ...) -> its parser, from `build_parser`."""
+    out = {}
+    for action in ap._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, p in action.choices.items():
+                out[name] = p
+                out.update({f"{name} {k}": q for k, q in _subcommands(p).items()})
+    return out
 
 
 def main(argv=None) -> int:
@@ -421,9 +447,6 @@ def main(argv=None) -> int:
         dests = {a.dest for a in p._actions}
         p.set_defaults(**{k: v for k, v in config.items() if k in CONFIG_KEYS and k in dests})
     args = ap.parse_args(argv)  # applies each option's type to config values too
-    problem = _usage_problem(args)
-    if problem:
-        _subcommands(ap)[args.cmd].error(problem)  # exits 2, like argparse's own errors
     try:
         return args.fn(args)
     except ParseError as e:

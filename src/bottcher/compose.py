@@ -10,12 +10,14 @@ The series stop certifiably past the truncation frontier (ord u > 0).
 What depends on f alone lives in a `Composer(f)`.  `compose(g, f)` takes f
 as a series, which gets a fresh Composer for that call, or as a Composer,
 which is reused.  Code composing many g with one f holds its Composer; it
-lives as long as its holder and is never kept process-wide.
+lives as long as its holder and is never kept process-wide.  `solve_linear`
+is the one lex-triangular solver, behind `invert` and `normalize.solve_W`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,9 +30,9 @@ from .coeffs import (
     c_inv,
     c_is_zero,
     c_mul,
-    c_neg,
     c_one,
     c_pow_rational,
+    c_scale,
     log_coeff,
 )
 from .errors import DepthOverflowError, ShapeError
@@ -246,40 +248,53 @@ def compose(g: TransSeries, f: TransSeries | Composer) -> TransSeries:
     return make_series(acc.terms, grid, mode, [acc.frontier, tail_penalty])
 
 
-# -- inversion and reduction -----------------------------------------------------
+# -- the lex-triangular solve, inversion and reduction ---------------------------
 
 
-def invert(f: TransSeries) -> TransSeries:
-    """Compositional inverse g of f from the linear equation g o f = z.
+def solve_linear(right: Composer, a, b, rhs: TransSeries) -> TransSeries:
+    """X with a X + b (X o f) = rhs below the frontier; a, b rational, f = right.f.
 
-    n = z^d l1^m1 ... maps to n o f with least key t = (alpha d, m), so the
-    residual z - g o f is cleared in ascending key order through one
-    Composer(f): its least key t sets g_n = r_t / (n o f)[t].  The solve
-    stops at the least frontier of the images, mapped back by z -> z / alpha.
+    A monomial n maps to a n + b (n o f), whose least key, the pivot t, is n
+    when a != 0 and (alpha z, l) when a = 0; its coefficient a + b (n o f)[t]
+    is read off the image n o f.  So the least key t of the residual
+    rhs - a X - b (X o f) fixes x_n.  The frontier is the least of rhs's and
+    each image's (rechecked after each image), or the first residual key past
+    `block_cap` solved terms in one z-block, mapped back by z -> z / alpha
+    when a = 0.
     """
-    right = Composer(f)
-    alpha, grid, mode = right.alpha, f.grid, f.mode
-    residual = {Key(1, (0,) * grid.depth): c_one(mode)}
-    solved: dict[Key, object] = {}
-    frontier = grid.trunc_key()
+    grid, mode = right.f.grid, right.f.mode
+    a_c, b_c = c_from(a, mode), c_from(b, mode)
+    residual, solved, per_block = dict(rhs.terms), {}, Counter()
+    frontier = rhs.frontier
     while residual:
         t = min(residual)
         if not t < frontier:
             break
+        if per_block[t.z] == grid.block_cap:
+            frontier = t
+            break
         r_t = residual.pop(t)
         if c_is_zero(r_t):
             continue
-        n = Key(t.z / alpha, t.l)
+        n = t if a else Key(t.z / right.alpha, t.l)
         image = compose(monomial(n, grid, mode), right)
         frontier = min_key(frontier, image.frontier)
         if not t < frontier:
             break
-        g_n = solved[n] = c_mul(r_t, c_inv(image.terms[t]))
+        c_t = image.terms.get(t)
+        pivot = a_c if c_t is None else c_add(a_c, c_mul(b_c, c_t))
+        x = solved[n] = c_mul(r_t, c_inv(pivot))
+        per_block[t.z] += 1
         for k, c in image.terms.items():
             if k != t:
-                contrib = c_neg(c_mul(g_n, c))
+                contrib = c_scale(c_mul(x, c), -b)
                 residual[k] = contrib if k not in residual else c_add(residual[k], contrib)
-    return make_series(solved, grid, mode, [front_zscale(frontier, 1 / alpha)])
+    return make_series(solved, grid, mode, [frontier if a else front_zscale(frontier, 1 / right.alpha)])
+
+
+def invert(f: TransSeries) -> TransSeries:
+    """Compositional inverse g of f: `solve_linear` of the equation g o f = z."""
+    return solve_linear(Composer(f), 0, 1, identity_series(f.grid, f.mode))
 
 
 def reduce_lambda(f: TransSeries):

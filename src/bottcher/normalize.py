@@ -7,7 +7,8 @@ equation phi o f = phi^alpha becomes the linear equation
 
     W = (log(1 + u) + W o f) / alpha,
 
-solved term by term in ascending key order by `solve_W`.  Its pure-log terms
+solved term by term in ascending key order by `solve_W` through
+`compose.solve_linear`, the solver behind `invert` too.  Its pure-log terms
 are the canonical prenormalization id + zS of the same-z-order log block;
 `prenormalize` runs the same solve on that block alone.  The Bottcher
 operator P_f(h) = z^(1/alpha) o h o f, whose Picard iterates converge to
@@ -25,19 +26,19 @@ Newton inversion of phi is needed.
 `solve_W` works on the least grid W's frontier needs: the reduced f cut just
 above it, deepened only while the cut itself sets the frontier.  W and phi
 live on f's own grid.  `NormalizationResult.composer` carries the `Composer`
-of the cut f, and verification composes phi through it.
+of the cut f, and verification composes phi through it.  Verification takes
+the series `normalize` was given and reduces it as the result records.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .coeffs import c_add, c_eq, c_from, c_is_zero, c_mul, c_scale
+from .coeffs import c_eq, c_from
 from .errors import ShapeError
-from .keys import Cut, Key, ell_key, min_key, zero_key
+from .keys import Cut, Key, ell_key, zero_key
 from .series import (
     TransSeries,
     add,
@@ -52,7 +53,6 @@ from .series import (
     pow_rational,
     residual_keys,
     scale,
-    split_leading,
     sub,
 )
 from .compose import (
@@ -64,6 +64,7 @@ from .compose import (
     reduce_alpha,
     reduce_lambda,
     shape_of,
+    solve_linear,
 )
 
 
@@ -124,19 +125,19 @@ def bottcher_R_op(f: TransSeries, h: TransSeries) -> TransSeries:
 # -- the triangular solve ---------------------------------------------------------
 #
 # Taking logs of phi o f = phi^alpha with phi = z exp(W) and f = z^alpha (1 + u)
-# gives the linear equation W = (log(1 + u) + W o f) / alpha.  A monomial
-# n = z^d l1^m1 ... of W maps to n o f, whose terms all lie above n except,
-# when d = 0, the diagonal term alpha^(-m1) n (l1 o f = l1/alpha + ..., and
-# l_j o f = l_j + ... for j >= 2).  So the equation is lex-triangular and W is
-# solved term by term in ascending key order.  On the alpha-block alone the
+# gives the linear equation W - (W o f) / alpha = log(1 + u) / alpha.  A
+# monomial n = z^d l1^m1 ... of W maps to n o f, whose terms all lie above n
+# except, when d = 0, n itself (l1 o f = l1/alpha + ..., l_j o f = l_j + ...
+# for j >= 2).  So the equation is lex-triangular, and `compose.solve_linear`
+# solves it term by term in ascending key order.  On the alpha-block alone the
 # same solve gives the canonical prenormalization id + zS, S = exp(W) - 1.
 
 
 def solve_W(f: TransSeries | Composer) -> TransSeries:
     """W with phi = z exp(W) solving phi o f = phi^alpha, for monic f, alpha > 1.
 
-    W lives on f's grid; f may be a Composer.  `_triangular_solve` runs on f
-    cut at z' = min(z_cap, alpha + 1), then at twice that, while the cut sets
+    W lives on f's grid; f may be a Composer.  `solve_linear` runs on f cut
+    at z' = min(z_cap, alpha + 1), then at twice that, while the cut sets
     the frontier: W.frontier.z + alpha >= z'.  The last step is the full
     grid.  A log-free f starts there, because its frontier is always set by
     z_cap: each z-block holds one key and no pure-log power sum runs.
@@ -154,10 +155,10 @@ def solve_W(f: TransSeries | Composer) -> TransSeries:
     does not depend on z_cap.  Every key of every series here has z >= 0,
     so the terms below z' are the ones the full grid gives.  So once
     W.frontier.z + alpha < z', no cut candidate reached the frontier: it is
-    the one the full grid gives, and every pending sum below it is the same
-    exact sum.  Starting on the full grid and shrinking it as the
-    running frontier drops is slower: the first image already builds the
-    full-grid log images.
+    the one the full grid gives, and every pending sum below it, and every
+    pivot read off an image, is the same exact value.  Starting on the full
+    grid and shrinking it as the running frontier drops is slower: the first
+    image already builds the full-grid log images.
     """
     return _least_grid_solve(f)[0]
 
@@ -172,54 +173,10 @@ def _least_grid_solve(f: TransSeries | Composer) -> tuple[TransSeries, Composer]
     z_cut = grid.z_cap if log_free else min(grid.z_cap, alpha + 1)
     while True:
         cut = right if z_cut == grid.z_cap else Composer(embed(f, replace(grid, z_cap=z_cut)))
-        w = _triangular_solve(cut)
+        w = solve_linear(cut, 1, -1 / alpha, scale(log1p(cut.u), 1 / alpha))
         if z_cut == grid.z_cap or w.frontier.z + alpha < z_cut:
             return make_series(w.terms, grid, f.mode, [w.frontier]), cut
         z_cut = min(grid.z_cap, 2 * z_cut)
-
-
-def _triangular_solve(right: Composer) -> TransSeries:
-    """W on right's grid, every image n o f composed through `right`.
-
-    Pops the smallest pending key n, divides its value by the diagonal
-    1 - alpha^-(n1+1) (z-order 0) or 1 (z-order > 0), and pushes
-    (1/alpha) w_n (n o f) off the diagonal.  The frontier is the least of the
-    frontier of log(1 + u), those of the images n o f, and the first key past
-    `block_cap` solved terms in one z-block; the solve stops at the first
-    pending key at or above it.
-    """
-    f = right.f
-    alpha = Fraction(right.alpha)
-    grid, mode = f.grid, f.mode
-    inv_a = 1 / alpha
-    _, _, u = split_leading(f)
-    a0 = scale(log1p(u), inv_a)
-
-    pending: dict[Key, object] = dict(a0.terms)
-    solved: dict[Key, object] = {}
-    per_block: Counter = Counter()
-    frontier = a0.frontier
-    while pending:
-        n = min(pending)
-        if not n < frontier:
-            break
-        if per_block[n.z] == grid.block_cap:
-            frontier = n
-            break
-        b = pending.pop(n)
-        w_n = c_scale(b, 1 / (1 - inv_a * alpha ** (-n.l[0]))) if n.z == 0 else b
-        if c_is_zero(w_n):
-            continue
-        solved[n] = w_n
-        per_block[n.z] += 1
-        image = compose(monomial(n, grid, mode), right)
-        frontier = min_key(frontier, image.frontier)
-        for k, c in image.terms.items():
-            if k == n:
-                continue
-            contrib = c_scale(c_mul(w_n, c), inv_a)
-            pending[k] = contrib if k not in pending else c_add(pending[k], contrib)
-    return make_series(solved, grid, mode, [frontier])
 
 
 def _phi_of(w: TransSeries) -> TransSeries:
@@ -306,7 +263,7 @@ def normalize(f: TransSeries, verify=True) -> NormalizationResult:
         composer=right,
     )
     if verify:
-        res.verification = verify_normalization(work, res)
+        res.verification = _verify_reduced(work, res)
     return res
 
 
@@ -349,6 +306,18 @@ def _is_cut_of(g: TransSeries, f: TransSeries) -> bool:
 
 def verify_normalization(f: TransSeries, res: NormalizationResult) -> dict:
     """`check_conjugation` of res.phi plus the order bound, as a report dict.
+
+    f is the series `normalize` was given, reduced here as res records.
+    """
+    if res.inverted_input:
+        f = reduce_alpha(f)
+    if res.psi is not None:
+        f = reduce_lambda(f)[1]
+    return _verify_reduced(f, res)
+
+
+def _verify_reduced(f: TransSeries, res: NormalizationResult) -> dict:
+    """`verify_normalization` for the reduced series f that res.phi normalizes.
 
     Reuses res.composer when its series is f cut to the composer's grid, as
     `normalize` built it, and checks phi on that grid.  The cut z' lies above

@@ -50,12 +50,13 @@ from bottcher.compose import (
     reduce_alpha,
     reduce_lambda,
     shape_of,
+    solve_linear,
 )
 from bottcher.dulac import DulacSeriesZeta, _decay_report, evaluate_zeta
 from bottcher.errors import DepthOverflowError, DomainError, EmptySeriesError, ShapeError
 from bottcher.keys import Cut, Key, ell_key, zero_key
 from bottcher.koenigs import KoenigsResult
-from bottcher.normalize import _phi_of, _triangular_solve, normalize
+from bottcher.normalize import _phi_of, normalize
 from bottcher.series import (
     TransSeries,
     _common,
@@ -156,17 +157,17 @@ def conjugate(phi: TransSeries, f: TransSeries) -> TransSeries:
 def full_grid_normalize(f: TransSeries):
     """`normalize`'s reductions, then the W-solve on the whole grid of f.
 
-    Returns (phi below its frontier, the reduced series, its Composer).  The
-    reference for `normalize`, which solves on the least grid W's frontier
-    needs.
+    Returns (phi below its frontier, the Composer of the reduced series).
+    The reference for `normalize`, which solves on the least grid W's
+    frontier needs.
     """
     if shape_of(f).alpha < 1:
         f = reduce_alpha(f)
     _, f = reduce_lambda(f)
-    right = Composer(f)
-    phi = _phi_of(_triangular_solve(right))
+    right, alpha = Composer(f), Fraction(shape_of(f).alpha)
+    phi = _phi_of(solve_linear(right, 1, -1 / alpha, scale(log1p(right.u), 1 / alpha)))
     trusted = {k: c for k, c in phi.terms.items() if k < phi.frontier}
-    return make_series(trusted, phi.grid, phi.mode, [phi.frontier]), f, right
+    return make_series(trusted, phi.grid, phi.mode, [phi.frontier]), right
 
 
 def mul_all_pairs(a: TransSeries, b: TransSeries) -> TransSeries:

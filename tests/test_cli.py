@@ -461,7 +461,14 @@ def test_bad_samples_in_config_exits_2(tmp_path):
 
 
 def test_options_no_command_reads_are_rejected(capsys):
-    for argv in (["bridge", "to-zeta", "z^2", "--alpha", "2"], ["selftest", "--z-cap", "6"]):
+    for argv in (
+        ["bridge", "to-zeta", "z^2", "--alpha", "2"],
+        ["selftest", "--z-cap", "6"],
+        ["bridge", "to-zeta", "z^2 - z^3*l1^-1", "--e-cap", "3", "--n", "5", "--tol", "7",
+         "--ray-span", "1", "--sqd-C", "9"],
+        ["analytic", "domain-check", "--alpha", "2", "--samples", "1:1:1", "--precision", "40"],
+        ["bridge", "to-z", "z^2", "--infile", "fhat.json"],
+    ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -473,8 +480,8 @@ def test_options_no_command_reads_are_rejected(capsys):
     [
         (["verify", "--f", "z^2 + z^3"], "--phi"),
         (["verify", "--f", "z^2 + z^3", "--phi", "z", "--phi-file", "phi.json"], "--phi"),
-        (["bridge", "to-zeta"], "argument expr"),
-        (["bridge", "compare"], "argument expr"),
+        (["bridge", "to-zeta"], "required: expr"),
+        (["bridge", "compare"], "required: expr"),
     ],
 )
 def test_missing_argument_is_a_usage_error(capsys, argv, named):
@@ -492,7 +499,7 @@ def test_csv_is_rejected_where_nothing_writes_it(capsys, tmp_path, command):
         main(["analytic", command, "--alpha", "2", "--g-term", "1,0,1", "--csv", str(out)])
     err = capsys.readouterr().err
     assert exc.value.code == 2
-    assert "analytic koenigs" in err and "bridge compare" in err
+    assert "unrecognized arguments" in err and "--csv" in err
     assert not out.exists()
 
 

@@ -246,6 +246,15 @@ def test_invert_defining_property(text):
     assert_agree(compose(q, f), ident)
 
 
+def test_invert_stops_at_block_cap():
+    """The solve stops at the first residual key past block_cap solved terms
+    in one z-block: the frontier is that key mapped back, with every later
+    z-block unsolved, so nothing is stored at or above it."""
+    g = invert(S("z^3 + 1/2*z^(7/2)*l1^-1", TruncationGrid(6, 2, 1, 4)))
+    assert g.frontier == Key(F(5, 6), (-1,))
+    assert len(g.terms) == 6 and all(k < g.frontier for k in g.terms)
+
+
 def test_invert_builds_one_composer(monkeypatch):
     C = importlib.import_module("bottcher.compose")  # the package exports compose()
     built = []

@@ -4,6 +4,8 @@ import math
 import pytest
 
 from crosschecks import cauchy_step_bound, real_line_invariance_check
+from bottcher.coeffs import c_to_complex
+from bottcher.compose import Composer, compose, solve_linear
 from bottcher.domains import AsymptoticSpec, DomainSpec, invariant_threshold
 from bottcher.errors import DomainError
 from bottcher.koenigs import (
@@ -13,6 +15,9 @@ from bottcher.koenigs import (
     koenigs_residual,
     solve_homological,
 )
+from bottcher.keys import Cut
+from bottcher.parser import parse
+from bottcher.series import TruncationGrid, residual_keys, scale, sub
 
 SPEC = AsymptoticSpec(2.0, 1.0, 1)
 DOM = DomainSpec.standard_quadratic(1.0)
@@ -123,6 +128,33 @@ def test_homological_residual_identity():
     for i in range(16):
         z = complex(3.0 + 0.5 * i, 0.2)
         assert homological_residual(res, f, g, z) < 1e-12
+
+
+def _at_zeta(h, zeta):
+    """A depth <= 1 series h at z = e^-zeta, where l1 = -1/log z = 1/zeta."""
+    return sum(
+        c_to_complex(c) * cmath.exp(-k.z * zeta) * zeta ** -sum(k.l)
+        for k, c in h.terms.items()
+        if k < h.frontier
+    )
+
+
+@pytest.mark.parametrize("c3, g_text", [(1, "z"), (-1, "z^2 + 1/2*z^3"), (1, "z^2*l1^-1 + z^3")])
+def test_formal_homological_solution_matches_solve_homological(c3, g_text):
+    """h o f - 2 h = g for f = z^2 + c3 z^3, solved formally by `solve_linear`,
+    then at z = e^-zeta against the numeric sum of `solve_homological` for
+    F(zeta) = -log f(e^-zeta).  z_cap 17 keeps the formal truncation, about
+    e^(-17 R), far below the gate."""
+    grid = TruncationGrid(17, 16, 1, 16)
+    f, g = parse(f"z^2 + ({c3})*z^3", grid=grid), parse(g_text, grid=grid)
+    h = solve_linear(Composer(f), -2, 1, g)
+    residual = sub(sub(compose(h, f), scale(h, 2)), g)
+    assert residual.frontier == Cut(17) and not residual_keys(residual)
+    F = lambda zeta: 2 * zeta - cmath.log(1 + c3 * cmath.exp(-zeta))
+    R = invariant_threshold(F, SPEC, DOM)
+    numeric = solve_homological(F, lambda zeta: _at_zeta(g, zeta), 1.0, SPEC, DOM, R)
+    for zeta in (R, R + 1j, R + 3 + 0.5j):
+        assert abs(numeric.evaluator(complex(zeta)) - _at_zeta(h, zeta)) < 1e-12
 
 
 def test_homological_asymptotic_bound():

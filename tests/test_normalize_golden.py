@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from bottcher.io_json import series_to_json
-from bottcher.normalize import normalize
+from bottcher.normalize import normalize, verify_normalization
 from bottcher.parser import parse
 from bottcher.series import TruncationGrid
 
@@ -87,6 +87,13 @@ def test_normalize_matches_golden(case):
     for g, w in zip(got["terms"], want["terms"]):
         gv, wv = complex(g["re"], g["im"]), complex(w["re"], w["im"])
         assert abs(gv - wv) <= 1e-12 * abs(wv), (g, w)
+
+
+@pytest.mark.parametrize("text,grid", FIXED, ids=[t for t, _ in FIXED])
+def test_verify_normalization_reduces_the_input_as_normalize_did(text, grid):
+    """The report on the input normalize was given is normalize's own."""
+    f = parse(text, grid=TruncationGrid(*grid, 12))
+    assert verify_normalization(f, normalize(f, verify=False)) == normalize(f).verification
 
 
 def test_golden_file_covers_every_case():

@@ -2,7 +2,7 @@
 
 Each demo script runs to exit 0 and writes its file.  The library keeps what
 the CLI, the bench and the scripts run; what only tests use lives in
-`tests/crosschecks.py`.
+`tests/crosschecks.py`.  No library module imports a name it does not use.
 """
 
 import ast
@@ -10,6 +10,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -75,3 +76,31 @@ def test_library_keeps_only_what_cli_bench_and_scripts_reach():
             seen |= new
             todo.extend(new)
     assert set(defs) - seen == KEPT_UNREACHED
+
+
+def test_library_modules_import_no_unused_name():
+    """A name a module other than `__init__` imports is used in its code;
+    `__init__` re-exports what it imports."""
+    unused = {}
+    for path in sorted(LIB.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Import, ast.ImportFrom)) and getattr(n, "module", "") != "__future__"
+            for alias in n.names
+        }
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert unused == {}
+
+
+def test_star_import_binds_no_module():
+    namespace: dict = {}
+    exec("from bottcher import *", namespace)
+    public = {n: v for n, v in namespace.items() if not n.startswith("__")}
+    assert not [n for n, v in public.items() if isinstance(v, ModuleType)]
+    assert callable(public["compose"]) and "normalize" in public and "Composer" in public
