@@ -9,9 +9,11 @@ canonical, so zero-testing and equality stay exact.  Coefficients of series
 whose computation never takes such a logarithm stay at degree 0, i.e. genuine
 complex rationals.
 
-Float coefficients are plain Python complex numbers.  Mixing an exact value
-with a float one coerces to float; `evaluate` is self-contained (log p has a
-numeric value).
+Float coefficients are plain Python complex numbers.  Both kinds take
+Python's operators (`a + b`, `a * b`, `c * q` and `q * c` for a rational q,
+`-c`, `1 / c`, `not c`, `a == b`, `complex(c)`), which do not mix modes: only
+`c_from`, `series.embed` and `series._common` coerce between them.  `evaluate`
+is self-contained (log p has a numeric value).
 """
 
 from __future__ import annotations
@@ -154,7 +156,12 @@ class Exact:
     def __sub__(self, other: "Exact") -> "Exact":
         return self + (-other)
 
-    def __mul__(self, other: "Exact") -> "Exact":
+    def __bool__(self) -> bool:
+        return bool(self.parts)
+
+    def __mul__(self, other) -> "Exact":
+        if not isinstance(other, Exact):
+            return self.scale(other)
         sp, op = self.parts, other.parts
         if len(sp) == 1 and len(op) == 1:
             # Q(i) is a field: a product of nonzero parts is nonzero
@@ -179,6 +186,9 @@ class Exact:
                 parts[k] = (re, im)
         return Exact(parts)
 
+    def __rmul__(self, q) -> "Exact":
+        return self.scale(q)
+
     def scale(self, q) -> "Exact":
         q = _asfrac(q)
         return Exact({k: (re * q, im * q) for k, (re, im) in self.parts.items()})
@@ -189,6 +199,9 @@ class Exact:
         if n == 0:
             raise ZeroDivisionError("inverse of zero coefficient")
         return Exact({(): (re / n, -im / n)})
+
+    def __rtruediv__(self, q) -> "Exact":
+        return self.inverse().scale(q)
 
     def __eq__(self, other):
         return isinstance(other, Exact) and self.parts == other.parts
@@ -207,12 +220,13 @@ class Exact:
             out += c
         return out
 
+    __complex__ = evaluate
+
     def __repr__(self):
         return f"Exact({self.parts})"
 
 
 ONE = Exact.of(1)
-MINUS_ONE = Exact.of(-1)
 
 
 def c_zero(mode: str):
@@ -236,47 +250,8 @@ def c_from(value, mode: str):
     return complex(value)
 
 
-def c_add(a, b):
-    if isinstance(a, Exact) and isinstance(b, Exact):
-        return a + b
-    return c_to_complex(a) + c_to_complex(b)
-
-
-def c_mul(a, b):
-    if isinstance(a, Exact) and isinstance(b, Exact):
-        return a * b
-    return c_to_complex(a) * c_to_complex(b)
-
-
-def c_neg(a):
-    return -a if isinstance(a, Exact) else -c_to_complex(a)
-
-
-def c_scale(a, q):
-    """Multiply by a rational scalar."""
-    if isinstance(a, Exact):
-        return a.scale(q)
-    return c_to_complex(a) * float(q)
-
-
-def c_inv(a):
-    if isinstance(a, Exact):
-        return a.inverse()
-    return 1.0 / c_to_complex(a)
-
-
-def c_is_zero(a) -> bool:
-    return a.is_zero() if isinstance(a, Exact) else a == 0
-
-
-def c_eq(a, b) -> bool:
-    if isinstance(a, Exact) and isinstance(b, Exact):
-        return a == b
-    return c_to_complex(a) == c_to_complex(b)
-
-
 def c_to_complex(a) -> complex:
-    return a.evaluate() if isinstance(a, Exact) else complex(a)
+    return complex(a)
 
 
 def log_coeff(a, mode: str):
@@ -356,7 +331,7 @@ def c_pow_rational(a, beta):
         if root is None:
             raise ModeError(f"{re} ** {beta} not exactly representable; use float mode")
         return Exact.of(root**beta.numerator)
-    z = c_to_complex(a)
+    z = complex(a)
     if z == 0:
         raise ZeroDivisionError("0 ** negative/fractional power")
     return cmath.exp(float(beta) * cmath.log(z))

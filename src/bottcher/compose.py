@@ -24,15 +24,9 @@ from fractions import Fraction
 from .coeffs import (
     EXACT,
     Exact,
-    c_add,
-    c_eq,
     c_from,
-    c_inv,
-    c_is_zero,
-    c_mul,
     c_one,
     c_pow_rational,
-    c_scale,
     log_coeff,
 )
 from .errors import DepthOverflowError, ShapeError
@@ -82,7 +76,7 @@ def shape_of(f: TransSeries) -> HyperbolicShape:
     if alpha <= 0:
         raise ShapeError(f"leading exponent {alpha} is not positive")
     if alpha == 1:
-        cls = PARABOLIC if c_eq(lam, c_from(1, f.mode)) else HYPERBOLIC
+        cls = PARABOLIC if lam == c_one(f.mode) else HYPERBOLIC
     else:
         cls = STRONGLY_HYPERBOLIC
     return HyperbolicShape(lam, alpha, cls)
@@ -171,7 +165,7 @@ class Composer:
                 else:
                     log_cm = None
                 pref = monomial(ell_key(grid.depth, m), grid, mode)
-            if log_cm is not None and not c_is_zero(log_cm):
+            if log_cm:
                 inner = add(inner, monomial(zero_key(grid.depth), grid, mode, log_cm))
             geom = power_sum(mul(inner, pref), -1, 1, 1, one=True)  # 1 / (1 - v)
             self.images.append(mul(pref, geom))
@@ -232,7 +226,7 @@ def compose(g: TransSeries, f: TransSeries | Composer) -> TransSeries:
         delta = key.z
         lam_pow = c_pow_rational(lam, delta) if delta != 0 else c_one(mode)
         piece = mul_monomial(
-            ctx.body(delta), Key(alpha * delta, (0,) * grid.depth), c_mul(c, lam_pow)
+            ctx.body(delta), Key(alpha * delta, (0,) * grid.depth), c * lam_pow
         )
         if key.l in groups:
             groups[key.l] = add(groups[key.l], piece)
@@ -274,7 +268,7 @@ def solve_linear(right: Composer, a, b, rhs: TransSeries) -> TransSeries:
             frontier = t
             break
         r_t = residual.pop(t)
-        if c_is_zero(r_t):
+        if not r_t:
             continue
         n = t if a else Key(t.z / right.alpha, t.l)
         image = compose(monomial(n, grid, mode), right)
@@ -282,13 +276,13 @@ def solve_linear(right: Composer, a, b, rhs: TransSeries) -> TransSeries:
         if not t < frontier:
             break
         c_t = image.terms.get(t)
-        pivot = a_c if c_t is None else c_add(a_c, c_mul(b_c, c_t))
-        x = solved[n] = c_mul(r_t, c_inv(pivot))
+        pivot = a_c if c_t is None else a_c + b_c * c_t
+        x = solved[n] = r_t * (1 / pivot)
         per_block[t.z] += 1
         for k, c in image.terms.items():
             if k != t:
-                contrib = c_scale(c_mul(x, c), -b)
-                residual[k] = contrib if k not in residual else c_add(residual[k], contrib)
+                contrib = x * c * -b
+                residual[k] = contrib if k not in residual else residual[k] + contrib
     return make_series(solved, grid, mode, [frontier if a else front_zscale(frontier, 1 / right.alpha)])
 
 
@@ -308,12 +302,12 @@ def reduce_lambda(f: TransSeries):
         raise ShapeError("lambda-reduction applies to strongly hyperbolic series")
     alpha, lam = shape.alpha, f.terms[min(f.terms)]
     grid, mode = f.grid, f.mode
-    if c_eq(lam, c_from(1, mode)):
+    if lam == c_one(mode):
         return identity_series(grid, mode), f
     c = c_pow_rational(lam, 1 / (alpha - 1))
     z1 = Key(1, (0,) * grid.depth)
     psi = monomial(z1, grid, mode, c)
-    red = compose(psi, compose(f, monomial(z1, grid, mode, c_inv(c))))
+    red = compose(psi, compose(f, monomial(z1, grid, mode, 1 / c)))
     terms = {**red.terms, Key(alpha, z1.l): c_one(mode)}
     return psi, make_series(terms, grid, mode, [red.frontier])
 

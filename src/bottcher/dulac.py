@@ -23,17 +23,12 @@ from .coeffs import (
     EXACT,
     Exact,
     c_from,
-    c_inv,
-    c_is_zero,
-    c_mul,
-    c_neg,
-    c_to_complex,
     c_zero,
     exp_of_log_exact,
     log_coeff,
 )
 from .errors import BottcherError, DomainError, ShapeError
-from .keys import Key
+from .keys import Key, as_zexp
 from .series import (
     TransSeries,
     TruncationGrid,
@@ -55,10 +50,10 @@ class DulacSeriesZ:
     mode: str = EXACT
 
     def __post_init__(self):
-        self.alpha = _as_exp(self.alpha)
+        self.alpha = as_zexp(self.alpha)
         self.lam = c_from(self.lam, self.mode)
         self.ladder = sorted(
-            ((_as_exp(a), [c_from(c, self.mode) for c in p]) for a, p in self.ladder),
+            ((as_zexp(a), [c_from(c, self.mode) for c in p]) for a, p in self.ladder),
             key=lambda t: t[0],
         )
         last = self.alpha
@@ -80,16 +75,12 @@ class DulacSeriesZeta:
     def __post_init__(self):
         self.c0 = c_from(self.c0, self.mode)
         self.ladder = sorted(
-            ((_as_exp(b), [c_from(c, self.mode) for c in q]) for b, q in self.ladder),
+            ((as_zexp(b), [c_from(c, self.mode) for c in q]) for b, q in self.ladder),
             key=lambda t: t[0],
         )
         for b, _ in self.ladder:
             if b <= 0:
                 raise ShapeError("zeta-chart ladder exponents must be positive")
-
-
-def _as_exp(x):
-    return x if isinstance(x, float) else Fraction(x)
 
 
 # -- ladders as depth-1 series -------------------------------------------------
@@ -136,16 +127,16 @@ def _ladder_series_op(ladder: list, op, mode, e_cap) -> list:
 def to_zeta_chart(d: DulacSeriesZ, e_cap=None) -> DulacSeriesZeta:
     """f(zeta) = -log f(e^(-zeta)) = alpha zeta - log lambda - log(1 + u)."""
     mode = d.mode
-    if c_is_zero(d.lam):
+    if not d.lam:
         raise ShapeError("lambda must be nonzero")
     if e_cap is None:
         e_cap = (d.ladder[-1][0] - d.alpha) + 1 if d.ladder else Fraction(1)
-    c0 = c_neg(log_coeff(d.lam, mode))
-    lam_inv = c_inv(d.lam)
-    u = [(a - d.alpha, [c_mul(c, lam_inv) for c in p])
+    c0 = -log_coeff(d.lam, mode)
+    lam_inv = 1 / d.lam
+    u = [(a - d.alpha, [c * lam_inv for c in p])
          for a, p in d.ladder if a - d.alpha < e_cap]
     body = _ladder_series_op(u, log1p, mode, e_cap)
-    ladder = [(b, [c_neg(c) for c in p]) for b, p in body]
+    ladder = [(b, [-c for c in p]) for b, p in body]
     return DulacSeriesZeta(d.alpha, c0, ladder, mode)
 
 
@@ -157,10 +148,10 @@ def to_z_chart(d: DulacSeriesZeta, e_cap=None) -> DulacSeriesZ:
     if mode == EXACT:
         lam = exp_of_log_exact(-d.c0)
     else:
-        lam = cmath.exp(-complex(c_to_complex(d.c0)))
+        lam = cmath.exp(-complex(d.c0))
     v = [(b, q) for b, q in d.ladder if b < e_cap]
     body = _ladder_series_op(v, lambda s: exp_minus_one(negate(s)), mode, e_cap)
-    ladder = [(d.alpha + b, [c_mul(c, lam) for c in p]) for b, p in body]
+    ladder = [(d.alpha + b, [c * lam for c in p]) for b, p in body]
     return DulacSeriesZ(lam, d.alpha, ladder, mode)
 
 
@@ -261,7 +252,7 @@ def _num(c, like) -> object:
     mpmath number; plain complex otherwise.
     """
     if not _is_mp(like):
-        return c_to_complex(c)
+        return complex(c)
     import mpmath
 
     if isinstance(c, Exact):

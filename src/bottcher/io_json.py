@@ -7,16 +7,12 @@ from fractions import Fraction
 from .coeffs import EXACT, Exact
 from .dulac import DulacSeriesZeta
 from .keys import Cut, Key
+from .printer import frac_str
 from .series import TransSeries, TruncationGrid, make_series
 
 
-def _frac(q) -> str:
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
-
-
 def _zexp_out(z):
-    return _frac(z) if isinstance(z, Fraction) else float(z)
+    return frac_str(z) if isinstance(z, Fraction) else float(z)
 
 
 def _zexp_in(v):
@@ -37,11 +33,9 @@ def coeff_to_json(c) -> dict:
     if isinstance(c, Exact):
         out = {}
         re, im = c.parts.get((), (Fraction(0), Fraction(0)))
-        out["re"] = _frac(re)
-        out["im"] = _frac(im)
-        higher = {
-            _mono_str(k): [_frac(a), _frac(b)] for k, (a, b) in c.parts.items() if k
-        }
+        out["re"] = frac_str(re)
+        out["im"] = frac_str(im)
+        higher = {_mono_str(k): list(map(frac_str, v)) for k, v in c.parts.items() if k}
         if higher:
             out["lg"] = higher
         return out

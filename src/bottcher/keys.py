@@ -14,11 +14,7 @@ from fractions import Fraction
 
 def as_zexp(x) -> Fraction | float:
     """Coerce a z-exponent to Fraction when possible, float otherwise."""
-    if isinstance(x, (Fraction, int)):
-        return Fraction(x)
-    if isinstance(x, float):
-        return x
-    return Fraction(x)
+    return x if isinstance(x, float) else Fraction(x)
 
 
 class Key:

@@ -48,7 +48,9 @@ def koenigs_normalize(
     if rho_R <= 0:
         raise CertificationError(f"rho(R) = {rho_R} <= 0 at R = {R}")
     iterations_used: dict = {}
-    stopped_on: dict = {}  # point -> the tail majorant its evaluation stopped on
+    # The last evaluated point -> the tail majorant its evaluation stopped on;
+    # tail_bound recomputes any other point, so this holds one entry.
+    stopped_on: dict = {}
 
     def evaluator(zeta):
         w = zeta
@@ -76,6 +78,7 @@ def koenigs_normalize(
             w = f(w)
             n += 1
         iterations_used[complex(zeta)] = n
+        stopped_on.clear()
         stopped_on[complex(zeta)] = tail
         return w * (a ** (-n))
 

@@ -36,7 +36,7 @@ import heapq
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .coeffs import c_eq, c_from
+from .coeffs import c_one
 from .errors import ShapeError
 from .keys import Cut, Key, ell_key, zero_key
 from .series import (
@@ -78,7 +78,7 @@ NOT_MONIC = "leading coefficient must be 1 (apply reduce_lambda first)"
 
 def _require_monic_power(f: TransSeries):
     shape = shape_of(f)
-    if not c_eq(f.terms[min(f.terms)], c_from(1, f.mode)):
+    if f.terms[min(f.terms)] != c_one(f.mode):
         raise ShapeError(NOT_MONIC)
     if not shape.alpha > 1:
         raise ShapeError(
@@ -245,7 +245,7 @@ def normalize(f: TransSeries, verify=True) -> NormalizationResult:
                 f"grid too small: f^(-1) has no term below z_cap = {work.grid.z_cap}"
             )
     psi = None
-    if not c_eq(work.terms[min(work.terms)], c_from(1, work.mode)):
+    if work.terms[min(work.terms)] != c_one(work.mode):
         psi, work = reduce_lambda(work)
     alpha, r = alpha_block(work)
 

@@ -32,7 +32,7 @@ from .series import (
     sub,
 )
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([zi])|l(\d+)|([()+\-*/^])|(LG)|(\S))")
+_TOKEN = re.compile(r"\s*(?:(\d+)|([zi])|l(\d+)|([()+\-*/^])|(\S))")
 
 
 class _Tokens:
@@ -45,8 +45,8 @@ class _Tokens:
             if not m or m.end() == pos:
                 break
             pos = m.end()
-            if m.group(6):
-                raise ParseError(f"unexpected character {m.group(6)!r}", 1, m.start(6))
+            if m.group(5):
+                raise ParseError(f"unexpected character {m.group(5)!r}", 1, m.start(5))
             if m.group(1):
                 self.toks.append(("int", m.group(1), m.start(1)))
             elif m.group(2):
@@ -55,8 +55,6 @@ class _Tokens:
                 self.toks.append(("ell", int(m.group(3)), m.start(0)))
             elif m.group(4):
                 self.toks.append((m.group(4), m.group(4), m.start(4)))
-            elif m.group(5):
-                raise ParseError("the log symbol is not parseable input", 1, m.start(5))
         self.i = 0
 
     def peek(self, k=0):

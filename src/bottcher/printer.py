@@ -2,8 +2,9 @@
 
 This is the golden-file format: `parse(format_series(f))` reproduces f for
 exact series whose coefficients are plain complex rationals.  Coefficients
-that carry the log-of-alpha symbol print with `LG` and are not re-parseable
-(they only occur in machine-generated output; use JSON for round-trips).
+that carry logarithms of primes print them as `log(p)` factors, which the
+parser does not read (they only occur in machine-generated output; use JSON
+for round-trips).
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from fractions import Fraction
 from .coeffs import Exact
 
 
-def _frac_str(q: Fraction) -> str:
+def frac_str(q: Fraction) -> str:
+    """p/q, or p when the denominator is 1."""
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
@@ -24,16 +26,16 @@ def format_coeff(c) -> str:
             re, im = c.rational_parts()
             if im == 0:
                 if re < 0:
-                    return "-" + _frac_str(-re)
-                return _frac_str(re)
+                    return "-" + frac_str(-re)
+                return frac_str(re)
             if re == 0 and im == 1:
                 return "(0+1i)"
             sign = "+" if im >= 0 else "-"
-            return f"({_frac_str(re)}{sign}{_frac_str(abs(im))}i)"
+            return f"({frac_str(re)}{sign}{frac_str(abs(im))}i)"
         monos = []
         for k in sorted(c.parts):
             re, im = c.parts[k]
-            base = _frac_str(re) if im == 0 else f"({_frac_str(re)}+{_frac_str(im)}i)"
+            base = frac_str(re) if im == 0 else f"({frac_str(re)}+{frac_str(im)}i)"
             if k == ():
                 monos.append(base)
             else:
@@ -55,7 +57,7 @@ def format_monomial(key) -> str:
         if key.z == 1:
             parts.append("z")
         else:
-            zs = _frac_str(key.z) if isinstance(key.z, Fraction) else repr(key.z)
+            zs = frac_str(key.z) if isinstance(key.z, Fraction) else repr(key.z)
             parts.append(f"z^{zs}" if "/" not in zs else f"z^({zs})")
     for j, n in enumerate(key.l, start=1):
         if n == 0:

@@ -42,15 +42,9 @@ from .coeffs import (
     EXACT,
     FLOAT,
     FLOAT_TOL,
-    c_add,
     c_from,
-    c_inv,
-    c_is_zero,
-    c_mul,
-    c_neg,
     c_one,
     c_pow_rational,
-    c_scale,
     c_zero,
 )
 from .errors import DepthOverflowError, EmptySeriesError, ShapeError
@@ -158,7 +152,7 @@ def make_series(terms, grid: TruncationGrid, mode=EXACT, frontier_candidates=())
         key = key.pad(depth)
         c = c_from(c, mode)
         if key in merged:
-            merged[key] = c_add(merged[key], c)
+            merged[key] += c
         else:
             merged[key] = c
 
@@ -168,7 +162,7 @@ def make_series(terms, grid: TruncationGrid, mode=EXACT, frontier_candidates=())
 
     by_block: dict[object, list[Key]] = {}
     for key, c in merged.items():
-        if c_is_zero(c):
+        if not c:
             continue
         if key.z >= grid.z_cap:
             continue
@@ -248,7 +242,7 @@ def add(a: TransSeries, b: TransSeries) -> TransSeries:
     terms = dict(a.terms)
     for k, c in b.terms.items():
         if k in terms:
-            terms[k] = c_add(terms[k], c)
+            terms[k] += c
         else:
             terms[k] = c
     return make_series(terms, a.grid, a.mode, [a.frontier, b.frontier])
@@ -256,7 +250,7 @@ def add(a: TransSeries, b: TransSeries) -> TransSeries:
 
 def negate(a: TransSeries) -> TransSeries:
     return TransSeries(
-        a.depth, a.mode, a.grid, {k: c_neg(c) for k, c in a.terms.items()}, a.frontier
+        a.depth, a.mode, a.grid, {k: -c for k, c in a.terms.items()}, a.frontier
     )
 
 
@@ -269,7 +263,7 @@ def scale(a: TransSeries, q) -> TransSeries:
     if q == 0:
         return make_series({}, a.grid, a.mode, [a.frontier])
     return TransSeries(
-        a.depth, a.mode, a.grid, {k: c_scale(c, q) for k, c in a.terms.items()}, a.frontier
+        a.depth, a.mode, a.grid, {k: c * q for k, c in a.terms.items()}, a.frontier
     )
 
 
@@ -318,7 +312,7 @@ def mul(a: TransSeries, b: TransSeries) -> TransSeries:
     # of a block and puts the frontier at the next one, so the sums are formed
     # in ascending l only until block_cap + 1 of them are nonzero; the keys
     # past that are never products.  Each sum is formed in the pairs' order
-    # (first product, then c_add of each later one), as by the all-pairs
+    # (first product, then adding each later one), as by the all-pairs
     # loop, so float coefficients stay bit-identical.
     cap = a.grid.block_cap
     terms = {}
@@ -326,10 +320,10 @@ def mul(a: TransSeries, b: TransSeries) -> TransSeries:
         n = 0
         for l in sorted(blk):
             pairs = blk[l]
-            c = c_mul(pairs[0], pairs[1])
+            c = pairs[0] * pairs[1]
             for j in range(2, len(pairs), 2):
-                c = c_add(c, c_mul(pairs[j], pairs[j + 1]))
-            if c_is_zero(c):
+                c += pairs[j] * pairs[j + 1]
+            if not c:
                 continue
             terms[Key(z, l)] = c
             n += 1
@@ -347,7 +341,7 @@ def mul_monomial(a: TransSeries, key: Key, coeff=None) -> TransSeries:
     key = key.pad(a.depth)
     terms = {}
     for k, c in a.terms.items():
-        terms[k + key] = c if coeff is None else c_mul(c, coeff)
+        terms[k + key] = c if coeff is None else c * coeff
     return make_series(terms, a.grid, a.mode, [a.frontier + key])
 
 
@@ -366,10 +360,8 @@ def split_leading(f: TransSeries):
     key, c = leading_term(f)
     rest = {k - key: cc for k, cc in f.terms.items() if k != key}
     shifted_front = f.frontier + (-key)
-    cinv = c_inv(c)
-    v = make_series(
-        {k: c_mul(cc, cinv) for k, cc in rest.items()}, f.grid, f.mode, [shifted_front]
-    )
+    cinv = 1 / c
+    v = make_series({k: cc * cinv for k, cc in rest.items()}, f.grid, f.mode, [shifted_front])
     return key, c, v
 
 
@@ -428,7 +420,7 @@ def power_sum(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
         if n == last:
             continue
         last = n
-        parts = [c_scale(v_at[n][0], b)] if n in v_at and b else []
+        parts = [v_at[n][0] * b] if n in v_at and b else []
         ln = _weight(n, m)
         for k in vs:
             if k >= n:
@@ -439,9 +431,9 @@ def power_sum(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
             vk, lk = v_at[k]
             w = ((a + s) * lk - s * ln) / Fraction(ln)
             if w:
-                parts.append(c_scale(c_mul(vk, fm), w))
-        acc = functools.reduce(c_add, parts) if parts else c_zero(mode)
-        if c_is_zero(acc) or mode == FLOAT and abs(acc) <= FLOAT_TOL * sum(map(abs, parts)):
+                parts.append(vk * fm * w)
+        acc = functools.reduce(operator.add, parts) if parts else c_zero(mode)
+        if not acc or mode == FLOAT and abs(acc) <= FLOAT_TOL * sum(map(abs, parts)):
             continue
         key = Key(o[0], o[1:]) if floats else Key(Fraction(n[0], q), n[1:])
         if key not in terms:  # else float exponents: another sum rounded to key
@@ -449,7 +441,7 @@ def power_sum(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
                 frontier = key
                 break
             per_block[o[0]] += 1
-        terms[key] = c_add(terms[key], acc) if key in terms else acc
+        terms[key] = terms[key] + acc if key in terms else acc
         sol[n] = acc
         for k in vs:
             nk = tuple(map(operator.add, n, k))

@@ -33,13 +33,8 @@ from bottcher.coeffs import (
     Exact,
     _asfrac,
     _mono_mul,
-    c_add,
     c_from,
-    c_inv,
-    c_is_zero,
-    c_mul,
     c_pow_rational,
-    c_scale,
     log_coeff,
 )
 from bottcher.compose import (
@@ -88,7 +83,7 @@ def compose_log(f: TransSeries) -> TransSeries:
     _, lam, u = split_leading(f)
     out = scale(monomial(ell_key(f.grid.depth, 1, -1), f.grid, f.mode), -shape.alpha)
     logc = log_coeff(lam, f.mode)
-    if not c_is_zero(logc):
+    if logc:
         out = add(out, monomial(zero_key(f.grid.depth), f.grid, f.mode, logc))
     return add(out, log1p(u))
 
@@ -100,20 +95,20 @@ def d_dz(f: TransSeries) -> TransSeries:
 
     def bump(key, c):
         if key in terms:
-            terms[key] = c_add(terms[key], c)
+            terms[key] += c
         else:
             terms[key] = c
 
     for k, c in f.terms.items():
         if k.z != 0:
-            bump(Key(k.z - 1, k.l), c_scale(c, k.z))
+            bump(Key(k.z - 1, k.l), c * k.z)
         for m in range(1, depth + 1):
             nm = k.l[m - 1]
             if nm == 0:
                 continue
             shift = tuple(1 if j < m else 0 for j in range(depth))
             lk = tuple(k.l[j] + shift[j] for j in range(depth))
-            bump(Key(k.z - 1, lk), c_scale(c, nm))
+            bump(Key(k.z - 1, lk), c * nm)
     front = f.frontier + Key(-1, (0,) * depth)
     return make_series(terms, f.grid, f.mode, [front])
 
@@ -123,7 +118,7 @@ def _invert_seed(f: TransSeries) -> TransSeries:
     shape = shape_of(f)
     alpha, lam = shape.alpha, f.terms[min(f.terms)]
     inv_alpha = 1 / alpha
-    lam_pow = c_pow_rational(c_inv(lam), inv_alpha)
+    lam_pow = c_pow_rational(1 / lam, inv_alpha)
     return monomial(Key(inv_alpha, (0,) * f.grid.depth), f.grid, f.mode, lam_pow)
 
 
@@ -142,7 +137,7 @@ def invert_graded(f: TransSeries) -> TransSeries:
         wk = min(bad)
         wc = r.terms[wk]
         dk, dc = leading_term(den)
-        g = add(g, monomial(wk - dk, g.grid, g.mode, c_mul(c_from(-1, g.mode), c_mul(wc, c_inv(dc)))))
+        g = add(g, monomial(wk - dk, g.grid, g.mode, c_from(-1, g.mode) * (wc * (1 / dc))))
     raise ShapeError("graded inversion did not converge within the frontier")
 
 
@@ -197,8 +192,8 @@ def mul_all_pairs(a: TransSeries, b: TransSeries) -> TransSeries:
             for l1, c1 in la:
                 for l2, c2 in lb:
                     l = tuple(x + y for x, y in zip(l1, l2))
-                    c = c_mul(c1, c2)
-                    blk[l] = c_add(blk[l], c) if l in blk else c
+                    c = c1 * c2
+                    blk[l] = blk[l] + c if l in blk else c
     terms = {Key(z, l): c for z, blk in out.items() for l, c in blk.items()}
     cands = [a.frontier + ord_for_frontier(b), b.frontier + ord_for_frontier(a)]
     return make_series(terms, a.grid, a.mode, cands)
@@ -363,7 +358,7 @@ def ord_e_inv(d):
     """Order in e^(-1) of a DulacSeriesZeta: minimal beta_i with Q_i != 0
     (None for the trivial ladder)."""
     for b, q in d.ladder:
-        if any(not c_is_zero(c) for c in q):
+        if any(q):
             return b
     return None
 
@@ -456,7 +451,7 @@ def D_m(r: TransSeries, m: int) -> TransSeries:
     if not in_Bm(r, m):
         raise ShapeError(f"D_{m} applied outside B_{m}")
     bump = Key(0, tuple(1 if j == m - 1 else 0 for j in range(r.depth)))
-    terms = {k + bump: c_scale(c, k.l[m - 1]) for k, c in r.terms.items() if k.l[m - 1]}
+    terms = {k + bump: c * k.l[m - 1] for k, c in r.terms.items() if k.l[m - 1]}
     return make_series(terms, r.grid, r.mode, [r.frontier + bump])
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 import time
 from fractions import Fraction
 
@@ -198,3 +199,39 @@ def test_exact_real_parts_match_the_full_complex_formula():
             assert all(type(x) is F for v in got.parts.values() for x in v)
             zeros += got.is_zero()
     assert zeros > 20
+
+
+def test_exact_takes_pythons_number_protocol():
+    """a * q, q * a and 1 / a are scale and inverse; bool and complex are
+    is_zero and evaluate."""
+    rng = random.Random(1919)
+    for _ in range(400):
+        a = _draw_multi_part(rng)
+        q = rng.choice([2, -1, F(rng.randint(-5, 5), rng.randint(1, 4))])
+        assert a * q == q * a == a.scale(q)
+        assert bool(a) is not a.is_zero()
+        assert complex(a) == a.evaluate()
+        if not a.is_rational_complex():
+            with pytest.raises(ModeError):
+                1 / a
+        b = Exact.of(F(rng.randint(-5, 5), rng.randint(1, 4)), F(rng.randint(-5, 5), 3))
+        if b:
+            assert 1 / b == b.inverse()
+    assert not Exact({})
+
+
+def test_float_operators_match_the_float_formulas_bit_for_bit():
+    """c * q, q * c and 1 / c on complex c and Fraction q round exactly as
+    c * float(q) and 1.0 / c, signed zeros included."""
+    rng = random.Random(2718)
+    special = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e300]
+
+    def bits(z):
+        return struct.pack("<dd", z.real, z.imag)
+
+    for _ in range(20000):
+        c = complex(*(rng.choice([rng.uniform(-1e3, 1e3), rng.choice(special)]) for _ in "ri"))
+        q = F(rng.randint(-50, 50), rng.randint(1, 30))
+        assert bits(c * q) == bits(q * c) == bits(c * float(q))
+        if c:
+            assert bits(1 / c) == bits(1.0 / c)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from crosschecks import defect_decay_check, ord_e_inv
-from bottcher.coeffs import EXACT, FLOAT, Exact, c_to_complex
+from bottcher.coeffs import EXACT, FLOAT, Exact
 from bottcher.domains import AsymptoticSpec, DomainSpec, invariant_threshold
 from bottcher.dulac import (
     DulacSeriesZ,
@@ -80,7 +80,7 @@ def _seeded_ladder(rng, mode):
 
 
 def _ladder_map(ladder):
-    return {(float(a), deg): c_to_complex(c) for a, p in ladder for deg, c in enumerate(p)}
+    return {(float(a), deg): complex(c) for a, p in ladder for deg, c in enumerate(p)}
 
 
 def test_roundtrips():

@@ -4,7 +4,6 @@ import math
 import pytest
 
 from crosschecks import cauchy_step_bound, real_line_invariance_check
-from bottcher.coeffs import c_to_complex
 from bottcher.compose import Composer, compose, solve_linear
 from bottcher.domains import AsymptoticSpec, DomainSpec, invariant_threshold
 from bottcher.errors import DomainError
@@ -133,7 +132,7 @@ def test_homological_residual_identity():
 def _at_zeta(h, zeta):
     """A depth <= 1 series h at z = e^-zeta, where l1 = -1/log z = 1/zeta."""
     return sum(
-        c_to_complex(c) * cmath.exp(-k.z * zeta) * zeta ** -sum(k.l)
+        complex(c) * cmath.exp(-k.z * zeta) * zeta ** -sum(k.l)
         for k, c in h.terms.items()
         if k < h.frontier
     )
@@ -184,3 +183,31 @@ def test_tail_bound_is_the_certified_stop():
         assert isinstance(res.iterations_used[z], int)
     fresh = complex(R + 3.3, 0.1)  # tail_bound evaluates a point it has not seen
     assert res.tail_bound(fresh) < tol
+
+
+def test_tail_bound_keeps_one_point():
+    # tail_bound reads the last evaluated point without a new call to f and
+    # recomputes an earlier one; apart from iterations_used, no container
+    # held by the result's closures grows with the number of points
+    calls = [0]
+
+    def counted(z):
+        calls[0] += 1
+        return expmap(z)
+
+    R = invariant_threshold(expmap, SPEC, DOM)
+    res = koenigs_normalize(counted, SPEC, DOM, R, tol=1e-11)
+    points = [complex(R + 10.0 * i / 199, 0.25 * math.cos(i)) for i in range(200)]
+    first = {}
+    for z in points:
+        res.evaluator(z)
+        n = calls[0]
+        first[z] = res.tail_bound(z)
+        assert calls[0] == n
+    for z in points[::17]:
+        assert res.tail_bound(z) == first[z]
+    for fn in (res.evaluator, res.tail_bound):
+        for cell in fn.__closure__:
+            held = cell.cell_contents
+            if isinstance(held, (dict, list, set, tuple)) and held is not res.iterations_used:
+                assert len(held) <= 1, held

@@ -19,7 +19,7 @@ from crosschecks import (
     supp,
     weak_delta,
 )
-from bottcher.coeffs import EXACT, FLOAT, Exact, c_to_complex
+from bottcher.coeffs import EXACT, FLOAT, Exact
 from bottcher.errors import EmptySeriesError, ShapeError
 from bottcher.io_json import series_to_json
 from bottcher.keys import Cut, Key
@@ -337,7 +337,7 @@ def test_float_power_sums_store_no_dust_of_zero_sums():
     square = add(add(S("1", grid), scale(v, 2)), mul(v, v))
     assert flt.frontier == exact.frontier == square.frontier
     assert sorted(flt.terms) == sorted(exact.terms) == sorted(_below(square, square.frontier))
-    assert all(abs(flt.terms[k] - c_to_complex(c)) < 1e-12 for k, c in exact.terms.items())
+    assert all(abs(flt.terms[k] - complex(c)) < 1e-12 for k, c in exact.terms.items())
 
 
 def test_float_exponent_sums_that_round_to_one_key_add_up():
