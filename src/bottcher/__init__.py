@@ -9,6 +9,11 @@ Two pipelines around the same normalization equation phi o f = z^alpha o phi:
   on admissible complex domains (Koenigs iteration with tail bounds and a
   Schroder-type homological solver), bridged through Dulac series in both
   charts.
+
+The functions `compose` and `normalize` are re-exported under the names of
+their modules, so `import bottcher.compose as C` binds the function, not
+the module, and so does `import bottcher.normalize as N`;
+`importlib.import_module("bottcher.compose")` returns the module.
 """
 
 from .coeffs import EXACT, FLOAT, Exact
@@ -37,7 +42,6 @@ from .series import (
     pow_rational,
     series_inverse,
     sub,
-    zero_series,
 )
 from . import blocks  # noqa: F401  (empty; bench/tracer.py looks it up by name)
 from .compose import (

@@ -1,10 +1,11 @@
 """Formal composition and inversion for logarithmic transseries.
 
 Composition g o f is defined for right factors f whose leading term is a
-log-free power lambda*z^alpha.  It is computed term-by-term: each monomial
-c z^d l1^n1 ... of g maps to c * (z^d o f) * prod (l_j o f)^nj, where z^d o f
-is a binomial series in u = (f - lambda z^alpha)/(lambda z^alpha) and the
-iterated-log images come from the recursion l_(m+1) o f = l1 o (l_m o f).
+log-free power lambda*z^alpha.  Each monomial c z^d l1^n1 ... of g maps to
+c * (z^d o f) * prod (l_j o f)^nj, where z^d o f is a binomial series in
+u = (f - lambda z^alpha)/(lambda z^alpha) and the iterated-log images come
+from the recursion l_(m+1) o f = l1 o (l_m o f).  The monomials sharing a
+log multi-index are summed first, so the images multiply once per group.
 The series stop certifiably past the truncation frontier (ord u > 0).
 
 What depends on f alone lives in a `Composer(f)`.  `compose(g, f)` takes f
@@ -42,13 +43,11 @@ from .series import (
     make_series,
     monomial,
     mul,
-    mul_monomial,
     pow_rational,
     power_sum,
     scale,
     series_inverse,
     split_leading,
-    zero_series,
 )
 
 PARABOLIC = "parabolic"
@@ -208,10 +207,17 @@ def compose(g: TransSeries, f: TransSeries | Composer) -> TransSeries:
     """g o f; the right factor must have a log-free leading term.
 
     f is a series or a `Composer` of one.  Computed term-group-wise: for each
-    distinct log multi-index of g the z-profile is assembled from the
-    Composer's binomial bodies, then multiplied once by its product of
-    iterated-log images.  When g and f live on different grids, f is
-    embedded into the merged grid and gets a fresh Composer.
+    distinct log multi-index of g, the pieces c lambda^delta z^(alpha delta)
+    body(delta) of its terms are summed, in g's term order, into one dict
+    that one `make_series` canonicalizes; the group is then multiplied once
+    by its product of iterated-log images, and one last `make_series` sums
+    the groups.  So a call makes one `make_series` per log group plus one,
+    whatever the number of terms of g.  Each coefficient is summed in the
+    order of the term-by-term sum (running sum + next piece), so float bits
+    match it; the keys below the frontier and the frontier match it too
+    unless a partial sum cancels to exact zero.  When g and f live on
+    different grids, f is embedded into the merged grid and gets a fresh
+    Composer.
     """
     right = f.f if isinstance(f, Composer) else f
     g, embedded = _common(g, right)
@@ -221,25 +227,30 @@ def compose(g: TransSeries, f: TransSeries | Composer) -> TransSeries:
     if g.is_zero():
         return make_series({}, grid, mode, [front_zscale(g.frontier, alpha)])
 
-    groups: dict[tuple, TransSeries] = {}
+    no_logs = (0,) * grid.depth
+    groups: dict[tuple, tuple[dict, list]] = {}
     for key, c in g.terms.items():
         delta = key.z
-        lam_pow = c_pow_rational(lam, delta) if delta != 0 else c_one(mode)
-        piece = mul_monomial(
-            ctx.body(delta), Key(alpha * delta, (0,) * grid.depth), c * lam_pow
-        )
-        if key.l in groups:
-            groups[key.l] = add(groups[key.l], piece)
-        else:
-            groups[key.l] = piece
+        coeff = c * (c_pow_rational(lam, delta) if delta != 0 else c_one(mode))
+        shift = Key(alpha * delta, no_logs)
+        body = ctx.body(delta)
+        raw, fronts = groups.setdefault(key.l, ({}, []))
+        fronts.append(body.frontier + shift)
+        for k, b in body.terms.items():
+            k += shift
+            piece = b * coeff
+            raw[k] = raw[k] + piece if k in raw else piece
 
-    acc = zero_series(grid, mode)
-    for lvec, piece in groups.items():
+    acc, fronts = {}, [front_zscale(g.frontier, alpha)]
+    for lvec, (raw, group_fronts) in groups.items():
+        group = make_series(raw, grid, mode, group_fronts)
         prod = ctx.image_product(lvec)
-        acc = add(acc, piece if prod is None else mul(piece, prod))
-
-    tail_penalty = front_zscale(g.frontier, alpha)
-    return make_series(acc.terms, grid, mode, [acc.frontier, tail_penalty])
+        if prod is not None:
+            group = mul(group, prod)
+        fronts.append(group.frontier)
+        for k, c in group.terms.items():
+            acc[k] = acc[k] + c if k in acc else c
+    return make_series(acc, grid, mode, fronts)
 
 
 # -- the lex-triangular solve, inversion and reduction ---------------------------

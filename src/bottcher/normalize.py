@@ -27,7 +27,8 @@ Newton inversion of phi is needed.
 above it, deepened only while the cut itself sets the frontier.  W and phi
 live on f's own grid.  `NormalizationResult.composer` carries the `Composer`
 of the cut f, and verification composes phi through it.  Verification takes
-the series `normalize` was given and reduces it as the result records.
+the series `normalize` was given; the result keeps its reduced form, so the
+same series object is not reduced again.
 """
 
 from __future__ import annotations
@@ -212,6 +213,10 @@ class NormalizationResult:
     # the Composer W was solved through: the reduced series phi normalizes, cut
     # just above the frontier; verification reuses it
     composer: Composer | None = field(default=None, compare=False, repr=False)
+    # the series `normalize` was given and its reduced form, which phi
+    # normalizes; verification of the same series object reuses the latter
+    source: TransSeries | None = field(default=None, compare=False, repr=False)
+    reduced: TransSeries | None = field(default=None, compare=False, repr=False)
 
 
 def _beta_from(g: TransSeries, alpha, ignore_alpha_block=False):
@@ -261,9 +266,11 @@ def normalize(f: TransSeries, verify=True) -> NormalizationResult:
         alpha_input=alpha_in,
         inverted_input=inverted,
         composer=right,
+        source=f,
+        reduced=work,
     )
     if verify:
-        res.verification = _verify_reduced(work, res)
+        res.verification = verify_normalization(f, res)
     return res
 
 
@@ -307,24 +314,24 @@ def _is_cut_of(g: TransSeries, f: TransSeries) -> bool:
 def verify_normalization(f: TransSeries, res: NormalizationResult) -> dict:
     """`check_conjugation` of res.phi plus the order bound, as a report dict.
 
-    f is the series `normalize` was given, reduced here as res records.
+    f is the series `normalize` was given.  The same object is not reduced
+    again: res.reduced is the series phi normalizes.  Any other f, an equal
+    copy included, is reduced here as res records.
+
+    Reuses res.composer when its series is the reduced f cut to the
+    composer's grid, as `normalize` built it, and checks phi on that grid.
+    The cut z' lies above W.frontier.z + alpha, the z of the frontier of
+    phi^alpha, and every frontier candidate the cut adds to phi o f lies at
+    z >= z' (phi has z-order 1), so the same keys are checked as on f's own
+    grid.
     """
-    if res.inverted_input:
-        f = reduce_alpha(f)
-    if res.psi is not None:
-        f = reduce_lambda(f)[1]
-    return _verify_reduced(f, res)
-
-
-def _verify_reduced(f: TransSeries, res: NormalizationResult) -> dict:
-    """`verify_normalization` for the reduced series f that res.phi normalizes.
-
-    Reuses res.composer when its series is f cut to the composer's grid, as
-    `normalize` built it, and checks phi on that grid.  The cut z' lies above
-    W.frontier.z + alpha, the z of the frontier of phi^alpha, and every
-    frontier candidate the cut adds to phi o f lies at z >= z' (phi has
-    z-order 1), so the same keys are checked as on f's own grid.
-    """
+    if f is res.source:
+        f = res.reduced
+    else:
+        if res.inverted_input:
+            f = reduce_alpha(f)
+        if res.psi is not None:
+            f = reduce_lambda(f)[1]
     right, phi = res.composer, res.phi
     if right is not None and _is_cut_of(right.f, f):
         phi = embed(phi, right.f.grid)

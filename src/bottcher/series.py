@@ -179,10 +179,6 @@ def make_series(terms, grid: TruncationGrid, mode=EXACT, frontier_candidates=())
     return TransSeries(depth, mode, grid, stored, frontier)
 
 
-def zero_series(grid: TruncationGrid, mode=EXACT) -> TransSeries:
-    return make_series({}, grid, mode)
-
-
 def monomial(key: Key, grid: TruncationGrid, mode=EXACT, coeff=1) -> TransSeries:
     return make_series({key.pad(grid.depth): c_from(coeff, mode)}, grid, mode)
 

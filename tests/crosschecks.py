@@ -30,10 +30,12 @@ import math
 from fractions import Fraction
 
 from bottcher.coeffs import (
+    EXACT,
     Exact,
     _asfrac,
     _mono_mul,
     c_from,
+    c_one,
     c_pow_rational,
     log_coeff,
 )
@@ -49,7 +51,7 @@ from bottcher.compose import (
 )
 from bottcher.dulac import DulacSeriesZeta, _decay_report, evaluate_zeta
 from bottcher.errors import DepthOverflowError, DomainError, EmptySeriesError, ShapeError
-from bottcher.keys import Cut, Key, ell_key, zero_key
+from bottcher.keys import Cut, Key, ell_key, front_zscale, zero_key
 from bottcher.koenigs import KoenigsResult
 from bottcher.normalize import _phi_of, normalize
 from bottcher.series import (
@@ -72,7 +74,6 @@ from bottcher.series import (
     scale,
     split_leading,
     sub,
-    zero_series,
 )
 
 def compose_log(f: TransSeries) -> TransSeries:
@@ -139,6 +140,46 @@ def invert_graded(f: TransSeries) -> TransSeries:
         dk, dc = leading_term(den)
         g = add(g, monomial(wk - dk, g.grid, g.mode, c_from(-1, g.mode) * (wc * (1 / dc))))
     raise ShapeError("graded inversion did not converge within the frontier")
+
+
+def zero_series(grid, mode=EXACT) -> TransSeries:
+    return make_series({}, grid, mode)
+
+
+def compose_termwise(g: TransSeries, f: TransSeries | Composer) -> TransSeries:
+    """g o f with a running sum rebuilt by `add` for every term of g.
+
+    The reference for `compose`, which sums each log group of g into one dict
+    and canonicalizes once: its terms and float bits below the frontier, and
+    its frontier, must equal these unless a partial sum cancels to exact zero.
+    """
+    right = f.f if isinstance(f, Composer) else f
+    g, embedded = _common(g, right)
+    ctx = f if isinstance(f, Composer) and embedded is right else Composer(embedded)
+    grid, mode = g.grid, g.mode
+    alpha, lam = ctx.alpha, ctx.lam
+    if g.is_zero():
+        return make_series({}, grid, mode, [front_zscale(g.frontier, alpha)])
+
+    groups: dict[tuple, TransSeries] = {}
+    for key, c in g.terms.items():
+        delta = key.z
+        lam_pow = c_pow_rational(lam, delta) if delta != 0 else c_one(mode)
+        piece = mul_monomial(
+            ctx.body(delta), Key(alpha * delta, (0,) * grid.depth), c * lam_pow
+        )
+        if key.l in groups:
+            groups[key.l] = add(groups[key.l], piece)
+        else:
+            groups[key.l] = piece
+
+    acc = zero_series(grid, mode)
+    for lvec, piece in groups.items():
+        prod = ctx.image_product(lvec)
+        acc = add(acc, piece if prod is None else mul(piece, prod))
+
+    tail_penalty = front_zscale(g.frontier, alpha)
+    return make_series(acc.terms, grid, mode, [acc.frontier, tail_penalty])
 
 
 def conjugate(phi: TransSeries, f: TransSeries) -> TransSeries:

@@ -16,6 +16,7 @@ from crosschecks import (
     convergence_mode,
     ell1_distance_on_parabolic,
     prenorm_block_map,
+    zero_series,
 )
 from bottcher.coeffs import EXACT, FLOAT, Exact
 from bottcher.compose import Composer, compose
@@ -52,7 +53,6 @@ from bottcher.series import (
     mul_monomial,
     ord_z,
     sub,
-    zero_series,
 )
 
 F = Fraction

@@ -11,6 +11,7 @@ from crosschecks import (
     agree_below_frontier,
     compose_ell,
     compose_log,
+    compose_termwise,
     conjugate,
     d_dz,
     invert_graded,
@@ -27,10 +28,12 @@ from bottcher.compose import (
 )
 from bottcher.errors import ModeError, ShapeError
 from bottcher.keys import Cut, Key
+from bottcher.normalize import normalize
 from bottcher.parser import parse
 from bottcher.series import (
     TruncationGrid,
     add,
+    embed,
     identity_series,
     make_series,
     monomial,
@@ -214,6 +217,112 @@ def test_chain_rule(gt, ft):
     lhs = d_dz(compose(g, f))
     rhs = mul(compose(d_dz(g), f), d_dz(f))
     assert_agree(lhs, rhs)
+
+
+def _bits(c):
+    """A coefficient, a float one by the bits of its parts (signed zeros apart)."""
+    return (c.real.hex(), c.imag.hex()) if isinstance(c, complex) else c
+
+
+def _below(s, front):
+    return {k: _bits(c) for k, c in s.terms.items() if k < front}
+
+
+def _random_g(rng, grid, mode, zs, ls, n=6):
+    """n random terms z^d l^l over the given exponents, exact coefficients."""
+    terms = {
+        Key(rng.choice(zs), tuple(rng.choice(ls) for _ in range(grid.depth))):
+        rng.choice([F(1), F(-1), F(1, 2), F(-2, 3), F(3)])
+        for _ in range(n)
+    }
+    return make_series(terms, grid, mode)
+
+
+HALVES = [F(k, 2) for k in range(-1, 8)]
+# (right factor, its grid, g's grid or None for the same, g's z-exponents, g's log exponents)
+TERMWISE_CASES = {
+    "log-free": ("z^(3/2) + z^2", (6, 8, 0), None, HALVES, [0]),
+    "depth-1": ("z^2 + z^2*l1 + z^3", (8, 4, 1), None, HALVES, [-1, 0, 1, 2]),
+    "depth-2": ("z^3 + z^4*l1^2*l2^-1", (12, 4, 2), None, [F(k, 2) for k in range(1, 8)], [-1, 0, 1]),
+    "lambda 4": ("4*z^2 + z^3*l1", (8, 6, 1), None, HALVES, [0, 1]),
+    "other grid": ("z^2 + z^3*l1", (8, 6, 1), (7, 4, 2), HALVES, [-1, 0, 1]),
+    # each body has <= 3 keys per z-block, the union of a group's up to 5
+    "group overflow": ("z^2 + z^3*l1 + z^3*l1^-1", (6, 3, 1), None, HALVES, [0]),
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("case", sorted(TERMWISE_CASES))
+def test_compose_matches_termwise_sum(case, mode):
+    """One canonicalization per log group gives the term-by-term sum: the
+    same frontier, and the same terms and float bits below it."""
+    ft, fgrid, ggrid, zs, ls = TERMWISE_CASES[case]
+    fgrid = TruncationGrid(*fgrid)
+    ggrid = fgrid if ggrid is None else TruncationGrid(*ggrid)
+    f = S(ft, fgrid) if mode == "exact" else parse(ft, grid=fgrid, mode="float")
+    rng = random.Random(f"{case}/{mode}")
+    right = Composer(f)
+    for _ in range(6):
+        g = _random_g(rng, ggrid, "exact" if case == "other grid" else mode, zs, ls)
+        new, old = compose(g, right), compose_termwise(g, right)
+        assert new.frontier == old.frontier, (g, new.frontier, old.frontier)
+        assert _below(new, new.frontier) == _below(old, old.frontier), g
+
+
+def test_group_overflow_case_sets_the_frontier_by_block_cap():
+    """The "group overflow" case: the union of the log group's pieces
+    overflows a z-block that no single shifted body overflows, and that sets
+    the frontier."""
+    ft, fgrid, _, _, _ = TERMWISE_CASES["group overflow"]
+    grid = TruncationGrid(*fgrid)
+    f, g = S(ft, grid), S("z^(1/2) + z + z^(3/2) + z^2", grid)
+    right = Composer(f)
+    out, old = compose(g, right), compose_termwise(g, right)
+    assert out.frontier == Key(3, (1,))
+    assert sum(k.z == 3 for k in out.terms) == grid.block_cap
+    for d in (F(1, 2), F(1), F(3, 2), F(2)):
+        assert out.frontier < right.body(d).frontier + Key(2 * d, (0,))
+    assert out == old and out.frontier == old.frontier
+
+
+def test_compose_frontier_rises_where_a_partial_sum_cancels():
+    """The groups' products of g o f cancel z^3 l1^3 exactly.  The term-by-term
+    sum truncated its z^3 block to block_cap before the last group cancelled
+    that key, which put its frontier there; one sum over the groups counts only
+    the keys that stay nonzero.  Below the old frontier both agree, and below
+    the new one the result agrees with a larger block_cap."""
+    grid = TruncationGrid(6, 2, 1)
+    f, g = S("z^2 + z^3*l1", grid), S("2*z - z*l1 + 2*z^(3/2)*l1^3", grid)
+    new, old = compose(g, f), compose_termwise(g, f)
+    assert old.frontier == Key(3, (3,)) and new.frontier == Key(5, (7,))
+    assert _below(new, old.frontier) == _below(old, old.frontier)
+    wide = TruncationGrid(6, 12, 1)
+    assert_agree_below(compose(embed(g, wide), embed(f, wide)), new, new.frontier)
+
+
+def test_compose_canonicalizes_once_per_log_group(monkeypatch):
+    """With its bodies built, composing the 60-term log-free phi of
+    z^(3/2) + z^2 canonicalizes its one log group once, then the sum once:
+    no `make_series` per term of g."""
+    f = parse("z^(3/2) + z^2", z_cap=6, block_cap=8, depth=0)
+    phi = normalize(f, verify=False).phi
+    assert len(phi.terms) == 60 and {k.l for k in phi.terms} == {()}
+    right = Composer(f)
+    want = compose(phi, right)
+    calls = []
+    for name in ("bottcher.compose", "bottcher.series"):
+        mod = importlib.import_module(name)
+        monkeypatch.setattr(mod, "make_series", _counting(mod.make_series, calls))
+    assert compose(phi, right) == want
+    assert len(calls) <= 1 + 2
+
+
+def _counting(fn, calls):
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    return wrapped
 
 
 # -- inversion -----------------------------------------------------------------------

@@ -383,6 +383,35 @@ def test_verification_reuses_the_normalization_composer(monkeypatch):
     assert report["conjugation_exact_below_frontier"], report
 
 
+@pytest.mark.parametrize(
+    "text,grid,name",
+    [("z^(1/2) + z + z*l1", (4, 8, 1), "invert"), ("2*z^2 + z^3*l1", (6, 6, 1), "reduce_lambda")],
+)
+def test_verification_reduces_only_a_new_series(text, grid, name, monkeypatch):
+    """The series `normalize` was given is not reduced again; an equal copy is."""
+    import importlib
+
+    z_cap, block_cap, depth = grid
+    f = S(text, z_cap=z_cap, block_cap=block_cap, depth=depth)
+    res = normalize(f)
+    mod = importlib.import_module("bottcher.compose" if name == "invert" else "bottcher.normalize")
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    real = getattr(mod, name)
+    monkeypatch.setattr(mod, name, counted)
+    assert verify_normalization(f, res) == res.verification
+    assert calls == []
+    copy = S(text, z_cap=z_cap, block_cap=block_cap, depth=depth)
+    assert copy is not f and copy == f
+    assert verify_normalization(copy, res) == res.verification
+    assert calls == [1]
+    assert res.verification["conjugation_exact_below_frontier"]
+
+
 def _module_container_sizes():
     import sys
 

@@ -18,6 +18,7 @@ from crosschecks import (
     power_sum_by_powers,
     supp,
     weak_delta,
+    zero_series,
 )
 from bottcher.coeffs import EXACT, FLOAT, Exact
 from bottcher.errors import EmptySeriesError, ShapeError
@@ -42,7 +43,6 @@ from bottcher.series import (
     power_sum,
     scale,
     sub,
-    zero_series,
 )
 
 F = Fraction
