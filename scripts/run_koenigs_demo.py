@@ -40,10 +40,11 @@ def main():
     for i in range(60):
         zeta = complex(R + 12.0 * i / 59, 0.0)
         phi = res.evaluator(zeta)
+        tail = res.tail_bound(zeta)  # read before the residual moves on to f(zeta)
         rows.append(
             (zeta.real, phi.real, phi.imag,
              koenigs_residual(res, f, zeta),
-             res.tail_bound(zeta),
+             tail,
              identity_deviation_bound(res, zeta))
         )
     path = Path("koenigs_samples.csv")

@@ -73,10 +73,8 @@ from .normalize import (
 from .domains import (
     AsymptoticSpec,
     DomainSpec,
-    M_eps_k,
     invariant_threshold,
     lower_map_check,
-    rho,
     upper_map_check,
 )
 from .koenigs import (

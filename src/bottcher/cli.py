@@ -270,13 +270,14 @@ def _analytic(args) -> int:
     rows = []
     for zeta in _sample_points(args):
         phi = result.evaluator(zeta)
+        tail = result.tail_bound(zeta)  # read before the residual moves on to f(zeta)
         rows.append(
             {
                 "zeta": float(zeta.real),
                 "phi_re": float(phi.real),
                 "phi_im": float(phi.imag),
                 "residual": float(koenigs_residual(result, f, zeta)),
-                "tail_bound": result.tail_bound(zeta),
+                "tail_bound": tail,
                 "id_bound": identity_deviation_bound(result, zeta),
             }
         )

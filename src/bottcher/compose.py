@@ -212,12 +212,13 @@ def compose(g: TransSeries, f: TransSeries | Composer) -> TransSeries:
     that one `make_series` canonicalizes; the group is then multiplied once
     by its product of iterated-log images, and one last `make_series` sums
     the groups.  So a call makes one `make_series` per log group plus one,
-    whatever the number of terms of g.  Each coefficient is summed in the
-    order of the term-by-term sum (running sum + next piece), so float bits
-    match it; the keys below the frontier and the frontier match it too
-    unless a partial sum cancels to exact zero.  When g and f live on
-    different grids, f is embedded into the merged grid and gets a fresh
-    Composer.
+    whatever the number of terms of g; a single group whose frontier g's
+    scaled frontier does not lower is already that sum and is returned as
+    it stands.  Each coefficient is summed in the order of the term-by-term
+    sum (running sum + next piece), so float bits match it; the keys below
+    the frontier and the frontier match it too unless a partial sum cancels
+    to exact zero.  When g and f live on different grids, f is embedded into
+    the merged grid and gets a fresh Composer.
     """
     right = f.f if isinstance(f, Composer) else f
     g, embedded = _common(g, right)
@@ -247,6 +248,8 @@ def compose(g: TransSeries, f: TransSeries | Composer) -> TransSeries:
         prod = ctx.image_product(lvec)
         if prod is not None:
             group = mul(group, prod)
+        if len(groups) == 1 and not fronts[0] < group.frontier:
+            return group  # already canonical, and g's frontier does not lower it
         fronts.append(group.frontier)
         for k, c in group.terms.items():
             acc[k] = acc[k] + c if k in acc else c

@@ -14,45 +14,37 @@ from dataclasses import dataclass, field
 from .errors import CertificationError, DomainError
 
 
-def iter_log(x: float, k: int) -> float:
-    for _ in range(k):
-        if x <= 0:
-            raise DomainError(f"log^o{k} undefined at {x}")
-        x = math.log(x)
-    return x
-
-
-def iter_exp(x: float, k: int) -> float:
-    for _ in range(k):
-        x = math.exp(x)
-    return x
-
-
-def M_eps_k(x: float, eps: float, k: int) -> float:
-    """(log^ok x)^(-eps); requires x > exp^ok(0)."""
-    if x <= iter_exp(0.0, k):
-        raise DomainError(f"M_eps_k needs x > exp^o{k}(0) = {iter_exp(0.0, k)}")
-    return iter_log(x, k) ** (-eps)
-
-
-def rho(x: float, alpha: float, eps: float, k: int) -> float:
-    """(alpha-1) x - M_{eps,k}(x): the guaranteed real-part gain of one step."""
-    return (alpha - 1.0) * x - M_eps_k(x, eps, k)
-
-
 @dataclass(frozen=True)
 class AsymptoticSpec:
-    """Type (alpha, eps, k) of the defect bound |f(z) - alpha z| <= M_{eps,k}(Re z)."""
+    """Type (alpha, eps, k) of the defect bound |f(z) - alpha z| <= M_{eps,k}(Re z).
+
+    `M` runs in one frame: the floor exp^ok(0) is computed once per spec and
+    the k logs run inline.  Above the floor every partial log is positive
+    (log^oj x > exp^o(k-j)(0) >= 0 for j < k), so no log needs its own check.
+    """
 
     alpha: float
     eps: float
     k: int
+    floor: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        floor = 0.0
+        for _ in range(self.k):
+            floor = math.exp(floor)
+        object.__setattr__(self, "floor", floor)
 
     def M(self, x: float) -> float:
-        return M_eps_k(x, self.eps, self.k)
+        """M_{eps,k}(x) = (log^ok x)^(-eps); requires x > exp^ok(0)."""
+        if x <= self.floor:
+            raise DomainError(f"M_eps_k needs x > exp^o{self.k}(0) = {self.floor}")
+        for _ in range(self.k):
+            x = math.log(x)
+        return x ** (-self.eps)
 
     def rho(self, x: float) -> float:
-        return rho(x, self.alpha, self.eps, self.k)
+        """(alpha-1) x - M_{eps,k}(x): the guaranteed real-part gain of one step."""
+        return (self.alpha - 1.0) * x - self.M(x)
 
 
 @dataclass
@@ -193,7 +185,7 @@ def invariant_threshold(f, spec: AsymptoticSpec, dom: DomainSpec, r_ceiling: flo
     The search starts just past R = exp^ok(0) + 1/2.
     Raises CertificationError if no R below the ceiling passes.
     """
-    R = iter_exp(0.0, spec.k) + 1e-6 + 0.5
+    R = spec.floor + 1e-6 + 0.5
     last_reasons = []
     while R <= r_ceiling:
         reasons = _certify_at(f, spec, dom, R)

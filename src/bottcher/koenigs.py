@@ -5,6 +5,11 @@ costs at most alpha^(-(n+1)) M(Re f^on) by the defect bound, so a geometric
 majorant of the remaining tail certifies the stopping index at every point.
 Arithmetic is duck-typed: feed mpmath complex numbers (and an mpmath-valued f)
 for extended precision in tail-dominated regimes.
+
+The Koenigs evaluator keeps one entry: the last point it evaluated, with its
+value and tail.  A second call at that point (the same object) returns the
+stored value, so a certified point (value, `tail_bound`, `koenigs_residual`)
+iterates f along two orbits, zeta's and f(zeta)'s.
 """
 
 from __future__ import annotations
@@ -28,12 +33,6 @@ class KoenigsResult:
     tol: float = 0.0
 
 
-def _tail_majorant(spec: AsymptoticSpec, x: float, n: int) -> float:
-    """Upper bound for sum_{m>=n} alpha^-(m+1) M(R + m rho(R)) given Re >= x at step n."""
-    a = spec.alpha
-    return spec.M(x) * a ** (-n) / (a - 1.0)
-
-
 def koenigs_normalize(
     f,
     spec: AsymptoticSpec,
@@ -44,15 +43,20 @@ def koenigs_normalize(
 ) -> KoenigsResult:
     """Evaluator for phi = lim alpha^(-n) f^on on D_R with certified tails."""
     a = spec.alpha
+    M = spec.M
     rho_R = spec.rho(R)
     if rho_R <= 0:
         raise CertificationError(f"rho(R) = {rho_R} <= 0 at R = {R}")
     iterations_used: dict = {}
-    # The last evaluated point -> the tail majorant its evaluation stopped on;
-    # tail_bound recomputes any other point, so this holds one entry.
-    stopped_on: dict = {}
+    # The last evaluated point -> (its value, the tail majorant its evaluation
+    # stopped on).  Keyed on the point object itself: equal numbers can still
+    # differ in type, precision or the sign of a zero, and give other bits.
+    last: list = []
 
     def evaluator(zeta):
+        if last and last[0][0] is zeta:
+            return last[0][1]
+        last.clear()
         w = zeta
         n = 0
         re0 = float(w.real)
@@ -65,12 +69,13 @@ def koenigs_normalize(
                 raise CertificationError(
                     f"monotone escape violated at step {n}: Re = {x} < {expected}"
                 )
-            if check_domain and dom is not None and n <= 3:
+            if n <= 3 and check_domain and dom is not None:
                 if not domain_member(dom, complex(float(w.real), float(w.imag)), R):
                     raise CertificationError(
                         f"iterate {n} left the domain at {complex(w):.6g}"
                     )
-            tail = _tail_majorant(spec, x, n)
+            # sum_{m>=n} alpha^-(m+1) M(Re w_m) <= M(x) alpha^-n / (alpha - 1)
+            tail = M(x) * a ** (-n) / (a - 1.0)
             if tail < tol:
                 break
             if n >= MAX_ITER:
@@ -78,24 +83,29 @@ def koenigs_normalize(
             w = f(w)
             n += 1
         iterations_used[complex(zeta)] = n
-        stopped_on.clear()
-        stopped_on[complex(zeta)] = tail
-        return w * (a ** (-n))
+        value = w * (a ** (-n))
+        last.append((zeta, value, tail))
+        return value
 
     def tail_bound(zeta):
-        """The certified majorant (< tol) of the tail left out at zeta."""
-        if complex(zeta) not in stopped_on:
-            evaluator(zeta)
-        return stopped_on[complex(zeta)]
+        """The certified majorant (< tol) of the tail left out at zeta.
+
+        Read from the evaluator's one-entry store when zeta is the last
+        point evaluated; any other point is evaluated (and then stored)."""
+        evaluator(zeta)
+        return last[0][2]
 
     return KoenigsResult(evaluator, tail_bound, iterations_used, dom, spec, R, tol)
 
 
 def koenigs_residual(result: KoenigsResult, f, zeta) -> float:
-    """|phi(f(zeta)) - alpha phi(zeta)| at a point."""
+    """|phi(f(zeta)) - alpha phi(zeta)| at a point.
+
+    phi(zeta) goes first: after `evaluator(zeta)` it is the stored point."""
     phi = result.evaluator
     a = result.spec.alpha
-    return abs(phi(f(zeta)) - a * phi(zeta))
+    at_zeta = phi(zeta)
+    return abs(phi(f(zeta)) - a * at_zeta)
 
 
 def identity_deviation_bound(result: KoenigsResult, zeta) -> float:

@@ -20,7 +20,7 @@ from crosschecks import (
 )
 from bottcher.coeffs import EXACT, FLOAT, Exact
 from bottcher.compose import Composer, compose
-from bottcher.domains import AsymptoticSpec, DomainSpec, M_eps_k, invariant_threshold
+from bottcher.domains import AsymptoticSpec, DomainSpec, invariant_threshold
 from bottcher.dulac import (
     DulacSeriesZ,
     compare_formal_numeric,
@@ -303,9 +303,9 @@ def test_acceptance_11_koenigs_pipeline():
             zeta = complex(R + 10.0 * i / 99, 0.25)
             assert koenigs_residual(res, fmap, zeta) < 1e-10
             dev = abs(res.evaluator(zeta) - zeta)
-            assert dev <= 2.0 * M_eps_k(zeta.real, 1.0, 1)
+            assert dev <= 2.0 * spec.M(zeta.real)
             assert identity_deviation_bound(res, zeta) == pytest.approx(
-                2.0 * M_eps_k(zeta.real, 1.0, 1)
+                2.0 * spec.M(zeta.real)
             )
 
 

@@ -2,6 +2,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,9 @@ from bottcher.keys import Key
 from bottcher.normalize import normalize, verify_normalization
 from bottcher.parser import parse
 from bottcher.series import TruncationGrid, add, monomial
+
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -352,6 +356,42 @@ def test_bridge_compare_third_rung(capsys):
 def test_bridge_compare_lambda_not_one(capsys):
     code, _ = run(capsys, "bridge", "compare", "2*z^2 - z^3", "--n", "2", "--sqd-C", "1")
     assert code == 0
+
+
+FLOAT_GRID = ["--float", "--z-cap", "10", "--block-cap", "8", "--depth", "0"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known bug: float verification tests residuals against an absolute "
+    "1e-9; phi's coefficients reach 1.6e19 and the z^9 residual is 1.8e4",
+)
+def test_float_verification_scales_with_large_coefficients(capsys):
+    code, _ = run(capsys, "normalize", "z^2 + 1000*z^3", *FLOAT_GRID)
+    assert code == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known bug: float verification tests residuals against an absolute "
+    "1e-9; fails at z^(7/2) with a residual of 1.1e15 among coefficients near 2.5e29",
+)
+def test_float_verification_scales_with_large_fractional_coefficients(capsys):
+    code, _ = run(capsys, "normalize", "z^(3/2) + 100*z^2", *FLOAT_GRID)
+    assert code == 0
+
+
+def test_analytic_koenigs_output_is_pinned(capsys):
+    # the README's `analytic koenigs` line as JSON, byte for byte; it reads
+    # each point's tail before its residual, and neither order moves a bit
+    code, out = run(
+        capsys, "analytic", "koenigs", "--alpha", "2", "--term", "1,0,1",
+        "--samples", "3:10:50", "--json",
+    )
+    assert code == 0
+    assert out == (DATA / "analytic_koenigs_3_10_50.json").read_text()
 
 
 def test_selftest(capsys):

@@ -8,11 +8,9 @@ from crosschecks import sqd_boundary
 from bottcher.domains import (
     AsymptoticSpec,
     DomainSpec,
-    M_eps_k,
     domain_member,
     invariant_threshold,
     lower_map_check,
-    rho,
     sqd_im_extent,
     upper_map_check,
 )
@@ -24,20 +22,62 @@ def sqd_kappa(w: complex, C: float) -> complex:
 
 
 def test_M_examples():
-    assert M_eps_k(math.e, 1.0, 1) == 1.0
-    assert abs(rho(math.e, 2.0, 1.0, 1) - (math.e - 1.0)) < 1e-14
+    assert AsymptoticSpec(2.0, 1.0, 1).M(math.e) == 1.0
+    assert abs(AsymptoticSpec(2.0, 1.0, 1).rho(math.e) - (math.e - 1.0)) < 1e-14
     # k = 0 convention: log^o0 = id, M = x^-eps
-    assert M_eps_k(4.0, 2.0, 0) == 4.0**-2
+    M = AsymptoticSpec(2.0, 2.0, 0).M
+    assert M(4.0) == 4.0**-2
     xs = [1.5 + 0.1 * i for i in range(50)]
-    vals = [M_eps_k(x, 2.0, 0) for x in xs]
+    vals = [M(x) for x in xs]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 def test_M_domain_error():
     with pytest.raises(DomainError):
-        M_eps_k(0.9, 1.0, 1)
+        AsymptoticSpec(2.0, 1.0, 1).M(0.9)
     with pytest.raises(DomainError):
-        M_eps_k(1.0, 1.0, 2)
+        AsymptoticSpec(2.0, 1.0, 2).M(1.0)
+
+
+def _iter_log_M(x: float, eps: float, k: int) -> float:
+    """M_{eps,k} as iterated calls once computed it: the floor exp^ok(0) per
+    call, then log^ok x with a positivity check before each log."""
+    floor = 0.0
+    for _ in range(k):
+        floor = math.exp(floor)
+    if x <= floor:
+        raise DomainError(f"M_eps_k needs x > exp^o{k}(0) = {floor}")
+    for _ in range(k):
+        if x <= 0:
+            raise DomainError(f"log^o{k} undefined at {x}")
+        x = math.log(x)
+    return x ** (-eps)
+
+
+def _outcome(fn, *args):
+    """The bits of fn's value, or the type of what it raised (next to the
+    floor, 0.0 ** -eps and x ** -eps for tiny x raise)."""
+    try:
+        return fn(*args).hex()
+    except (ArithmeticError, DomainError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_one_frame_M_matches_iterated_logs_bit_for_bit(k):
+    rng = random.Random(4127 + k)
+    for eps in (0.25, 0.5, 1.0, 1.7, 3.0):
+        spec = AsymptoticSpec(2.0, eps, k)
+        floor = spec.floor
+        xs = [floor * (1.0 + 1e-15), math.nextafter(floor, math.inf), floor + 1.0]
+        xs += [floor + 10.0 ** rng.uniform(-12.0, 6.0) for _ in range(400)]
+        for x in xs:
+            assert _outcome(spec.M, x) == _outcome(_iter_log_M, x, eps, k), (x, eps)
+        for below in (floor, math.nextafter(floor, -math.inf), floor - 1.0):
+            with pytest.raises(DomainError):
+                _iter_log_M(below, eps, k)
+            with pytest.raises(DomainError):
+                spec.M(below)
 
 
 def test_rho_increasing_where_positive():
@@ -196,7 +236,7 @@ def test_invariant_threshold_exponential_defect():
     R = invariant_threshold(lambda z: 2 * z + cmath.exp(-z), spec, dom)
     assert R < 16.0
     # certified bound holds strictly inside
-    assert abs(cmath.exp(-complex(R, 0))) <= M_eps_k(R, 1.0, 1)
+    assert abs(cmath.exp(-complex(R, 0))) <= spec.M(R)
 
 
 def test_invariant_threshold_mislabeled_alpha_fails():

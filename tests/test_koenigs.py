@@ -211,3 +211,71 @@ def test_tail_bound_keeps_one_point():
             held = cell.cell_contents
             if isinstance(held, (dict, list, set, tuple)) and held is not res.iterations_used:
                 assert len(held) <= 1, held
+
+
+def test_certified_point_costs_two_orbits():
+    # value, tail_bound, then residual: f runs along zeta's orbit, one step to
+    # f(zeta), then along f(zeta)'s orbit, and never along zeta's again
+    calls = [0]
+
+    def counted(z):
+        calls[0] += 1
+        return expmap(z)
+
+    R = invariant_threshold(expmap, SPEC, DOM)
+    res = koenigs_normalize(counted, SPEC, DOM, R, tol=1e-11)
+    for i in range(30):
+        z = complex(R + 10.0 * i / 29, 0.25 * math.sin(i))
+        before = calls[0]
+        res.evaluator(z)
+        res.tail_bound(z)
+        koenigs_residual(res, counted, z)
+        orbits = res.iterations_used[z] + 1 + res.iterations_used[expmap(z)]
+        assert calls[0] - before == orbits
+
+
+def _bits(value):
+    return (value.real.hex(), value.imag.hex())
+
+
+def test_revisited_point_gives_the_same_bits():
+    R = invariant_threshold(expmap, SPEC, DOM)
+    res = koenigs_normalize(expmap, SPEC, DOM, R, tol=1e-11)
+    z1, z2 = complex(R + 1.3, 0.2), complex(R + 4.1, -0.1)
+    first = (_bits(res.evaluator(z1)), res.tail_bound(z1).hex())
+    res.evaluator(z2)
+    again = complex(z1.real, z1.imag)  # an equal point, not the stored object
+    assert (_bits(res.evaluator(again)), res.tail_bound(again).hex()) == first
+    assert (_bits(res.evaluator(z1)), res.tail_bound(z1).hex()) == first
+
+
+def test_points_equal_as_complex_keep_their_own_values():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        f = lambda z: 2 * z + mpmath.exp(-z)
+        R = invariant_threshold(expmap, SPEC, DOM)
+        res = koenigs_normalize(f, SPEC, DOM, R, tol=1e-35, check_domain=False)
+        z1 = mpmath.mpc(10) / 3
+        z2 = z1 + mpmath.mpf("1e-30")
+        assert complex(z1) == complex(z2) and z1 != z2
+        v1, v2 = res.evaluator(z1), res.evaluator(z2)
+        assert v1 != v2
+        assert res.tail_bound(z1) < 1e-35
+        fresh = koenigs_normalize(f, SPEC, DOM, R, tol=1e-35, check_domain=False)
+        assert fresh.evaluator(z2) == v2 and fresh.evaluator(z1) == v1
+        assert abs(v2 - v1 - mpmath.mpf("1e-30")) < mpmath.mpf("1e-31")
+
+
+def test_point_outside_the_domain_leaves_no_entry():
+    R = invariant_threshold(expmap, SPEC, DOM)
+    res = koenigs_normalize(expmap, SPEC, DOM, R, tol=1e-11)
+    good, bad = complex(R + 2.0, 0.1), complex(R - 1.0, 0.0)
+    want = _bits(res.evaluator(good))
+    for call in (res.evaluator, res.tail_bound):
+        with pytest.raises(DomainError):
+            call(bad)
+        for cell in res.evaluator.__closure__:
+            held = cell.cell_contents
+            if isinstance(held, list):
+                assert held == []
+    assert _bits(res.evaluator(good)) == want
