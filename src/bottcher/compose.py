@@ -17,6 +17,7 @@ is the one lex-triangular solver, behind `invert` and `normalize.solve_W`.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -269,13 +270,19 @@ def solve_linear(right: Composer, a, b, rhs: TransSeries) -> TransSeries:
     each image's (rechecked after each image), or the first residual key past
     `block_cap` solved terms in one z-block, mapped back by z -> z / alpha
     when a = 0.
+
+    The residual's keys sit in a heap, pushed when they enter the residual
+    and popped only as the pivot, the one place they leave it; so each pop is
+    min(residual), and the pivots, frontier and float bits are those of a
+    solve that scans the whole residual for its least key.
     """
     grid, mode = right.f.grid, right.f.mode
     a_c, b_c = c_from(a, mode), c_from(b, mode)
     residual, solved, per_block = dict(rhs.terms), {}, Counter()
+    heap = sorted(residual)  # sorted, so a heap
     frontier = rhs.frontier
-    while residual:
-        t = min(residual)
+    while heap:
+        t = heapq.heappop(heap)
         if not t < frontier:
             break
         if per_block[t.z] == grid.block_cap:
@@ -296,7 +303,11 @@ def solve_linear(right: Composer, a, b, rhs: TransSeries) -> TransSeries:
         for k, c in image.terms.items():
             if k != t:
                 contrib = x * c * -b
-                residual[k] = contrib if k not in residual else residual[k] + contrib
+                if k in residual:
+                    residual[k] += contrib
+                else:
+                    residual[k] = contrib
+                    heapq.heappush(heap, k)
     return make_series(solved, grid, mode, [frontier if a else front_zscale(frontier, 1 / right.alpha)])
 
 

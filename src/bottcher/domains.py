@@ -59,11 +59,24 @@ class DomainSpec:
     h_u: object
     t: float
 
+    def im_bounds(self, x: float) -> tuple[float, float]:
+        """(h_l(x), h_u(x))."""
+        return self.h_l(x), self.h_u(x)
+
     @staticmethod
     def standard_quadratic(C: float) -> "DomainSpec":
         if C <= 0:
             raise DomainError("standard quadratic domain needs C > 0")
-        return DomainSpec(lambda x: -sqd_im_extent(x, C), lambda x: sqd_im_extent(x, C), C)
+        return _StandardQuadratic(lambda x: -sqd_im_extent(x, C), lambda x: sqd_im_extent(x, C), C)
+
+
+class _StandardQuadratic(DomainSpec):
+    """kappa(C+), C = t: symmetric about the real axis, h_l = -h_u."""
+
+    def im_bounds(self, x: float) -> tuple[float, float]:
+        """(-Y_C(x), Y_C(x)) from one `sqd_im_extent`."""
+        y = sqd_im_extent(x, self.t)
+        return -y, y
 
 
 # -- standard quadratic domains -------------------------------------------------
@@ -86,7 +99,8 @@ def domain_member(dom: DomainSpec, zeta: complex, R: float | None = None) -> boo
     x = zeta.real
     if (R is not None and x < R) or x < dom.t:
         return False
-    return dom.h_l(x) < zeta.imag < dom.h_u(x)
+    lo, hi = dom.im_bounds(x)
+    return lo < zeta.imag < hi
 
 
 # -- upper/lower map criteria ----------------------------------------------------
@@ -168,7 +182,7 @@ def _domain_samples(dom: DomainSpec, R: float) -> list[complex]:
     for x in _grid(R, SAMPLE_SPAN, N_SAMPLES):
         if x < dom.t:
             continue
-        lo, hi = dom.h_l(x), dom.h_u(x)
+        lo, hi = dom.im_bounds(x)
         for frac in (0.0, 0.5, 0.95):
             out.append(complex(x, frac * hi))
             if frac:

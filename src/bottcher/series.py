@@ -25,7 +25,9 @@ over all pairs, so float coefficients are bit-identical to that product's.
 Every power sum (`log1p`, `exp_minus_one`, the binomial bodies of
 `pow_rational` and `compose`, the geometric sums of the log images) is one
 `power_sum`: a first-order linear recurrence solved in one pass, in
-ascending key order, logs included, with no product of powers of v.
+ascending key order, logs included, with no product of powers of v.  Its
+keys are integer vectors and its weights integer quotients, so its inner
+loop does no rational arithmetic besides the coefficients' own.
 """
 
 from __future__ import annotations
@@ -375,7 +377,13 @@ def power_sum(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
     A key is the int vector x = (q z, l1, ..., lk), q the lcm of v's
     z-denominators (a float enters as `_exact_z`), and lambda(x) =
     x0 M^k + ... + xk with M the least power of two making lambda > 0 on
-    supp(v), hence on every sum of its keys (log-free v: lambda = x0).  Keys
+    supp(v), hence on every sum of its keys (log-free v: lambda = x0).  The
+    weights are integer quotients: with a + s = An/Ad and s = Sn/Sd, the
+    weight of (k, N) is (An Sd lambda(k) - Sn Ad lambda(N)) / (Ad Sd lambda(N)),
+    a `Fraction` in exact mode and the correctly rounded int / int in float
+    mode (the float of that `Fraction`, so the same bits); a pair whose
+    numerator is 0 adds nothing.  A float a + s (float exponents) keeps the
+    float formula ((a + s) lambda(k) - s lambda(N)) / lambda(N).  Keys
     come off a heap in ascending order of their stored key, whose z is
     rounded for float exponents (sums that round to one key add up); only
     the sums a nonzero F_(N-k) reaches are visited.  In float mode an F_N
@@ -398,7 +406,16 @@ def power_sum(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
     m = 1
     while not all(_weight(x, m) > 0 for x in vs):
         m *= 2
-    v_at = {x: (v.terms[k], _weight(x, m)) for x, k in zip(vs, gens)}
+    # the weight of (k, N) is div(A lambda(k) - S lambda(N), den lambda(N))
+    a_s = a + s
+    if isinstance(a_s, float):
+        A, S, den, div = a_s, s, 1, operator.truediv
+    else:
+        ra, rs = Fraction(a_s), Fraction(s)
+        A, S = ra.numerator * rs.denominator, rs.numerator * ra.denominator
+        den = ra.denominator * rs.denominator
+        div = Fraction if mode == EXACT else operator.truediv
+    v_at = {x: (v.terms[k], A * _weight(x, m)) for x, k in zip(vs, gens)}
     floats = any(type(k.z) is float for k in gens)
 
     def at(x):  # where x is stored, (z, l1, ..., lk) in lex order; exact z: x itself
@@ -418,16 +435,17 @@ def power_sum(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
         last = n
         parts = [v_at[n][0] * b] if n in v_at and b else []
         ln = _weight(n, m)
+        s_ln, den_ln = S * ln, den * ln
         for k in vs:
             if k >= n:
                 break
             fm = sol.get(tuple(map(operator.sub, n, k)))
             if fm is None:
                 continue
-            vk, lk = v_at[k]
-            w = ((a + s) * lk - s * ln) / Fraction(ln)
-            if w:
-                parts.append(vk * fm * w)
+            vk, a_lk = v_at[k]
+            num = a_lk - s_ln
+            if num:
+                parts.append(vk * fm * div(num, den_ln))
         acc = functools.reduce(operator.add, parts) if parts else c_zero(mode)
         if not acc or mode == FLOAT and abs(acc) <= FLOAT_TOL * sum(map(abs, parts)):
             continue
@@ -451,8 +469,10 @@ def power_sum(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
 
 def _exact_z(z) -> Fraction:
     """z, or for a float the fraction of denominator <= 10^6 rounding to it (1/3)."""
+    if type(z) is not float:
+        return z if type(z) is Fraction else Fraction(z)
     near = Fraction(z).limit_denominator(10**6)
-    return near if type(z) is float and float(near) == z else Fraction(z)
+    return near if float(near) == z else Fraction(z)
 
 
 def _weight(x, m):

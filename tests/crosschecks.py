@@ -26,17 +26,24 @@ itself by a different route, so they are not independent oracles:
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
+import operator
+from collections import Counter
 from fractions import Fraction
 
 from bottcher.coeffs import (
     EXACT,
+    FLOAT,
+    FLOAT_TOL,
     Exact,
     _asfrac,
     _mono_mul,
     c_from,
     c_one,
     c_pow_rational,
+    c_zero,
     log_coeff,
 )
 from bottcher.compose import (
@@ -51,12 +58,14 @@ from bottcher.compose import (
 )
 from bottcher.dulac import DulacSeriesZeta, _decay_report, evaluate_zeta
 from bottcher.errors import DepthOverflowError, DomainError, EmptySeriesError, ShapeError
-from bottcher.keys import Cut, Key, ell_key, front_zscale, zero_key
+from bottcher.keys import Cut, Key, ell_key, front_zscale, min_key, zero_key
 from bottcher.koenigs import KoenigsResult
 from bottcher.normalize import _phi_of, normalize
 from bottcher.series import (
     TransSeries,
     _common,
+    _exact_z,
+    _weight,
     add,
     identity_series,
     leading_term,
@@ -301,6 +310,73 @@ def power_sum_by_powers(v: TransSeries, kind: str, beta=None, base_z=0) -> Trans
         "geom": lambda i: Fraction(1),
     }[kind]
     return sum_powers(v, coeff_of, base_z)
+
+
+def power_sum_rational_weights(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
+    """`series.power_sum` with each weight formed as a `Fraction`,
+    ((a + s) lambda(k) - s lambda(N)) / lambda(N), as it was before its
+    integer weights: the reference for their keys, frontier and float bits."""
+    grid, mode = v.grid, v.mode
+    n0 = ord_for_frontier(v)
+    if not n0.is_positive():
+        raise ShapeError(f"power sum needs ord(v) > 0, got {n0!r}")
+    limit = grid.z_cap - max(base_z, 0)
+    frontier = min_key(Cut(limit), v.frontier) if b else Cut(limit)
+    gens = sorted(k for k in v.terms if k < frontier)
+    q = math.lcm(*(_exact_z(k.z).denominator for k in gens))
+    vs = [((_exact_z(k.z) * q).numerator,) + k.l for k in gens]
+    m = 1
+    while not all(_weight(x, m) > 0 for x in vs):
+        m *= 2
+    v_at = {x: (v.terms[k], _weight(x, m)) for x, k in zip(vs, gens)}
+    floats = any(type(k.z) is float for k in gens)
+
+    def at(x):  # where x is stored, (z, l1, ..., lk) in lex order; exact z: x itself
+        return (x[0] / q,) + x[1:] if floats else x
+
+    # every pushed key lies below the frontier; z grows with k, as vs is sorted
+    fpos = (frontier.z if floats else _exact_z(frontier.z) * q,) + getattr(frontier, "l", ())
+    terms = {zero_key(grid.depth): c_one(mode)} if one and limit > 0 else {}
+    per_block = Counter({0: len(terms)})
+    sol: dict[tuple, object] = {}
+    heap = sorted((at(x), x) for x in vs)  # sorted, so a heap
+    last = None
+    while heap:
+        o, n = heapq.heappop(heap)
+        if n == last:
+            continue
+        last = n
+        parts = [v_at[n][0] * b] if n in v_at and b else []
+        ln = _weight(n, m)
+        for k in vs:
+            if k >= n:
+                break
+            fm = sol.get(tuple(map(operator.sub, n, k)))
+            if fm is None:
+                continue
+            vk, lk = v_at[k]
+            w = ((a + s) * lk - s * ln) / Fraction(ln)
+            if w:
+                parts.append(vk * fm * w)
+        acc = functools.reduce(operator.add, parts) if parts else c_zero(mode)
+        if not acc or mode == FLOAT and abs(acc) <= FLOAT_TOL * sum(map(abs, parts)):
+            continue
+        key = Key(o[0], o[1:]) if floats else Key(Fraction(n[0], q), n[1:])
+        if key not in terms:  # else float exponents: another sum rounded to key
+            if per_block[o[0]] == grid.block_cap:
+                frontier = key
+                break
+            per_block[o[0]] += 1
+        terms[key] = terms[key] + acc if key in terms else acc
+        sol[n] = acc
+        for k in vs:
+            nk = tuple(map(operator.add, n, k))
+            o = at(nk)
+            if o < fpos:
+                heapq.heappush(heap, (o, nk))
+            elif o[0] > fpos[0]:
+                break
+    return TransSeries(grid.depth, mode, grid, terms, frontier)
 
 
 def dist_z_info(a: TransSeries, b: TransSeries):

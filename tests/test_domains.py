@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import math
 import random
 
@@ -210,6 +211,30 @@ def test_sqd_membership_matches_kappa_inversion():
         assert domain_member(DomainSpec.standard_quadratic(C), zeta) is expected, (zeta, C)
         checked += 1
     assert checked > 3900
+
+
+def test_sqd_membership_computes_one_ordinate(monkeypatch):
+    """A standard quadratic domain is symmetric, h_l = -h_u: each membership
+    test past the tip computes Y_C(x) once and answers as -Y < Im < Y, the
+    same boolean as h_l(x) < Im < h_u(x)."""
+    D = importlib.import_module("bottcher.domains")
+    calls = []
+
+    def counting(x, C):
+        calls.append(x)
+        return sqd_im_extent(x, C)
+
+    monkeypatch.setattr(D, "sqd_im_extent", counting)
+    rng = random.Random(4001)
+    for _ in range(500):
+        C = rng.choice([0.5, 1.0, 2.0])
+        dom = DomainSpec.standard_quadratic(C)
+        zeta = complex(rng.uniform(C, 20.0), rng.uniform(-3.0, 3.0) * rng.uniform(C, 20.0))
+        del calls[:]
+        got = domain_member(dom, zeta)
+        assert calls == [zeta.real]
+        assert got is (dom.h_l(zeta.real) < zeta.imag < dom.h_u(zeta.real))
+        assert dom.im_bounds(zeta.real) == (dom.h_l(zeta.real), dom.h_u(zeta.real))
 
 
 def test_domain_member_lower_upper():

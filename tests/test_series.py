@@ -16,6 +16,7 @@ from crosschecks import (
     leading_block,
     mul_all_pairs,
     power_sum_by_powers,
+    power_sum_rational_weights,
     supp,
     weak_delta,
     zero_series,
@@ -323,6 +324,54 @@ def test_power_sums_of_log_free_series_match_the_power_by_power_sum():
     assert checked["log"] > 150 and checked["log-free"] > 100, checked
     assert checked["error"] > 5 and checked["frontier rose"] > 10, checked
     assert checked["float exponents"] > 30, checked
+
+
+def _bits(c):
+    """A float coefficient by its bits (signed zeros apart); exact ones as they are."""
+    return (c.real.hex(), c.imag.hex()) if isinstance(c, complex) else c
+
+
+def test_power_sum_integer_weights_match_the_rational_weights_bit_for_bit():
+    """`power_sum` forms each weight (a + s) lambda(k) / lambda(N) - s from
+    integers.  Against the same recurrence with the weight formed as a
+    `Fraction` (`power_sum_rational_weights`), on seeded v of depth 0, 1 and
+    2 in exact and float mode, for log, exp, the binomial body at rational
+    and fractional beta and the geometric sum, and in float mode also at a
+    float beta: the same keys in the same order, the same frontier and the
+    same coefficients, float bits included."""
+    rng = random.Random(2207)
+    settings = {"log": (1, 0, 1), "exp": (0, 1, 1), "geom": (-1, 1, 1)}
+    checked = Counter()
+    for _ in range(400):
+        mode = rng.choice([EXACT, FLOAT])
+        v = _draw_power_sum_operand(rng, mode)
+        kind = rng.choice(["log", "exp", "pow", "pow", "geom"])
+        if kind == "pow":
+            betas = [F(1, 2), F(-1), F(3, 2), F(-2, 3), F(2), F(7, 5)]
+            beta = rng.choice(betas + ([math.sqrt(2), -1 / 3] if mode == FLOAT else []))
+            args = (1, beta, beta)
+        else:
+            args = settings[kind]
+        base_z = rng.choice([F(0), F(1, 2)])
+        one = kind in ("pow", "geom")
+        got = _outcome(lambda: power_sum(v, *args, base_z, one))
+        want = _outcome(lambda: power_sum_rational_weights(v, *args, base_z, one))
+        case = (v, args, base_z)
+        if not isinstance(want, TransSeries):
+            assert got is want, case
+            continue
+        assert got.frontier == want.frontier, case
+        assert list(got.terms) == list(want.terms), case
+        assert [_bits(c) for c in got.terms.values()] == [_bits(c) for c in want.terms.values()], case
+        checked[mode, v.depth] += 1
+        checked[kind, type(args[1]).__name__] += 1
+        checked["float exponents"] += any(isinstance(k.z, float) for k in v.terms)
+        checked["terms"] += len(got.terms)
+    for mode in (EXACT, FLOAT):
+        assert all(checked[mode, depth] > 20 for depth in (0, 1, 2)), checked
+    assert all(checked[kind, "int"] > 20 for kind in ("log", "exp", "geom")), checked
+    assert checked["pow", "Fraction"] > 40 and checked["pow", "float"] > 5, checked
+    assert checked["float exponents"] > 10 and checked["terms"] > 1000, checked
 
 
 def test_float_power_sums_store_no_dust_of_zero_sums():
