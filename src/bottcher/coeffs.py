@@ -301,14 +301,12 @@ def nth_root_fraction(x: Fraction, n: int) -> Fraction | None:
 
 
 def c_pow_rational(a, beta):
-    """a**beta for rational (or, in float mode, float) beta.
+    """a**beta for rational beta.
 
     Exact mode: integer beta always works; fractional beta needs a positive
     rational base with an exact root, else ModeError (retry in float mode).
     """
     if isinstance(a, Exact):
-        if isinstance(beta, float):
-            raise ModeError("float exponent on an exact coefficient; use float mode")
         beta = _asfrac(beta)
         if beta.denominator == 1:
             n = beta.numerator

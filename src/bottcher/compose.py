@@ -93,7 +93,7 @@ def is_parabolic(f: TransSeries) -> bool:
 
 
 def compose_power(beta, f: TransSeries) -> TransSeries:
-    """z^beta o f for rational (or float-mode) beta."""
+    """z^beta o f for rational beta (a float beta goes through `keys.as_zexp`)."""
     shape_of(f)
     return pow_rational(f, beta)
 

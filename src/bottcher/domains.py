@@ -47,36 +47,25 @@ class AsymptoticSpec:
         return (self.alpha - 1.0) * x - self.M(x)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DomainSpec:
-    """The domain {Re zeta >= t, h_l(Re zeta) < Im zeta < h_u(Re zeta)}.
+    """The standard quadratic domain kappa(C+), kappa(w) = w + C sqrt(w + 1):
+    {Re zeta >= C, |Im zeta| < Y_C(Re zeta)} with Y_C = `sqd_im_extent`."""
 
-    `standard_quadratic(C)` gives the standard quadratic domain kappa(C+),
-    kappa(w) = w + C sqrt(w + 1), as (-Y_C, Y_C, C) with Y_C = `sqd_im_extent`.
-    """
+    C: float
 
-    h_l: object
-    h_u: object
-    t: float
-
-    def im_bounds(self, x: float) -> tuple[float, float]:
-        """(h_l(x), h_u(x))."""
-        return self.h_l(x), self.h_u(x)
-
-    @staticmethod
-    def standard_quadratic(C: float) -> "DomainSpec":
-        if C <= 0:
+    def __post_init__(self):
+        if self.C <= 0:
             raise DomainError("standard quadratic domain needs C > 0")
-        return _StandardQuadratic(lambda x: -sqd_im_extent(x, C), lambda x: sqd_im_extent(x, C), C)
-
-
-class _StandardQuadratic(DomainSpec):
-    """kappa(C+), C = t: symmetric about the real axis, h_l = -h_u."""
 
     def im_bounds(self, x: float) -> tuple[float, float]:
         """(-Y_C(x), Y_C(x)) from one `sqd_im_extent`."""
-        y = sqd_im_extent(x, self.t)
+        y = sqd_im_extent(x, self.C)
         return -y, y
+
+    @staticmethod
+    def standard_quadratic(C: float) -> "DomainSpec":
+        return DomainSpec(C)
 
 
 # -- standard quadratic domains -------------------------------------------------
@@ -97,7 +86,7 @@ def sqd_im_extent(x: float, C: float) -> float:
 def domain_member(dom: DomainSpec, zeta: complex, R: float | None = None) -> bool:
     """Is zeta in the domain (and, with R, in its part Re zeta >= R)?"""
     x = zeta.real
-    if (R is not None and x < R) or x < dom.t:
+    if (R is not None and x < R) or x < dom.C:
         return False
     lo, hi = dom.im_bounds(x)
     return lo < zeta.imag < hi
@@ -180,7 +169,7 @@ def _domain_samples(dom: DomainSpec, R: float) -> list[complex]:
     """Interior and boundary-adjacent samples of D_R with Re in [R, R + SAMPLE_SPAN]."""
     out = []
     for x in _grid(R, SAMPLE_SPAN, N_SAMPLES):
-        if x < dom.t:
+        if x < dom.C:
             continue
         lo, hi = dom.im_bounds(x)
         for frac in (0.0, 0.5, 0.95):

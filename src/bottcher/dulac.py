@@ -67,12 +67,13 @@ class DulacSeriesZ:
 class DulacSeriesZeta:
     """alpha zeta + c0 + sum e^(-beta_i zeta) Q_i(zeta); c0 = -log lambda."""
 
-    alpha: object
+    alpha: Fraction
     c0: object
     ladder: list
     mode: str = EXACT
 
     def __post_init__(self):
+        self.alpha = as_zexp(self.alpha)
         self.c0 = c_from(self.c0, self.mode)
         self.ladder = sorted(
             ((as_zexp(b), [c_from(c, self.mode) for c in q]) for b, q in self.ladder),
@@ -109,16 +110,14 @@ def _ladder_series_op(ladder: list, op, mode, e_cap) -> list:
 
     The grid stores every term below e_cap: op(u) = Sigma_j c_j u^j needs
     j <= e_cap / min beta, so a block holds at most
-    (max deg) * (int(e_cap / min beta) + 1) + 1 terms.  Float mode returns
-    float exponents.
+    (max deg) * (int(e_cap / min beta) + 1) + 1 terms.
     """
     if not ladder:  # also covers e_cap <= 0, where every rung is cut
         return []
     max_deg = max(len(p) for _, p in ladder) - 1
     reach = int(e_cap / min(b for b, _ in ladder)) + 1
     grid = TruncationGrid(z_cap=e_cap, block_cap=max_deg * reach + 1, depth=1)
-    out = _terms_ladder(op(make_series(_ladder_terms(ladder), grid, mode)).terms, mode)
-    return out if mode == EXACT else [(float(b), p) for b, p in out]
+    return _terms_ladder(op(make_series(_ladder_terms(ladder), grid, mode)).terms, mode)
 
 
 # -- chart conversions ------------------------------------------------------------
@@ -273,9 +272,7 @@ def _exp_frac_any(b, like):
     if _is_mp(like):
         import mpmath
 
-        if isinstance(b, Fraction):
-            return mpmath.mpf(b.numerator) / b.denominator
-        return mpmath.mpf(b)
+        return mpmath.mpf(b.numerator) / b.denominator
     return float(b)
 
 

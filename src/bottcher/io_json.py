@@ -4,19 +4,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import EXACT, Exact
+from .coeffs import EXACT, FLOAT, Exact
 from .dulac import DulacSeriesZeta
-from .keys import Cut, Key
+from .keys import Cut, Key, as_zexp
 from .printer import frac_str
 from .series import TransSeries, TruncationGrid, make_series
 
 
-def _zexp_out(z):
-    return frac_str(z) if isinstance(z, Fraction) else float(z)
-
-
-def _zexp_in(v):
-    return Fraction(v) if isinstance(v, str) else float(v)
+def _rung_out(b, mode):
+    """A ladder exponent: a rational string, a JSON number in float mode."""
+    return float(b) if mode == FLOAT else frac_str(b)
 
 
 def _mono_str(k: tuple) -> str:
@@ -55,7 +52,7 @@ def coeff_from_json(d: dict, mode: str):
 def series_to_json(f: TransSeries) -> dict:
     terms = []
     for k, c in f.sorted_terms():
-        entry = {"z": _zexp_out(k.z), "l": list(k.l)}
+        entry = {"z": frac_str(k.z), "l": list(k.l)}
         entry.update(coeff_to_json(c))
         terms.append(entry)
     return {
@@ -63,12 +60,12 @@ def series_to_json(f: TransSeries) -> dict:
         "mode": f.mode,
         "terms": terms,
         "frontier": (
-            {"z": _zexp_out(f.frontier.z), "cut": True}
+            {"z": frac_str(f.frontier.z), "cut": True}
             if isinstance(f.frontier, Cut)
-            else {"z": _zexp_out(f.frontier.z), "l": list(f.frontier.l)}
+            else {"z": frac_str(f.frontier.z), "l": list(f.frontier.l)}
         ),
         "grid": {
-            "z_cap": _zexp_out(f.grid.z_cap),
+            "z_cap": frac_str(f.grid.z_cap),
             "block_cap": f.grid.block_cap,
             "ell_stop": f.grid.ell_stop,
         },
@@ -80,26 +77,26 @@ def series_from_json(d: dict) -> TransSeries:
     mode = d["mode"]
     g = d.get("grid", {})
     grid = TruncationGrid(
-        z_cap=Fraction(g.get("z_cap", "16")) if isinstance(g.get("z_cap", "16"), str) else g.get("z_cap", 16),
+        z_cap=as_zexp(g.get("z_cap", "16")),
         block_cap=g.get("block_cap", 10),
         depth=depth,
         ell_stop=g.get("ell_stop", 16),
     )
     terms = {}
     for entry in d["terms"]:
-        key = Key(_zexp_in(entry["z"]), entry["l"])
+        key = Key(entry["z"], entry["l"])
         terms[key] = coeff_from_json(entry, mode)
     fr = d.get("frontier")
     cands = []
     if fr:
-        cands = [Cut(_zexp_in(fr["z"])) if fr.get("cut") else Key(_zexp_in(fr["z"]), fr["l"])]
+        cands = [Cut(fr["z"]) if fr.get("cut") else Key(fr["z"], fr["l"])]
     return make_series(terms, grid, mode, cands)
 
 
 def normalization_result_to_json(res) -> dict:
     out = {
-        "alpha": _zexp_out(res.alpha),
-        "beta": _zexp_out(res.beta),
+        "alpha": frac_str(res.alpha),
+        "beta": frac_str(res.beta),
         "iterations": res.iterations,
         "phi": series_to_json(res.phi),
         "verification": res.verification,
@@ -107,7 +104,7 @@ def normalization_result_to_json(res) -> dict:
     if res.psi is not None:
         out["psi"] = series_to_json(res.psi)
     if res.alpha_input is not None:
-        out["alpha_input"] = _zexp_out(res.alpha_input)
+        out["alpha_input"] = frac_str(res.alpha_input)
     out["inverted_input"] = res.inverted_input
     return out
 
@@ -115,10 +112,10 @@ def normalization_result_to_json(res) -> dict:
 def dulac_z_to_json(d) -> dict:
     return {
         "lambda": coeff_to_json(d.lam),
-        "alpha": _zexp_out(d.alpha),
+        "alpha": frac_str(d.alpha),
         "mode": d.mode,
         "ladder": [
-            {"exp": _zexp_out(a), "P": [coeff_to_json(c) for c in p]}
+            {"exp": _rung_out(a, d.mode), "P": [coeff_to_json(c) for c in p]}
             for a, p in d.ladder
         ],
     }
@@ -126,11 +123,11 @@ def dulac_z_to_json(d) -> dict:
 
 def dulac_zeta_to_json(d) -> dict:
     return {
-        "alpha": _zexp_out(d.alpha),
+        "alpha": frac_str(d.alpha),
         "c0": coeff_to_json(d.c0),
         "mode": d.mode,
         "ladder": [
-            {"beta": _zexp_out(b), "Q": [coeff_to_json(c) for c in q]}
+            {"beta": _rung_out(b, d.mode), "Q": [coeff_to_json(c) for c in q]}
             for b, q in d.ladder
         ],
     }
@@ -139,10 +136,10 @@ def dulac_zeta_to_json(d) -> dict:
 def dulac_zeta_from_json(d: dict):
     mode = d.get("mode", EXACT)
     return DulacSeriesZeta(
-        _zexp_in(d["alpha"]),
+        d["alpha"],
         coeff_from_json(d["c0"], mode),
         [
-            (_zexp_in(e["beta"]), [coeff_from_json(c, mode) for c in e["Q"]])
+            (e["beta"], [coeff_from_json(c, mode) for c in e["Q"]])
             for e in d["ladder"]
         ],
         mode,

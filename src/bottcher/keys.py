@@ -1,10 +1,11 @@
-"""Exponent keys: points of R x Z^k ordered lexicographically.
+"""Exponent keys: points of Q x Z^k ordered lexicographically.
 
-A key holds the exponent of z (rational in exact computations, float
-allowed for irrational exponents in float mode) together with the integer
-exponents of the iterated logarithms l1..lK.  Keys form an ordered
-commutative monoid under componentwise addition; the total order is
-lexicographic on (z_exp, log_exps[0], ..., log_exps[K-1]).
+A key holds the exponent of z, a `Fraction` in both coefficient modes,
+together with the integer exponents of the iterated logarithms l1..lK.  Keys
+form an ordered commutative monoid under componentwise addition; the total
+order is lexicographic on (z_exp, log_exps[0], ..., log_exps[K-1]).  Float
+mode means float coefficients only: a float exponent handed in is made exact
+once, by `as_zexp`, so exponent sums stay associative.
 """
 
 from __future__ import annotations
@@ -12,13 +13,22 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def as_zexp(x) -> Fraction | float:
-    """Coerce a z-exponent to Fraction when possible, float otherwise."""
-    return x if isinstance(x, float) else Fraction(x)
+def as_zexp(x) -> Fraction:
+    """A z-exponent as a `Fraction`.
+
+    Rationals (int, `Fraction`, "p/q" text) convert exactly.  Any other
+    number, a float, becomes the fraction of denominator <= 10^6 that rounds
+    to it (float(1/3) -> 1/3), or else its exact binary value (1 + sqrt(2)).
+    """
+    if isinstance(x, (int, Fraction, str)):
+        return Fraction(x)
+    q = Fraction(x)
+    near = q.limit_denominator(10**6)
+    return near if float(near) == x else q
 
 
 class Key:
-    """A point (z_exp, log_exps) of R x Z^k with lex order."""
+    """A point (z_exp, log_exps) of Q x Z^k with lex order."""
 
     __slots__ = ("z", "l", "_t", "_h")
 
@@ -102,7 +112,7 @@ class Cut:
     __slots__ = ("z", "_t")
 
     def __init__(self, z):
-        self.z = as_zexp(z)
+        self.z = z if type(z) is Fraction else as_zexp(z)
         self._t = (self.z,)
 
     def pad(self, depth: int) -> "Cut":

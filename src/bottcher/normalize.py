@@ -168,7 +168,7 @@ def _least_grid_solve(f: TransSeries | Composer) -> tuple[TransSeries, Composer]
     """`solve_W`, and the Composer of the cut grid its last step solved on."""
     right = Composer.of(f)
     f = right.f
-    alpha = Fraction(_require_monic_power(f).alpha)
+    alpha = _require_monic_power(f).alpha
     grid = f.grid
     log_free = not any(any(k.l) for k in f.terms)
     z_cut = grid.z_cap if log_free else min(grid.z_cap, alpha + 1)
@@ -301,42 +301,28 @@ def check_conjugation(f: TransSeries | Composer, phi: TransSeries):
     return residual.frontier, min(bad) if bad else None
 
 
-def _is_cut_of(g: TransSeries, f: TransSeries) -> bool:
-    """Whether g is f embedded on g's grid, which differs from f's in z_cap only."""
-    if g is f:
-        return True
-    if g.grid != replace(f.grid, z_cap=g.grid.z_cap) or g.mode != f.mode:
-        return False
-    cut = embed(f, g.grid)
-    return cut.terms == g.terms and cut.frontier == g.frontier
-
-
 def verify_normalization(f: TransSeries, res: NormalizationResult) -> dict:
     """`check_conjugation` of res.phi plus the order bound, as a report dict.
 
     f is the series `normalize` was given.  The same object is not reduced
-    again: res.reduced is the series phi normalizes.  Any other f, an equal
-    copy included, is reduced here as res records.
-
-    Reuses res.composer when its series is the reduced f cut to the
-    composer's grid, as `normalize` built it, and checks phi on that grid.
-    The cut z' lies above W.frontier.z + alpha, the z of the frontier of
-    phi^alpha, and every frontier candidate the cut adds to phi o f lies at
-    z >= z' (phi has z-order 1), so the same keys are checked as on f's own
-    grid.
+    again: res.reduced is the series phi normalizes, and res.composer, which
+    `normalize` built from it cut just above the frontier, is reused as it is.
+    phi is checked on the composer's grid: the cut z' lies above
+    W.frontier.z + alpha, the z of the frontier of phi^alpha, and every
+    frontier candidate the cut adds to phi o f lies at z >= z' (phi has
+    z-order 1), so the same keys are checked as on f's own grid.  Any other
+    f, an equal copy included, is reduced here as res records and checked on
+    its own grid.
     """
     if f is res.source:
-        f = res.reduced
+        f, right = res.reduced, res.composer
+        phi = embed(res.phi, right.f.grid)
     else:
         if res.inverted_input:
             f = reduce_alpha(f)
         if res.psi is not None:
             f = reduce_lambda(f)[1]
-    right, phi = res.composer, res.phi
-    if right is not None and _is_cut_of(right.f, f):
-        phi = embed(phi, right.f.grid)
-    else:
-        right = f
+        right, phi = f, res.phi
     checked, first_bad = check_conjugation(right, phi)
     report = {
         "conjugation_exact_below_frontier": first_bad is None,
@@ -381,7 +367,7 @@ class SemigroupSpec:
 def support_predict(f: TransSeries) -> SemigroupSpec:
     """Semigroup bound for supp(phi): powers alpha^p, log units, shifted supp(f-z^alpha)."""
     shape = _require_monic_power(f)
-    alpha = Fraction(shape.alpha)
+    alpha = shape.alpha
     grid = f.grid
     depth = f.depth
     gens: set[Key] = set()

@@ -57,7 +57,7 @@ def format_monomial(key) -> str:
         if key.z == 1:
             parts.append("z")
         else:
-            zs = frac_str(key.z) if isinstance(key.z, Fraction) else repr(key.z)
+            zs = frac_str(key.z)
             parts.append(f"z^{zs}" if "/" not in zs else f"z^({zs})")
     for j, n in enumerate(key.l, start=1):
         if n == 0:

@@ -5,7 +5,8 @@ truncation grid and an *exact frontier*: every stored coefficient whose key
 is lex-below the frontier is guaranteed exact.  Each operation recomputes the
 output frontier conservatively: the min of the operand frontiers shifted by
 the other operand's minimal key, the first key lost to truncation, and the
-grid-implied frontier (z_cap, 0).
+grid-implied frontier (z_cap, 0).  Keys are exact in both modes (see
+`keys`): float mode differs from exact mode in its coefficients alone.
 
 Supports may contain keys <= 0 (the ambient algebra allows constants,
 negative log exponents and negative powers); shape preconditions of the
@@ -50,7 +51,7 @@ from .coeffs import (
     c_zero,
 )
 from .errors import DepthOverflowError, EmptySeriesError, ShapeError
-from .keys import Cut, Key, min_key, zero_key
+from .keys import Cut, Key, as_zexp, min_key, zero_key
 from .printer import format_series
 
 
@@ -370,24 +371,21 @@ def power_sum(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
     which needs ord(v) > 0.  (s, a, b) = (1, beta, beta) gives
     (1 + v)^beta - 1, (0, 1, 1) exp(v) - 1, (1, 0, 1) log(1 + v) and
     (-1, 1, 1) v / (1 - v), by J. C. P. Miller's recurrence (Knuth, TAOCP 2,
-    4.7) with lambda for the exponent:
+    4.7) with lambda for the exponent; s and a are rational:
 
         F_N = b v_N + Sigma_k ((a + s) lambda(k) / lambda(N) - s) v_k F_(N-k).
 
     A key is the int vector x = (q z, l1, ..., lk), q the lcm of v's
-    z-denominators (a float enters as `_exact_z`), and lambda(x) =
-    x0 M^k + ... + xk with M the least power of two making lambda > 0 on
-    supp(v), hence on every sum of its keys (log-free v: lambda = x0).  The
-    weights are integer quotients: with a + s = An/Ad and s = Sn/Sd, the
-    weight of (k, N) is (An Sd lambda(k) - Sn Ad lambda(N)) / (Ad Sd lambda(N)),
-    a `Fraction` in exact mode and the correctly rounded int / int in float
-    mode (the float of that `Fraction`, so the same bits); a pair whose
-    numerator is 0 adds nothing.  A float a + s (float exponents) keeps the
-    float formula ((a + s) lambda(k) - s lambda(N)) / lambda(N).  Keys
-    come off a heap in ascending order of their stored key, whose z is
-    rounded for float exponents (sums that round to one key add up); only
-    the sums a nonzero F_(N-k) reaches are visited.  In float mode an F_N
-    within FLOAT_TOL of its parts' magnitudes is rounding dust, so 0.
+    z-denominators, and lambda(x) = x0 M^k + ... + xk with M the least power
+    of two making lambda > 0 on supp(v), hence on every sum of its keys
+    (log-free v: lambda = x0).  The weights are integer quotients: with
+    a + s = An/Ad and s = Sn/Sd, the weight of (k, N) is
+    (An Sd lambda(k) - Sn Ad lambda(N)) / (Ad Sd lambda(N)), a `Fraction` in
+    exact mode and the correctly rounded int / int in float mode (the float
+    of that `Fraction`, so the same bits); a pair whose numerator is 0 adds
+    nothing.  Keys come off a heap in ascending order; only the sums a
+    nonzero F_(N-k) reaches are visited.  In float mode an F_N within
+    FLOAT_TOL of its parts' magnitudes is rounding dust, so 0.
 
     The frontier is the least of Cut(z_cap - max(base_z, 0)), v's frontier
     when b != 0, and the first nonzero key past block_cap stored keys in its
@@ -401,35 +399,26 @@ def power_sum(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
     limit = grid.z_cap - max(base_z, 0)
     frontier = min_key(Cut(limit), v.frontier) if b else Cut(limit)
     gens = sorted(k for k in v.terms if k < frontier)
-    q = math.lcm(*(_exact_z(k.z).denominator for k in gens))
-    vs = [((_exact_z(k.z) * q).numerator,) + k.l for k in gens]
+    q = math.lcm(*(k.z.denominator for k in gens))
+    vs = [((k.z * q).numerator,) + k.l for k in gens]
     m = 1
     while not all(_weight(x, m) > 0 for x in vs):
         m *= 2
     # the weight of (k, N) is div(A lambda(k) - S lambda(N), den lambda(N))
-    a_s = a + s
-    if isinstance(a_s, float):
-        A, S, den, div = a_s, s, 1, operator.truediv
-    else:
-        ra, rs = Fraction(a_s), Fraction(s)
-        A, S = ra.numerator * rs.denominator, rs.numerator * ra.denominator
-        den = ra.denominator * rs.denominator
-        div = Fraction if mode == EXACT else operator.truediv
+    ra, rs = Fraction(a + s), Fraction(s)
+    A, S = ra.numerator * rs.denominator, rs.numerator * ra.denominator
+    den = ra.denominator * rs.denominator
+    div = Fraction if mode == EXACT else operator.truediv
     v_at = {x: (v.terms[k], A * _weight(x, m)) for x, k in zip(vs, gens)}
-    floats = any(type(k.z) is float for k in gens)
-
-    def at(x):  # where x is stored, (z, l1, ..., lk) in lex order; exact z: x itself
-        return (x[0] / q,) + x[1:] if floats else x
-
     # every pushed key lies below the frontier; z grows with k, as vs is sorted
-    fpos = (frontier.z if floats else _exact_z(frontier.z) * q,) + getattr(frontier, "l", ())
+    fpos = (frontier.z * q,) + getattr(frontier, "l", ())
     terms = {zero_key(grid.depth): c_one(mode)} if one and limit > 0 else {}
     per_block = Counter({0: len(terms)})
     sol: dict[tuple, object] = {}
-    heap = sorted((at(x), x) for x in vs)  # sorted, so a heap
+    heap = vs[:]  # sorted, so a heap
     last = None
     while heap:
-        o, n = heapq.heappop(heap)
+        n = heapq.heappop(heap)
         if n == last:
             continue
         last = n
@@ -449,30 +438,19 @@ def power_sum(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
         acc = functools.reduce(operator.add, parts) if parts else c_zero(mode)
         if not acc or mode == FLOAT and abs(acc) <= FLOAT_TOL * sum(map(abs, parts)):
             continue
-        key = Key(o[0], o[1:]) if floats else Key(Fraction(n[0], q), n[1:])
-        if key not in terms:  # else float exponents: another sum rounded to key
-            if per_block[o[0]] == grid.block_cap:
-                frontier = key
-                break
-            per_block[o[0]] += 1
-        terms[key] = terms[key] + acc if key in terms else acc
-        sol[n] = acc
+        key = Key(Fraction(n[0], q), n[1:])
+        if per_block[n[0]] == grid.block_cap:
+            frontier = key
+            break
+        per_block[n[0]] += 1
+        terms[key] = sol[n] = acc
         for k in vs:
             nk = tuple(map(operator.add, n, k))
-            o = at(nk)
-            if o < fpos:
-                heapq.heappush(heap, (o, nk))
-            elif o[0] > fpos[0]:
+            if nk < fpos:
+                heapq.heappush(heap, nk)
+            elif nk[0] > fpos[0]:
                 break
     return TransSeries(grid.depth, mode, grid, terms, frontier)
-
-
-def _exact_z(z) -> Fraction:
-    """z, or for a float the fraction of denominator <= 10^6 rounding to it (1/3)."""
-    if type(z) is not float:
-        return z if type(z) is Fraction else Fraction(z)
-    near = Fraction(z).limit_denominator(10**6)
-    return near if float(near) == z else Fraction(z)
 
 
 def _weight(x, m):
@@ -501,10 +479,11 @@ def exp_minus_one(v: TransSeries) -> TransSeries:
 def pow_rational(f: TransSeries, beta) -> TransSeries:
     """f^beta via the binomial series around the leading monomial.
 
-    Fractional (or float-mode float) beta needs a log-free leading monomial,
-    else the result would have fractional log exponents.
+    beta is made a `Fraction` by `keys.as_zexp` (a float beta too, in either
+    mode).  Fractional beta needs a log-free leading monomial, else the
+    result would have fractional log exponents.
     """
-    beta = Fraction(beta) if not isinstance(beta, float) else beta
+    beta = as_zexp(beta)
     if f.is_zero():
         if beta == 0:
             return monomial(zero_key(f.grid.depth), f.grid, f.mode)
@@ -513,8 +492,7 @@ def pow_rational(f: TransSeries, beta) -> TransSeries:
             return make_series({}, f.grid, f.mode, [Cut(beta * f.frontier.z)])
         raise EmptySeriesError("power of the zero series")
     key, c, v = split_leading(f)
-    integral = isinstance(beta, Fraction) and beta.denominator == 1
-    if integral:
+    if beta.denominator == 1:
         mkey = key.scale(int(beta))
     else:
         if any(n != 0 for n in key.l):

@@ -64,7 +64,6 @@ from bottcher.normalize import _phi_of, normalize
 from bottcher.series import (
     TransSeries,
     _common,
-    _exact_z,
     _weight,
     add,
     identity_series,
@@ -323,26 +322,21 @@ def power_sum_rational_weights(v: TransSeries, s, a, b, base_z=0, one=False) -> 
     limit = grid.z_cap - max(base_z, 0)
     frontier = min_key(Cut(limit), v.frontier) if b else Cut(limit)
     gens = sorted(k for k in v.terms if k < frontier)
-    q = math.lcm(*(_exact_z(k.z).denominator for k in gens))
-    vs = [((_exact_z(k.z) * q).numerator,) + k.l for k in gens]
+    q = math.lcm(*(k.z.denominator for k in gens))
+    vs = [((k.z * q).numerator,) + k.l for k in gens]
     m = 1
     while not all(_weight(x, m) > 0 for x in vs):
         m *= 2
     v_at = {x: (v.terms[k], _weight(x, m)) for x, k in zip(vs, gens)}
-    floats = any(type(k.z) is float for k in gens)
-
-    def at(x):  # where x is stored, (z, l1, ..., lk) in lex order; exact z: x itself
-        return (x[0] / q,) + x[1:] if floats else x
-
     # every pushed key lies below the frontier; z grows with k, as vs is sorted
-    fpos = (frontier.z if floats else _exact_z(frontier.z) * q,) + getattr(frontier, "l", ())
+    fpos = (frontier.z * q,) + getattr(frontier, "l", ())
     terms = {zero_key(grid.depth): c_one(mode)} if one and limit > 0 else {}
     per_block = Counter({0: len(terms)})
     sol: dict[tuple, object] = {}
-    heap = sorted((at(x), x) for x in vs)  # sorted, so a heap
+    heap = sorted(vs)
     last = None
     while heap:
-        o, n = heapq.heappop(heap)
+        n = heapq.heappop(heap)
         if n == last:
             continue
         last = n
@@ -361,20 +355,17 @@ def power_sum_rational_weights(v: TransSeries, s, a, b, base_z=0, one=False) -> 
         acc = functools.reduce(operator.add, parts) if parts else c_zero(mode)
         if not acc or mode == FLOAT and abs(acc) <= FLOAT_TOL * sum(map(abs, parts)):
             continue
-        key = Key(o[0], o[1:]) if floats else Key(Fraction(n[0], q), n[1:])
-        if key not in terms:  # else float exponents: another sum rounded to key
-            if per_block[o[0]] == grid.block_cap:
-                frontier = key
-                break
-            per_block[o[0]] += 1
-        terms[key] = terms[key] + acc if key in terms else acc
-        sol[n] = acc
+        key = Key(Fraction(n[0], q), n[1:])
+        if per_block[n[0]] == grid.block_cap:
+            frontier = key
+            break
+        per_block[n[0]] += 1
+        terms[key] = sol[n] = acc
         for k in vs:
             nk = tuple(map(operator.add, n, k))
-            o = at(nk)
-            if o < fpos:
-                heapq.heappush(heap, (o, nk))
-            elif o[0] > fpos[0]:
+            if nk < fpos:
+                heapq.heappush(heap, nk)
+            elif nk[0] > fpos[0]:
                 break
     return TransSeries(grid.depth, mode, grid, terms, frontier)
 

@@ -322,6 +322,23 @@ def test_bridge_to_z_roundtrip(capsys, tmp_path):
     assert data["ladder"][0] == {"exp": "3", "P": [{"re": "0", "im": "0"}, {"re": "-1", "im": "0"}]}
 
 
+def test_bridge_round_trip_gives_the_same_rungs_in_both_modes(capsys, tmp_path):
+    # float-mode rung exponents are exact inside, so 5/3 + 1 stays below
+    # e_cap = 8/3 and 13/3 is float(13/3); JSON numbers are their floats
+    rungs = {}
+    for mode in ("exact", "float"):
+        flags = ("--float",) if mode == "float" else ()
+        code, out = run(capsys, "bridge", "to-zeta", "z^2 - z^3 + 1/3*z^(7/3)", "--z-cap", "6", *flags)
+        assert code == 0
+        p = tmp_path / f"{mode}.json"
+        p.write_text(out)
+        code, out = run(capsys, "bridge", "to-z", "--infile", str(p))
+        assert code == 0
+        rungs[mode] = [r["exp"] for r in json.loads(out)["ladder"]]
+    assert rungs["exact"] == ["7/3", "3", "4", "13/3"]
+    assert rungs["float"] == [float(Fraction(e)) for e in rungs["exact"]]
+
+
 def test_bridge_compare(capsys, tmp_path):
     csv_path = tmp_path / "cmp.csv"
     code, out = run(

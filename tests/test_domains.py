@@ -214,9 +214,9 @@ def test_sqd_membership_matches_kappa_inversion():
 
 
 def test_sqd_membership_computes_one_ordinate(monkeypatch):
-    """A standard quadratic domain is symmetric, h_l = -h_u: each membership
-    test past the tip computes Y_C(x) once and answers as -Y < Im < Y, the
-    same boolean as h_l(x) < Im < h_u(x)."""
+    """A standard quadratic domain is symmetric about the real axis: each
+    membership test past the tip computes Y_C(x) once and answers as
+    -Y < Im < Y."""
     D = importlib.import_module("bottcher.domains")
     calls = []
 
@@ -233,16 +233,24 @@ def test_sqd_membership_computes_one_ordinate(monkeypatch):
         del calls[:]
         got = domain_member(dom, zeta)
         assert calls == [zeta.real]
-        assert got is (dom.h_l(zeta.real) < zeta.imag < dom.h_u(zeta.real))
-        assert dom.im_bounds(zeta.real) == (dom.h_l(zeta.real), dom.h_u(zeta.real))
+        y = sqd_im_extent(zeta.real, C)
+        assert got is (-y < zeta.imag < y)
+        assert dom.im_bounds(zeta.real) == (-y, y)
 
 
 def test_domain_member_lower_upper():
-    dom = DomainSpec(lambda x: -x, lambda x: x, t=2.0)
-    assert domain_member(dom, complex(3.0, 0.5)) is True
-    assert domain_member(dom, complex(3.0, 4.0)) is False
+    """Inside both ordinate bounds, right of the tip x = C and, with R, of R."""
+    dom = DomainSpec.standard_quadratic(2.0)
+    assert dom == DomainSpec(2.0)
+    y = sqd_im_extent(3.0, 2.0)
+    assert domain_member(dom, complex(3.0, 0.5 * y)) is True
+    assert domain_member(dom, complex(3.0, -0.5 * y)) is True
+    assert domain_member(dom, complex(3.0, 1.5 * y)) is False
+    assert domain_member(dom, complex(3.0, -1.5 * y)) is False
     assert domain_member(dom, complex(1.0, 0.0)) is False
-    assert domain_member(dom, complex(3.0, 0.5), R=4.0) is False
+    assert domain_member(dom, complex(3.0, 0.5 * y), R=4.0) is False
+    with pytest.raises(DomainError):
+        DomainSpec(0.0)
 
 
 # -- invariance certification ----------------------------------------------------------------

@@ -83,34 +83,55 @@ def _ladder_map(ladder):
     return {(float(a), deg): complex(c) for a, p in ladder for deg, c in enumerate(p)}
 
 
-def test_roundtrips():
-    """z -> zeta -> z below a common cap, and transseries -> Dulac -> transseries,
-    on fixed and seeded ladders, exact and float, at grid depths 0, 1 and 2.
-    A 7/3 rung makes float exponents in thirds, whose float sums (such as
-    float(1/3) + float(2/3)) need not be exact."""
+ROUNDTRIP_CAP = F(4)
+ROUNDTRIP_GRIDS = [TruncationGrid(8, 6, depth, 10) for depth in (0, 1, 2)]
+
+
+def _roundtrip_inputs():
+    """The Dulac series of `test_roundtrips`: fixed and seeded ladders, exact
+    and float, lambda 1 and not.  A 7/3 rung has exponents in thirds."""
     rng = random.Random(1151)
-    cap = F(4)
-    grids = [TruncationGrid(8, 6, depth, 10) for depth in (0, 1, 2)]
     for mode, lam in ((EXACT, 1), (EXACT, F(1, 2)), (FLOAT, 1), (FLOAT, complex(2, 1))):
         ladders = [[], [(3, [0, 1])], [(F(5, 2), [1]), (3, [2, 0, 1])], [(F(7, 3), [1]), (3, [0, 1])]]
         ladders += [_seeded_ladder(rng, mode) for _ in range(6)]
         for ladder in ladders:
-            d = DulacSeriesZ(lam, 2, ladder, mode)
-            rt = to_z_chart(to_zeta_chart(d, e_cap=cap), e_cap=cap)
-            kept = [(a, p) for a, p in d.ladder if a - d.alpha < cap]
-            assert rt.alpha == d.alpha
-            if mode == EXACT:
-                assert rt.lam == d.lam and rt.ladder == kept
-            else:
-                assert abs(rt.lam - d.lam) < 1e-12
-                want, got = _ladder_map(kept), _ladder_map(rt.ladder)
-                assert all(abs(got.get(k, 0) - want.get(k, 0)) < 1e-9 for k in {*want, *got})
-            for grid in grids:
-                back = from_transseries(to_transseries(d, grid))
-                assert (back.lam, back.alpha, back.ladder) == (d.lam, d.alpha, d.ladder)
+            yield DulacSeriesZ(lam, 2, ladder, mode)
+
+
+def test_roundtrips():
+    """z -> zeta -> z below a common cap, and transseries -> Dulac -> transseries,
+    on fixed and seeded ladders, exact and float, at grid depths 0, 1 and 2."""
+    cap, grids = ROUNDTRIP_CAP, ROUNDTRIP_GRIDS
+    for d in _roundtrip_inputs():
+        rt = to_z_chart(to_zeta_chart(d, e_cap=cap), e_cap=cap)
+        kept = [(a, p) for a, p in d.ladder if a - d.alpha < cap]
+        assert rt.alpha == d.alpha
+        if d.mode == EXACT:
+            assert rt.lam == d.lam and rt.ladder == kept
+        else:
+            assert abs(rt.lam - d.lam) < 1e-12
+            want, got = _ladder_map(kept), _ladder_map(rt.ladder)
+            assert all(abs(got.get(k, 0) - want.get(k, 0)) < 1e-9 for k in {*want, *got})
+        for grid in grids:
+            back = from_transseries(to_transseries(d, grid))
+            assert (back.lam, back.alpha, back.ladder) == (d.lam, d.alpha, d.ladder)
     # a depth-0 series: every term is a degree-0 rung
     back = from_transseries(parse("z^2 + z^3 - 1/2*z^(7/2)", z_cap=8, depth=0))
     assert (back.alpha, back.ladder) == (2, [(3, [Exact.of(1)]), (F(7, 2), [Exact.of(F(-1, 2))])])
+
+
+def test_roundtrip_exponents_are_fractions_in_both_modes():
+    """Float mode means float coefficients only: every rung exponent of both
+    charts and every key and frontier z of the embedded series is a
+    `Fraction`, on the inputs of `test_roundtrips`."""
+    for d in _roundtrip_inputs():
+        zeta = to_zeta_chart(d, e_cap=ROUNDTRIP_CAP)
+        rt = to_z_chart(zeta, e_cap=ROUNDTRIP_CAP)
+        exps = [zeta.alpha, rt.alpha] + [b for x in (d, zeta, rt) for b, _ in x.ladder]
+        for grid in ROUNDTRIP_GRIDS:
+            f = to_transseries(rt, grid)
+            exps += [k.z for k in f.terms] + [f.frontier.z]
+        assert all(type(b) is F for b in exps), (d, exps)
 
 
 def test_ord_e_inv():

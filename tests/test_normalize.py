@@ -1,3 +1,4 @@
+import math
 import random
 import re
 import signal
@@ -367,6 +368,19 @@ def test_verification_builds_no_inverse(text, monkeypatch):
     monkeypatch.setattr(importlib.import_module("bottcher.compose"), "invert", no_inversion)
     report = verify_normalization(f, res)
     assert report["conjugation_exact_below_frontier"], report
+
+
+def test_irrational_float_exponents_normalize_and_verify():
+    """A float alpha = 1 + sqrt(2) enters as its exact binary value, so the
+    exponent sums are associative and phi verifies below Cut(6); with float
+    keys a residual showed at z = 5.6213..., below the checked frontier."""
+    a = 1 + math.sqrt(2)
+    f = make_series({Key(a): 1, Key(a + 0.5): 1, Key(2 * a): -0.5}, TruncationGrid(6, 8, 0), FLOAT)
+    res = normalize(f)
+    assert res.verification["conjugation_exact_below_frontier"], res.verification
+    assert res.verification["checked_below"] == ("6", "cut")
+    assert all(type(k.z) is Fraction for k in res.phi.terms)
+    assert type(res.phi.frontier.z) is Fraction
 
 
 def test_verification_reuses_the_normalization_composer(monkeypatch):

@@ -13,6 +13,7 @@ Regenerate (only on purpose) with `PYTHONPATH=src python tests/test_normalize_go
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -57,10 +58,13 @@ def cases():
     return out
 
 
-def golden_entry(text: str, grid: tuple, mode: str) -> dict:
+def _parse(text: str, grid: tuple, mode: str):
     z_cap, block_cap, depth, *rest = grid
-    g = TruncationGrid(z_cap, block_cap, depth, rest[0] if rest else 12)
-    phi = normalize(parse(text, grid=g, mode=mode), verify=False).phi
+    return parse(text, grid=TruncationGrid(z_cap, block_cap, depth, rest[0] if rest else 12), mode=mode)
+
+
+def golden_entry(text: str, grid: tuple, mode: str) -> dict:
+    phi = normalize(_parse(text, grid, mode), verify=False).phi
     js = series_to_json(phi)
     js["terms"] = [e for (k, _), e in zip(phi.sorted_terms(), js["terms"]) if k < phi.frontier]
     return js
@@ -94,6 +98,31 @@ def test_verify_normalization_reduces_the_input_as_normalize_did(text, grid):
     """The report on the input normalize was given is normalize's own."""
     f = parse(text, grid=TruncationGrid(*grid, 12))
     assert verify_normalization(f, normalize(f, verify=False)) == normalize(f).verification
+
+
+@pytest.mark.parametrize("case", cases(), ids=_case_id)
+def test_verification_of_an_equal_copy_matches_normalize(case):
+    """An equal copy of the input is reduced and checked on its own grid,
+    with the report `normalize` made from its reused composer."""
+    f = _parse(*case)
+    res = normalize(f)
+    copy = _parse(*case)
+    assert copy is not f and copy == f
+    assert verify_normalization(copy, res) == res.verification
+
+
+@pytest.mark.parametrize("case", cases(), ids=_case_id)
+def test_every_key_is_a_fraction_in_both_modes(case):
+    """Float mode means float coefficients only: the input, phi, the reduced
+    series and psi store `Fraction` z-exponents and frontier z in both modes."""
+    text, grid, _ = case
+    for mode in ("exact", "float"):
+        f = _parse(text, grid, mode)
+        res = normalize(f)
+        assert res.verification["conjugation_exact_below_frontier"], (mode, res.verification)
+        for g in (f, res.phi, res.reduced, res.psi or f):
+            assert all(type(k.z) is Fraction for k in g.terms), (mode, g)
+            assert type(g.frontier.z) is Fraction, (mode, g.frontier)
 
 
 def test_golden_file_covers_every_case():

@@ -209,13 +209,15 @@ def _outcome(fn):
 def _draw_power_sum_operand(rng, mode):
     """A v for a power sum at depth 0-2: log-free terms, pure-log terms,
     negative log exponents and Dulac-shaped keys Key(b, (-deg,)), 0-5 terms,
-    in float mode maybe float z-exponents, maybe a low frontier, and now and
-    then a key with ord(v) <= 0."""
+    in float mode maybe z-exponents handed in as floats, maybe a low frontier,
+    and now and then a key with ord(v) <= 0.  Returns v and whether its
+    exponents were drawn as floats."""
     depth = rng.randint(0, 2)
     z_cap = rng.choice([F(1), F(2), F(5, 2), F(3)])
     grid = TruncationGrid(z_cap, rng.randint(1, 4), depth, rng.choice([2, 6]))
     exps = [F(n, d) for d in range(1, 6) for n in range(1, 3 * d) if F(n, d) < z_cap]
-    if mode == FLOAT and rng.random() < 0.3:  # float exponents: thirds and fifths do not add exactly
+    floats = mode == FLOAT and rng.random() < 0.3
+    if floats:  # as floats, thirds and fifths would not add exactly
         exps = [float(x) for x in exps]
     zl = (0,) * depth
 
@@ -242,21 +244,11 @@ def _draw_power_sum_operand(rng, mode):
     if not terms or rng.random() < 0.3:
         fz = rng.choice(exps)
         cands = [rng.choice([Cut(fz), Key(fz, (rng.randint(-1, 1),) * depth)])]
-    return make_series(terms, grid, mode, cands)
+    return make_series(terms, grid, mode, cands), floats
 
 
 def _below(f, front):
     return {k: c for k, c in f.terms.items() if k < front}
-
-
-def _float_groups(terms):
-    """Terms summed over keys whose z-exponents agree to 1e-9: the
-    power-by-power sum adds float exponents in float, so one exponent can
-    come out as two neighbouring floats."""
-    out = Counter()
-    for k, c in terms.items():
-        out[round(k.z, 9), k.l] += c
-    return out
 
 
 def test_power_sums_of_log_free_series_match_the_power_by_power_sum():
@@ -267,16 +259,18 @@ def test_power_sums_of_log_free_series_match_the_power_by_power_sum():
     Dulac-shaped keys, with base_z below, at and above 0.  Exact mode: the
     frontier is never lower and the terms below the lesser frontier are
     identical.  Float mode, below the lesser frontier: coefficients equal to
-    1e-12 relative (float exponents: summed over keys equal to 1e-9); for a
-    log-free v with rational exponents the frontier is never lower and the
+    1e-12 relative; for a log-free v the frontier is never lower and the
     support is the same, otherwise a key only one route stores is rounding
-    dust of a zero sum, under 1e-15 of the largest coefficient.  Nothing is stored at or above the frontier, and
-    ord(v) <= 0 raises ShapeError on both routes, in time."""
+    dust of a zero sum, under 1e-15 of the largest coefficient.  Exponents
+    drawn as floats arrive as exact keys.  Nothing is stored at or above the
+    frontier, and ord(v) <= 0 raises ShapeError on both routes, in time."""
     rng = random.Random(1313)
     checked = Counter()
     for _ in range(400):
         mode = rng.choice([EXACT, FLOAT])
-        v = _draw_power_sum_operand(rng, mode)
+        v, floats = _draw_power_sum_operand(rng, mode)
+        assert all(type(k.z) is Fraction for k in v.terms), v
+        checked["float exponents"] += floats
         kind = rng.choice(["log", "exp", "pow", "pow", "geom"])
         beta = rng.choice([F(1, 2), F(-1), F(3, 2), F(-2, 3), F(2), F(0), F(7, 5)])
         base_z = F(0)
@@ -301,20 +295,16 @@ def test_power_sums_of_log_free_series_match_the_power_by_power_sum():
             shift = Key(base_z, (0,) * v.depth)
             got, want = mul_monomial(got, shift), mul_monomial(want, shift)
         logs = any(any(k.l) for k in v.terms)
-        floats = any(isinstance(k.z, float) for k in v.terms)
         checked["log" if logs else "log-free"] += 1
-        checked["float exponents"] += floats
         checked["frontier rose"] += got.frontier > want.frontier
         front = min(got.frontier, want.frontier)
         gb, wb = _below(got, front), _below(want, front)
-        if mode == EXACT or not (logs or floats):
+        if mode == EXACT or not logs:
             assert got.frontier >= want.frontier, case
             assert sorted(gb) == sorted(wb), case
         if mode == EXACT:
             assert gb == wb, case
             continue
-        if floats:
-            gb, wb = _float_groups(gb), _float_groups(wb)
         scale = max(map(abs, wb.values()), default=0)
         for k in gb.keys() | wb.keys():
             if k in gb and k in wb:
@@ -336,19 +326,19 @@ def test_power_sum_integer_weights_match_the_rational_weights_bit_for_bit():
     integers.  Against the same recurrence with the weight formed as a
     `Fraction` (`power_sum_rational_weights`), on seeded v of depth 0, 1 and
     2 in exact and float mode, for log, exp, the binomial body at rational
-    and fractional beta and the geometric sum, and in float mode also at a
-    float beta: the same keys in the same order, the same frontier and the
-    same coefficients, float bits included."""
+    and fractional beta and the geometric sum: the same keys in the same
+    order, the same frontier and the same coefficients, float bits included.
+    A float beta is made exact first: `pow_rational` at float(1/3) is
+    `pow_rational` at 1/3, in both modes."""
     rng = random.Random(2207)
     settings = {"log": (1, 0, 1), "exp": (0, 1, 1), "geom": (-1, 1, 1)}
     checked = Counter()
     for _ in range(400):
         mode = rng.choice([EXACT, FLOAT])
-        v = _draw_power_sum_operand(rng, mode)
+        v, floats = _draw_power_sum_operand(rng, mode)
         kind = rng.choice(["log", "exp", "pow", "pow", "geom"])
         if kind == "pow":
-            betas = [F(1, 2), F(-1), F(3, 2), F(-2, 3), F(2), F(7, 5)]
-            beta = rng.choice(betas + ([math.sqrt(2), -1 / 3] if mode == FLOAT else []))
+            beta = rng.choice([F(1, 2), F(-1), F(3, 2), F(-2, 3), F(2), F(7, 5)])
             args = (1, beta, beta)
         else:
             args = settings[kind]
@@ -365,13 +355,18 @@ def test_power_sum_integer_weights_match_the_rational_weights_bit_for_bit():
         assert [_bits(c) for c in got.terms.values()] == [_bits(c) for c in want.terms.values()], case
         checked[mode, v.depth] += 1
         checked[kind, type(args[1]).__name__] += 1
-        checked["float exponents"] += any(isinstance(k.z, float) for k in v.terms)
+        checked["float exponents"] += floats
         checked["terms"] += len(got.terms)
     for mode in (EXACT, FLOAT):
         assert all(checked[mode, depth] > 20 for depth in (0, 1, 2)), checked
     assert all(checked[kind, "int"] > 20 for kind in ("log", "exp", "geom")), checked
-    assert checked["pow", "Fraction"] > 40 and checked["pow", "float"] > 5, checked
+    assert checked["pow", "Fraction"] > 40, checked
     assert checked["float exponents"] > 10 and checked["terms"] > 1000, checked
+    for mode in (EXACT, FLOAT):
+        f = parse("z^(3/2) + z^2 - 1/3*z^(7/3)", z_cap=6, block_cap=8, depth=0, mode=mode)
+        got, want = pow_rational(f, 1 / 3), pow_rational(f, F(1, 3))
+        assert got == want and got.frontier == want.frontier
+        assert [_bits(c) for c in got.terms.values()] == [_bits(c) for c in want.terms.values()]
 
 
 def test_float_power_sums_store_no_dust_of_zero_sums():
@@ -389,25 +384,31 @@ def test_float_power_sums_store_no_dust_of_zero_sums():
     assert all(abs(flt.terms[k] - complex(c)) < 1e-12 for k, c in exact.terms.items())
 
 
-def test_float_exponent_sums_that_round_to_one_key_add_up():
+def test_float_exponent_sums_are_exact():
     """x = sqrt(2)/4 and y = 1 - x are floats whose exact sum 1 + 2^-54
-    rounds to 1.0, so z^x z^y is the key z^1.0: exp(v) - 1 of
-    v = i z^x + i z^y + i z + i z l1 has i + i^2 there (v, and 2 z^x z^y / 2
-    from v^2 / 2).  The block of z^1.0 counts rounded keys in their order,
-    so a block cap of 1 keeps z^1.0 and puts the frontier at z^1.0 l1."""
+    rounds to 1.0.  Each becomes its exact binary value, so z^x z^y is the
+    key z^(1 + 2^-54), not z: exp(v) - 1 of v = i z^x + i z^y + i z + i z l1
+    has i at z and i^2 at z^x z^y (2 z^x z^y / 2 from v^2 / 2), just above
+    z l1.  A block cap of 1 keeps z alone in its block and puts the frontier
+    at z l1."""
     x = math.sqrt(2) / 4
     y = 1 - x
     assert Fraction(x) + Fraction(y) > 1 and x + y == 1.0
+    xy = Key(x, (0,)) + Key(y, (0,))
+    assert xy == Key(Fraction(x) + Fraction(y), (0,)) and xy != Key(1, (0,))
+    assert type(Key(1.0).z) is Fraction and Key(1.0) == Key(1)
     for block_cap in (1, 2, 8):
         grid = TruncationGrid(2, block_cap, 1, 6)
         keys = [Key(x, (0,)), Key(y, (0,)), Key(1.0, (0,)), Key(1.0, (1,))]
         e = exp_minus_one(make_series(dict.fromkeys(keys, 1j), grid, FLOAT))
-        assert e.terms[Key(1.0, (0,))] == pytest.approx(1j - 1)
+        assert all(type(k.z) is Fraction for k in e.terms)
+        assert e.terms[Key(1, (0,))] == 1j
         assert all(k < e.frontier for k in e.terms)
         if block_cap == 1:
-            assert e.frontier == Key(1.0, (1,))
+            assert e.frontier == Key(1, (1,))
         else:
-            assert e.terms[Key(1.0, (1,))] == pytest.approx(1j)
+            assert e.terms[Key(1, (1,))] == pytest.approx(1j)
+            assert e.terms[xy] == pytest.approx(-1)
 
 
 def test_d_dz_examples():
