@@ -3,7 +3,11 @@
 `tests/data/bridge_golden.json` holds, for each README bridge input and for
 `2*z^2 - z^3`, the stdout and exit code of `bridge to-zeta`, of `bridge to-z`
 read back from that output, and of `bridge compare --json` on the README's
-compare line. Every entry must match byte for byte.
+compare line.  It also holds the edge cases of `EDGES` and `TO_Z`: a depth-0
+input, an empty ladder, a float ladder with gaps, hand-written zeta-chart
+JSON with a gap and a trailing zero, the two shape errors (exit 2) and a
+compare that fails its certification (exit 3).  Every entry must match byte
+for byte.
 
 Regenerate (only on purpose) with `PYTHONPATH=src python tests/test_bridge_golden.py`.
 """
@@ -29,6 +33,30 @@ TO_ZETA = (
 COMPARE = ("z^2 - z^3 + 1/2*z^4", "--n", "2", "--sqd-C", "1", "--json")
 MODES = {"exact": (), "float": ("--float",)}
 
+# argv of further bridge runs, each in the one mode it names
+EDGES = (
+    ("to-zeta", "z^2 + z^3 - 1/2*z^(7/2)", "--depth", "0", "--z-cap", "8"),
+    ("to-zeta", "z^2 + z^3 - 1/2*z^(7/2)", "--depth", "0", "--z-cap", "8", "--float"),
+    ("to-zeta", "z^2 - z^3", "--e-cap", "0"),
+    ("to-zeta", "3/2*z^(5/2) - z^3*l1^-2 + z^4", "--float", "--e-cap", "3"),
+    ("to-zeta", "z^2 + z^2*l1"),
+    ("compare", "z^2 - z^3 + 1/2*z^4", "--n", "3", "--sqd-C", "1", "--json"),
+)
+
+
+def _c(re, im=0.0):
+    return {"re": re, "im": im}
+
+
+# hand-written `bridge to-z` inputs: a float Q = [0, 1, 0], and beta = 0
+TO_Z = {
+    "float_gap": {"alpha": "2", "c0": _c(0.5), "mode": "float",
+                  "ladder": [{"beta": 1.0, "Q": [_c(0.0), _c(1.0), _c(0.0)]},
+                             {"beta": 1.5, "Q": [_c(-0.25, 0.5)]}]},
+    "beta_zero": {"alpha": "2", "c0": _c("0", "0"), "mode": "exact",
+                  "ladder": [{"beta": "0", "Q": [_c("1", "0")]}]},
+}
+
 
 def _run(argv) -> dict:
     out = io.StringIO()
@@ -48,6 +76,13 @@ def outputs(tmp: Path) -> list[dict]:
             back["argv"][-1] = "<stdout of " + " ".join(zeta["argv"]) + ">"
             runs += [zeta, back]
         runs.append(_run(["bridge", "compare", *COMPARE, *flags]))
+    runs += [_run(["bridge", *argv]) for argv in EDGES]
+    for name, data in TO_Z.items():
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps(data))
+        run = _run(["bridge", "to-z", "--infile", str(path)])
+        run["argv"][-1] = f"<TO_Z[{name!r}]>"
+        runs.append(run)
     return runs
 
 
