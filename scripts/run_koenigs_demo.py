@@ -6,16 +6,13 @@ normalization of the z-chart expansion z^2 e^(-z)."""
 
 import cmath
 import csv
-import math
 import sys
-from fractions import Fraction as F
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bottcher.domains import AsymptoticSpec, DomainSpec, invariant_threshold
 from bottcher.dulac import (
-    DulacSeriesZ,
     compare_formal_numeric,
     dulac_normalize_full,
     to_zeta_chart,
@@ -25,6 +22,7 @@ from bottcher.koenigs import (
     koenigs_normalize,
     koenigs_residual,
 )
+from bottcher.parser import parse
 
 
 def main():
@@ -55,8 +53,7 @@ def main():
     print(f"wrote {path} (worst residual {max(r[3] for r in rows):.2e})")
 
     # formal side: z-chart of f is z^2 e^(-z)
-    coeffs = [F((-1) ** k, math.factorial(k)) for k in range(6)]
-    d = DulacSeriesZ(1, 2, [(2 + k, [coeffs[k]]) for k in range(1, 6)])
+    d = parse("z^2 - z^3 + 1/2*z^4 - 1/6*z^5 + 1/24*z^6 - 1/120*z^7", z_cap=8)
     phi_hat, _ = dulac_normalize_full(d, z_cap=8, block_cap=6)
     phi_hat_zeta = to_zeta_chart(phi_hat)
     xs = [R + 8.0 * i / 31 for i in range(32)]

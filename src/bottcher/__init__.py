@@ -67,7 +67,6 @@ from .normalize import (
     prenormalize,
     semigroup_contains,
     solve_W,
-    support_of_composition_bound,
     support_predict,
 )
 from .domains import (
@@ -89,10 +88,8 @@ from .dulac import (
     compare_formal_numeric,
     dulac_normalize_full,
     evaluate_zeta,
-    from_transseries,
     is_dulac,
     partial_normalizations,
-    to_transseries,
     to_z_chart,
     to_zeta_chart,
 )

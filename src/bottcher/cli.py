@@ -23,7 +23,6 @@ from .dulac import (
     compare_formal_numeric,
     dulac_normalize_full,
     evaluate_zeta,
-    from_transseries,
     to_z_chart,
     to_zeta_chart,
 )
@@ -168,6 +167,14 @@ def _samples_spec(text: str) -> tuple[float, float, int]:
     return spec
 
 
+def _positive_int(text: str) -> int:
+    """The `--n` type of `bridge compare`: an integer n >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return n
+
+
 def _sample_points(args) -> list:
     """The points of the grid spec R0:SPAN:N (mpmath points with --precision)."""
     r0, span, n = args.samples
@@ -293,8 +300,7 @@ def _analytic(args) -> int:
 
 
 def cmd_to_zeta(args) -> int:
-    d = from_transseries(_parse_expr(args.expr, args))
-    out = to_zeta_chart(d, e_cap=args.e_cap)
+    out = to_zeta_chart(_parse_expr(args.expr, args), e_cap=args.e_cap)
     print(json.dumps(dulac_zeta_to_json(out), indent=2))
     return 0
 
@@ -311,19 +317,19 @@ def cmd_to_z(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    d = from_transseries(_parse_expr(args.expr, args))
-    phi_hat_z, res = dulac_normalize_full(d, z_cap=args.z_cap, block_cap=args.block_cap)
-    phi_hat = to_zeta_chart(phi_hat_z)
-    spec = AsymptoticSpec(alpha=float(d.alpha), eps=args.eps, k=args.k)
+    f = _parse_expr(args.expr, args)
+    phi, _ = dulac_normalize_full(f, z_cap=args.z_cap, block_cap=args.block_cap)
+    phi_hat = to_zeta_chart(phi)
+    f_zeta = to_zeta_chart(f)
+    spec = AsymptoticSpec(alpha=float(f_zeta.alpha), eps=args.eps, k=args.k)
     dom = DomainSpec.standard_quadratic(args.sqd_C)
-    f_zeta = to_zeta_chart(d)
     fmap = lambda zeta: evaluate_zeta(f_zeta, zeta)
     R = invariant_threshold(fmap, spec, dom, r_ceiling=args.r_ceiling)
     numeric = koenigs_normalize(fmap, spec, dom, R, tol=args.tol)
     xs = [R + args.ray_span * i / 63 for i in range(64)]
     reports = {}
     stats = {}
-    for n in range(1, min(args.n, len(phi_hat.ladder)) + 1):
+    for n in range(1, min(args.n, len(phi_hat.betas())) + 1):
         reports[n] = compare_formal_numeric(numeric, phi_hat, n, xs)
         stats[n] = reports[n].pop("statistic", [])
     if args.csv:
@@ -417,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = br.add_parser("compare", help="formal against numeric Koenigs normalizer")
     p.add_argument("expr")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_positive_int, default=2)
     _add_domain(p)
     p.add_argument("--tol", type=float, default=1e-11)
     p.add_argument("--csv", default=None)

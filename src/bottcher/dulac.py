@@ -1,22 +1,26 @@
-"""Dulac series in both charts, chart conversion, and formal/numeric comparison.
+"""Dulac germs in both charts, chart conversion, and formal/numeric comparison.
 
-z-chart: lambda z^alpha + sum_i z^(alpha_i) P_i(-log z), alpha_i strictly
-increasing above alpha.  zeta-chart (zeta = -log z): alpha zeta - log lambda
-+ sum_i e^(-beta_i zeta) Q_i(zeta) with beta_i = alpha_i - alpha.  Ladders are
-finite by construction; the e^(-1)-order cap plays the role of z_cap - alpha.
+A complex Dulac germ lambda z^alpha + sum_i z^(alpha_i) P_i(-log z) is a
+depth-1 logarithmic transseries with a log-free leading term and every
+l1-exponent <= 0 (`is_dulac`): since -log z = 1/l1, its term
+c z^a (-log z)^deg sits at Key(a, (-deg,)).  The z chart is that series
+itself, and `dulac_normalize_full` is the formal normalizer run on it.  The
+zeta chart (zeta = -log z) is `DulacSeriesZeta(alpha, c0, v)`:
+alpha zeta + c0 + v(zeta) with c0 = -log lambda, where the term
+Key(beta, (-deg,)) of the depth-1 series v stands for e^(-beta zeta) zeta^deg.
+The chart maps apply the kernel's `log1p` and `exp_minus_one` to these
+series; the e^(-1)-order cap plays the role of z_cap - alpha.
 
-A ladder [(exp, P)] is a depth-1 series with keys Key(exp, (-deg,)), since
--log z = 1/l1.  One pair of converters, `_ladder_terms` and `_terms_ladder`,
-moves between the two forms: the chart maps apply the kernel's `log1p` and
-`exp_minus_one` to that series, and `to_transseries` / `from_transseries`
-embed a z-chart series into the normalizer's input and read its output back.
+Ladders [(exp, P)], each P dense by degree, are the wire format: `io_json`
+reads and writes them, and `DulacSeriesZ` builds a germ from one.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffs import (
@@ -40,163 +44,127 @@ from .series import (
 from .normalize import normalize
 
 
-@dataclass
-class DulacSeriesZ:
-    """lambda z^alpha + sum z^(alpha_i) P_i(-log z); P_i dense by degree."""
-
-    lam: object
-    alpha: Fraction
-    ladder: list
-    mode: str = EXACT
-
-    def __post_init__(self):
-        self.alpha = as_zexp(self.alpha)
-        self.lam = c_from(self.lam, self.mode)
-        self.ladder = sorted(
-            ((as_zexp(a), [c_from(c, self.mode) for c in p]) for a, p in self.ladder),
-            key=lambda t: t[0],
-        )
-        last = self.alpha
-        for a, _ in self.ladder:
-            if a <= last:
-                raise ShapeError("ladder exponents must strictly increase above alpha")
-            last = a
+def DulacSeriesZ(lam, alpha, ladder, mode=EXACT) -> TransSeries:
+    """The germ lambda z^alpha + sum z^(a_i) P_i(-log z) of the ladder
+    [(a_i, P_i)], each P_i dense by degree, as its depth-1 series."""
+    alpha = as_zexp(alpha)
+    lam = c_from(lam, mode)
+    if not lam:
+        raise ShapeError("lambda must be nonzero")
+    ladder = sorted(((as_zexp(a), p) for a, p in ladder), key=lambda t: t[0])
+    exps = [alpha] + [a for a, _ in ladder]
+    if any(b <= a for a, b in zip(exps, exps[1:])):
+        raise ShapeError("ladder exponents must strictly increase above alpha")
+    terms = {Key(alpha, (0,)): lam}
+    terms.update({Key(a, (-deg,)): c for a, p in ladder for deg, c in enumerate(p)})
+    return whole_series(terms, mode)
 
 
 @dataclass
 class DulacSeriesZeta:
-    """alpha zeta + c0 + sum e^(-beta_i zeta) Q_i(zeta); c0 = -log lambda."""
+    """alpha zeta + c0 + v(zeta), c0 = -log lambda; the term Key(beta, (-deg,))
+    of the depth-1 series v is e^(-beta zeta) zeta^deg, beta > 0."""
 
     alpha: Fraction
     c0: object
-    ladder: list
-    mode: str = EXACT
+    v: TransSeries
 
-    def __post_init__(self):
-        self.alpha = as_zexp(self.alpha)
-        self.c0 = c_from(self.c0, self.mode)
-        self.ladder = sorted(
-            ((as_zexp(b), [c_from(c, self.mode) for c in q]) for b, q in self.ladder),
-            key=lambda t: t[0],
-        )
-        for b, _ in self.ladder:
-            if b <= 0:
-                raise ShapeError("zeta-chart ladder exponents must be positive")
+    def betas(self) -> list:
+        """The distinct exponents beta of v, ascending: one per rung."""
+        return sorted({k.z for k in self.v.terms})
 
 
-# -- ladders as depth-1 series -------------------------------------------------
+def whole_series(terms: dict, mode) -> TransSeries:
+    """The depth-1 series of `terms` on a grid that stores them all; its
+    frontier lies above every exponent given, a zero coefficient's too."""
+    top = max((k.z for k in terms), default=0)
+    width = max(Counter(k.z for k in terms).values(), default=1)
+    return make_series(terms, TruncationGrid(max(top, 0) + 1, width, 1), mode)
 
 
-def _ladder_terms(ladder) -> dict:
-    """The rungs [(exp, P)] as depth-1 terms {Key(exp, (-deg,)): P[deg]}."""
-    return {Key(b, (-deg,)): c for b, p in ladder for deg, c in enumerate(p)}
-
-
-def _terms_ladder(terms: dict, mode) -> list:
-    """Depth-1 terms back to rungs [(exp, P)]: exponents ascending, each P
-    dense up to its top degree.  A depth-0 key is a degree-0 term."""
-    rungs: dict = {}
+def rungs(terms: dict) -> list:
+    """Depth-1 terms by exponent: [(exp, {deg: c})], exponents ascending."""
+    out: dict = {}
     for k, c in terms.items():
-        rungs.setdefault(k.z, {})[-k.l[0] if k.l else 0] = c
-    return [
-        (b, [p.get(deg, c_zero(mode)) for deg in range(max(p) + 1)])
-        for b, p in sorted(rungs.items())
-    ]
+        out.setdefault(k.z, {})[-k.l[0]] = c
+    return sorted(out.items(), key=lambda t: t[0])
 
 
-def _ladder_series_op(ladder: list, op, mode, e_cap) -> list:
-    """op applied to the ladder [(beta, P)] embedded as the depth-1 series
-    sum P[deg] e^(-beta zeta) zeta^deg, with zeta = 1/l1.
+def _germ(f: TransSeries):
+    """(alpha, lambda, rest) of a Dulac series: the leading exponent and
+    coefficient of its trusted terms, and the others, at depth 1 in key order."""
+    if not is_dulac(f):
+        raise ShapeError("series is not a Dulac series (depth/log-sign violation)")
+    terms = {
+        Key(k.z, k.l[:1] or (0,)): c for k, c in sorted(f.terms.items()) if k < f.frontier
+    }
+    if not terms:
+        raise ShapeError("no certified terms to convert")
+    lead = next(iter(terms))
+    return lead.z, terms.pop(lead), terms
 
-    The grid stores every term below e_cap: op(u) = Sigma_j c_j u^j needs
-    j <= e_cap / min beta, so a block holds at most
-    (max deg) * (int(e_cap / min beta) + 1) + 1 terms.
+
+def _chart_op(terms: dict, op, mode, e_cap) -> TransSeries:
+    """op applied to the depth-1 series of `terms`, keys Key(beta, (-deg,))
+    with beta > 0, on a grid that stores every term below e_cap:
+    op(u) = Sigma_j c_j u^j needs j <= e_cap / min beta, so a block holds at
+    most (max deg) * (int(e_cap / min beta) + 1) + 1 terms.
     """
-    if not ladder:  # also covers e_cap <= 0, where every rung is cut
-        return []
-    max_deg = max(len(p) for _, p in ladder) - 1
-    reach = int(e_cap / min(b for b, _ in ladder)) + 1
+    if not terms:  # also covers e_cap <= 0, where every term is cut
+        return whole_series({}, mode)
+    max_deg = -min(k.l[0] for k in terms)
+    reach = int(e_cap / min(k.z for k in terms)) + 1
     grid = TruncationGrid(z_cap=e_cap, block_cap=max_deg * reach + 1, depth=1)
-    return _terms_ladder(op(make_series(_ladder_terms(ladder), grid, mode)).terms, mode)
+    return op(make_series(terms, grid, mode))
 
 
 # -- chart conversions ------------------------------------------------------------
 
 
-def to_zeta_chart(d: DulacSeriesZ, e_cap=None) -> DulacSeriesZeta:
+def to_zeta_chart(f: TransSeries, e_cap=None) -> DulacSeriesZeta:
     """f(zeta) = -log f(e^(-zeta)) = alpha zeta - log lambda - log(1 + u)."""
-    mode = d.mode
-    if not d.lam:
-        raise ShapeError("lambda must be nonzero")
+    alpha, lam, rest = _germ(f)
+    mode = f.mode
     if e_cap is None:
-        e_cap = (d.ladder[-1][0] - d.alpha) + 1 if d.ladder else Fraction(1)
-    c0 = -log_coeff(d.lam, mode)
-    lam_inv = 1 / d.lam
-    u = [(a - d.alpha, [c * lam_inv for c in p])
-         for a, p in d.ladder if a - d.alpha < e_cap]
-    body = _ladder_series_op(u, log1p, mode, e_cap)
-    ladder = [(b, [-c for c in p]) for b, p in body]
-    return DulacSeriesZeta(d.alpha, c0, ladder, mode)
+        e_cap = (max(k.z for k in rest) - alpha) + 1 if rest else Fraction(1)
+    c0 = -log_coeff(lam, mode)
+    lam_inv = 1 / lam
+    u = {Key(k.z - alpha, k.l): c * lam_inv for k, c in rest.items() if k.z - alpha < e_cap}
+    return DulacSeriesZeta(alpha, c0, negate(_chart_op(u, log1p, mode, e_cap)))
 
 
-def to_z_chart(d: DulacSeriesZeta, e_cap=None) -> DulacSeriesZ:
-    """f(z) = e^(-c0) z^alpha exp(-v), v the zeta-chart ladder."""
-    mode = d.mode
+def to_z_chart(d: DulacSeriesZeta, e_cap=None) -> TransSeries:
+    """f(z) = e^(-c0) z^alpha exp(-v), v the zeta-chart series; e_cap
+    defaults to v's frontier, below which v is known."""
+    mode = d.v.mode
     if e_cap is None:
-        e_cap = (d.ladder[-1][0] + 1) if d.ladder else Fraction(1)
-    if mode == EXACT:
-        lam = exp_of_log_exact(-d.c0)
-    else:
-        lam = cmath.exp(-complex(d.c0))
-    v = [(b, q) for b, q in d.ladder if b < e_cap]
-    body = _ladder_series_op(v, lambda s: exp_minus_one(negate(s)), mode, e_cap)
-    ladder = [(d.alpha + b, [c * lam for c in p]) for b, p in body]
-    return DulacSeriesZ(lam, d.alpha, ladder, mode)
+        e_cap = d.v.frontier.z
+    lam = exp_of_log_exact(-d.c0) if mode == EXACT else cmath.exp(-complex(d.c0))
+    v = {k: c for k, c in d.v.terms.items() if k.z < e_cap}
+    body = _chart_op(v, lambda s: exp_minus_one(negate(s)), mode, e_cap)
+    terms = {Key(d.alpha, (0,)): lam}
+    terms.update({Key(d.alpha + k.z, k.l): c * lam for k, c in body.terms.items()})
+    return whole_series(terms, mode)
 
 
-# -- transseries embedding ----------------------------------------------------------
+# -- the Dulac class and its normalization ------------------------------------------
 
 
-def is_dulac(f: TransSeries, below_frontier: bool = True) -> bool:
-    """Depth <= 1, all l1-exponents <= 0, log-free leading term."""
-    keys = [k for k in f.terms if (not below_frontier) or k < f.frontier]
-    if not keys:
-        return True
-    lead = min(keys)
-    if any(n != 0 for n in lead.l):
+def is_dulac(f: TransSeries) -> bool:
+    """Below the frontier: no l2, l3, ... exponents, all l1-exponents <= 0,
+    log-free leading term."""
+    keys = [k for k in f.terms if k < f.frontier]
+    if keys and any(min(keys).l):
         return False
-    for k in keys:
-        if any(n != 0 for n in k.l[1:]):
-            return False
-        if k.l and k.l[0] > 0:
-            return False
-    return True
+    return all(k.l[0] <= 0 and not any(k.l[1:]) for k in keys if k.l)
 
 
-def to_transseries(d: DulacSeriesZ, grid: TruncationGrid) -> TransSeries:
-    """d on `grid`, raised to depth 1 if the grid has depth 0."""
-    if grid.depth < 1:
-        grid = replace(grid, depth=1)
-    terms = {Key(d.alpha, (0,)): d.lam, **_ladder_terms(d.ladder)}
-    return make_series(terms, grid, d.mode)
-
-
-def from_transseries(f: TransSeries) -> DulacSeriesZ:
-    """Certified part of f as a Dulac series (keys at/above the frontier dropped)."""
-    if not is_dulac(f):
-        raise ShapeError("series is not a Dulac series (depth/log-sign violation)")
-    terms = {k: c for k, c in f.terms.items() if k < f.frontier}
-    if not terms:
-        raise ShapeError("no certified terms to convert")
-    lead = min(terms)
-    lam = terms.pop(lead)
-    return DulacSeriesZ(lam, lead.z, _terms_ladder(terms, f.mode), f.mode)
-
-
-def dulac_normalize_full(d: DulacSeriesZ, z_cap=10, block_cap=12):
-    """Normalize a strongly hyperbolic Dulac series; returns (phi_hat, result)."""
+def dulac_normalize_full(f: TransSeries, z_cap=10, block_cap=12):
+    """Normalize a strongly hyperbolic Dulac series on a depth-1 grid;
+    returns (phi, result) with phi = result.phi."""
+    alpha, lam, rest = _germ(f)
     grid = TruncationGrid(z_cap=z_cap, block_cap=block_cap, depth=1)
-    f = to_transseries(d, grid)
+    f = make_series({Key(alpha, (0,)): lam, **rest}, grid, f.mode)
     res = normalize(f)
     phi = res.phi
     if not is_dulac(phi):
@@ -205,7 +173,7 @@ def dulac_normalize_full(d: DulacSeriesZ, z_cap=10, block_cap=12):
         )
     if _series_real_below_frontier(f) and not _series_real_below_frontier(phi):
         raise BottcherError("internal: real Dulac input produced non-real output")
-    return from_transseries(phi), res
+    return phi, res
 
 
 def _series_real_below_frontier(f: TransSeries) -> bool:
@@ -224,12 +192,13 @@ def _series_real_below_frontier(f: TransSeries) -> bool:
 
 
 def partial_normalizations(phi_hat: DulacSeriesZeta, n: int) -> DulacSeriesZeta:
-    """phi_hat_n = zeta + first n ladder rungs (n = 0 gives the identity)."""
-    if n < 0 or n > len(phi_hat.ladder):
-        raise DomainError(f"partial index {n} outside 0..{len(phi_hat.ladder)}")
-    return DulacSeriesZeta(
-        phi_hat.alpha, phi_hat.c0, list(phi_hat.ladder[:n]), phi_hat.mode
-    )
+    """phi_hat_n = zeta + the terms of the first n rungs (n = 0 gives the identity)."""
+    betas = phi_hat.betas()
+    if n < 0 or n > len(betas):
+        raise DomainError(f"partial index {n} outside 0..{len(betas)}")
+    v = phi_hat.v
+    kept = {k: c for k, c in v.terms.items() if n and k.z <= betas[n - 1]}
+    return DulacSeriesZeta(phi_hat.alpha, phi_hat.c0, make_series(kept, v.grid, v.mode))
 
 
 def _is_mp(x) -> bool:
@@ -279,10 +248,11 @@ def _exp_frac_any(b, like):
 def evaluate_zeta(d: DulacSeriesZeta, zeta):
     """Numeric value alpha zeta + c0 + sum e^(-beta zeta) Q(zeta)."""
     out = _exp_frac_any(d.alpha, zeta) * zeta + _num(d.c0, zeta)
-    for b, q in d.ladder:
+    zero = c_zero(d.v.mode)
+    for b, q in rungs(d.v.terms):  # Horner by degree, a gap adding an exact 0
         horner = 0 * zeta
-        for c in reversed(q):
-            horner = horner * zeta + _num(c, zeta)
+        for deg in range(max(q), -1, -1):
+            horner = horner * zeta + _num(q.get(deg, zero), zeta)
         out = out + _exp_any(-_exp_frac_any(b, zeta) * zeta) * horner
     return out
 
@@ -320,7 +290,7 @@ def _decay_report(xs, vals):
 def compare_formal_numeric(phi_numeric, phi_hat: DulacSeriesZeta, n: int, xs):
     """sup of |phi(zeta) - phi_hat_n(zeta)| e^(beta_n Re) along a ray, with trend."""
     phin = partial_normalizations(phi_hat, n)
-    beta = float(phi_hat.ladder[n - 1][0]) if n >= 1 else 0.0
+    beta = float(phi_hat.betas()[n - 1]) if n >= 1 else 0.0
     evaluator = phi_numeric.evaluator if hasattr(phi_numeric, "evaluator") else phi_numeric
     stats = []
     for x in xs:

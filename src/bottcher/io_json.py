@@ -4,16 +4,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import EXACT, FLOAT, Exact
-from .dulac import DulacSeriesZeta
+from .coeffs import EXACT, FLOAT, Exact, c_zero
+from .dulac import DulacSeriesZeta, _germ, rungs, whole_series
+from .errors import ShapeError
 from .keys import Cut, Key, as_zexp
 from .printer import frac_str
 from .series import TransSeries, TruncationGrid, make_series
-
-
-def _rung_out(b, mode):
-    """A ladder exponent: a rational string, a JSON number in float mode."""
-    return float(b) if mode == FLOAT else frac_str(b)
 
 
 def _mono_str(k: tuple) -> str:
@@ -109,38 +105,50 @@ def normalization_result_to_json(res) -> dict:
     return out
 
 
-def dulac_z_to_json(d) -> dict:
+def _ladder_json(terms: dict, exp_name: str, poly_name: str, gap, mode) -> list:
+    """Depth-1 terms as rungs {exp_name: exp, poly_name: P}, exponents
+    ascending, each P dense by degree with `gap` in the holes.  An exponent is
+    a rational string, a JSON number in float mode."""
+    return [
+        {exp_name: float(b) if mode == FLOAT else frac_str(b),
+         poly_name: [coeff_to_json(q.get(deg, gap)) for deg in range(max(q) + 1)]}
+        for b, q in rungs(terms)
+    ]
+
+
+def dulac_z_to_json(f) -> dict:
+    """A Dulac series as lambda, alpha and the ladder of lambda * P.  A gap of
+    P is written as 0 * lambda, the value lambda * P has there (a signed zero
+    in float mode)."""
+    alpha, lam, rest = _germ(f)
     return {
-        "lambda": coeff_to_json(d.lam),
-        "alpha": frac_str(d.alpha),
-        "mode": d.mode,
-        "ladder": [
-            {"exp": _rung_out(a, d.mode), "P": [coeff_to_json(c) for c in p]}
-            for a, p in d.ladder
-        ],
+        "lambda": coeff_to_json(lam),
+        "alpha": frac_str(alpha),
+        "mode": f.mode,
+        "ladder": _ladder_json(rest, "exp", "P", c_zero(f.mode) * lam, f.mode),
     }
 
 
 def dulac_zeta_to_json(d) -> dict:
+    """The zeta chart as alpha, c0 and the ladder of Q = -log(1 + u).  A gap of
+    Q is written as -0, the negated zero of log(1 + u)."""
     return {
         "alpha": frac_str(d.alpha),
         "c0": coeff_to_json(d.c0),
-        "mode": d.mode,
-        "ladder": [
-            {"beta": _rung_out(b, d.mode), "Q": [coeff_to_json(c) for c in q]}
-            for b, q in d.ladder
-        ],
+        "mode": d.v.mode,
+        "ladder": _ladder_json(d.v.terms, "beta", "Q", -c_zero(d.v.mode), d.v.mode),
     }
 
 
-def dulac_zeta_from_json(d: dict):
+def dulac_zeta_from_json(d: dict) -> DulacSeriesZeta:
+    """The zeta chart of a ladder; every beta must be positive."""
     mode = d.get("mode", EXACT)
-    return DulacSeriesZeta(
-        d["alpha"],
-        coeff_from_json(d["c0"], mode),
-        [
-            (e["beta"], [coeff_from_json(c, mode) for c in e["Q"]])
-            for e in d["ladder"]
-        ],
-        mode,
-    )
+    terms = {}
+    for e in d["ladder"]:
+        beta = as_zexp(e["beta"])
+        if beta <= 0:
+            raise ShapeError("zeta-chart ladder exponents must be positive")
+        for deg, c in enumerate(e["Q"] or [{"re": 0, "im": 0}]):  # [] is Q = 0
+            terms[Key(beta, (-deg,))] = coeff_from_json(c, mode)
+    c0 = coeff_from_json(d["c0"], mode)
+    return DulacSeriesZeta(as_zexp(d["alpha"]), c0, whole_series(terms, mode))

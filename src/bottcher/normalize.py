@@ -392,25 +392,6 @@ def support_predict(f: TransSeries) -> SemigroupSpec:
     return SemigroupSpec(tuple(sorted(gens)), grid.trunc_key())
 
 
-def support_of_composition_bound(g: TransSeries, f: TransSeries) -> SemigroupSpec:
-    """Generators bounding supp(f o g) per the composition-support lemma."""
-    shape = shape_of(g)
-    alpha = shape.alpha
-    depth = max(f.depth, g.depth)
-    gens: set[Key] = set()
-    for j in range(1, depth + 1):
-        gens.add(ell_key(depth, j))
-    for k in f.terms:
-        gens.add(Key(alpha * k.z, k.l).pad(depth))
-    target = monomial(Key(alpha, (0,) * g.depth), g.grid, g.mode)
-    for k in sub(g, target).terms:
-        key = Key(k.z - alpha, k.l).pad(depth)
-        if not key.is_zero():
-            gens.add(key)
-    cutoff = Cut(min(f.grid.z_cap, g.grid.z_cap))
-    return SemigroupSpec(tuple(sorted(gens)), cutoff)
-
-
 def _lex_positive(gens) -> list[Key]:
     """The nonzero generators; a generator at or below zero raises ValueError.
 

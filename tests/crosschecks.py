@@ -9,7 +9,8 @@ itself by a different route, so they are not independent oracles:
   through inversion, log z o f, the W-solve on the whole grid, the product
   over every pair of z-blocks and every key of a block, power sums power by
   power, `Exact` sums and products by the full complex formula, semigroup
-  membership by nested searches (z-generators, then each log level);
+  membership by nested searches (z-generators, then each log level), and
+  the composition-support bound of the paper's support lemma;
 * series helpers: the support, the leading z-block, agreement below the
   frontier, the generalized binomial coefficient and l_m o f;
 * the pure-logarithm blocks B_m: membership, the l_m-order, the metric d_m
@@ -60,7 +61,7 @@ from bottcher.dulac import DulacSeriesZeta, _decay_report, evaluate_zeta
 from bottcher.errors import DepthOverflowError, DomainError, EmptySeriesError, ShapeError
 from bottcher.keys import Cut, Key, ell_key, front_zscale, min_key, zero_key
 from bottcher.koenigs import KoenigsResult
-from bottcher.normalize import _phi_of, normalize
+from bottcher.normalize import SemigroupSpec, _phi_of, normalize
 from bottcher.series import (
     TransSeries,
     _common,
@@ -457,18 +458,34 @@ def semigroup_contains_reference(gens: list[Key], w: Key) -> bool:
     return search(0, w.z, w.l)
 
 
+def support_of_composition_bound(g: TransSeries, f: TransSeries) -> SemigroupSpec:
+    """Generators bounding supp(f o g) per the composition-support lemma."""
+    shape = shape_of(g)
+    alpha = shape.alpha
+    depth = max(f.depth, g.depth)
+    gens: set[Key] = set()
+    for j in range(1, depth + 1):
+        gens.add(ell_key(depth, j))
+    for k in f.terms:
+        gens.add(Key(alpha * k.z, k.l).pad(depth))
+    target = monomial(Key(alpha, (0,) * g.depth), g.grid, g.mode)
+    for k in sub(g, target).terms:
+        key = Key(k.z - alpha, k.l).pad(depth)
+        if not key.is_zero():
+            gens.add(key)
+    cutoff = Cut(min(f.grid.z_cap, g.grid.z_cap))
+    return SemigroupSpec(tuple(sorted(gens)), cutoff)
+
+
 def weak_delta(seq, key: Key):
     """Coefficient trajectory at `key` across a sequence of series."""
     return [s.coeff(key) for s in seq]
 
 
-def ord_e_inv(d):
-    """Order in e^(-1) of a DulacSeriesZeta: minimal beta_i with Q_i != 0
-    (None for the trivial ladder)."""
-    for b, q in d.ladder:
-        if any(q):
-            return b
-    return None
+def ord_e_inv(d: DulacSeriesZeta):
+    """Order in e^(-1) of a DulacSeriesZeta: the least beta of its series v
+    (None when v is 0)."""
+    return min((k.z for k in d.v.terms), default=None)
 
 
 # -- series helpers ---------------------------------------------------------------

@@ -22,9 +22,9 @@ from bottcher.coeffs import EXACT, FLOAT, Exact
 from bottcher.compose import Composer, compose
 from bottcher.domains import AsymptoticSpec, DomainSpec, invariant_threshold
 from bottcher.dulac import (
-    DulacSeriesZ,
     compare_formal_numeric,
     dulac_normalize_full,
+    is_dulac,
     to_zeta_chart,
 )
 from bottcher.keys import Key
@@ -331,12 +331,10 @@ def test_acceptance_13_theorem_c_surrogate():
         dps = mpmath.mp.dps
         with mpmath.workdps(50):
             # z-chart expansion of f(zeta) = 2 zeta + e^-zeta is z^2 e^-z
-            coeffs = [F((-1) ** k, math.factorial(k)) for k in range(6)]
-            ladder = [(2 + k, [coeffs[k]]) for k in range(1, 6)]
-            d = DulacSeriesZ(1, 2, ladder)
+            d = parse("z^2 - z^3 + 1/2*z^4 - 1/6*z^5 + 1/24*z^6 - 1/120*z^7", z_cap=8)
             phi_hat_z, res = dulac_normalize_full(d, z_cap=8, block_cap=6)
             phi_hat = to_zeta_chart(phi_hat_z)
-            assert len(phi_hat.ladder) >= 3
+            assert len(phi_hat.betas()) >= 3
 
             spec = AsymptoticSpec(2.0, 1.0, 1)
             dom = DomainSpec.standard_quadratic(1.0)
@@ -361,11 +359,10 @@ def test_acceptance_13_theorem_c_surrogate():
 
 def test_acceptance_14_dulac_closure():
     with criterion(14, "Dulac class and realness preserved by formal normalization", 30.0):
-        for ladder in ([(3, [1])], [(3, [0, -1])]):
-            d = DulacSeriesZ(1, 2, ladder)
-            phi_hat, res = dulac_normalize_full(d, z_cap=8, block_cap=8)
+        for expr in ("z^2 + z^3", "z^2 - z^3*l1^-1"):  # z^2 + z^3 log z
+            phi, res = dulac_normalize_full(parse(expr, z_cap=8), z_cap=8, block_cap=8)
             assert res.verification["conjugation_exact_below_frontier"]
-            assert phi_hat.lam == Exact.of(1)
-            for _, p in phi_hat.ladder:
-                for c in p:
-                    assert c.is_real()
+            assert is_dulac(phi)
+            trusted = {k: c for k, c in phi.terms.items() if k < phi.frontier}
+            assert trusted[min(trusted)] == Exact.of(1) and min(trusted) == Key(1, (0,))
+            assert all(c.is_real() for c in trusted.values())

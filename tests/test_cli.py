@@ -375,6 +375,21 @@ def test_bridge_compare_lambda_not_one(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_bridge_compare_n_below_one_exits_2(capsys, monkeypatch, n):
+    """A comparison of no rung would certify nothing: argparse rejects it."""
+    import bottcher.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the comparison ran with --n below 1")
+
+    monkeypatch.setattr(cli, "dulac_normalize_full", no_run)
+    with pytest.raises(SystemExit) as exc:
+        main(["bridge", "compare", "z^2 - z^3 + 1/2*z^4", "--n", n, "--sqd-C", "1", "--json"])
+    assert exc.value.code == 2
+    assert "argument --n" in capsys.readouterr().err
+
+
 FLOAT_GRID = ["--float", "--z-cap", "10", "--block-cap", "8", "--depth", "0"]
 
 

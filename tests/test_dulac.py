@@ -11,47 +11,58 @@ from bottcher.domains import AsymptoticSpec, DomainSpec, invariant_threshold
 from bottcher.dulac import (
     DulacSeriesZ,
     DulacSeriesZeta,
+    _germ,
     compare_formal_numeric,
     dulac_normalize_full,
     evaluate_zeta,
-    from_transseries,
     is_dulac,
     partial_normalizations,
-    to_transseries,
     to_z_chart,
     to_zeta_chart,
+    whole_series,
 )
 from bottcher.errors import DomainError, ShapeError
-from bottcher.keys import Key
+from bottcher.io_json import dulac_zeta_from_json
+from bottcher.keys import Cut, Key
 from bottcher.koenigs import koenigs_normalize
 from bottcher.parser import parse
-from bottcher.series import TruncationGrid
+from bottcher.series import TruncationGrid, embed, make_series, negate
 
 F = Fraction
+
+
+def _zeta(alpha, c0, ladder, mode=EXACT):
+    """The zeta chart alpha zeta + c0 + sum e^(-beta zeta) Q(zeta) of a ladder [(beta, Q)]."""
+    terms = {Key(b, (-deg,)): c for b, q in ladder for deg, c in enumerate(q)}
+    return DulacSeriesZeta(F(alpha), c0, whole_series(terms, mode))
+
+
+def _trusted(f):
+    return {k: c for k, c in f.terms.items() if k < f.frontier}
 
 
 def test_to_zeta_pure_power():
     d = DulacSeriesZ(1, 2, [])
     out = to_zeta_chart(d)
-    assert out.alpha == 2 and out.c0.is_zero() and out.ladder == []
+    assert out.alpha == 2 and out.c0.is_zero() and out.v.terms == {}
 
 
 def test_to_zeta_log_ladder():
     # z^2 - z^3 log z = z^2 + z^3 * P1(-log z), P1(v) = v
     d = DulacSeriesZ(1, 2, [(3, [0, 1])])
     out = to_zeta_chart(d, e_cap=F(4))
-    assert [(b, [c.rational_parts()[0] for c in q]) for b, q in out.ladder] == [
-        (F(1), [F(0), F(-1)]),
-        (F(2), [F(0), F(0), F(1, 2)]),
-        (F(3), [F(0), F(0), F(0), F(-1, 3)]),
-    ]
+    assert {k: c.rational_parts()[0] for k, c in out.v.terms.items()} == {
+        Key(1, (-1,)): F(-1),
+        Key(2, (-2,)): F(1, 2),
+        Key(3, (-3,)): F(-1, 3),
+    }
 
 
 def test_to_zeta_lambda_float():
     d = DulacSeriesZ(complex(math.e), 2, [], mode="float")
     out = to_zeta_chart(d)
     assert abs(out.c0 + 1.0) < 1e-14  # c0 = -log lambda = -1
-    assert out.ladder == []
+    assert out.v.terms == {}
 
 
 def test_to_zeta_lambda_rational_exact():
@@ -59,8 +70,34 @@ def test_to_zeta_lambda_rational_exact():
     out = to_zeta_chart(d, e_cap=F(3))
     assert out.c0 == -Exact.log_of_rational(4)
     back = to_z_chart(out, e_cap=F(3))
-    assert back.lam == Exact.of(4)
-    assert back.ladder[0][0] == 3 and back.ladder[0][1][0] == Exact.of(1)
+    assert back.terms == {Key(2, (0,)): Exact.of(4), Key(3, (0,)): Exact.of(1)}
+
+
+def test_to_z_default_cap_is_the_frontier_of_v():
+    """A zeta ladder read from JSON is known below its top rung + 1, an
+    all-zero or empty rung included; `to_z_chart` cuts there by default."""
+    zero, one = {"re": "0", "im": "0"}, {"re": "1", "im": "0"}
+    for top in ([zero], []):
+        ladder = [{"beta": "1", "Q": [one]}, {"beta": "3", "Q": top}]
+        d = dulac_zeta_from_json({"alpha": "2", "c0": zero, "ladder": ladder})
+        assert d.v.frontier == Cut(4) and d.betas() == [1]
+        # z^2 exp(-z) = z^2 - z^3 + z^4/2 - z^5/6 + ... below z^(2 + 4)
+        assert sorted({k.z for k in to_z_chart(d).terms}) == [2, 3, 4, 5]
+    only_empty = dulac_zeta_from_json({"alpha": "2", "c0": zero, "ladder": [{"beta": "1", "Q": []}]})
+    assert to_z_chart(only_empty).terms == {Key(2, (0,)): Exact.of(1)}
+
+
+def test_dulac_series_z_shape_errors():
+    """The ladder reader checks lambda and the exponents when it builds the germ."""
+    for lam, mode in ((0, EXACT), (0j, FLOAT)):
+        with pytest.raises(ShapeError, match="lambda must be nonzero"):
+            DulacSeriesZ(lam, 2, [(3, [1])], mode)
+    for ladder in ([(2, [1])], [(1, [1])], [(3, [1]), (3, [0, 1])], [(4, [1]), (F(5, 2), [1]), (4, [2])]):
+        with pytest.raises(ShapeError, match="strictly increase"):
+            DulacSeriesZ(1, 2, ladder)
+    # an unsorted ladder is sorted, not an error
+    d = DulacSeriesZ(1, 2, [(4, [1]), (3, [0, 2])])
+    assert d.terms == {Key(2, (0,)): Exact.of(1), Key(3, (-1,)): Exact.of(2), Key(4, (0,)): Exact.of(1)}
 
 
 def _seeded_ladder(rng, mode):
@@ -79,8 +116,8 @@ def _seeded_ladder(rng, mode):
     return [(a, [coeff(False) for _ in range(rng.randint(0, 2))] + [coeff(True)]) for a in exps]
 
 
-def _ladder_map(ladder):
-    return {(float(a), deg): complex(c) for a, p in ladder for deg, c in enumerate(p)}
+def _term_map(terms):
+    return {(float(k.z), k.l): complex(c) for k, c in terms.items()}
 
 
 ROUNDTRIP_CAP = F(4)
@@ -98,46 +135,62 @@ def _roundtrip_inputs():
             yield DulacSeriesZ(lam, 2, ladder, mode)
 
 
+def _on_grid(d, grid):
+    """The germ d on `grid`; None at depth 0 when d has a log term."""
+    if grid.depth == 0:
+        if any(k.l != (0,) for k in d.terms):
+            return None
+        return make_series({Key(k.z, ()): c for k, c in d.terms.items()}, grid, d.mode)
+    return embed(d, grid)
+
+
 def test_roundtrips():
-    """z -> zeta -> z below a common cap, and transseries -> Dulac -> transseries,
-    on fixed and seeded ladders, exact and float, at grid depths 0, 1 and 2."""
+    """z -> zeta -> z below a common cap, exact and float; and the germ read
+    the same from a series of grid depth 0 (log-free germs), 1 and 2."""
     cap, grids = ROUNDTRIP_CAP, ROUNDTRIP_GRIDS
     for d in _roundtrip_inputs():
         rt = to_z_chart(to_zeta_chart(d, e_cap=cap), e_cap=cap)
-        kept = [(a, p) for a, p in d.ladder if a - d.alpha < cap]
-        assert rt.alpha == d.alpha
+        kept = {k: c for k, c in d.terms.items() if k.z - 2 < cap}
         if d.mode == EXACT:
-            assert rt.lam == d.lam and rt.ladder == kept
+            assert rt.terms == kept
         else:
-            assert abs(rt.lam - d.lam) < 1e-12
-            want, got = _ladder_map(kept), _ladder_map(rt.ladder)
+            want, got = _term_map(kept), _term_map(rt.terms)
             assert all(abs(got.get(k, 0) - want.get(k, 0)) < 1e-9 for k in {*want, *got})
         for grid in grids:
-            back = from_transseries(to_transseries(d, grid))
-            assert (back.lam, back.alpha, back.ladder) == (d.lam, d.alpha, d.ladder)
-    # a depth-0 series: every term is a degree-0 rung
-    back = from_transseries(parse("z^2 + z^3 - 1/2*z^(7/2)", z_cap=8, depth=0))
-    assert (back.alpha, back.ladder) == (2, [(3, [Exact.of(1)]), (F(7, 2), [Exact.of(F(-1, 2))])])
+            f = _on_grid(d, grid)
+            if f is not None:
+                assert f.depth == grid.depth and _germ(f) == _germ(d)
 
 
 def test_roundtrip_exponents_are_fractions_in_both_modes():
-    """Float mode means float coefficients only: every rung exponent of both
-    charts and every key and frontier z of the embedded series is a
+    """Float mode means float coefficients only: every exponent of both
+    charts and every key and frontier z of the germ on each grid is a
     `Fraction`, on the inputs of `test_roundtrips`."""
     for d in _roundtrip_inputs():
         zeta = to_zeta_chart(d, e_cap=ROUNDTRIP_CAP)
         rt = to_z_chart(zeta, e_cap=ROUNDTRIP_CAP)
-        exps = [zeta.alpha, rt.alpha] + [b for x in (d, zeta, rt) for b, _ in x.ladder]
+        exps = [zeta.alpha] + [k.z for x in (d, zeta.v, rt) for k in x.terms]
+        exps += [x.frontier.z for x in (d, zeta.v, rt)]
         for grid in ROUNDTRIP_GRIDS:
-            f = to_transseries(rt, grid)
-            exps += [k.z for k in f.terms] + [f.frontier.z]
+            f = _on_grid(rt, grid)
+            if f is not None:
+                exps += [k.z for k in f.terms] + [f.frontier.z]
         assert all(type(b) is F for b in exps), (d, exps)
 
 
+def test_to_zeta_takes_a_depth0_series():
+    f = parse("z^2 + z^3 - 1/2*z^(7/2)", z_cap=8, depth=0)
+    assert f.depth == 0
+    assert _germ(f) == (2, Exact.of(1), {Key(3, (0,)): Exact.of(1), Key(F(7, 2), (0,)): Exact.of(F(-1, 2))})
+    want = to_zeta_chart(DulacSeriesZ(1, 2, [(3, [1]), (F(7, 2), [F(-1, 2)])]))
+    got = to_zeta_chart(f)
+    assert (got.alpha, got.c0, got.v.terms) == (want.alpha, want.c0, want.v.terms)
+
+
 def test_ord_e_inv():
-    d = DulacSeriesZeta(1, 0, [(2, [1]), (3, [0, 1])])
+    d = _zeta(1, 0, [(2, [1]), (3, [0, 1])])
     assert ord_e_inv(d) == 2
-    assert ord_e_inv(DulacSeriesZeta(1, 0, [])) is None
+    assert ord_e_inv(_zeta(1, 0, [])) is None
 
 
 def test_order_coherence_across_charts():
@@ -147,7 +200,7 @@ def test_order_coherence_across_charts():
     assert ord_e_inv(out) == F(7, 2) - 2
 
 
-# -- transseries embedding -------------------------------------------------------------
+# -- the Dulac class -------------------------------------------------------------------------
 
 
 def test_is_dulac_examples():
@@ -156,16 +209,18 @@ def test_is_dulac_examples():
     assert not is_dulac(parse("z^2 + z^3*l2^-1", z_cap=8))
 
 
-def test_to_from_transseries():
+def test_germ_series_and_shape_errors():
+    """A germ is its depth-1 series, c z^a (-log z)^deg at Key(a, (-deg,));
+    the chart map and the normalizer reject a series outside the class."""
     d = DulacSeriesZ(1, 2, [(3, [0, 2]), (F(7, 2), [1])])
-    grid = TruncationGrid(8, 6, 1, 10)
-    f = to_transseries(d, grid)
-    assert f.coeff(Key(3, (-1,))) == Exact.of(2)
-    assert f.coeff(Key(F(7, 2), (0,))) == Exact.of(1)
-    back = from_transseries(f)
-    assert back.alpha == 2 and len(back.ladder) == 2
-    with pytest.raises(ShapeError):
-        from_transseries(parse("z^2 + z^2*l1", z_cap=8))
+    assert d.depth == 1
+    assert d.terms == {Key(2, (0,)): Exact.of(1), Key(3, (-1,)): Exact.of(2), Key(F(7, 2), (0,)): Exact.of(1)}
+    for bad, msg in (("z^2 + z^2*l1", "not a Dulac series"), ("z^2 + z^3*l2^-1", "not a Dulac series")):
+        for op in (to_zeta_chart, dulac_normalize_full):
+            with pytest.raises(ShapeError, match=msg):
+                op(parse(bad, z_cap=8))
+    with pytest.raises(ShapeError, match="no certified terms"):
+        to_zeta_chart(parse("z^2 + z^3", z_cap=2))
 
 
 # -- formal normalization of Dulac series ---------------------------------------------------
@@ -174,38 +229,41 @@ def test_to_from_transseries():
 def test_dulac_normalize_polynomial():
     d = DulacSeriesZ(1, 2, [(3, [1])])  # z^2 + z^3
     phi, res = dulac_normalize_full(d, z_cap=9)
-    assert phi.alpha == 1
-    assert phi.ladder[0][1][0] == Exact.of(F(1, 2))
-    assert phi.ladder[1][1][0] == Exact.of(F(1, 8))
+    assert phi is res.phi
+    lead, first, second = sorted(_trusted(phi).items())[:3]
+    assert lead == (Key(1, (0,)), Exact.of(1))
+    assert first == (Key(2, (0,)), Exact.of(F(1, 2)))
+    assert second == (Key(3, (0,)), Exact.of(F(1, 8)))
 
 
 def test_dulac_normalize_identity():
     d = DulacSeriesZ(1, 2, [])
     phi = dulac_normalize_full(d, z_cap=6)[0]
-    assert phi.ladder == []
+    assert _trusted(phi) == {Key(1, (0,)): Exact.of(1)}
 
 
 def test_dulac_normalize_log_case_closure_and_realness():
     d = DulacSeriesZ(1, 2, [(3, [0, -1])])  # z^2 - z^3 (-log z) = z^2 + z^3 log z
     phi, res = dulac_normalize_full(d, z_cap=8)
     assert res.verification["conjugation_exact_below_frontier"]
-    for _, p in phi.ladder:
-        for c in p:
-            assert c.is_real()
+    assert is_dulac(phi)
+    assert all(c.is_real() for c in _trusted(phi).values())
 
 
 # -- partial normalizations -------------------------------------------------------------------
 
 
 def test_partials():
-    phi = DulacSeriesZeta(1, 0, [(1, [F(1, 2)]), (2, [F(1, 8)])])
+    phi = _zeta(1, 0, [(1, [F(1, 2)]), (2, [0, F(1, 8)])])
     p0 = partial_normalizations(phi, 0)
-    assert p0.ladder == []
+    assert p0.v.terms == {}
     p1 = partial_normalizations(phi, 1)
-    assert len(p1.ladder) == 1
+    assert p1.betas() == [1] and p1.v.terms == {Key(1, (0,)): Exact.of(F(1, 2))}
     z = complex(2.0, 0.3)
     want = z + 0.5 * cmath.exp(-z)
     assert abs(evaluate_zeta(p1, z) - want) < 1e-14
+    want += z * cmath.exp(-2 * z) / 8  # the degree-0 gap of the second rung adds 0
+    assert abs(evaluate_zeta(partial_normalizations(phi, 2), z) - want) < 1e-14
     with pytest.raises(DomainError):
         partial_normalizations(phi, 3)
 
@@ -214,14 +272,14 @@ def test_partials():
 
 
 def test_defect_decay_trivial():
-    phi0 = DulacSeriesZeta(1, 0, [])
+    phi0 = _zeta(1, 0, [])
     rep = defect_decay_check(lambda z: 2 * z, phi0, 0, 2.0, [2.0 + 0.5 * i for i in range(20)])
     assert rep["sup"] == 0.0
 
 
 def test_defect_decay_exponential():
     f = lambda z: 2 * z + cmath.exp(-z)
-    phi0 = DulacSeriesZeta(1, 0, [])
+    phi0 = _zeta(1, 0, [])
     xs = [2.0 + 0.4 * i for i in range(30)]
     rep = defect_decay_check(f, phi0, 0, 2.0, xs)
     assert rep["pass"]
@@ -249,9 +307,21 @@ def test_compare_formal_numeric_identity():
     spec = AsymptoticSpec(2.0, 1.0, 1)
     dom = DomainSpec.standard_quadratic(1.0)
     res = koenigs_normalize(lambda z: 2 * z, spec, dom, R=3.0, tol=1e-13)
-    phi = DulacSeriesZeta(1, 0, [(1, [0])])
-    rep = compare_formal_numeric(res, phi, 1, [3.0 + 0.5 * i for i in range(16)])
-    assert rep["sup"] < 1e-9
+    xs = [3.0 + 0.5 * i for i in range(16)]
+    rep = compare_formal_numeric(res, _zeta(1, 0, []), 0, xs)
+    assert rep["beta_n"] == 0.0
+    assert max(s * math.exp(x) for s, x in zip(rep["statistic"], xs)) < 1e-9
+
+
+def test_compare_formal_numeric_weights_by_beta_n():
+    """The statistic of phi_hat_n is |phi - phi_hat_n| e^(beta_n Re zeta)."""
+    phi = lambda z: z + 0.5 * cmath.exp(-z)
+    phi_hat = _zeta(1, 0, [(1, [F(1, 2)]), (2, [F(1, 8)])])
+    xs = [1.0 + 0.25 * i for i in range(16)]
+    assert compare_formal_numeric(phi, phi_hat, 1, xs)["sup"] < 1e-12
+    rep = compare_formal_numeric(phi, phi_hat, 2, xs)
+    assert rep["beta_n"] == 2.0
+    assert all(abs(s - 0.125) < 1e-9 for s in rep["statistic"])
 
 
 def test_compare_formal_numeric_negative_control():
@@ -266,9 +336,7 @@ def test_compare_formal_numeric_negative_control():
         1, 2, [(3, [-1]), (4, [F(1, 2)]), (5, [F(-1, 6)]), (6, [F(1, 24)])]
     )
     phi_hat = to_zeta_chart(dulac_normalize_full(d, z_cap=8)[0])
-    wrong = DulacSeriesZeta(
-        1, 0, [(b, [-c for c in q]) for b, q in phi_hat.ladder], phi_hat.mode
-    )
+    wrong = DulacSeriesZeta(phi_hat.alpha, phi_hat.c0, negate(phi_hat.v))
     xs = [R + 8.0 * i / 23 for i in range(24)]
     good = compare_formal_numeric(res, phi_hat, 1, xs)
     bad = compare_formal_numeric(res, wrong, 1, xs)

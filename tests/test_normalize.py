@@ -23,6 +23,7 @@ from crosschecks import (
     leading_block,
     mul_all_pairs,
     semigroup_contains_reference,
+    support_of_composition_bound,
 )
 from bottcher.coeffs import EXACT, FLOAT, Exact
 from bottcher.compose import compose, shape_of
@@ -44,7 +45,6 @@ from bottcher.normalize import (
     prenormalize,
     semigroup_contains,
     solve_W,
-    support_of_composition_bound,
     support_predict,
     verify_normalization,
 )

@@ -19,11 +19,8 @@ SCRIPTS = ROOT / "scripts"
 LIB = ROOT / "src" / "bottcher"
 
 # Unreached on purpose: the map checks are kept for a certificate of the
-# analytic pipeline, the composition-support bound with the paper's support code.
-KEPT_UNREACHED = {
-    "upper_map_check", "lower_map_check", "_map_check", "MapCheckReport",
-    "support_of_composition_bound",
-}
+# analytic pipeline.
+KEPT_UNREACHED = {"upper_map_check", "lower_map_check", "_map_check", "MapCheckReport"}
 
 
 @pytest.mark.parametrize(
