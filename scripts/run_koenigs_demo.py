@@ -58,7 +58,7 @@ def main():
     phi_hat_zeta = to_zeta_chart(phi_hat)
     xs = [R + 8.0 * i / 31 for i in range(32)]
     for n in (1, 2):
-        rep = compare_formal_numeric(res, phi_hat_zeta, n, xs)
+        rep = compare_formal_numeric(res.evaluator, phi_hat_zeta, n, xs)
         print(f"formal-vs-numeric n={n}: pass={rep['pass']} sup={rep['sup']:.3e} "
               f"fitted_rate={rep['fitted_rate']:.3f}")
 

@@ -11,7 +11,6 @@ of the chosen subcommand is ignored.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import os
 import sys
@@ -23,6 +22,7 @@ from .dulac import (
     compare_formal_numeric,
     dulac_normalize_full,
     evaluate_zeta,
+    numbers_like,
     to_z_chart,
     to_zeta_chart,
 )
@@ -30,6 +30,7 @@ from .errors import (
     BottcherError,
     CertificationError,
     ParseError,
+    ShapeError,
 )
 from .io_json import (
     dulac_z_to_json,
@@ -129,24 +130,16 @@ def _add_analytic(p, numeric=True):
         p.add_argument("--precision", type=int, default=None, help="mpmath digits")
 
 
-def _term_map(alpha: float, terms, precision: int | None = None):
-    """f(zeta) = alpha zeta + sum c zeta^p e^(-nu zeta) from 'c,p,nu' specs.
-
-    With `precision` the map evaluates through mpmath at the caller's working
-    precision (`cmd_analytic` scopes it with `mpmath.workdps`).
-    """
-    if precision:
-        import mpmath
-
-        exp = mpmath.exp
-    else:
-        exp = cmath.exp
+def _term_map(alpha: float, terms):
+    """f(zeta) = alpha zeta + sum c zeta^p e^(-nu zeta) from 'c,p,nu' specs,
+    evaluated in the number type of zeta (`numbers_like`)."""
     parsed = []
     for spec in terms or []:
         c, p, nu = spec.split(",")
         parsed.append((float(c), int(p), float(nu)))
 
     def f(zeta):
+        exp = numbers_like(zeta)[2]
         out = alpha * zeta
         for c, p, nu in parsed:
             out = out + c * zeta**p * exp(-nu * zeta)
@@ -257,15 +250,13 @@ def cmd_analytic(args) -> int:
 def _analytic(args) -> int:
     spec = AsymptoticSpec(alpha=args.alpha, eps=args.eps, k=args.k)
     dom = DomainSpec.standard_quadratic(args.sqd_C)
-    prec = args.precision
     homological = args.analytic_cmd == "homological"
-    f_terms = args.f_term if homological else args.term
-    g = _term_map(0.0, args.g_term, prec) if homological else None
-    R = invariant_threshold(_term_map(args.alpha, f_terms), spec, dom, r_ceiling=args.r_ceiling)
+    f = _term_map(args.alpha, args.f_term if homological else args.term)
+    g = _term_map(0.0, args.g_term) if homological else None
+    R = invariant_threshold(f, spec, dom, r_ceiling=args.r_ceiling)
     if args.analytic_cmd == "domain-check":
         _emit(args, {"R": R}, f"certified R = {R}")
         return 0
-    f = _term_map(args.alpha, f_terms, prec)
     if homological:
         res = solve_homological(f, g, args.nu, spec, dom, R, tol=args.tol)
         worst = 0.0
@@ -320,16 +311,19 @@ def cmd_compare(args) -> int:
     f = _parse_expr(args.expr, args)
     phi, _ = dulac_normalize_full(f, z_cap=args.z_cap, block_cap=args.block_cap)
     phi_hat = to_zeta_chart(phi)
+    rungs = len(phi_hat.betas())
+    if rungs < args.n:
+        raise ShapeError(f"phi has {rungs} rung(s) at --z-cap {args.z_cap}, fewer than --n {args.n}")
     f_zeta = to_zeta_chart(f)
     spec = AsymptoticSpec(alpha=float(f_zeta.alpha), eps=args.eps, k=args.k)
     dom = DomainSpec.standard_quadratic(args.sqd_C)
     fmap = lambda zeta: evaluate_zeta(f_zeta, zeta)
     R = invariant_threshold(fmap, spec, dom, r_ceiling=args.r_ceiling)
-    numeric = koenigs_normalize(fmap, spec, dom, R, tol=args.tol)
+    numeric = koenigs_normalize(fmap, spec, dom, R, tol=args.tol).evaluator
     xs = [R + args.ray_span * i / 63 for i in range(64)]
     reports = {}
     stats = {}
-    for n in range(1, min(args.n, len(phi_hat.betas())) + 1):
+    for n in range(1, args.n + 1):
         reports[n] = compare_formal_numeric(numeric, phi_hat, n, xs)
         stats[n] = reports[n].pop("statistic", [])
     if args.csv:

@@ -58,11 +58,6 @@ class DomainSpec:
         if self.C <= 0:
             raise DomainError("standard quadratic domain needs C > 0")
 
-    def im_bounds(self, x: float) -> tuple[float, float]:
-        """(-Y_C(x), Y_C(x)) from one `sqd_im_extent`."""
-        y = sqd_im_extent(x, self.C)
-        return -y, y
-
     @staticmethod
     def standard_quadratic(C: float) -> "DomainSpec":
         return DomainSpec(C)
@@ -88,8 +83,8 @@ def domain_member(dom: DomainSpec, zeta: complex, R: float | None = None) -> boo
     x = zeta.real
     if (R is not None and x < R) or x < dom.C:
         return False
-    lo, hi = dom.im_bounds(x)
-    return lo < zeta.imag < hi
+    y = sqd_im_extent(x, dom.C)
+    return -y < zeta.imag < y
 
 
 # -- upper/lower map criteria ----------------------------------------------------
@@ -171,11 +166,11 @@ def _domain_samples(dom: DomainSpec, R: float) -> list[complex]:
     for x in _grid(R, SAMPLE_SPAN, N_SAMPLES):
         if x < dom.C:
             continue
-        lo, hi = dom.im_bounds(x)
+        y = sqd_im_extent(x, dom.C)
         for frac in (0.0, 0.5, 0.95):
-            out.append(complex(x, frac * hi))
+            out.append(complex(x, frac * y))
             if frac:
-                out.append(complex(x, frac * lo))
+                out.append(complex(x, -frac * y))
     return out
 
 
@@ -217,11 +212,10 @@ def _certify_at(f, spec, dom, R) -> list:
         if not domain_member(dom, zeta, R):
             continue
         defect = abs(f(zeta) - spec.alpha * zeta)
-        bound = spec.M(zeta.real)
-        if defect > bound:
-            reasons.append(("defect-bound", zeta, defect, bound))
-            continue
         mx = spec.M(zeta.real)
+        if defect > mx:
+            reasons.append(("defect-bound", zeta, defect, mx))
+            continue
         rect_re = (zeta.real + spec.rho(zeta.real), spec.alpha * zeta.real + mx)
         rect_im = (spec.alpha * zeta.imag - mx, spec.alpha * zeta.imag + mx)
         corners = [

@@ -13,6 +13,9 @@ series; the e^(-1)-order cap plays the role of z_cap - alpha.
 
 Ladders [(exp, P)], each P dense by degree, are the wire format: `io_json`
 reads and writes them, and `DulacSeriesZ` builds a germ from one.
+
+`evaluate_zeta` and `compare_formal_numeric` compute in the number type of their
+points: `numbers_like` picks mpmath or float/complex once per call.
 """
 
 from __future__ import annotations
@@ -201,59 +204,42 @@ def partial_normalizations(phi_hat: DulacSeriesZeta, n: int) -> DulacSeriesZeta:
     return DulacSeriesZeta(phi_hat.alpha, phi_hat.c0, make_series(kept, v.grid, v.mode))
 
 
-def _is_mp(x) -> bool:
-    return type(x).__module__.startswith("mpmath")
-
-
-def _exp_any(x):
-    if _is_mp(x):
-        import mpmath
-
-        return mpmath.exp(x)
-    return cmath.exp(complex(x))
-
-
-def _num(c, like) -> object:
-    """Coefficient as a number matching the precision of `like`.
-
-    Exact rationals convert losslessly to mpmath values when `like` is an
-    mpmath number; plain complex otherwise.
-    """
-    if not _is_mp(like):
-        return complex(c)
+def numbers_like(x):
+    """(real, coef, exp) in the number type of x: for an mpmath x, real(q) of a
+    rational q is an mpf and coef(c) an mpc at the working precision (an
+    `Exact`, log p parts included, converts losslessly), and exp is mpmath.exp;
+    otherwise float, complex and cmath.exp."""
+    if not type(x).__module__.startswith("mpmath"):
+        return float, complex, cmath.exp
     import mpmath
 
-    if isinstance(c, Exact):
+    def real(q):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    def coef(c):
+        if not isinstance(c, Exact):
+            return mpmath.mpc(c)
         out = mpmath.mpc(0)
         for k, (re, im) in c.parts.items():
-            val = mpmath.mpc(
-                mpmath.mpf(re.numerator) / re.denominator,
-                mpmath.mpf(im.numerator) / im.denominator,
-            )
+            val = mpmath.mpc(real(re), real(im))
             for p, e in k:
                 val *= mpmath.log(p) ** e
             out += val
         return out
-    return mpmath.mpc(c)
 
-
-def _exp_frac_any(b, like):
-    if _is_mp(like):
-        import mpmath
-
-        return mpmath.mpf(b.numerator) / b.denominator
-    return float(b)
+    return real, coef, mpmath.exp
 
 
 def evaluate_zeta(d: DulacSeriesZeta, zeta):
-    """Numeric value alpha zeta + c0 + sum e^(-beta zeta) Q(zeta)."""
-    out = _exp_frac_any(d.alpha, zeta) * zeta + _num(d.c0, zeta)
+    """alpha zeta + c0 + sum e^(-beta zeta) Q(zeta) in the number type of zeta."""
+    real, coef, exp = numbers_like(zeta)
+    out = real(d.alpha) * zeta + coef(d.c0)
     zero = c_zero(d.v.mode)
     for b, q in rungs(d.v.terms):  # Horner by degree, a gap adding an exact 0
         horner = 0 * zeta
         for deg in range(max(q), -1, -1):
-            horner = horner * zeta + _num(q.get(deg, zero), zeta)
-        out = out + _exp_any(-_exp_frac_any(b, zeta) * zeta) * horner
+            horner = horner * zeta + coef(q.get(deg, zero))
+        out = out + exp(-real(b) * zeta) * horner
     return out
 
 
@@ -288,14 +274,14 @@ def _decay_report(xs, vals):
 
 
 def compare_formal_numeric(phi_numeric, phi_hat: DulacSeriesZeta, n: int, xs):
-    """sup of |phi(zeta) - phi_hat_n(zeta)| e^(beta_n Re) along a ray, with trend."""
+    """sup of |phi_numeric(zeta) - phi_hat_n(zeta)| e^(beta_n x) along the ray
+    zeta = x + 0i (in the number type of x), with trend."""
     phin = partial_normalizations(phi_hat, n)
     beta = float(phi_hat.betas()[n - 1]) if n >= 1 else 0.0
-    evaluator = phi_numeric.evaluator if hasattr(phi_numeric, "evaluator") else phi_numeric
     stats = []
     for x in xs:
-        zeta = _complex_like(x)
-        diff = abs(evaluator(zeta) - evaluate_zeta(phin, zeta))
+        zeta = numbers_like(x)[1](x)
+        diff = abs(phi_numeric(zeta) - evaluate_zeta(phin, zeta))
         stats.append(float(diff) * math.exp(beta * float(x)))
     rep = _decay_report([float(x) for x in xs], stats)
     rep["sup"] = max(stats) if stats else 0.0
@@ -303,10 +289,3 @@ def compare_formal_numeric(phi_numeric, phi_hat: DulacSeriesZeta, n: int, xs):
     rep["beta_n"] = beta
     return rep
 
-
-def _complex_like(x):
-    if _is_mp(x):
-        import mpmath
-
-        return mpmath.mpc(x)
-    return complex(float(x))

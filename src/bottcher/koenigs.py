@@ -3,8 +3,8 @@
 The normalizing map is the uniform limit of alpha^(-n) f^on; one extra step
 costs at most alpha^(-(n+1)) M(Re f^on) by the defect bound, so a geometric
 majorant of the remaining tail certifies the stopping index at every point.
-Arithmetic is duck-typed: feed mpmath complex numbers (and an mpmath-valued f)
-for extended precision in tail-dominated regimes.
+The number type follows the points: mpmath points and an f that keeps its
+argument's type (as `dulac.evaluate_zeta` does) give extended precision.
 
 The Koenigs evaluator keeps one entry: the last point it evaluated, with its
 value and tail.  A second call at that point (the same object) returns the

@@ -339,6 +339,8 @@ def verify_normalization(f: TransSeries, res: NormalizationResult) -> dict:
 
 def bottcher_iterates(f: TransSeries, h: TransSeries, n: int) -> list[TransSeries]:
     """[h, P_f h, ..., P_f^n h] (the n-th entry is z^(1/alpha^n) o h o f^on)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     right = Composer(f) if n else f  # n = 0 composes nothing and checks no shape
     out = [h]
     for _ in range(n):
@@ -347,8 +349,6 @@ def bottcher_iterates(f: TransSeries, h: TransSeries, n: int) -> list[TransSerie
 
 
 def bottcher_sequence(f: TransSeries, h: TransSeries, n: int) -> TransSeries:
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return bottcher_iterates(f, h, n)[-1]
 
 

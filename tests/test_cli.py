@@ -105,6 +105,9 @@ def test_bottcher_seq(capsys):
     code, out = run(capsys, "bottcher-seq", "z^2 + z^3", "--n", "1", "--z-cap", "6")
     assert code == 0
     assert "z + 1/2*z^2 - 1/8*z^3" in out
+    code = main(["bottcher-seq", "z^2 + z^3", "--n", "-1", "--z-cap", "6"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: ValueError: n must be >= 0\n"
 
 
 def test_support(capsys):
@@ -388,6 +391,21 @@ def test_bridge_compare_n_below_one_exits_2(capsys, monkeypatch, n):
         main(["bridge", "compare", "z^2 - z^3 + 1/2*z^4", "--n", n, "--sqd-C", "1", "--json"])
     assert exc.value.code == 2
     assert "argument --n" in capsys.readouterr().err
+
+
+def test_bridge_compare_more_rungs_than_phi_has_exits_2(capsys, monkeypatch):
+    """At z_cap 4 phi has one rung: --n 5 cannot be certified, and the
+    command says so before it searches for a threshold."""
+    import bottcher.cli as cli
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the threshold search ran")
+
+    monkeypatch.setattr(cli, "invariant_threshold", no_search)
+    code = main(["bridge", "compare", "z^2 - z^3 + 1/2*z^4", "--n", "5", "--z-cap", "4", "--sqd-C", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "phi has 1 rung(s) at --z-cap 4, fewer than --n 5" in err
 
 
 FLOAT_GRID = ["--float", "--z-cap", "10", "--block-cap", "8", "--depth", "0"]

@@ -235,7 +235,6 @@ def test_sqd_membership_computes_one_ordinate(monkeypatch):
         assert calls == [zeta.real]
         y = sqd_im_extent(zeta.real, C)
         assert got is (-y < zeta.imag < y)
-        assert dom.im_bounds(zeta.real) == (-y, y)
 
 
 def test_domain_member_lower_upper():

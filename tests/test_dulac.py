@@ -268,6 +268,22 @@ def test_partials():
         partial_normalizations(phi, 3)
 
 
+def test_evaluate_zeta_converts_log_coefficients_in_the_point_type():
+    """Coefficients with log p parts convert losslessly at an mpmath point
+    and to complex numbers at a complex one."""
+    mpmath = pytest.importorskip("mpmath")
+    log2, log3 = Exact.log_of_rational(F(2)), Exact.log_of_rational(F(3))
+    v = whole_series({Key(1, (0,)): Exact.of(F(1, 2)), Key(1, (-1,)): log3}, EXACT)
+    d = DulacSeriesZeta(F(2), -log2, v)
+    with mpmath.workdps(50):
+        z = mpmath.mpc(7, 0.25)
+        want = 2 * z - mpmath.log(2) + mpmath.exp(-z) * (mpmath.mpf(1) / 2 + z * mpmath.log(3))
+        assert abs(evaluate_zeta(d, z) - want) < mpmath.mpf("1e-45")
+    z = complex(7, 0.25)
+    want = 2 * z - math.log(2) + cmath.exp(-z) * (0.5 + z * math.log(3))
+    assert abs(evaluate_zeta(d, z) - want) < 1e-13 * abs(want)
+
+
 # -- defect decay and formal/numeric comparison ------------------------------------------------
 
 
@@ -308,7 +324,7 @@ def test_compare_formal_numeric_identity():
     dom = DomainSpec.standard_quadratic(1.0)
     res = koenigs_normalize(lambda z: 2 * z, spec, dom, R=3.0, tol=1e-13)
     xs = [3.0 + 0.5 * i for i in range(16)]
-    rep = compare_formal_numeric(res, _zeta(1, 0, []), 0, xs)
+    rep = compare_formal_numeric(res.evaluator, _zeta(1, 0, []), 0, xs)
     assert rep["beta_n"] == 0.0
     assert max(s * math.exp(x) for s, x in zip(rep["statistic"], xs)) < 1e-9
 
@@ -338,8 +354,8 @@ def test_compare_formal_numeric_negative_control():
     phi_hat = to_zeta_chart(dulac_normalize_full(d, z_cap=8)[0])
     wrong = DulacSeriesZeta(phi_hat.alpha, phi_hat.c0, negate(phi_hat.v))
     xs = [R + 8.0 * i / 23 for i in range(24)]
-    good = compare_formal_numeric(res, phi_hat, 1, xs)
-    bad = compare_formal_numeric(res, wrong, 1, xs)
+    good = compare_formal_numeric(res.evaluator, phi_hat, 1, xs)
+    bad = compare_formal_numeric(res.evaluator, wrong, 1, xs)
     assert good["pass"]
     assert not bad["pass"]
     assert bad["sup"] > 10 * good["sup"]

@@ -754,6 +754,14 @@ def test_bottcher_sequence_basics():
     assert bottcher_sequence(S("z^2"), ident, 3) == ident
 
 
+@pytest.mark.parametrize("run", [bottcher_iterates, bottcher_sequence])
+def test_bottcher_iterates_reject_a_negative_step_count(run):
+    """n < 0 is no number of steps; one check in `bottcher_iterates` serves both."""
+    f = parse("z^2 + z^3", z_cap=6)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        run(f, identity_series(f.grid, f.mode), -2)
+
+
 def test_bottcher_sequence_approaches_phi():
     f = S("z^2 + z^3", z_cap=9)
     ident = identity_series(f.grid, f.mode)

@@ -95,6 +95,31 @@ def test_library_modules_import_no_unused_name():
     assert unused == {}
 
 
+def _imports_of(module: str, node, fn=None):
+    """The innermost enclosing function (None at module level) of each import of `module`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            hits = [a.name for a in child.names]
+        else:
+            hits = [child.module or ""] if isinstance(child, ast.ImportFrom) else []
+        if any(h.split(".")[0] == module for h in hits):
+            yield fn
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn
+        yield from _imports_of(module, child, inner)
+
+
+def test_library_decides_its_number_type_in_one_helper():
+    """mpmath or float/complex is one decision, made from a sample number by
+    `dulac.numbers_like`: outside the CLI, no other function imports mpmath."""
+    importers = {
+        (path.name, fn)
+        for path in sorted(LIB.glob("*.py"))
+        if path.name != "cli.py"
+        for fn in _imports_of("mpmath", ast.parse(path.read_text()))
+    }
+    assert importers == {("dulac.py", "numbers_like")}
+
+
 def test_star_import_binds_no_module():
     namespace: dict = {}
     exec("from bottcher import *", namespace)
