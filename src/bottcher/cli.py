@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -21,10 +22,10 @@ from .domains import AsymptoticSpec, DomainSpec, invariant_threshold
 from .dulac import (
     compare_formal_numeric,
     dulac_normalize_full,
-    evaluate_zeta,
     numbers_like,
     to_z_chart,
     to_zeta_chart,
+    zeta_map,
 )
 from .errors import (
     BottcherError,
@@ -117,8 +118,9 @@ def _add_domain(p):
     p.add_argument("--r-ceiling", dest="r_ceiling", type=float, default=64.0)
 
 
-def _add_analytic(p, numeric=True):
-    """`_add_domain`, alpha and --json; numeric adds --tol, --samples and --precision."""
+def _add_analytic(p, *terms, numeric=True):
+    """`_add_domain`, alpha, --json and the repeatable term options `terms`;
+    numeric adds --tol, --samples and --precision."""
     p.add_argument("--alpha", type=float, required=True)
     _add_domain(p)
     p.add_argument("--json", action="store_true")
@@ -128,6 +130,9 @@ def _add_analytic(p, numeric=True):
         p.add_argument("--samples", type=_samples_spec, default="3:10:25",
                        help="grid spec R0:SPAN:N")
         p.add_argument("--precision", type=int, default=None, help="mpmath digits")
+    for t in terms:
+        p.add_argument(t, action="append", default=None, metavar="c,p,nu",
+                       help=f"a term c zeta^p e^(-nu zeta); a negative c needs {t}=-0.25,2,1.5")
 
 
 def _term_map(alpha: float, terms):
@@ -308,23 +313,27 @@ def cmd_to_z(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    import mpmath
+
     f = _parse_expr(args.expr, args)
-    phi, _ = dulac_normalize_full(f, z_cap=args.z_cap, block_cap=args.block_cap)
+    phi, res = dulac_normalize_full(f, z_cap=args.z_cap, block_cap=args.block_cap)
     phi_hat = to_zeta_chart(phi)
-    rungs = len(phi_hat.betas())
-    if rungs < args.n:
-        raise ShapeError(f"phi has {rungs} rung(s) at --z-cap {args.z_cap}, fewer than --n {args.n}")
-    f_zeta = to_zeta_chart(f)
-    spec = AsymptoticSpec(alpha=float(f_zeta.alpha), eps=args.eps, k=args.k)
+    betas = phi_hat.betas()
+    if len(betas) < args.n:
+        raise ShapeError(f"phi has {len(betas)} rung(s) at --z-cap {args.z_cap}, fewer than --n {args.n}")
+    spec = AsymptoticSpec(alpha=float(res.alpha), eps=args.eps, k=args.k)
     dom = DomainSpec.standard_quadratic(args.sqd_C)
-    fmap = lambda zeta: evaluate_zeta(f_zeta, zeta)
+    fmap = zeta_map(res.reduced)
     R = invariant_threshold(fmap, spec, dom, r_ceiling=args.r_ceiling)
-    numeric = koenigs_normalize(fmap, spec, dom, R, tol=args.tol).evaluator
     xs = [R + args.ray_span * i / 63 for i in range(64)]
     reports = {}
     stats = {}
     for n in range(1, args.n + 1):
-        reports[n] = compare_formal_numeric(numeric, phi_hat, n, xs)
+        # rung n runs at the digits its weight e^(beta_n x) costs on the ray, plus 20
+        dps = math.ceil(float(betas[n - 1]) * max(xs) / math.log(10)) + 20
+        with mpmath.workdps(dps):
+            numeric = koenigs_normalize(fmap, spec, dom, R, tol=10.0 ** (5 - dps)).evaluator
+            reports[n] = compare_formal_numeric(numeric, phi_hat, n, [mpmath.mpf(x) for x in xs])
         stats[n] = reports[n].pop("statistic", [])
     if args.csv:
         with open(args.csv, "w") as fh:
@@ -388,20 +397,16 @@ def build_parser() -> argparse.ArgumentParser:
     an = sp.add_parser("analytic", help="domain certification / Koenigs / homological")
     an = an.add_subparsers(dest="analytic_cmd", required=True)
     p = an.add_parser("domain-check", help="certify an invariant threshold R")
-    _add_analytic(p, numeric=False)
-    p.add_argument("--term", action="append", default=None, metavar="c,p,nu")
+    _add_analytic(p, "--term", numeric=False)
     p.set_defaults(precision=None)  # the threshold search runs in double precision
 
     p = an.add_parser("koenigs", help="Koenigs normalizer at sample points")
-    _add_analytic(p)
-    p.add_argument("--term", action="append", default=None, metavar="c,p,nu")
+    _add_analytic(p, "--term")
     p.add_argument("--csv", default=None)
 
     p = an.add_parser("homological", help="solve h o f - alpha h = g")
-    _add_analytic(p)
+    _add_analytic(p, "--f-term", "--g-term")
     p.add_argument("--nu", type=float, default=1.0)
-    p.add_argument("--f-term", dest="f_term", action="append", default=None)
-    p.add_argument("--g-term", dest="g_term", action="append", default=None)
 
     br = sp.add_parser("bridge", help="Dulac chart conversions and comparison")
     br = br.add_subparsers(dest="bridge_cmd", required=True)
@@ -419,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.add_argument("--n", type=_positive_int, default=2)
     _add_domain(p)
-    p.add_argument("--tol", type=float, default=1e-11)
     p.add_argument("--csv", default=None)
     p.add_argument("--ray-span", dest="ray_span", type=float, default=12.0)
     _add_common(p)

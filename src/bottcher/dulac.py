@@ -14,8 +14,9 @@ series; the e^(-1)-order cap plays the role of z_cap - alpha.
 Ladders [(exp, P)], each P dense by degree, are the wire format: `io_json`
 reads and writes them, and `DulacSeriesZ` builds a germ from one.
 
-`evaluate_zeta` and `compare_formal_numeric` compute in the number type of their
-points: `numbers_like` picks mpmath or float/complex once per call.
+The numeric map `zeta_map(f)` = -log f(e^(-zeta)) of a monic f reads f's own
+terms, with no e_cap.  It, `evaluate_zeta` and `compare_formal_numeric` compute
+in the number type of their points, which `numbers_like` picks once per call.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .coeffs import (
     EXACT,
     Exact,
     c_from,
+    c_one,
     c_zero,
     exp_of_log_exact,
     log_coeff,
@@ -44,7 +46,7 @@ from .series import (
     make_series,
     negate,
 )
-from .normalize import normalize
+from .normalize import NOT_MONIC, normalize
 
 
 def DulacSeriesZ(lam, alpha, ladder, mode=EXACT) -> TransSeries:
@@ -205,12 +207,12 @@ def partial_normalizations(phi_hat: DulacSeriesZeta, n: int) -> DulacSeriesZeta:
 
 
 def numbers_like(x):
-    """(real, coef, exp) in the number type of x: for an mpmath x, real(q) of a
-    rational q is an mpf and coef(c) an mpc at the working precision (an
-    `Exact`, log p parts included, converts losslessly), and exp is mpmath.exp;
-    otherwise float, complex and cmath.exp."""
+    """(real, coef, exp, log, nats) in the number type of x: for an mpmath x, real(q)
+    of a rational q is an mpf and coef(c) an mpc at the working precision (an
+    `Exact`, log p parts included, converts losslessly), exp and log are mpmath's
+    and nats is that precision in nats; otherwise float, complex, cmath's and 53 bits."""
     if not type(x).__module__.startswith("mpmath"):
-        return float, complex, cmath.exp
+        return float, complex, cmath.exp, cmath.log, 53 * math.log(2)
     import mpmath
 
     def real(q):
@@ -227,20 +229,41 @@ def numbers_like(x):
             out += val
         return out
 
-    return real, coef, mpmath.exp
+    return real, coef, mpmath.exp, mpmath.log, mpmath.mp.prec * math.log(2)
 
 
 def evaluate_zeta(d: DulacSeriesZeta, zeta):
     """alpha zeta + c0 + sum e^(-beta zeta) Q(zeta) in the number type of zeta."""
-    real, coef, exp = numbers_like(zeta)
+    real, coef, exp, _, nats = numbers_like(zeta)
     out = real(d.alpha) * zeta + coef(d.c0)
     zero = c_zero(d.v.mode)
     for b, q in rungs(d.v.terms):  # Horner by degree, a gap adding an exact 0
+        if b * float(zeta.real) > nats:  # this rung and the rest are below the last digit
+            break
         horner = 0 * zeta
         for deg in range(max(q), -1, -1):
             horner = horner * zeta + coef(q.get(deg, zero))
         out = out + exp(-real(b) * zeta) * horner
     return out
+
+
+def zeta_map(f: TransSeries):
+    """F(zeta) = -log f(e^(-zeta)) = alpha zeta - log(1 + u(zeta)) of a monic Dulac
+    series f = z^alpha (1 + u), from f's trusted terms, in zeta's number type."""
+    alpha, lam, rest = _germ(f)
+    if lam != c_one(f.mode):
+        raise ShapeError(NOT_MONIC)
+    u = whole_series({Key(k.z - alpha, k.l): c for k, c in rest.items()}, f.mode)
+    b0 = float(min((k.z for k in u.terms), default=0))
+    u = DulacSeriesZeta(Fraction(0), lam, u)
+
+    def F(zeta):
+        real, _, _, log, nats = numbers_like(zeta)
+        w = real(alpha) * zeta
+        # far out, where evaluate_zeta would leave out every rung of u, F is alpha zeta
+        return w if b0 * float(zeta.real) > nats else w - log(evaluate_zeta(u, zeta))
+
+    return F
 
 
 def _decay_report(xs, vals):

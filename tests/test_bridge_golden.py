@@ -5,9 +5,9 @@
 read back from that output, and of `bridge compare --json` on the README's
 compare line.  It also holds the edge cases of `EDGES` and `TO_Z`: a depth-0
 input, an empty ladder, a float ladder with gaps, hand-written zeta-chart
-JSON with a gap and a trailing zero, the two shape errors (exit 2) and a
-compare that fails its certification (exit 3).  Every entry must match byte
-for byte.
+JSON with a gap and a trailing zero, the two shape errors (exit 2), and
+compares of a third rung, of lambda = 2, of alpha < 1, of a log term and of
+a complex lambda.  Every entry must match byte for byte.
 
 Regenerate (only on purpose) with `PYTHONPATH=src python tests/test_bridge_golden.py`.
 """
@@ -41,6 +41,10 @@ EDGES = (
     ("to-zeta", "3/2*z^(5/2) - z^3*l1^-2 + z^4", "--float", "--e-cap", "3"),
     ("to-zeta", "z^2 + z^2*l1"),
     ("compare", "z^2 - z^3 + 1/2*z^4", "--n", "3", "--sqd-C", "1", "--json"),
+    ("compare", "2*z^2 - z^3", "--n", "3", "--sqd-C", "1", "--json"),
+    ("compare", "z^(1/2) + z", "--n", "2", "--sqd-C", "1", "--json"),
+    ("compare", "z^2 - z^3*l1^-1", "--n", "2", "--sqd-C", "1", "--json"),
+    ("compare", "(1+1i)*z^2 - z^3", "--float", "--n", "2", "--sqd-C", "1", "--json"),
 )
 
 

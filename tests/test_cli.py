@@ -296,6 +296,20 @@ def test_analytic_precision_is_scoped_to_the_command(capsys):
     assert out == want
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["koenigs", "--term=-0.25,2,1.5", "--samples", "6:10:25"],
+        ["homological", "--f-term=-0.25,2,1.5", "--g-term=-0.5,0,1"],
+    ],
+)
+def test_negative_term_coefficient_in_the_equals_form(capsys, argv):
+    """With a space, argparse takes `-0.25,2,1.5` for an option and `--term`
+    lacks its value; the `=` form passes it."""
+    code, _ = run(capsys, "analytic", argv[0], "--alpha", "2", *argv[1:])
+    assert code == 0
+
+
 def test_analytic_homological(capsys):
     code, out = run(
         capsys, "analytic", "homological", "--alpha", "2", "--nu", "1",
@@ -346,36 +360,35 @@ def test_bridge_compare(capsys, tmp_path):
     csv_path = tmp_path / "cmp.csv"
     code, out = run(
         capsys, "bridge", "compare", "z^2 - z^3 + 1/2*z^4 - 1/6*z^5",
-        "--n", "2", "--z-cap", "7", "--ray-span", "8", "--csv", str(csv_path), "--json",
+        "--n", "3", "--z-cap", "7", "--ray-span", "8", "--csv", str(csv_path), "--json",
     )
     assert code == 0
     data = json.loads(out)
-    assert data["reports"]["1"]["pass"] and data["reports"]["2"]["pass"]
+    assert all(data["reports"][n]["pass"] for n in "123")
     lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "re_zeta,n1,n2"
+    assert lines[0] == "re_zeta,n1,n2,n3"
     assert len(lines) == 65
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="known bug: the default e_cap drops f's later rungs and double "
-    "precision is too coarse; exits 3 with sup 3.756e2 at n = 3",
-)
 def test_bridge_compare_third_rung(capsys):
     code, _ = run(capsys, "bridge", "compare", "z^2 - z^3 + 1/2*z^4", "--n", "3", "--sqd-C", "1")
     assert code == 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="known bug: the zeta-chart defect bound ignores c0 = -log lambda, so "
-    "every lambda != 1 exits 3 with no invariant threshold",
-)
 def test_bridge_compare_lambda_not_one(capsys):
     code, _ = run(capsys, "bridge", "compare", "2*z^2 - z^3", "--n", "2", "--sqd-C", "1")
     assert code == 0
+
+
+def test_bridge_compare_without_mpmath_exits_2(capsys, monkeypatch):
+    """Each rung is compared in mpmath: without it the command says so in one line."""
+    import sys
+
+    monkeypatch.setitem(sys.modules, "mpmath", None)
+    code = main(["bridge", "compare", "z^2 - z^3 + 1/2*z^4", "--n", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "mpmath" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("n", ["0", "-2"])
@@ -558,6 +571,7 @@ def test_options_no_command_reads_are_rejected(capsys):
          "--ray-span", "1", "--sqd-C", "9"],
         ["analytic", "domain-check", "--alpha", "2", "--samples", "1:1:1", "--precision", "40"],
         ["bridge", "to-z", "z^2", "--infile", "fhat.json"],
+        ["bridge", "compare", "z^2 - z^3 + 1/2*z^4", "--tol", "1e-9"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -20,6 +20,7 @@ from bottcher.dulac import (
     to_z_chart,
     to_zeta_chart,
     whole_series,
+    zeta_map,
 )
 from bottcher.errors import DomainError, ShapeError
 from bottcher.io_json import dulac_zeta_from_json
@@ -359,3 +360,45 @@ def test_compare_formal_numeric_negative_control():
     assert good["pass"]
     assert not bad["pass"]
     assert bad["sup"] > 10 * good["sup"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known bug: `_decay_report`'s relative trend rule passes a 1e-2 error "
+    "in rung 2 (sup 4.34e-2 against the true 3.34e-2) and a 1e-3 error in rung 1",
+)
+@pytest.mark.parametrize("rung, delta", [(1, F(1, 1000)), (2, F(1, 100))])
+def test_bridge_compare_sees_a_small_error_in_phi_hat(capsys, monkeypatch, rung, delta):
+    """`bridge compare` at its derived precision, with the degree-0 coefficient
+    of one rung of phi_hat raised by delta, must fail that rung."""
+    import json
+
+    import bottcher.cli as cli
+
+    def perturbed(phi):
+        d = to_zeta_chart(phi)
+        k = Key(d.betas()[rung - 1], (0,))
+        terms = {**d.v.terms, k: d.v.terms[k] + Exact.of(delta)}
+        return DulacSeriesZeta(d.alpha, d.c0, make_series(terms, d.v.grid, d.v.mode))
+
+    monkeypatch.setattr(cli, "to_zeta_chart", perturbed)
+    cli.main(["bridge", "compare", "z^2 - z^3 + 1/2*z^4", "--n", str(rung), "--json"])
+    assert not json.loads(capsys.readouterr().out)["reports"][str(rung)]["pass"]
+
+
+def test_zeta_map_is_minus_log_f_at_e_to_minus_zeta():
+    """F(zeta) = -log f(e^(-zeta)) for a monic Dulac f, l1^-1 being zeta; far
+    out, every rung is below the working precision and F is alpha zeta."""
+    mpmath = pytest.importorskip("mpmath")
+    F_ = zeta_map(parse("z^2 - z^3*l1^-1 + 1/2*z^4", z_cap=6))
+    want = lambda z, exp, log: 2 * z - log(1 - z * exp(-z) + exp(-2 * z) / 2)
+    with mpmath.workdps(40):
+        z = mpmath.mpc(3, 0.5)
+        assert abs(F_(z) - want(z, mpmath.exp, mpmath.log)) < mpmath.mpf("1e-38")
+        far = mpmath.mpc(10**6, 10**30)
+        assert F_(far) == 2 * far
+    z = complex(3, 0.5)
+    assert abs(F_(z) - want(z, cmath.exp, cmath.log)) < 1e-14
+    with pytest.raises(ShapeError, match="leading coefficient must be 1"):
+        zeta_map(parse("2*z^2 - z^3", z_cap=6))
