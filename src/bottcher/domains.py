@@ -29,6 +29,8 @@ class AsymptoticSpec:
     floor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.k < 0:
+            raise DomainError(f"k counts iterated logs and must be >= 0, got {self.k}")
         floor = 0.0
         for _ in range(self.k):
             floor = math.exp(floor)

@@ -7,9 +7,16 @@ The number type follows the points: mpmath points and an f that keeps its
 argument's type (as `dulac.evaluate_zeta` does) give extended precision.
 
 The Koenigs evaluator keeps one entry: the last point it evaluated, with its
-value and tail.  A second call at that point (the same object) returns the
-stored value, so a certified point (value, `tail_bound`, `koenigs_residual`)
-iterates f along two orbits, zeta's and f(zeta)'s.
+value, its tail and its orbit, the triples (w_n, Re w_n, M(Re w_n)) up to the
+stopping index.  A second call at that point (the same object) returns the
+stored value.  A call at the orbit's w_1 (bit for bit: the same type, value
+and signs of zero parts, as `koenigs_residual` forms f(zeta)) walks the stored
+triples first and calls f and M only past them, running every check of every
+step again.  So a certified point (value, `tail_bound`, `koenigs_residual`)
+iterates f along one orbit, zeta's, continued past its stopping index for
+f(zeta).  This needs f to be a pure function of its point (at one working
+precision, for mpmath points): phi then depends only on the point, whichever
+map formed f(zeta).
 """
 
 from __future__ import annotations
@@ -42,49 +49,68 @@ def koenigs_normalize(
     check_domain: bool = True,
 ) -> KoenigsResult:
     """Evaluator for phi = lim alpha^(-n) f^on on D_R with certified tails."""
+    _check_tol(tol)
     a = spec.alpha
     M = spec.M
     rho_R = spec.rho(R)
     if rho_R <= 0:
         raise CertificationError(f"rho(R) = {rho_R} <= 0 at R = {R}")
+    am1 = a - 1.0
+    checking = check_domain and dom is not None
     iterations_used: dict = {}
     # The last evaluated point -> (its value, the tail majorant its evaluation
-    # stopped on).  Keyed on the point object itself: equal numbers can still
-    # differ in type, precision or the sign of a zero, and give other bits.
+    # stopped on, its orbit).  Keyed on the point object itself: equal numbers
+    # can still differ in type, precision or the sign of a zero, and give
+    # other bits; the orbit is reused only at a bit-identical w_1.
     last: list = []
 
     def evaluator(zeta):
-        if last and last[0][0] is zeta:
-            return last[0][1]
-        last.clear()
+        stored = ()
+        if last:
+            point, value, _, previous = last[0]
+            if point is zeta:
+                return value
+            if len(previous) > 1 and _same_point(zeta, previous[1][0]):
+                stored = previous[1:]  # zeta's orbit is this one, one step on
+            last.clear()
+        reuse = len(stored)
+        orbit = []
         w = zeta
         n = 0
         re0 = float(w.real)
         if re0 < R:
             raise DomainError(f"Re(zeta) = {re0} < R = {R}")
         while True:
-            x = float(w.real)
+            if n < reuse:
+                w, x, m = stored[n]
+            else:
+                x = float(w.real)
             expected = re0 + n * rho_R
-            if x < expected - 1e-9 * max(1.0, abs(expected)):
+            # 1e-9 * max(1.0, |expected|), as expected >= R > 0 (or is nan)
+            if x < expected - (1e-9 * expected if expected > 1.0 else 1e-9):
                 raise CertificationError(
                     f"monotone escape violated at step {n}: Re = {x} < {expected}"
                 )
-            if n <= 3 and check_domain and dom is not None:
-                if not domain_member(dom, complex(float(w.real), float(w.imag)), R):
+            if n <= 3 and checking:
+                if not domain_member(dom, complex(x, float(w.imag)), R):
                     raise CertificationError(
                         f"iterate {n} left the domain at {complex(w):.6g}"
                     )
+            if n >= reuse:
+                m = M(x)
+            orbit.append((w, x, m))
             # sum_{m>=n} alpha^-(m+1) M(Re w_m) <= M(x) alpha^-n / (alpha - 1)
-            tail = M(x) * a ** (-n) / (a - 1.0)
+            tail = m * a ** (-n) / am1
             if tail < tol:
                 break
             if n >= MAX_ITER:
                 raise CertificationError("iteration budget exhausted before tail < tol")
-            w = f(w)
             n += 1
+            if n >= reuse:
+                w = f(w)
         iterations_used[complex(zeta)] = n
         value = w * (a ** (-n))
-        last.append((zeta, value, tail))
+        last.append((zeta, value, tail, orbit))
         return value
 
     def tail_bound(zeta):
@@ -98,10 +124,28 @@ def koenigs_normalize(
     return KoenigsResult(evaluator, tail_bound, iterations_used, dom, spec, R, tol)
 
 
+def _check_tol(tol) -> None:
+    """Only a finite positive tolerance can be met by a certified tail."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
+
+
+def _same_point(p, q) -> bool:
+    """p and q are one number bit for bit: the same type, equal values and,
+    at a zero part, the same sign of zero."""
+    return (
+        type(p) is type(q)
+        and p == q
+        and (p.real or math.copysign(1.0, p.real) == math.copysign(1.0, q.real))
+        and (p.imag or math.copysign(1.0, p.imag) == math.copysign(1.0, q.imag))
+    )
+
+
 def koenigs_residual(result: KoenigsResult, f, zeta) -> float:
     """|phi(f(zeta)) - alpha phi(zeta)| at a point.
 
-    phi(zeta) goes first: after `evaluator(zeta)` it is the stored point."""
+    phi(zeta) goes first: after `evaluator(zeta)` it is the stored point, and
+    phi(f(zeta)) continues its orbit (f must be a pure function of its point)."""
     phi = result.evaluator
     a = result.spec.alpha
     at_zeta = phi(zeta)
@@ -141,6 +185,7 @@ def solve_homological(
     majorant sum_{m>=n} alpha^-(m+1) e^(-nu Re_n) q^(m-n), q = e^(-nu rho(R))/alpha,
     certifies the stopping index pointwise.
     """
+    _check_tol(tol)
     a = spec.alpha
     rho_R = spec.rho(R)
     if rho_R <= 0:

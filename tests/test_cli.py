@@ -310,6 +310,27 @@ def test_negative_term_coefficient_in_the_equals_form(capsys, argv):
     assert code == 0
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["koenigs", "homological"])
+def test_a_tolerance_no_tail_can_certify_exits_2(capsys, command, tol):
+    # unchecked, tol 0, -1 and nan run to the 10,000-step budget (exit 3), and
+    # inf certifies phi = zeta at the first step (exit 0)
+    term = "--term" if command == "koenigs" else "--g-term"
+    code = main(["analytic", command, "--alpha", "2", term, "1,0,1", "--samples", "3:10:3",
+                 "--tol", tol])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: tol must be finite and positive")
+
+
+def test_negative_k_exits_2(capsys):
+    # unchecked, k = -1 gives the k = 0 result (R = 1.5000015) with exit 0
+    code = main(["analytic", "koenigs", "--alpha", "2", "--term", "1,0,1", "--k", "-1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: k counts iterated logs")
+
+
 def test_analytic_homological(capsys):
     code, out = run(
         capsys, "analytic", "homological", "--alpha", "2", "--nu", "1",

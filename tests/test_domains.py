@@ -40,6 +40,12 @@ def test_M_domain_error():
         AsymptoticSpec(2.0, 1.0, 2).M(1.0)
 
 
+def test_negative_log_depth_is_rejected():
+    # range(-1) is empty, so k = -1 would act as k = 0
+    with pytest.raises(DomainError):
+        AsymptoticSpec(2.0, 1.0, -1)
+
+
 def _iter_log_M(x: float, eps: float, k: int) -> float:
     """M_{eps,k} as iterated calls once computed it: the floor exp^ok(0) per
     call, then log^ok x with a positivity check before each log."""

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import pytest
 
@@ -213,15 +214,22 @@ def test_tail_bound_keeps_one_point():
                 assert len(held) <= 1, held
 
 
-def test_certified_point_costs_two_orbits():
-    # value, tail_bound, then residual: f runs along zeta's orbit, one step to
-    # f(zeta), then along f(zeta)'s orbit, and never along zeta's again
+def _counted(f):
+    """f and a one-cell list counting its calls."""
     calls = [0]
 
-    def counted(z):
+    def g(z):
         calls[0] += 1
-        return expmap(z)
+        return f(z)
 
+    return g, calls
+
+
+def test_certified_point_costs_one_orbit():
+    # value, tail_bound, then residual: f runs along zeta's orbit, once more
+    # for the residual's f(zeta), and then only along the steps of f(zeta)'s
+    # orbit past the ones zeta's orbit already holds
+    counted, calls = _counted(expmap)
     R = invariant_threshold(expmap, SPEC, DOM)
     res = koenigs_normalize(counted, SPEC, DOM, R, tol=1e-11)
     for i in range(30):
@@ -230,8 +238,85 @@ def test_certified_point_costs_two_orbits():
         res.evaluator(z)
         res.tail_bound(z)
         koenigs_residual(res, counted, z)
-        orbits = res.iterations_used[z] + 1 + res.iterations_used[expmap(z)]
-        assert calls[0] - before == orbits
+        n_z, n_fz = res.iterations_used[z], res.iterations_used[expmap(z)]
+        assert calls[0] - before == n_z + 1 + max(0, n_fz + 1 - n_z)
+
+
+def test_continued_orbit_gives_the_bits_of_a_fresh_one():
+    # at f(zeta) right after zeta, the evaluator continues zeta's orbit; value
+    # and tail match a fresh evaluation's bit for bit, and only the steps past
+    # zeta's stopping index call f
+    rng = random.Random(2027)
+    R = invariant_threshold(expmap, SPEC, DOM)
+    f, calls = _counted(expmap)
+    res = koenigs_normalize(f, SPEC, DOM, R, tol=1e-11)
+    for _ in range(200):
+        z = complex(R + 10.0 * rng.random(), 0.5 * rng.random() - 0.25)
+        res.evaluator(z)
+        w1 = expmap(z)
+        before = calls[0]
+        got = (_bits(res.evaluator(w1)), res.tail_bound(w1).hex())
+        fresh = koenigs_normalize(expmap, SPEC, DOM, R, tol=1e-11)
+        assert got == (_bits(fresh.evaluator(w1)), fresh.tail_bound(w1).hex())
+        assert calls[0] - before == max(0, res.iterations_used[w1] + 1 - res.iterations_used[z])
+
+
+def _mp_bits(value):
+    """The exact binary parts (sign, mantissa, exponent, bits) of an mpc."""
+    return (value.real._mpf_, value.imag._mpf_)
+
+
+def test_continued_orbit_gives_the_bits_of_a_fresh_one_in_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(2028)
+    R = invariant_threshold(expmap, SPEC, DOM)
+    with mpmath.workdps(50):
+        mp_f = lambda z: 2 * z + mpmath.exp(-z)
+        f, calls = _counted(mp_f)
+        res = koenigs_normalize(f, SPEC, DOM, R, tol=1e-35, check_domain=False)
+        for _ in range(12):
+            z = mpmath.mpc(R + 10.0 * rng.random(), 0.5 * rng.random() - 0.25)
+            res.evaluator(z)
+            w1 = mp_f(z)
+            before = calls[0]
+            got = (_mp_bits(res.evaluator(w1)), res.tail_bound(w1).hex())
+            used = res.iterations_used
+            assert calls[0] - before == max(0, used[complex(w1)] + 1 - used[complex(z)])
+            fresh = koenigs_normalize(mp_f, SPEC, DOM, R, tol=1e-35, check_domain=False)
+            assert got == (_mp_bits(fresh.evaluator(w1)), fresh.tail_bound(w1).hex())
+
+
+@pytest.mark.parametrize(
+    "near",
+    [
+        lambda w1: complex(math.nextafter(w1.real, math.inf), w1.imag),  # one ulp off
+        lambda w1: complex(w1.real, -0.0),  # the other zero of a real w1
+    ],
+    ids=["one_ulp", "negative_zero"],
+)
+def test_a_point_not_bit_identical_to_w1_runs_a_fresh_orbit(near):
+    R = invariant_threshold(expmap, SPEC, DOM)
+    f, calls = _counted(expmap)
+    res = koenigs_normalize(f, SPEC, DOM, R, tol=1e-11)
+    z = complex(R + 2.0, 0.0)
+    res.evaluator(z)
+    w1 = expmap(z)
+    assert math.copysign(1.0, w1.imag) == 1.0
+    point = near(w1)
+    assert point == w1 or abs(point - w1) <= 2 * math.ulp(w1.real)
+    before = calls[0]
+    value = res.evaluator(point)
+    assert calls[0] - before == res.iterations_used[point]
+    fresh = koenigs_normalize(expmap, SPEC, DOM, R, tol=1e-11)
+    assert _bits(value) == _bits(fresh.evaluator(point))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_a_tolerance_no_tail_can_certify_is_rejected(tol):
+    with pytest.raises(DomainError):
+        koenigs_normalize(expmap, SPEC, DOM, R=3.0, tol=tol)
+    with pytest.raises(DomainError):
+        solve_homological(lambda z: 2 * z, lambda z: 0.0 * z, 1.0, SPEC, DOM, R=3.0, tol=tol)
 
 
 def _bits(value):
