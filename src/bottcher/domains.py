@@ -31,6 +31,8 @@ class AsymptoticSpec:
     def __post_init__(self):
         if self.k < 0:
             raise DomainError(f"k counts iterated logs and must be >= 0, got {self.k}")
+        if not 0.0 <= self.eps < math.inf:  # eps < 0 makes M grow: no longer a majorant
+            raise DomainError(f"eps must be finite and >= 0, got {self.eps}")
         floor = 0.0
         for _ in range(self.k):
             floor = math.exp(floor)

@@ -1,22 +1,25 @@
 """Certified Koenigs iteration and the Schroder-type homological solver.
 
-The normalizing map is the uniform limit of alpha^(-n) f^on; one extra step
-costs at most alpha^(-(n+1)) M(Re f^on) by the defect bound, so a geometric
-majorant of the remaining tail certifies the stopping index at every point.
-The number type follows the points: mpmath points and an f that keeps its
-argument's type (as `dulac.evaluate_zeta` does) give extended precision.
+Both evaluators run one certified orbit loop, `_certified_orbit`, with the same
+checks.  The normalizing map is the uniform limit of alpha^(-n) f^on; one
+extra step costs at most alpha^(-(n+1)) M(Re f^on) by the defect bound.  The
+homological sum -sum alpha^-(n+1) g(f^on) has terms below
+alpha^-(n+1) e^(-nu Re f^on).  In both a geometric majorant of the remaining
+tail certifies the stopping index at every point.  The number type follows
+the points: mpmath points and an f that keeps its argument's type (as
+`dulac.evaluate_zeta` does) give extended precision.
 
-The Koenigs evaluator keeps one entry: the last point it evaluated, with its
-value, its tail and its orbit, the triples (w_n, Re w_n, M(Re w_n)) up to the
-stopping index.  A second call at that point (the same object) returns the
-stored value.  A call at the orbit's w_1 (bit for bit: the same type, value
-and signs of zero parts, as `koenigs_residual` forms f(zeta)) walks the stored
-triples first and calls f and M only past them, running every check of every
-step again.  So a certified point (value, `tail_bound`, `koenigs_residual`)
-iterates f along one orbit, zeta's, continued past its stopping index for
-f(zeta).  This needs f to be a pure function of its point (at one working
-precision, for mpmath points): phi then depends only on the point, whichever
-map formed f(zeta).
+An evaluator keeps one entry: the last point it evaluated, with its value,
+its tail and its orbit, the triples (w_n, Re w_n, G(Re w_n)) up to the
+stopping index, G the majorant.  A second call at that point (the same
+object) returns the stored value.  A call at the orbit's w_1 (bit for bit:
+the same type, value and signs of zero parts, as the residuals form f(zeta))
+walks the stored triples first and calls f and G only past them, running
+every check of every step again.  So a certified point (value, `tail_bound`,
+`koenigs_residual` or `homological_residual`) iterates f along one orbit,
+zeta's, continued past its stopping index for f(zeta).  This needs f to be a
+pure function of its point (at one working precision, for mpmath points): the
+value then depends only on the point, whichever map formed f(zeta).
 """
 
 from __future__ import annotations
@@ -48,14 +51,29 @@ def koenigs_normalize(
     tol: float = 1e-11,
     check_domain: bool = True,
 ) -> KoenigsResult:
-    """Evaluator for phi = lim alpha^(-n) f^on on D_R with certified tails."""
+    """Evaluator for phi = lim alpha^(-n) f^on on D_R with certified tails.
+
+    sum_{m>=n} alpha^-(m+1) M(Re w_m) <= M(Re w_n) alpha^-n / (alpha - 1)."""
+    am1 = spec.alpha - 1.0
+    return _certified_orbit(f, spec, dom, R, tol, check_domain, spec.M, lambda rho_R: am1)
+
+
+def _certified_orbit(f, spec, dom, R, tol, check_domain, G, divisor, g=None) -> KoenigsResult:
+    """The one certified orbit loop behind both evaluators.
+
+    Along w_n = f^on(zeta) every step checks, in order: Re zeta >= R (at
+    n = 0), monotone escape Re w_n >= Re zeta + n rho(R), the domain for
+    n <= 3, then stops at the first n with tail = G(Re w_n) alpha^-n / D below
+    tol, within MAX_ITER steps.  G majorizes the decay of the summands along
+    the orbit and D = divisor(rho(R)) sums their geometric series.  Without g
+    the value is the Koenigs limit w_n alpha^-n; with g it is the homological
+    sum -sum_{m<n} alpha^-(m+1) g(w_m)."""
     _check_tol(tol)
     a = spec.alpha
-    M = spec.M
     rho_R = spec.rho(R)
     if rho_R <= 0:
         raise CertificationError(f"rho(R) = {rho_R} <= 0 at R = {R}")
-    am1 = a - 1.0
+    D = divisor(rho_R)
     checking = check_domain and dom is not None
     iterations_used: dict = {}
     # The last evaluated point -> (its value, the tail majorant its evaluation
@@ -76,6 +94,7 @@ def koenigs_normalize(
         reuse = len(stored)
         orbit = []
         w = zeta
+        acc = 0.0 * zeta
         n = 0
         re0 = float(w.real)
         if re0 < R:
@@ -97,19 +116,20 @@ def koenigs_normalize(
                         f"iterate {n} left the domain at {complex(w):.6g}"
                     )
             if n >= reuse:
-                m = M(x)
+                m = G(x)
             orbit.append((w, x, m))
-            # sum_{m>=n} alpha^-(m+1) M(Re w_m) <= M(x) alpha^-n / (alpha - 1)
-            tail = m * a ** (-n) / am1
+            tail = m * a ** (-n) / D
             if tail < tol:
                 break
             if n >= MAX_ITER:
                 raise CertificationError("iteration budget exhausted before tail < tol")
+            if g is not None:
+                acc = acc + (a ** (-(n + 1))) * g(w)
             n += 1
             if n >= reuse:
                 w = f(w)
         iterations_used[complex(zeta)] = n
-        value = w * (a ** (-n))
+        value = w * (a ** (-n)) if g is None else -acc
         last.append((zeta, value, tail, orbit))
         return value
 
@@ -161,15 +181,6 @@ def identity_deviation_bound(result: KoenigsResult, zeta) -> float:
 # -- homological equation ---------------------------------------------------------
 
 
-@dataclass
-class HomologicalResult:
-    evaluator: object
-    tail_bound: object
-    nu: float
-    spec: AsymptoticSpec
-    R: float
-
-
 def solve_homological(
     f,
     g,
@@ -178,49 +189,33 @@ def solve_homological(
     dom: DomainSpec | None,
     R: float,
     tol: float = 1e-13,
-) -> HomologicalResult:
+) -> KoenigsResult:
     """phi_g = -sum_{n>=0} alpha^-(n+1) g(f^on), solving phi_g o f - alpha phi_g = g.
 
-    Precondition |g| <= e^(-nu Re) is sampled at 12 points of [R, R+10]; the remaining-tail
-    majorant sum_{m>=n} alpha^-(m+1) e^(-nu Re_n) q^(m-n), q = e^(-nu rho(R))/alpha,
-    certifies the stopping index pointwise.
+    Precondition |g| <= e^(-nu Re) is sampled at 12 points of [R, R+10].  Along
+    the orbit e^(-nu Re w_m) <= e^(-nu Re w_n) (alpha q)^(m-n) with
+    q = e^(-nu rho(R))/alpha, so the remaining tail is at most
+    e^(-nu Re w_n) alpha^-n / (alpha (1 - q)); it certifies the stopping index
+    pointwise, on the orbit loop and checks of `koenigs_normalize`.
     """
-    _check_tol(tol)
+    if not 0.0 <= nu < math.inf:
+        raise DomainError(f"nu must be finite and >= 0, got {nu}")
     a = spec.alpha
-    rho_R = spec.rho(R)
-    if rho_R <= 0:
-        raise CertificationError(f"rho(R) = {rho_R} <= 0 at R = {R}")
+    G = lambda x: math.exp(-nu * x)
+    D = lambda rho_R: a * (1.0 - G(rho_R) / a)  # alpha (1 - q)
+    res = _certified_orbit(f, spec, dom, R, tol, True, G, D, g)
     for i in range(12):
         x = R + 10.0 * i / 11
-        if abs(g(complex(x, 0.0))) > math.exp(-nu * x) * (1 + 1e-9):
+        if abs(g(complex(x, 0.0))) > G(x) * (1 + 1e-9):
             raise DomainError(f"|g| > e^(-nu Re) at {x}: precondition fails")
-    q = math.exp(-nu * rho_R) / a
-
-    def tail_from(x: float, n: int) -> float:
-        return (a ** (-(n + 1))) * math.exp(-nu * x) / (1.0 - q)
-
-    def evaluator(zeta):
-        w = zeta
-        acc = 0.0 * zeta
-        n = 0
-        while True:
-            x = float(w.real)
-            if tail_from(x, n) < tol:
-                break
-            if n >= MAX_ITER:
-                raise CertificationError("homological sum did not certify below tol")
-            acc = acc + (a ** (-(n + 1))) * g(w)
-            w = f(w)
-            n += 1
-        return -acc
-
-    def tail_bound(zeta):
-        return tail_from(float(zeta.real), 0)
-
-    return HomologicalResult(evaluator, tail_bound, nu, spec, R)
+    return res
 
 
-def homological_residual(res: HomologicalResult, f, g, zeta) -> float:
-    """|phi_g(f(zeta)) - alpha phi_g(zeta) - g(zeta)|."""
+def homological_residual(res: KoenigsResult, f, g, zeta) -> float:
+    """|phi_g(f(zeta)) - alpha phi_g(zeta) - g(zeta)|.
+
+    phi_g(zeta) goes first, so phi_g(f(zeta)) continues its orbit, as in
+    `koenigs_residual`."""
     phi = res.evaluator
-    return abs(phi(f(zeta)) - res.spec.alpha * phi(zeta) - g(zeta))
+    at_zeta = phi(zeta)
+    return abs(phi(f(zeta)) - res.spec.alpha * at_zeta - g(zeta))

@@ -300,7 +300,7 @@ def test_analytic_precision_is_scoped_to_the_command(capsys):
     "argv",
     [
         ["koenigs", "--term=-0.25,2,1.5", "--samples", "6:10:25"],
-        ["homological", "--f-term=-0.25,2,1.5", "--g-term=-0.5,0,1"],
+        ["homological", "--f-term=-0.25,2,1.5", "--g-term=-0.5,0,1", "--samples", "6:10:25"],
     ],
 )
 def test_negative_term_coefficient_in_the_equals_form(capsys, argv):
@@ -329,6 +329,32 @@ def test_negative_k_exits_2(capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("error: k counts iterated logs")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # M grows, so the tail bound no longer bounds the tail (exit 0 unchecked)
+        (["koenigs", "--term", "1,0,1", "--eps", "-1"], "error: eps must be finite and >= 0"),
+        # q > 1 makes the majorant negative: phi_g = 0 at n = 0 (exit 0 unchecked)
+        (["homological", "--g-term", "1,0,1", "--nu", "-1"], "error: nu must be finite and >= 0"),
+    ],
+    ids=["eps", "nu"],
+)
+def test_a_negative_decay_exponent_exits_2(capsys, argv, message):
+    code = main(["analytic", argv[0], "--alpha", "2", *argv[1:], "--samples", "3:10:3", "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(message)
+
+
+def test_homological_sample_left_of_the_threshold_exits_2(capsys):
+    # R = 2.25; unchecked, the homological sum ran at 0.2 to 0.5 with exit 0
+    code = main(["analytic", "homological", "--alpha", "2", "--f-term", "1,0,1", "--g-term",
+                 "1,0,1", "--samples", "0.2:0.5:3", "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: Re(zeta) = 0.2 < R = 2.25")
 
 
 def test_analytic_homological(capsys):

@@ -46,6 +46,18 @@ def test_negative_log_depth_is_rejected():
         AsymptoticSpec(2.0, 1.0, -1)
 
 
+@pytest.mark.parametrize("eps", [-1.0, -1e-300, math.nan, math.inf])
+def test_an_eps_that_makes_M_no_majorant_is_rejected(eps):
+    # eps < 0 makes M increase, and its tail bound no longer bounds the tail
+    with pytest.raises(DomainError):
+        AsymptoticSpec(2.0, eps, 1)
+
+
+def test_eps_zero_gives_the_constant_majorant_one():
+    M = AsymptoticSpec(2.0, 0.0, 1).M
+    assert [M(x) for x in (1.5, math.e, 1e6)] == [1.0, 1.0, 1.0]
+
+
 def _iter_log_M(x: float, eps: float, k: int) -> float:
     """M_{eps,k} as iterated calls once computed it: the floor exp^ok(0) per
     call, then log^ok x with a positivity check before each log."""

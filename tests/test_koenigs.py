@@ -7,7 +7,7 @@ import pytest
 from crosschecks import cauchy_step_bound, real_line_invariance_check
 from bottcher.compose import Composer, compose, solve_linear
 from bottcher.domains import AsymptoticSpec, DomainSpec, invariant_threshold
-from bottcher.errors import DomainError
+from bottcher.errors import CertificationError, DomainError
 from bottcher.koenigs import (
     homological_residual,
     identity_deviation_bound,
@@ -321,6 +321,92 @@ def test_a_tolerance_no_tail_can_certify_is_rejected(tol):
 
 def _bits(value):
     return (value.real.hex(), value.imag.hex())
+
+
+def _exp_minus(z):
+    return cmath.exp(-z)
+
+
+def test_homological_residual_costs_one_orbit():
+    # phi_g(zeta) first: f runs along zeta's orbit, once more for the
+    # residual's f(zeta), and then only along the steps of f(zeta)'s orbit
+    # past the ones zeta's orbit already holds
+    f, calls = _counted(expmap)
+    R = invariant_threshold(expmap, SPEC, DOM)
+    res = solve_homological(f, _exp_minus, 1.0, SPEC, DOM, R)
+    for i in range(30):
+        z = complex(R + 10.0 * i / 29, 0.25 * math.sin(i))
+        before = calls[0]
+        assert homological_residual(res, f, _exp_minus, z) < 1e-12
+        n_z, n_fz = res.iterations_used[z], res.iterations_used[expmap(z)]
+        assert calls[0] - before == n_z + 1 + max(0, n_fz + 1 - n_z)
+
+
+def test_continued_homological_orbit_gives_the_bits_of_a_fresh_one():
+    # the sum at f(zeta) right after zeta continues zeta's orbit; value and
+    # tail (the certified stop, below tol) match a fresh solver's bit for bit
+    rng = random.Random(2029)
+    R = invariant_threshold(expmap, SPEC, DOM)
+    f, calls = _counted(expmap)
+    res = solve_homological(f, _exp_minus, 1.0, SPEC, DOM, R)
+    for _ in range(200):
+        z = complex(R + 10.0 * rng.random(), 0.5 * rng.random() - 0.25)
+        res.evaluator(z)
+        w1 = expmap(z)
+        before = calls[0]
+        got = (_bits(res.evaluator(w1)), res.tail_bound(w1).hex())
+        assert calls[0] - before == max(0, res.iterations_used[w1] + 1 - res.iterations_used[z])
+        assert res.tail_bound(w1) < 1e-13
+        fresh = solve_homological(expmap, _exp_minus, 1.0, SPEC, DOM, R)
+        assert got == (_bits(fresh.evaluator(w1)), fresh.tail_bound(w1).hex())
+
+
+def test_continued_homological_orbit_gives_the_bits_of_a_fresh_one_in_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(2030)
+    R = invariant_threshold(expmap, SPEC, DOM)
+    with mpmath.workdps(30):
+        mp_f = lambda z: 2 * z + mpmath.exp(-z)
+        mp_g = lambda z: mpmath.exp(-z)
+        f, calls = _counted(mp_f)
+        res = solve_homological(f, mp_g, 1.0, SPEC, DOM, R, tol=1e-25)
+        for _ in range(12):
+            z = mpmath.mpc(R + 10.0 * rng.random(), 0.5 * rng.random() - 0.25)
+            res.evaluator(z)
+            w1 = mp_f(z)
+            before = calls[0]
+            got = (_mp_bits(res.evaluator(w1)), res.tail_bound(w1).hex())
+            used = res.iterations_used
+            assert calls[0] - before == max(0, used[complex(w1)] + 1 - used[complex(z)])
+            fresh = solve_homological(mp_f, mp_g, 1.0, SPEC, DOM, R, tol=1e-25)
+            assert got == (_mp_bits(fresh.evaluator(w1)), fresh.tail_bound(w1).hex())
+
+
+def test_homological_point_left_of_R_is_rejected():
+    R = invariant_threshold(expmap, SPEC, DOM)
+    res = solve_homological(expmap, _exp_minus, 1.0, SPEC, DOM, R)
+    with pytest.raises(DomainError):
+        res.evaluator(complex(R - 0.5, 0.0))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [lambda z: z + 0.5, lambda z: 2 * z + 1000j],
+    ids=["slow_escape", "leaves_the_domain"],
+)
+def test_homological_orbit_that_breaks_a_check_is_rejected(f):
+    # rho(3) = 2.09: z + 0.5 gains too little at step 1, and 2 z + 1000i
+    # leaves the domain (|Im| < 104 at Re 7) there
+    res = solve_homological(f, _exp_minus, 1.0, SPEC, DOM, R=3.0)
+    with pytest.raises(CertificationError):
+        res.evaluator(complex(3.5, 0.1))
+
+
+@pytest.mark.parametrize("nu", [-1.0, math.nan, math.inf, -math.inf])
+def test_a_nu_the_majorant_cannot_use_is_rejected(nu):
+    # nu < 0 gives q > 1 and a negative majorant: the sum stopped at n = 0
+    with pytest.raises(DomainError):
+        solve_homological(lambda z: 2 * z, lambda z: 0.0 * z, nu, SPEC, DOM, R=3.0)
 
 
 def test_revisited_point_gives_the_same_bits():

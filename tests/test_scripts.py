@@ -120,6 +120,13 @@ def test_library_decides_its_number_type_in_one_helper():
     assert importers == {("dulac.py", "numbers_like")}
 
 
+def test_koenigs_and_homological_evaluators_share_one_loop():
+    """The Koenigs map and the homological sum are one certified orbit loop
+    with one set of checks: `koenigs.py` holds exactly one `while` loop."""
+    tree = ast.parse((LIB / "koenigs.py").read_text())
+    assert sum(isinstance(n, ast.While) for n in ast.walk(tree)) == 1
+
+
 def test_star_import_binds_no_module():
     namespace: dict = {}
     exec("from bottcher import *", namespace)
