@@ -87,7 +87,6 @@ from .dulac import (
     DulacSeriesZeta,
     compare_formal_numeric,
     dulac_normalize_full,
-    evaluate_zeta,
     is_dulac,
     partial_normalizations,
     to_z_chart,

@@ -20,8 +20,10 @@ from fractions import Fraction
 from .coeffs import EXACT, FLOAT, Exact
 from .domains import AsymptoticSpec, DomainSpec, invariant_threshold
 from .dulac import (
+    by_kind,
     compare_formal_numeric,
     dulac_normalize_full,
+    number_kind,
     numbers_like,
     to_z_chart,
     to_zeta_chart,
@@ -136,17 +138,24 @@ def _add_analytic(p, *terms, numeric=True):
 
 
 def _term_map(alpha: float, terms):
-    """f(zeta) = alpha zeta + sum c zeta^p e^(-nu zeta) from 'c,p,nu' specs,
-    evaluated in the number type of zeta (`numbers_like`)."""
+    """f(zeta) = alpha zeta + sum c zeta^p e^(-nu zeta) from 'c,p,nu' specs, in
+    zeta's number type (`numbers_like`), its constants converted once per kind."""
     parsed = []
     for spec in terms or []:
         c, p, nu = spec.split(",")
         parsed.append((float(c), int(p), float(nu)))
 
+    def convert(x):
+        # an mpmath point converts a float exactly, all 53 bits, as its arithmetic does
+        to = x.context.convert if number_kind(x) else float
+        return numbers_like(x)[2], to(alpha), [(to(c), p, to(nu)) for c, p, nu in parsed]
+
+    constants = by_kind(convert)
+
     def f(zeta):
-        exp = numbers_like(zeta)[2]
-        out = alpha * zeta
-        for c, p, nu in parsed:
+        exp, a, converted = constants(zeta)
+        out = a * zeta
+        for c, p, nu in converted:
             out = out + c * zeta**p * exp(-nu * zeta)
         return out
 

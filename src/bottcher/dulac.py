@@ -15,8 +15,8 @@ Ladders [(exp, P)], each P dense by degree, are the wire format: `io_json`
 reads and writes them, and `DulacSeriesZ` builds a germ from one.
 
 The numeric map `zeta_map(f)` = -log f(e^(-zeta)) of a monic f reads f's own
-terms, with no e_cap.  It, `evaluate_zeta` and `compare_formal_numeric` compute
-in the number type of their points, which `numbers_like` picks once per call.
+terms, with no e_cap.  It, `zeta_function` and `compare_formal_numeric` compute
+in their points' number type, converting constants once per kind (`by_kind`).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .coeffs import (
     Exact,
     c_from,
     c_one,
-    c_zero,
     exp_of_log_exact,
     log_coeff,
 )
@@ -206,12 +205,17 @@ def partial_normalizations(phi_hat: DulacSeriesZeta, n: int) -> DulacSeriesZeta:
     return DulacSeriesZeta(phi_hat.alpha, phi_hat.c0, make_series(kept, v.grid, v.mode))
 
 
+def number_kind(x):
+    """False for a float or complex x, else x's mpmath working precision in bits."""
+    return type(x).__module__.startswith("mpmath") and x.context.prec
+
+
 def numbers_like(x):
     """(real, coef, exp, log, nats) in the number type of x: for an mpmath x, real(q)
     of a rational q is an mpf and coef(c) an mpc at the working precision (an
     `Exact`, log p parts included, converts losslessly), exp and log are mpmath's
     and nats is that precision in nats; otherwise float, complex, cmath's and 53 bits."""
-    if not type(x).__module__.startswith("mpmath"):
+    if not number_kind(x):
         return float, complex, cmath.exp, cmath.log, 53 * math.log(2)
     import mpmath
 
@@ -232,19 +236,38 @@ def numbers_like(x):
     return real, coef, mpmath.exp, mpmath.log, mpmath.mp.prec * math.log(2)
 
 
-def evaluate_zeta(d: DulacSeriesZeta, zeta):
-    """alpha zeta + c0 + sum e^(-beta zeta) Q(zeta) in the number type of zeta."""
-    real, coef, exp, _, nats = numbers_like(zeta)
-    out = real(d.alpha) * zeta + coef(d.c0)
-    zero = c_zero(d.v.mode)
-    for b, q in rungs(d.v.terms):  # Horner by degree, a gap adding an exact 0
-        if b * float(zeta.real) > nats:  # this rung and the rest are below the last digit
-            break
-        horner = 0 * zeta
-        for deg in range(max(q), -1, -1):
-            horner = horner * zeta + coef(q.get(deg, zero))
-        out = out + exp(-real(b) * zeta) * horner
-    return out
+def by_kind(build):
+    """x -> build(x), kept in one entry and built again only when number_kind(x) changes."""
+    entry = [None, None]  # (kind, built)
+
+    def get(x):
+        if entry[0] != number_kind(x):
+            entry[:] = number_kind(x), build(x)
+        return entry[1]
+
+    return get
+
+
+def zeta_function(d: DulacSeriesZeta, numbers):
+    """zeta -> d(zeta), its coefficients converted once by a `numbers_like` tuple."""
+    real, coef, exp, _, nats = numbers
+    alpha, c0 = real(d.alpha), coef(d.c0)
+    # (beta, -beta, Q's coefficients from the top degree), a gap adding an exact 0
+    ladder = [(float(b), -real(b), [coef(q.get(deg, 0)) for deg in range(max(q), -1, -1)])
+              for b, q in rungs(d.v.terms)]
+
+    def value(zeta):
+        out = alpha * zeta + c0
+        for b, minus_b, q in ladder:  # Horner by degree
+            if b * float(zeta.real) > nats:  # this rung and the rest are below the last digit
+                break
+            horner = 0 * zeta
+            for c in q:
+                horner = horner * zeta + c
+            out = out + exp(minus_b * zeta) * horner
+        return out
+
+    return value
 
 
 def zeta_map(f: TransSeries):
@@ -257,11 +280,17 @@ def zeta_map(f: TransSeries):
     b0 = float(min((k.z for k in u.terms), default=0))
     u = DulacSeriesZeta(Fraction(0), lam, u)
 
+    def convert(x):
+        real, _, _, log, nats = numbers = numbers_like(x)
+        return real(alpha), log, nats, zeta_function(u, numbers)
+
+    constants = by_kind(convert)
+
     def F(zeta):
-        real, _, _, log, nats = numbers_like(zeta)
-        w = real(alpha) * zeta
-        # far out, where evaluate_zeta would leave out every rung of u, F is alpha zeta
-        return w if b0 * float(zeta.real) > nats else w - log(evaluate_zeta(u, zeta))
+        a, log, nats, u_at = constants(zeta)
+        w = a * zeta
+        # far out, where u_at would leave out every rung of u, F is alpha zeta
+        return w if b0 * float(zeta.real) > nats else w - log(u_at(zeta))
 
     return F
 
@@ -298,13 +327,13 @@ def _decay_report(xs, vals):
 
 def compare_formal_numeric(phi_numeric, phi_hat: DulacSeriesZeta, n: int, xs):
     """sup of |phi_numeric(zeta) - phi_hat_n(zeta)| e^(beta_n x) along the ray
-    zeta = x + 0i (in the number type of x), with trend."""
+    zeta = x + 0i, evaluated at x itself (in the number type of x), with trend."""
     phin = partial_normalizations(phi_hat, n)
+    formal = by_kind(lambda x: zeta_function(phin, numbers_like(x)))
     beta = float(phi_hat.betas()[n - 1]) if n >= 1 else 0.0
     stats = []
     for x in xs:
-        zeta = numbers_like(x)[1](x)
-        diff = abs(phi_numeric(zeta) - evaluate_zeta(phin, zeta))
+        diff = abs(phi_numeric(x) - formal(x)(x))
         stats.append(float(diff) * math.exp(beta * float(x)))
     rep = _decay_report([float(x) for x in xs], stats)
     rep["sup"] = max(stats) if stats else 0.0

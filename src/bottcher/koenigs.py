@@ -7,7 +7,7 @@ homological sum -sum alpha^-(n+1) g(f^on) has terms below
 alpha^-(n+1) e^(-nu Re f^on).  In both a geometric majorant of the remaining
 tail certifies the stopping index at every point.  The number type follows
 the points: mpmath points and an f that keeps its argument's type (as
-`dulac.evaluate_zeta` does) give extended precision.
+`dulac.zeta_map` does) give extended precision.
 
 An evaluator keeps one entry: the last point it evaluated, with its value,
 its tail and its orbit, the triples (w_n, Re w_n, G(Re w_n)) up to the
@@ -124,7 +124,10 @@ def _certified_orbit(f, spec, dom, R, tol, check_domain, G, divisor, g=None) -> 
             if n >= MAX_ITER:
                 raise CertificationError("iteration budget exhausted before tail < tol")
             if g is not None:
-                acc = acc + (a ** (-(n + 1))) * g(w)
+                gw = g(w)
+                if abs(gw) > m * (1 + 1e-9):  # the tail relies on |g(w_n)| <= G(Re w_n) = m
+                    raise DomainError(f"|g| > e^(-nu Re) at {complex(w):.6g}: precondition fails")
+                acc = acc + (a ** (-(n + 1))) * gw
             n += 1
             if n >= reuse:
                 w = f(w)
@@ -192,7 +195,8 @@ def solve_homological(
 ) -> KoenigsResult:
     """phi_g = -sum_{n>=0} alpha^-(n+1) g(f^on), solving phi_g o f - alpha phi_g = g.
 
-    Precondition |g| <= e^(-nu Re) is sampled at 12 points of [R, R+10].  Along
+    Precondition |g| <= e^(-nu Re) is sampled at 12 points of [R, R+10] and
+    checked at every orbit point w_n where g is evaluated.  Along
     the orbit e^(-nu Re w_m) <= e^(-nu Re w_n) (alpha q)^(m-n) with
     q = e^(-nu rho(R))/alpha, so the remaining tail is at most
     e^(-nu Re w_n) alpha^-n / (alpha (1 - q)); it certifies the stopping index

@@ -57,7 +57,7 @@ from bottcher.compose import (
     shape_of,
     solve_linear,
 )
-from bottcher.dulac import DulacSeriesZeta, _decay_report, evaluate_zeta
+from bottcher.dulac import DulacSeriesZeta, _decay_report, numbers_like, zeta_function
 from bottcher.errors import DepthOverflowError, DomainError, EmptySeriesError, ShapeError
 from bottcher.keys import Cut, Key, ell_key, front_zscale, min_key, zero_key
 from bottcher.koenigs import KoenigsResult
@@ -691,10 +691,11 @@ def real_line_invariance_check(result: KoenigsResult, f, xs, tol: float = 1e-9) 
 def defect_decay_check(f, phi_n: DulacSeriesZeta, beta_n, alpha, xs, im=0.0, noise_floor=0.0):
     """sup-grid of |phi_n(f(zeta)) - alpha phi_n(zeta)| e^(beta_n Re) and its trend."""
     beta = float(beta_n)
+    phi = zeta_function(phi_n, numbers_like(0j))
     stats = []
     for x in xs:
         zeta = complex(x, im)
-        d = abs(evaluate_zeta(phi_n, f(zeta)) - alpha * evaluate_zeta(phi_n, zeta))
+        d = abs(phi(f(zeta)) - alpha * phi(zeta))
         stats.append(float(d) * math.exp(beta * x))
     kept = [(x, v) for x, v in zip(xs, stats) if v > noise_floor]
     rep = _decay_report([x for x, _ in kept], [v for _, v in kept])

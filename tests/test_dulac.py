@@ -14,12 +14,14 @@ from bottcher.dulac import (
     _germ,
     compare_formal_numeric,
     dulac_normalize_full,
-    evaluate_zeta,
     is_dulac,
+    number_kind,
+    numbers_like,
     partial_normalizations,
     to_z_chart,
     to_zeta_chart,
     whole_series,
+    zeta_function,
     zeta_map,
 )
 from bottcher.errors import DomainError, ShapeError
@@ -262,14 +264,14 @@ def test_partials():
     assert p1.betas() == [1] and p1.v.terms == {Key(1, (0,)): Exact.of(F(1, 2))}
     z = complex(2.0, 0.3)
     want = z + 0.5 * cmath.exp(-z)
-    assert abs(evaluate_zeta(p1, z) - want) < 1e-14
+    assert abs(zeta_function(p1, numbers_like(z))(z) - want) < 1e-14
     want += z * cmath.exp(-2 * z) / 8  # the degree-0 gap of the second rung adds 0
-    assert abs(evaluate_zeta(partial_normalizations(phi, 2), z) - want) < 1e-14
+    assert abs(zeta_function(partial_normalizations(phi, 2), numbers_like(z))(z) - want) < 1e-14
     with pytest.raises(DomainError):
         partial_normalizations(phi, 3)
 
 
-def test_evaluate_zeta_converts_log_coefficients_in_the_point_type():
+def test_zeta_function_converts_log_coefficients_in_the_point_type():
     """Coefficients with log p parts convert losslessly at an mpmath point
     and to complex numbers at a complex one."""
     mpmath = pytest.importorskip("mpmath")
@@ -279,10 +281,10 @@ def test_evaluate_zeta_converts_log_coefficients_in_the_point_type():
     with mpmath.workdps(50):
         z = mpmath.mpc(7, 0.25)
         want = 2 * z - mpmath.log(2) + mpmath.exp(-z) * (mpmath.mpf(1) / 2 + z * mpmath.log(3))
-        assert abs(evaluate_zeta(d, z) - want) < mpmath.mpf("1e-45")
+        assert abs(zeta_function(d, numbers_like(z))(z) - want) < mpmath.mpf("1e-45")
     z = complex(7, 0.25)
     want = 2 * z - math.log(2) + cmath.exp(-z) * (0.5 + z * math.log(3))
-    assert abs(evaluate_zeta(d, z) - want) < 1e-13 * abs(want)
+    assert abs(zeta_function(d, numbers_like(z))(z) - want) < 1e-13 * abs(want)
 
 
 # -- defect decay and formal/numeric comparison ------------------------------------------------
@@ -402,3 +404,109 @@ def test_zeta_map_is_minus_log_f_at_e_to_minus_zeta():
     assert abs(F_(z) - want(z, cmath.exp, cmath.log)) < 1e-14
     with pytest.raises(ShapeError, match="leading coefficient must be 1"):
         zeta_map(parse("2*z^2 - z^3", z_cap=6))
+
+
+def _bridge_inputs(text, mode=EXACT):
+    """(phi_hat, F, spec, dom, R) of `bridge compare` for text, on a small grid."""
+    phi, res = dulac_normalize_full(parse(text, mode=mode, z_cap=6), z_cap=6, block_cap=6)
+    spec = AsymptoticSpec(alpha=float(res.alpha), eps=1.0, k=1)
+    dom = DomainSpec.standard_quadratic(1.0)
+    F_ = zeta_map(res.reduced)
+    return to_zeta_chart(phi), F_, spec, dom, invariant_threshold(F_, spec, dom)
+
+
+def _mp_bits(v):
+    return v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_, None)
+
+
+@pytest.mark.parametrize(
+    "text, mode",
+    [("z^2 - z^3 + 1/2*z^4", EXACT), ("(1+1i)*z^2 - z^3", EXACT), ("(1+1i)*z^2 - z^3", FLOAT)],
+)
+def test_compare_at_real_ray_points_gives_the_bits_of_complex_points(text, mode):
+    """The statistic at mpf ray points x equals, element by element, the one
+    computed at mpc(x) with a fresh evaluator; a real germ and a complex lambda."""
+    mpmath = pytest.importorskip("mpmath")
+    phi_hat, F_, spec, dom, R = _bridge_inputs(text, mode)
+    with mpmath.workdps(30):
+        xs = [mpmath.mpf(R) + mpmath.mpf(8) * i / 11 for i in range(12)]
+        for n in (1, 2, 3):
+            numeric = lambda: koenigs_normalize(F_, spec, dom, R, tol=1e-25).evaluator
+            got = compare_formal_numeric(numeric(), phi_hat, n, xs)["statistic"]
+            fresh, beta = numeric(), float(phi_hat.betas()[n - 1])
+            formal = zeta_function(partial_normalizations(phi_hat, n), numbers_like(mpmath.mpc(0)))
+            want = [
+                float(abs(fresh(mpmath.mpc(x)) - formal(mpmath.mpc(x)))) * math.exp(beta * float(x))
+                for x in xs
+            ]
+            assert got == want
+
+
+def test_real_ray_points_keep_the_real_parts_of_complex_points():
+    """Both sides of the comparison, at an mpf x and at mpc(x), agree bit for
+    bit: the real parts are equal and the imaginary part is zero."""
+    mpmath = pytest.importorskip("mpmath")
+    phi_hat, F_, spec, dom, R = _bridge_inputs("z^2 - z^3*l1^-1 + 1/2*z^4")
+    with mpmath.workdps(30):
+        formal = zeta_function(partial_normalizations(phi_hat, 2), numbers_like(mpmath.mpf(1)))
+        for i in range(6):
+            x = mpmath.mpf(R) + i
+            for side in (F_, formal, koenigs_normalize(F_, spec, dom, R, tol=1e-25).evaluator):
+                at_x, at_mpc = side(x), side(mpmath.mpc(x))
+                assert _mp_bits(mpmath.mpc(at_x)) == _mp_bits(at_mpc) and at_mpc.imag == 0
+
+
+def test_maps_convert_their_constants_per_kind_with_the_bits_of_fresh_maps():
+    """One F and one term map called at 30, 60, 30 and 10 digits and then at
+    float points give a fresh map's bits at each step; the term map's float
+    constants convert exactly, as the inline expression converts them."""
+    mpmath = pytest.importorskip("mpmath")
+    from bottcher.cli import _term_map
+
+    text, terms = "z^2 - z^3*l1^-1 + (1/3+1i)*z^4", ["0.1,1,1.3", "-0.7,0,2.1"]
+    F_, f = zeta_map(parse(text, z_cap=6)), _term_map(2.1, terms)
+
+    def inline(z):  # the term map's formula, its float constants converted by mpmath's arithmetic
+        return 2.1 * z + 0.1 * z**1 * mpmath.exp(-1.3 * z) + -0.7 * z**0 * mpmath.exp(-2.1 * z)
+
+    for dps in (30, 60, 30, 10):
+        with mpmath.workdps(dps):
+            for z in (mpmath.mpc(3, 0.5), mpmath.mpf("3.25")):
+                assert _mp_bits(F_(z)) == _mp_bits(zeta_map(parse(text, z_cap=6))(z))
+                assert _mp_bits(f(z)) == _mp_bits(_term_map(2.1, terms)(z)) == _mp_bits(inline(z))
+    for z in (complex(3, 0.5), 3.25):
+        assert repr(F_(z)) == repr(zeta_map(parse(text, z_cap=6))(z))
+        assert repr(f(z)) == repr(_term_map(2.1, terms)(z))
+
+
+def test_numbers_like_runs_once_per_call_and_once_per_kind(monkeypatch):
+    """compare_formal_numeric converts phi_hat_n once per call; F and the term
+    map convert their constants again only when the number kind changes."""
+    mpmath = pytest.importorskip("mpmath")
+    import bottcher.cli as cli
+    import bottcher.dulac as dulac
+
+    calls = []
+
+    def counted(x):
+        calls.append(number_kind(x))
+        return numbers_like(x)
+
+    monkeypatch.setattr(dulac, "numbers_like", counted)
+    monkeypatch.setattr(cli, "numbers_like", counted)
+    phi_hat = _zeta(1, 0, [(1, [F(1, 2)]), (2, [0, F(1, 8)])])
+    with mpmath.workdps(30):
+        xs = [mpmath.mpf(3) + i for i in range(10)]
+        compare_formal_numeric(lambda z: z, phi_hat, 2, xs)
+        compare_formal_numeric(lambda z: z, phi_hat, 1, xs)
+    assert len(calls) == 2
+    calls.clear()
+    F_, f = zeta_map(parse("z^2 - z^3 + 1/2*z^4", z_cap=6)), cli._term_map(2.0, ["1,0,1"])
+    for prec in (100, 100, 200, 200, 100):
+        with mpmath.workprec(prec):
+            for _ in range(3):
+                F_(mpmath.mpc(4, 0.5)), f(mpmath.mpc(4, 0.5))
+                F_(mpmath.mpf(5)), f(mpmath.mpf(5))
+    for _ in range(3):
+        F_(complex(4, 0.5)), f(4.0)
+    assert calls == [100] * 2 + [200] * 2 + [100] * 2 + [False] * 2

@@ -172,6 +172,17 @@ def test_homological_precondition_enforced():
         )
 
 
+def test_homological_precondition_is_checked_along_the_orbit():
+    # |e^-z cos 2z| <= e^-Re z holds on the real axis, where the 12 samples
+    # lie, but not at 3 + 1.5i: |g| = 0.50 there against e^-3 = 0.050.  The
+    # tail would certify n = 2 (8.2e-7 < tol) while the true remainder is 5.5e-2.
+    g = lambda z: cmath.exp(-z) * cmath.cos(2 * z)
+    res = solve_homological(lambda z: 2 * z, g, 1.0, SPEC, DOM, R=3.0, tol=1e-6)
+    with pytest.raises(DomainError, match="precondition fails"):
+        res.evaluator(complex(3.0, 1.5))
+    assert abs(res.evaluator(complex(3.0, 0.0))) < 0.05  # the real axis still passes
+
+
 def test_tail_bound_is_the_certified_stop():
     # tail_bound reports the majorant the evaluator stopped on, below tol
     R = invariant_threshold(expmap, SPEC, DOM)
