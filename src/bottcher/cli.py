@@ -62,13 +62,13 @@ from .normalize import (
 )
 from .parser import parse
 from .printer import format_series
-from .series import TruncationGrid, identity_series
+from .series import identity_series
 from .keys import Cut, Key
 
 
 # $BOTTCHER_CONFIG keys; each sets the default of the option with that dest
-CONFIG_KEYS = ("z_cap", "block_cap", "ell_stop", "depth", "mode", "tol", "r_ceiling",
-               "precision", "samples")
+CONFIG_KEYS = ("z_cap", "block_cap", "depth", "mode", "tol", "r_ceiling", "precision",
+               "samples")
 
 
 def _read_config(path) -> dict:
@@ -85,10 +85,8 @@ def _read_config(path) -> dict:
 
 
 def _parse_expr(text: str, args):
-    probe = parse(text, mode=args.mode, z_cap=args.z_cap, block_cap=args.block_cap)
-    depth = probe.depth if args.depth is None else args.depth
-    grid = TruncationGrid(args.z_cap, args.block_cap, depth, args.ell_stop)
-    return parse(text, grid=grid, mode=args.mode)
+    return parse(text, mode=args.mode, z_cap=args.z_cap, block_cap=args.block_cap,
+                 depth=args.depth)
 
 
 def _emit(args, payload: dict, text: str):
@@ -101,8 +99,6 @@ def _emit(args, payload: dict, text: str):
 def _add_grid(p):
     p.add_argument("--z-cap", dest="z_cap", type=Fraction, default="12")
     p.add_argument("--block-cap", dest="block_cap", type=int, default=10)
-    p.add_argument("--ell-stop", dest="ell_stop", type=int, default=16,
-                   help="kept for compatibility; bounds nothing")
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--float", dest="mode", action="store_const", const=FLOAT, default=EXACT)
 

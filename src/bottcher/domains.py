@@ -29,6 +29,8 @@ class AsymptoticSpec:
     floor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not 1.0 < self.alpha < math.inf:  # alpha <= 1: rho(x) = (alpha-1) x - M never gains
+            raise DomainError(f"alpha must be finite and > 1, got {self.alpha}")
         if self.k < 0:
             raise DomainError(f"k counts iterated logs and must be >= 0, got {self.k}")
         if not 0.0 <= self.eps < math.inf:  # eps < 0 makes M grow: no longer a majorant
@@ -59,8 +61,8 @@ class DomainSpec:
     C: float
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise DomainError("standard quadratic domain needs C > 0")
+        if not 0.0 < self.C < math.inf:
+            raise DomainError(f"standard quadratic domain needs a finite C > 0, got {self.C}")
 
     @staticmethod
     def standard_quadratic(C: float) -> "DomainSpec":
@@ -212,9 +214,11 @@ def _certify_at(f, spec, dom, R) -> list:
     rhos = [spec.rho(x) for x in xs]
     if any(b <= a for a, b in zip(rhos, rhos[1:])):
         reasons.append(("rho-not-increasing", R))
+    checked = 0
     for zeta in _domain_samples(dom, R):
         if not domain_member(dom, zeta, R):
             continue
+        checked += 1
         defect = abs(f(zeta) - spec.alpha * zeta)
         mx = spec.M(zeta.real)
         if defect > mx:
@@ -231,4 +235,6 @@ def _certify_at(f, spec, dom, R) -> list:
             if not domain_member(dom, c):
                 reasons.append(("rectangle-escape", zeta, c))
                 break
+    if not checked:  # the domain's tip lies past the sampled abscissas
+        reasons.append(("no-sample-in-domain", R, dom.C))
     return reasons

@@ -63,7 +63,6 @@ def series_to_json(f: TransSeries) -> dict:
         "grid": {
             "z_cap": frac_str(f.grid.z_cap),
             "block_cap": f.grid.block_cap,
-            "ell_stop": f.grid.ell_stop,
         },
     }
 
@@ -76,7 +75,6 @@ def series_from_json(d: dict) -> TransSeries:
         z_cap=as_zexp(g.get("z_cap", "16")),
         block_cap=g.get("block_cap", 10),
         depth=depth,
-        ell_stop=g.get("ell_stop", 16),
     )
     terms = {}
     for entry in d["terms"]:

@@ -25,7 +25,7 @@ value then depends only on the point, whichever map formed f(zeta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .domains import AsymptoticSpec, DomainSpec, domain_member
 from .errors import CertificationError, DomainError
@@ -36,17 +36,15 @@ MAX_ITER = 10_000  # iteration budget of one Koenigs or homological evaluation
 class KoenigsResult:
     evaluator: object
     tail_bound: object
-    iterations_used: dict = field(default_factory=dict)
-    domain: DomainSpec | None = None
-    spec: AsymptoticSpec | None = None
-    R: float = 0.0
-    tol: float = 0.0
+    spec: AsymptoticSpec
+    R: float
+    iterations_used: dict  # point -> stopping index, one entry per point evaluated
 
 
 def koenigs_normalize(
     f,
     spec: AsymptoticSpec,
-    dom: DomainSpec | None,
+    dom: DomainSpec,
     R: float,
     tol: float = 1e-11,
     check_domain: bool = True,
@@ -74,7 +72,6 @@ def _certified_orbit(f, spec, dom, R, tol, check_domain, G, divisor, g=None) -> 
     if rho_R <= 0:
         raise CertificationError(f"rho(R) = {rho_R} <= 0 at R = {R}")
     D = divisor(rho_R)
-    checking = check_domain and dom is not None
     iterations_used: dict = {}
     # The last evaluated point -> (its value, the tail majorant its evaluation
     # stopped on, its orbit).  Keyed on the point object itself: equal numbers
@@ -110,7 +107,7 @@ def _certified_orbit(f, spec, dom, R, tol, check_domain, G, divisor, g=None) -> 
                 raise CertificationError(
                     f"monotone escape violated at step {n}: Re = {x} < {expected}"
                 )
-            if n <= 3 and checking:
+            if n <= 3 and check_domain:
                 if not domain_member(dom, complex(x, float(w.imag)), R):
                     raise CertificationError(
                         f"iterate {n} left the domain at {complex(w):.6g}"
@@ -144,7 +141,7 @@ def _certified_orbit(f, spec, dom, R, tol, check_domain, G, divisor, g=None) -> 
         evaluator(zeta)
         return last[0][2]
 
-    return KoenigsResult(evaluator, tail_bound, iterations_used, dom, spec, R, tol)
+    return KoenigsResult(evaluator, tail_bound, spec, R, iterations_used)
 
 
 def _check_tol(tol) -> None:
@@ -189,7 +186,7 @@ def solve_homological(
     g,
     nu: float,
     spec: AsymptoticSpec,
-    dom: DomainSpec | None,
+    dom: DomainSpec,
     R: float,
     tol: float = 1e-13,
 ) -> KoenigsResult:

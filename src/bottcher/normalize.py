@@ -98,17 +98,12 @@ def bottcher_op(f: TransSeries | Composer, h: TransSeries) -> TransSeries:
 
 
 def alpha_block(f: TransSeries):
-    """(alpha, R) with f = z^alpha (1 + R) + higher blocks; R of z-order 0."""
-    shape = _require_monic_power(f)
-    alpha = shape.alpha
-    terms = {}
-    for k, c in f.terms.items():
-        if k.z == alpha and any(n != 0 for n in k.l):
-            terms[Key(0, k.l)] = c
+    """(alpha, whether R != 0) with f = z^alpha (1 + R) + higher blocks, R of
+    z-order 0: R has a term at each log key of z-order alpha that f stores."""
+    alpha = _require_monic_power(f).alpha
     if f.frontier.z < alpha or (isinstance(f.frontier, Cut) and f.frontier.z == alpha):
         raise ShapeError("grid too small: the alpha block is entirely untrusted")
-    cands = [Key(0, f.frontier.l)] if f.frontier.z == alpha else []
-    return alpha, make_series(terms, f.grid, f.mode, cands)
+    return alpha, any(k.z == alpha and any(k.l) for k in f.terms)
 
 
 def alpha_part_series(f: TransSeries) -> TransSeries:
@@ -191,8 +186,7 @@ def prenormalize(f: TransSeries) -> TransSeries:
 
     `solve_W` on the same-z-order part z^alpha (1 + R_alpha) of f.
     """
-    _, r = alpha_block(f)
-    if r.is_zero():
+    if not alpha_block(f)[1]:
         return identity_series(f.grid, f.mode)
     return _phi_of(solve_W(alpha_part_series(f)))
 
@@ -252,7 +246,7 @@ def normalize(f: TransSeries, verify=True) -> NormalizationResult:
     psi = None
     if work.terms[min(work.terms)] != c_one(work.mode):
         psi, work = reduce_lambda(work)
-    alpha, r = alpha_block(work)
+    alpha, has_logs = alpha_block(work)
 
     w, right = _least_grid_solve(work)
     phi = _phi_of(w)
@@ -260,7 +254,7 @@ def normalize(f: TransSeries, verify=True) -> NormalizationResult:
     res = NormalizationResult(
         make_series(trusted, phi.grid, phi.mode, [phi.frontier]),
         alpha,
-        _beta_from(work, alpha, ignore_alpha_block=not r.is_zero()),
+        _beta_from(work, alpha, ignore_alpha_block=has_logs),
         len(w.terms),
         psi=psi,
         alpha_input=alpha_in,

@@ -189,6 +189,8 @@ class _Parser:
                 raise ParseError(
                     f"l{val} exceeds configured depth {self.grid.depth}", 1, pos
                 )
+            if val == 0:
+                raise ParseError("l0 is not a logarithm: indices start at l1", 1, pos)
             return monomial(ell_key(self.grid.depth, val), self.grid, self.mode)
         if kind in ("int", "-"):
             return self.const(self.rat())

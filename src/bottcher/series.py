@@ -2,9 +2,11 @@
 
 A series is a finite ordered map from exponent keys to coefficients, plus a
 truncation grid and an *exact frontier*: every stored coefficient whose key
-is lex-below the frontier is guaranteed exact.  Each operation recomputes the
-output frontier conservatively: the min of the operand frontiers shifted by
-the other operand's minimal key, the first key lost to truncation, and the
+is lex-below the frontier is guaranteed exact.  The grid has three caps: the
+z-order cap z_cap, the per-z-block term count block_cap and the log depth;
+no cap counts powers.  Each operation recomputes the output frontier
+conservatively: the min of the operand frontiers shifted by the other
+operand's minimal key, the first key lost to truncation, and the
 grid-implied frontier (z_cap, 0).  Keys are exact in both modes (see
 `keys`): float mode differs from exact mode in its coefficients alone.
 
@@ -38,7 +40,7 @@ import heapq
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 
 from .coeffs import (
@@ -57,18 +59,16 @@ from .printer import format_series
 
 @dataclass(frozen=True)
 class TruncationGrid:
-    """Caps for stored data: z-order frontier, per-block term count, depth.
-
-    `ell_stop` bounds nothing; it is kept so that `--ell-stop`, the config
-    key and the JSON grid field still parse.
-    """
+    """Caps for stored data: z-order frontier, per-block term count, depth."""
 
     z_cap: Fraction
     block_cap: int = 10
     depth: int = 1
-    ell_stop: int = 16
+    # a retired cap that bounded nothing: accepted, neither stored nor compared,
+    # because bench/workloads.py still passes it
+    ell_stop: InitVar[object] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _):
         object.__setattr__(self, "z_cap", Fraction(self.z_cap))
         if self.z_cap <= 0 or self.block_cap <= 0 or self.depth < 0:
             raise ValueError("truncation caps must be positive")
@@ -84,7 +84,6 @@ def merge_grids(a: TruncationGrid, b: TruncationGrid) -> TruncationGrid:
         z_cap=min(a.z_cap, b.z_cap),
         block_cap=min(a.block_cap, b.block_cap),
         depth=depth,
-        ell_stop=min(a.ell_stop, b.ell_stop),
     )
 
 

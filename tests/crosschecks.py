@@ -273,11 +273,11 @@ def exact_add_reference(a: Exact, b: Exact) -> Exact:
     return Exact(parts)
 
 
-def sum_powers(v: TransSeries, coeff_of, base_z=0) -> TransSeries:
+def sum_powers(v: TransSeries, coeff_of, base_z=0, log_powers=16) -> TransSeries:
     """Sigma_{i>=0} coeff_of(i) * v^i, one `mul` per power of v, ord(v) > 0.
 
     The stop of the power-by-power sum: once base_z + i ord_z(v) reaches
-    z_cap, or, for a pure-log v, after `ell_stop` powers; the first key of
+    z_cap, or, for a pure-log v, after `log_powers` powers; the first key of
     the cut-off tail, ord(v) * i, enters the frontier.  `base_z` is the
     z-order of the factor the sum will be multiplied by.
     """
@@ -288,7 +288,7 @@ def sum_powers(v: TransSeries, coeff_of, base_z=0) -> TransSeries:
     power = monomial(zero_key(grid.depth), grid, mode)
     acc = zero_series(grid, mode)
     i = 0
-    while (base_z + i * n0.z < grid.z_cap) if n0.z > 0 else (i <= grid.ell_stop):
+    while (base_z + i * n0.z < grid.z_cap) if n0.z > 0 else (i <= log_powers):
         q = coeff_of(i)
         if q != 0:
             acc = add(acc, scale(power, q))
@@ -297,11 +297,13 @@ def sum_powers(v: TransSeries, coeff_of, base_z=0) -> TransSeries:
     return make_series(acc.terms, grid, mode, [acc.frontier, n0.scale(i)])
 
 
-def power_sum_by_powers(v: TransSeries, kind: str, beta=None, base_z=0) -> TransSeries:
+def power_sum_by_powers(v: TransSeries, kind: str, beta=None, base_z=0,
+                        log_powers=16) -> TransSeries:
     """log(1 + v), exp(v) - 1, Sigma_i binom(beta, i) v^i or 1 / (1 - v) by
     `sum_powers`, the reference for `series.power_sum`.
 
-    `kind` is "log", "exp", "pow" or "geom".
+    `kind` is "log", "exp", "pow" or "geom"; `log_powers` is the pure-log
+    power count of `sum_powers`.
     """
     coeff_of = {
         "log": lambda i: Fraction((-1) ** (i + 1), i) if i else Fraction(0),
@@ -309,7 +311,7 @@ def power_sum_by_powers(v: TransSeries, kind: str, beta=None, base_z=0) -> Trans
         "pow": lambda i: binomial(beta, i),
         "geom": lambda i: Fraction(1),
     }[kind]
-    return sum_powers(v, coeff_of, base_z)
+    return sum_powers(v, coeff_of, base_z, log_powers)
 
 
 def power_sum_rational_weights(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:

@@ -67,16 +67,16 @@ def criterion(num, desc, limit):
     print(f"\nACCEPTANCE {num:02d} PASS ({dt:.2f}s < {limit:g}s): {desc}")
 
 
-def S(text, z_cap=8, block_cap=8, depth=None, ell_stop=12, mode=EXACT):
+def S(text, z_cap=8, block_cap=8, depth=None, mode=EXACT):
     probe = parse(text, z_cap=z_cap, block_cap=block_cap)
     d = probe.depth if depth is None else depth
-    return parse(text, grid=TruncationGrid(z_cap, block_cap, d, ell_stop), mode=mode)
+    return parse(text, grid=TruncationGrid(z_cap, block_cap, d), mode=mode)
 
 
 _SUITE_SPECS = [
     ("z^2 + z^3", dict(z_cap=12, block_cap=6)),
     ("z^2 + z^2*l1", dict(z_cap=12, block_cap=8)),
-    ("z^3 + z^4*l1^2*l2^-1", dict(z_cap=12, block_cap=6, ell_stop=10)),
+    ("z^3 + z^4*l1^2*l2^-1", dict(z_cap=12, block_cap=6)),
     ("z^2 + z^3*l1^-1", dict(z_cap=12, block_cap=8)),  # z^2 - z^3 log z (Dulac)
 ]
 _SUITE_CACHE = {}
@@ -272,14 +272,14 @@ def test_acceptance_09_binomial_bound():
 
 def test_acceptance_10_prenormalization_cross_check():
     with criterion(10, "graded-solver phi1 matches the float weak-iteration limit", 10.0):
-        f = S("z^2 + z^2*l1", z_cap=5, block_cap=10, ell_stop=14)
+        f = S("z^2 + z^2*l1", z_cap=5, block_cap=10)
         phi1 = prenormalize(f)
         exact_s = {
             k.l[0]: c.rational_parts()[0]
             for k, c in phi1.terms.items()
             if k.l[0] >= 1 and k < phi1.frontier
         }
-        grid = TruncationGrid(z_cap=5, block_cap=10, depth=1, ell_stop=14)
+        grid = TruncationGrid(z_cap=5, block_cap=10, depth=1)
         r = monomial(Key(0, (1,)), grid, FLOAT)
         f0 = Composer(mul_monomial(add(monomial(Key(0, (0,)), grid, FLOAT), r), Key(2, (0,))))
         t = zero_series(grid, FLOAT)

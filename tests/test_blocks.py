@@ -27,7 +27,7 @@ F = Fraction
 
 def blk(terms, depth=2, cap=8):
     """A block: the z-order-0 series with log keys `terms`."""
-    grid = TruncationGrid(z_cap=4, block_cap=cap, depth=depth, ell_stop=10)
+    grid = TruncationGrid(z_cap=4, block_cap=cap, depth=depth)
     return make_series({Key(0, k): c for k, c in terms.items()}, grid)
 
 

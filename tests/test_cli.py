@@ -65,6 +65,9 @@ def test_huge_perfect_square_coefficient_normalizes(capsys, coeff):
 def test_parse_error_exit_code(capsys):
     code, _ = run(capsys, "normalize", "z^^")
     assert code == 4
+    for depth in ([], ["--depth", "2"]):  # l0 is no logarithm at any depth
+        assert main(["normalize", "z^2 + l0", *depth]) == 4
+        assert capsys.readouterr().err.startswith("parse error: l0 ")
 
 
 def test_zero_denominator_is_parse_error(capsys):
@@ -238,7 +241,7 @@ def test_cli_exit_codes_fuzz(capsys):
         argv = [rng.choice(["normalize", "normalize", "prenormalize"]), text]
         argv += ["--z-cap", rng.choice(["3", "4", "4", "4", "5", "0", "x"])]
         if "l1" in text or rng.random() < 0.2:
-            argv += ["--depth", rng.choice(["1", "1", "0"]), "--block-cap", "3", "--ell-stop", "4"]
+            argv += ["--depth", rng.choice(["1", "1", "0"]), "--block-cap", "3"]
         if rng.random() < 0.3:
             argv.append("--float")
         if rng.random() < 0.3:
@@ -269,6 +272,28 @@ def test_analytic_domain_check_failure(capsys):
         "--r-ceiling", "30",
     )
     assert code == 3
+
+
+def test_ell_stop_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["normalize", "z^2 + z^2*l1", "--ell-stop", "4"])
+    assert exit_.value.code == 2
+
+
+@pytest.mark.parametrize("alpha", ["1", "0.5", "-2", "nan", "inf"])
+@pytest.mark.parametrize("cmd", ["domain-check", "koenigs"])
+def test_analytic_alpha_at_most_one_exits_2(capsys, cmd, alpha):
+    code = main(["analytic", cmd, "--alpha", alpha, "--term", "1,0,1"])
+    assert code == 2
+    assert "alpha must be finite and > 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("C,expected", [("1e300", 3), ("nan", 2), ("inf", 2)])
+def test_domain_check_with_no_sample_in_the_domain_fails(capsys, C, expected):
+    # a tip far right of [R, R + 8] used to leave nothing to check, and certify
+    code, _ = run(capsys, "analytic", "domain-check", "--alpha", "2", "--term", "1,0,1",
+                  "--sqd-C", C)
+    assert code == expected
 
 
 def test_analytic_koenigs(capsys):

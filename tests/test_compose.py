@@ -46,7 +46,7 @@ from bottcher.series import (
 )
 
 F = Fraction
-GRID = TruncationGrid(z_cap=8, block_cap=6, depth=2, ell_stop=10)
+GRID = TruncationGrid(z_cap=8, block_cap=6, depth=2)
 
 
 def S(text, grid=GRID):
@@ -453,8 +453,8 @@ def assert_invert_frontier_sound(f, big):
 
 
 def test_invert_frontier_is_sound():
-    small = TruncationGrid(z_cap=4, block_cap=4, depth=1, ell_stop=5)
-    big = TruncationGrid(z_cap=5, block_cap=6, depth=1, ell_stop=7)
+    small = TruncationGrid(z_cap=4, block_cap=4, depth=1)
+    big = TruncationGrid(z_cap=5, block_cap=6, depth=1)
     for text in ("z^2", "z^3", "z^2 + z^3", "z^2 + z^2*l1 + z^3", "z^(1/2) + z*l1"):
         assert_invert_frontier_sound(S(text, small), big)
 
@@ -501,7 +501,7 @@ def test_invert_seeded_fuzz():
 def test_frontier_soundness_compose():
     """Recomputing a composition with enlarged caps never changes a
     coefficient below the original result's exact frontier."""
-    big = TruncationGrid(z_cap=14, block_cap=16, depth=2, ell_stop=18)
+    big = TruncationGrid(z_cap=14, block_cap=16, depth=2)
     from bottcher.series import embed
 
     cases = [

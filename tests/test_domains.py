@@ -53,6 +53,13 @@ def test_an_eps_that_makes_M_no_majorant_is_rejected(eps):
         AsymptoticSpec(2.0, eps, 1)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.5, -2.0, math.nan, math.inf])
+def test_an_alpha_without_escape_is_rejected(alpha):
+    # alpha <= 1 gives rho <= 0 everywhere: no threshold below any ceiling
+    with pytest.raises(DomainError, match="alpha must be finite and > 1"):
+        AsymptoticSpec(alpha, 1.0, 1)
+
+
 def test_eps_zero_gives_the_constant_majorant_one():
     M = AsymptoticSpec(2.0, 0.0, 1).M
     assert [M(x) for x in (1.5, math.e, 1e6)] == [1.0, 1.0, 1.0]
@@ -266,8 +273,9 @@ def test_domain_member_lower_upper():
     assert domain_member(dom, complex(3.0, -1.5 * y)) is False
     assert domain_member(dom, complex(1.0, 0.0)) is False
     assert domain_member(dom, complex(3.0, 0.5 * y), R=4.0) is False
-    with pytest.raises(DomainError):
-        DomainSpec(0.0)
+    for C in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            DomainSpec(C)
 
 
 # -- invariance certification ----------------------------------------------------------------
@@ -287,6 +295,17 @@ def test_invariant_threshold_exponential_defect():
     assert R < 16.0
     # certified bound holds strictly inside
     assert abs(cmath.exp(-complex(R, 0))) <= spec.M(R)
+
+
+def test_invariant_threshold_needs_a_sample_in_the_domain():
+    """A tip C right of every sampled abscissa leaves nothing to check: that
+    attempt fails, so R grows until samples reach D_R."""
+    spec = AsymptoticSpec(2.0, 1.0, 1)
+    f = lambda z: 2 * z + cmath.exp(-z)
+    with pytest.raises(CertificationError, match="no-sample-in-domain"):
+        invariant_threshold(f, spec, DomainSpec(1e300))
+    R = invariant_threshold(f, spec, DomainSpec(20.0))
+    assert 20.0 - 8.0 <= R < 20.0
 
 
 def test_invariant_threshold_mislabeled_alpha_fails():

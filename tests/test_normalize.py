@@ -2,7 +2,7 @@ import math
 import random
 import re
 import signal
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -28,7 +28,7 @@ from crosschecks import (
 from bottcher.coeffs import EXACT, FLOAT, Exact
 from bottcher.compose import compose, shape_of
 from bottcher.errors import BottcherError, ShapeError
-from bottcher.io_json import series_to_json
+from bottcher.io_json import series_from_json, series_to_json
 from bottcher.keys import Cut, Key
 from bottcher.normalize import (
     NormalizationResult,
@@ -66,17 +66,17 @@ from bottcher.series import (
 F = Fraction
 
 
-def S(text, z_cap=8, block_cap=6, depth=None, ell_stop=12):
+def S(text, z_cap=8, block_cap=6, depth=None):
     probe = parse(text, z_cap=z_cap, block_cap=block_cap)
     d = probe.depth if depth is None else depth
-    return parse(text, grid=TruncationGrid(z_cap, block_cap, d, ell_stop))
+    return parse(text, grid=TruncationGrid(z_cap, block_cap, d))
 
 
 def assert_agree(a, b):
     assert agree_below_frontier(a, b), (a, b)
 
 
-BLOCK_GRID = TruncationGrid(z_cap=4, block_cap=8, depth=1, ell_stop=12)
+BLOCK_GRID = TruncationGrid(z_cap=4, block_cap=8, depth=1)
 
 
 def blk(terms):
@@ -191,7 +191,7 @@ def test_prenormalize_is_R_fixed_point():
 
 def test_prenormalize_deeper_log_block():
     # obstruction supported on l2 only: diagonal 1 - 1/alpha, log(alpha) enters W
-    f = S("z^2 + z^2*l2", z_cap=5, block_cap=6, ell_stop=10)
+    f = S("z^2 + z^2*l2", z_cap=5, block_cap=6)
     res = normalize(f)
     assert res.verification["conjugation_exact_below_frontier"]
     phi1 = prenormalize(f)
@@ -322,7 +322,7 @@ def _conjugation_oracle(f, phi):
 _VERIFY_CASES = [
     ("z^2 + z^3", dict(z_cap=12, block_cap=6)),
     ("z^2 + z^2*l1", dict(z_cap=12, block_cap=8)),
-    ("z^3 + z^4*l1^2*l2^-1", dict(z_cap=12, block_cap=6, ell_stop=10)),
+    ("z^3 + z^4*l1^2*l2^-1", dict(z_cap=12, block_cap=6)),
     ("z^2 + z^3*l1^-1", dict(z_cap=12, block_cap=8)),
     ("z^(3/2) + z^2", dict(z_cap=5, block_cap=8)),
     ("z^(3/2) + z^2", dict(z_cap=5, block_cap=8, mode="float")),
@@ -386,7 +386,7 @@ def test_irrational_float_exponents_normalize_and_verify():
 def test_verification_reuses_the_normalization_composer(monkeypatch):
     import importlib
 
-    f = S("z^3 + z^4*l1^2*l2^-1", z_cap=12, block_cap=6, depth=2, ell_stop=10)
+    f = S("z^3 + z^4*l1^2*l2^-1", z_cap=12, block_cap=6, depth=2)
     res = normalize(f, verify=False)
 
     def no_log_images(v):
@@ -546,7 +546,7 @@ def test_normalize_combined_reductions_with_logs():
     # exact throughout: the inverse is trusted inside its z^(3/2) block only,
     # where it divides by powers of alpha and (1/4)^(3/2) = 1/8
     f = S("(1/4)*z^(2/3) - 2/3*z^(2/3)*l1^2 - 2/3*z^(7/6) + z^(8/3)",
-          z_cap=5, block_cap=4, ell_stop=5)
+          z_cap=5, block_cap=4)
     res = normalize(f)
     assert res.inverted_input and res.psi is not None
     assert res.alpha == F(3, 2)
@@ -703,19 +703,18 @@ def test_trusted_terms_survive_grid_refinement():
     assert rose > 20
 
 
-def test_ell_stop_bounds_nothing():
-    """Grids that differ only in ell_stop give the same phi, frontier and
-    verification report: no power sum counts powers."""
-    reports = []
-    for ell_stop in (4, 16):
-        f = parse("z^2 + z^2*l1", grid=TruncationGrid(6, 8, 1, ell_stop))
-        res = normalize(f)
-        phi = series_to_json(res.phi)
-        del phi["grid"]["ell_stop"]
-        reports.append((phi, res.verification))
-    assert reports[0] == reports[1]
-    phi = reports[0][0]
-    assert phi["frontier"] == {"z": "1", "l": [8]} and len(phi["terms"]) == 8
+def test_grid_stores_three_caps():
+    """The grid is z_cap, block_cap and depth: a fourth argument (the retired
+    ell_stop, which bounded nothing) is neither stored nor compared, the JSON
+    grid has no such field, and JSON written with it still loads."""
+    assert [f.name for f in fields(TruncationGrid)] == ["z_cap", "block_cap", "depth"]
+    assert TruncationGrid(6, 8, 1, 4) == TruncationGrid(6, 8, 1)
+    phi = normalize(parse("z^2 + z^2*l1", grid=TruncationGrid(6, 8, 1))).phi
+    js = series_to_json(phi)
+    assert js["grid"] == {"z_cap": "6", "block_cap": 8}
+    assert js["frontier"] == {"z": "1", "l": [8]} and len(js["terms"]) == 8
+    old = {**js, "grid": {**js["grid"], "ell_stop": 4}}
+    assert series_from_json(old) == phi
 
 
 # -- contraction / invariance properties ------------------------------------------------------

@@ -62,6 +62,10 @@ def test_errors_carry_position():
         parse("q + z")
     with pytest.raises(ParseError):
         parse("l3", depth=2)
+    for depth in (None, 0, 2):  # l0 is no logarithm at any depth
+        with pytest.raises(ParseError, match="l0") as err:
+            parse("z^2+l0", depth=depth)
+        assert err.value.col == 4
     with pytest.raises(ParseError, match="zero denominator"):
         parse("z^(1/0)")
     with pytest.raises(ParseError, match="arithmetic error"):
