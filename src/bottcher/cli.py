@@ -39,7 +39,9 @@ from .io_json import (
     dulac_z_to_json,
     dulac_zeta_from_json,
     dulac_zeta_to_json,
+    key_to_json,
     normalization_result_to_json,
+    report_to_json,
     series_from_json,
     series_to_json,
 )
@@ -54,7 +56,7 @@ from .normalize import (
     NOT_MONIC,
     bottcher_R_op,
     bottcher_sequence,
-    check_conjugation,
+    conjugation_report,
     normalize,
     prenormalize,
     support_predict,
@@ -63,7 +65,7 @@ from .normalize import (
 from .parser import parse
 from .printer import format_series
 from .series import identity_series
-from .keys import Cut, Key
+from .keys import Key
 
 
 # $BOTTCHER_CONFIG keys; each sets the default of the option with that dest
@@ -220,12 +222,12 @@ def cmd_bottcher_seq(args) -> int:
 
 def cmd_support(args) -> int:
     spec = support_predict(_parse_expr(args.expr, args))
-    gens = [{"z": str(g.z), "l": list(g.l)} for g in spec.generators]
-    payload = {"generators": gens, "cutoff": str(spec.cutoff.z)}
+    payload = {"generators": list(map(key_to_json, spec.generators)),
+               "cutoff": key_to_json(spec.cutoff)}
     text = "generators: " + ", ".join(f"({g.z},{list(g.l)})" for g in spec.generators)
     if args.enumerate is not None:
         keys = enumerate_semigroup(spec, ell_window=args.enumerate)
-        payload["enumeration"] = [{"z": str(k.z), "l": list(k.l)} for k in keys]
+        payload["enumeration"] = list(map(key_to_json, keys))
         text += "\nenumeration: " + ", ".join(f"({k.z},{list(k.l)})" for k in keys)
     _emit(args, payload, text)
     return 0
@@ -238,12 +240,10 @@ def cmd_verify(args) -> int:
             phi = series_from_json(json.load(fh))
     else:
         phi = _parse_expr(args.phi, args)
-    fr, first_bad = check_conjugation(f, phi)
-    ok = first_bad is None
-    payload = {"pass": ok, "checked_below": {"z": str(fr.z), "l": "cut" if isinstance(fr, Cut) else list(fr.l)}}
-    if not ok:
-        payload["first_bad_key"] = {"z": str(first_bad.z), "l": list(first_bad.l)}
-    _emit(args, payload, f"verify: {'PASS' if ok else 'FAIL'} (below {fr.z})")
+    report = conjugation_report(f, phi)
+    ok = report["conjugation_exact_below_frontier"]
+    _emit(args, report_to_json(report),
+          f"verify: {'PASS' if ok else 'FAIL'} (below {report['checked_below'].z})")
     return 0 if ok else 3
 
 
@@ -326,7 +326,7 @@ def cmd_compare(args) -> int:
     betas = phi_hat.betas()
     if len(betas) < args.n:
         raise ShapeError(f"phi has {len(betas)} rung(s) at --z-cap {args.z_cap}, fewer than --n {args.n}")
-    spec = AsymptoticSpec(alpha=float(res.alpha), eps=args.eps, k=args.k)
+    spec = AsymptoticSpec(alpha=res.alpha, eps=args.eps, k=args.k)
     dom = DomainSpec.standard_quadratic(args.sqd_C)
     fmap = zeta_map(res.reduced)
     R = invariant_threshold(fmap, spec, dom, r_ceiling=args.r_ceiling)

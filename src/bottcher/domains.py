@@ -21,6 +21,8 @@ class AsymptoticSpec:
     `M` runs in one frame: the floor exp^ok(0) is computed once per spec and
     the k logs run inline.  Above the floor every partial log is positive
     (log^oj x > exp^o(k-j)(0) >= 0 for j < k), so no log needs its own check.
+    alpha may be a rational (`Fraction`): the Koenigs value w_n alpha^-n is
+    then exact at mpmath points, where a float alpha^-n keeps only 53 bits.
     """
 
     alpha: float

@@ -1,4 +1,9 @@
-"""JSON wire formats for series, normalization results and Dulac ladders."""
+"""JSON wire formats for series, keys, reports and Dulac ladders.
+
+The one spelling of a key is {"z": "p/q", "l": [...]} and of a `Cut`
+frontier {"z": "p/q", "cut": true}; rationals are written as `str(Fraction)`.
+Library reports hold `Key` and `Cut` objects; only this module spells them.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,6 @@ from .coeffs import EXACT, FLOAT, Exact, c_zero
 from .dulac import DulacSeriesZeta, _germ, rungs, whole_series
 from .errors import ShapeError
 from .keys import Cut, Key, as_zexp
-from .printer import frac_str
 from .series import TransSeries, TruncationGrid, make_series
 
 
@@ -26,9 +30,9 @@ def coeff_to_json(c) -> dict:
     if isinstance(c, Exact):
         out = {}
         re, im = c.parts.get((), (Fraction(0), Fraction(0)))
-        out["re"] = frac_str(re)
-        out["im"] = frac_str(im)
-        higher = {_mono_str(k): list(map(frac_str, v)) for k, v in c.parts.items() if k}
+        out["re"] = str(re)
+        out["im"] = str(im)
+        higher = {_mono_str(k): list(map(str, v)) for k, v in c.parts.items() if k}
         if higher:
             out["lg"] = higher
         return out
@@ -45,23 +49,36 @@ def coeff_from_json(d: dict, mode: str):
     return complex(float(d["re"]), float(d["im"]))
 
 
+def key_to_json(k) -> dict:
+    """A `Key` as {"z", "l"}, a `Cut` as {"z", "cut": true}."""
+    if isinstance(k, Cut):
+        return {"z": str(k.z), "cut": True}
+    return {"z": str(k.z), "l": list(k.l)}
+
+
+def key_from_json(d: dict):
+    """The `Key` or `Cut` of `key_to_json`'s spelling; other fields are ignored."""
+    return Cut(d["z"]) if d.get("cut") else Key(d["z"], d["l"])
+
+
+def report_to_json(report: dict) -> dict:
+    """A report dict with its `Key` and `Cut` values spelled by `key_to_json`."""
+    return {name: key_to_json(v) if isinstance(v, (Key, Cut)) else v for name, v in report.items()}
+
+
 def series_to_json(f: TransSeries) -> dict:
     terms = []
     for k, c in f.sorted_terms():
-        entry = {"z": frac_str(k.z), "l": list(k.l)}
+        entry = key_to_json(k)
         entry.update(coeff_to_json(c))
         terms.append(entry)
     return {
         "depth": f.depth,
         "mode": f.mode,
         "terms": terms,
-        "frontier": (
-            {"z": frac_str(f.frontier.z), "cut": True}
-            if isinstance(f.frontier, Cut)
-            else {"z": frac_str(f.frontier.z), "l": list(f.frontier.l)}
-        ),
+        "frontier": key_to_json(f.frontier),
         "grid": {
-            "z_cap": frac_str(f.grid.z_cap),
+            "z_cap": str(f.grid.z_cap),
             "block_cap": f.grid.block_cap,
         },
     }
@@ -76,29 +93,23 @@ def series_from_json(d: dict) -> TransSeries:
         block_cap=g.get("block_cap", 10),
         depth=depth,
     )
-    terms = {}
-    for entry in d["terms"]:
-        key = Key(entry["z"], entry["l"])
-        terms[key] = coeff_from_json(entry, mode)
+    terms = {key_from_json(e): coeff_from_json(e, mode) for e in d["terms"]}
     fr = d.get("frontier")
-    cands = []
-    if fr:
-        cands = [Cut(fr["z"]) if fr.get("cut") else Key(fr["z"], fr["l"])]
-    return make_series(terms, grid, mode, cands)
+    return make_series(terms, grid, mode, [key_from_json(fr)] if fr else [])
 
 
 def normalization_result_to_json(res) -> dict:
     out = {
-        "alpha": frac_str(res.alpha),
-        "beta": frac_str(res.beta),
+        "alpha": str(res.alpha),
+        "beta": str(res.beta),
         "iterations": res.iterations,
         "phi": series_to_json(res.phi),
-        "verification": res.verification,
+        "verification": report_to_json(res.verification),
     }
     if res.psi is not None:
         out["psi"] = series_to_json(res.psi)
     if res.alpha_input is not None:
-        out["alpha_input"] = frac_str(res.alpha_input)
+        out["alpha_input"] = str(res.alpha_input)
     out["inverted_input"] = res.inverted_input
     return out
 
@@ -108,7 +119,7 @@ def _ladder_json(terms: dict, exp_name: str, poly_name: str, gap, mode) -> list:
     ascending, each P dense by degree with `gap` in the holes.  An exponent is
     a rational string, a JSON number in float mode."""
     return [
-        {exp_name: float(b) if mode == FLOAT else frac_str(b),
+        {exp_name: float(b) if mode == FLOAT else str(b),
          poly_name: [coeff_to_json(q.get(deg, gap)) for deg in range(max(q) + 1)]}
         for b, q in rungs(terms)
     ]
@@ -121,7 +132,7 @@ def dulac_z_to_json(f) -> dict:
     alpha, lam, rest = _germ(f)
     return {
         "lambda": coeff_to_json(lam),
-        "alpha": frac_str(alpha),
+        "alpha": str(alpha),
         "mode": f.mode,
         "ladder": _ladder_json(rest, "exp", "P", c_zero(f.mode) * lam, f.mode),
     }
@@ -131,7 +142,7 @@ def dulac_zeta_to_json(d) -> dict:
     """The zeta chart as alpha, c0 and the ladder of Q = -log(1 + u).  A gap of
     Q is written as -0, the negated zero of log(1 + u)."""
     return {
-        "alpha": frac_str(d.alpha),
+        "alpha": str(d.alpha),
         "c0": coeff_to_json(d.c0),
         "mode": d.v.mode,
         "ladder": _ladder_json(d.v.terms, "beta", "Q", -c_zero(d.v.mode), d.v.mode),

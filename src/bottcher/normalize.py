@@ -268,12 +268,6 @@ def normalize(f: TransSeries, verify=True) -> NormalizationResult:
     return res
 
 
-def _front_json(front):
-    if isinstance(front, Cut):
-        return (str(front.z), "cut")
-    return (str(front.z), list(front.l))
-
-
 def check_conjugation(f: TransSeries | Composer, phi: TransSeries):
     """Check the Bottcher equation phi o f = phi^alpha below the frontier.
 
@@ -295,8 +289,19 @@ def check_conjugation(f: TransSeries | Composer, phi: TransSeries):
     return residual.frontier, min(bad) if bad else None
 
 
+def conjugation_report(f: TransSeries | Composer, phi: TransSeries) -> dict:
+    """`check_conjugation` as the report `verify` prints: the verdict, the
+    frontier checked below (a `Cut` or `Key`) and, on failure, the first bad
+    `Key`.  `io_json.report_to_json` spells it as JSON."""
+    checked, first_bad = check_conjugation(f, phi)
+    report = {"conjugation_exact_below_frontier": first_bad is None, "checked_below": checked}
+    if first_bad is not None:
+        report["first_bad_key"] = first_bad
+    return report
+
+
 def verify_normalization(f: TransSeries, res: NormalizationResult) -> dict:
-    """`check_conjugation` of res.phi plus the order bound, as a report dict.
+    """`conjugation_report` of res.phi plus the order bound `order_bound_ok`.
 
     f is the series `normalize` was given.  The same object is not reduced
     again: res.reduced is the series phi normalizes, and res.composer, which
@@ -317,14 +322,8 @@ def verify_normalization(f: TransSeries, res: NormalizationResult) -> dict:
         if res.psi is not None:
             f = reduce_lambda(f)[1]
         right, phi = f, res.phi
-    checked, first_bad = check_conjugation(right, phi)
-    report = {
-        "conjugation_exact_below_frontier": first_bad is None,
-        "checked_below": _front_json(checked),
-        "order_bound_ok": order_bound_check(f, res.phi),
-    }
-    if first_bad is not None:
-        report["first_bad_key"] = (str(first_bad.z), list(first_bad.l))
+    report = conjugation_report(right, phi)
+    report["order_bound_ok"] = order_bound_check(f, res.phi)
     return report
 
 

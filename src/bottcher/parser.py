@@ -52,7 +52,7 @@ class _Tokens:
             elif m.group(2):
                 self.toks.append((m.group(2), m.group(2), m.start(2)))
             elif m.group(3):
-                self.toks.append(("ell", int(m.group(3)), m.start(0)))
+                self.toks.append(("ell", int(m.group(3)), m.start(3) - 1))  # at the l
             elif m.group(4):
                 self.toks.append((m.group(4), m.group(4), m.start(4)))
         self.i = 0

@@ -9,14 +9,7 @@ for round-trips).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .coeffs import Exact
-
-
-def frac_str(q: Fraction) -> str:
-    """p/q, or p when the denominator is 1."""
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def format_coeff(c) -> str:
@@ -25,17 +18,15 @@ def format_coeff(c) -> str:
         if c.is_rational_complex():
             re, im = c.rational_parts()
             if im == 0:
-                if re < 0:
-                    return "-" + frac_str(-re)
-                return frac_str(re)
+                return str(re)
             if re == 0 and im == 1:
                 return "(0+1i)"
             sign = "+" if im >= 0 else "-"
-            return f"({frac_str(re)}{sign}{frac_str(abs(im))}i)"
+            return f"({re}{sign}{abs(im)}i)"
         monos = []
         for k in sorted(c.parts):
             re, im = c.parts[k]
-            base = frac_str(re) if im == 0 else f"({frac_str(re)}+{frac_str(im)}i)"
+            base = str(re) if im == 0 else f"({re}+{im}i)"
             if k == ():
                 monos.append(base)
             else:
@@ -57,7 +48,7 @@ def format_monomial(key) -> str:
         if key.z == 1:
             parts.append("z")
         else:
-            zs = frac_str(key.z)
+            zs = str(key.z)
             parts.append(f"z^{zs}" if "/" not in zs else f"z^({zs})")
     for j, n in enumerate(key.l, start=1):
         if n == 0:

@@ -6,8 +6,9 @@ read back from that output, and of `bridge compare --json` on the README's
 compare line.  It also holds the edge cases of `EDGES` and `TO_Z`: a depth-0
 input, an empty ladder, a float ladder with gaps, hand-written zeta-chart
 JSON with a gap and a trailing zero, the two shape errors (exit 2), and
-compares of a third rung, of lambda = 2, of alpha < 1, of a log term and of
-a complex lambda.  Every entry must match byte for byte.
+compares of a third rung, of lambda = 2, of alpha < 1, of a log term, of
+a complex lambda, and of alpha = 3 (with and without a log term) and 7/3, where
+the numeric side divides by the exact alpha^n.  Every entry must match byte for byte.
 
 Regenerate (only on purpose) with `PYTHONPATH=src python tests/test_bridge_golden.py`.
 """
@@ -45,6 +46,9 @@ EDGES = (
     ("compare", "z^(1/2) + z", "--n", "2", "--sqd-C", "1", "--json"),
     ("compare", "z^2 - z^3*l1^-1", "--n", "2", "--sqd-C", "1", "--json"),
     ("compare", "(1+1i)*z^2 - z^3", "--float", "--n", "2", "--sqd-C", "1", "--json"),
+    ("compare", "z^3 - z^4", "--n", "4", "--json"),
+    ("compare", "z^3 + z^4*l1^-2", "--n", "3", "--json"),
+    ("compare", "z^(7/3) + z^3", "--n", "4", "--json"),
 )
 
 

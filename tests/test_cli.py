@@ -7,9 +7,15 @@ from pathlib import Path
 import pytest
 
 from bottcher.cli import build_parser, main
-from bottcher.io_json import series_from_json, series_to_json
-from bottcher.keys import Key
-from bottcher.normalize import normalize, verify_normalization
+from bottcher.io_json import key_from_json, series_from_json, series_to_json
+from bottcher.keys import Cut, Key
+from bottcher.normalize import (
+    enumerate_semigroup,
+    normalize,
+    prenormalize,
+    support_predict,
+    verify_normalization,
+)
 from bottcher.parser import parse
 from bottcher.series import TruncationGrid, add, monomial
 
@@ -147,7 +153,7 @@ def test_verify_pass_and_fail(capsys, tmp_path):
 
 @pytest.mark.parametrize("corrupt", [False, True])
 def test_verify_cli_matches_library(capsys, tmp_path, corrupt):
-    # `bottcher verify` and verify_normalization run the same conjugation check
+    # `bottcher verify` prints the conjugation report of verify_normalization
     f = parse("z^2 + z^2*l1", grid=TruncationGrid(Fraction(5), 8, 1, 16))
     res = normalize(f, verify=False)
     if corrupt:
@@ -159,15 +165,78 @@ def test_verify_cli_matches_library(capsys, tmp_path, corrupt):
         capsys, "verify", "--f", "z^2 + z^2*l1", "--phi-file", str(p),
         "--z-cap", "5", "--block-cap", "8", "--json",
     )
-    data = json.loads(out)
-    assert data["pass"] is lib["conjugation_exact_below_frontier"] is (not corrupt)
     assert code == (3 if corrupt else 0)
-    assert data["checked_below"]["z"] == lib["checked_below"][0]
-    if corrupt:
-        bad = data["first_bad_key"]
-        assert (bad["z"], bad["l"]) == lib["first_bad_key"]
-    else:
-        assert "first_bad_key" not in data and "first_bad_key" not in lib
+    assert ("first_bad_key" in lib) is corrupt
+    assert _decoded_report(json.loads(out)) == _conjugation_fields(lib)
+
+
+def _decoded_report(data: dict) -> dict:
+    """A JSON report with its keys and frontiers read back by `key_from_json`."""
+    return {k: key_from_json(v) if isinstance(v, dict) else v for k, v in data.items()}
+
+
+def _conjugation_fields(report: dict) -> dict:
+    """The fields `verify` shares with `verify_normalization`: all but the order bound."""
+    return {k: v for k, v in report.items() if k != "order_bound_ok"}
+
+
+def _json_keys(obj) -> list:
+    """Every key and frontier of a JSON output, decoded, in document order."""
+    if isinstance(obj, dict):
+        if "z" in obj and ("l" in obj or "cut" in obj):
+            return [key_from_json(obj)]
+        return [k for v in obj.values() for k in _json_keys(v)]
+    if isinstance(obj, list):
+        return [k for v in obj for k in _json_keys(v)]
+    return []
+
+
+def _series_keys(f) -> list:
+    return [k for k, _ in f.sorted_terms()] + [f.frontier]
+
+
+# (expr, grid options, exit code) of `normalize --json`; the second is a float
+# verdict that fails (a known defect of float verification) and so has a first bad key
+NORMALIZE_JSON = (
+    ("z^2 + z^2*l1 + z^3", ("--z-cap", "6", "--block-cap", "8"), 0),
+    ("z^2 + 1000*z^3", ("--float", "--z-cap", "10", "--block-cap", "8", "--depth", "0"), 3),
+)
+
+
+@pytest.mark.parametrize("expr,opts,exit_code", NORMALIZE_JSON)
+def test_normalize_and_verify_json_decode_to_library_objects(capsys, tmp_path, expr, opts, exit_code):
+    """Every key and frontier `normalize --json` and `verify --json` write reads
+    back into the library's own `Key` or `Cut`, and the two commands print the
+    same conjugation report for the same phi, field for field."""
+    code, out = run(capsys, "normalize", expr, *opts, "--json")
+    assert code == exit_code
+    data = json.loads(out)
+    args = build_parser().parse_args(["normalize", expr, *opts])
+    res = normalize(parse(expr, mode=args.mode, z_cap=args.z_cap, block_cap=args.block_cap,
+                          depth=args.depth))
+    report = [v for v in res.verification.values() if isinstance(v, (Key, Cut))]
+    assert _json_keys(data) == _series_keys(res.phi) + report
+    assert ("first_bad_key" in res.verification) is bool(exit_code)
+    p = tmp_path / "phi.json"
+    p.write_text(json.dumps(data["phi"]))
+    code, out = run(capsys, "verify", "--f", expr, "--phi-file", str(p), *opts, "--json")
+    assert code == exit_code
+    assert _decoded_report(json.loads(out)) == _conjugation_fields(res.verification)
+    assert json.loads(out) == _conjugation_fields(data["verification"])
+
+
+def test_support_and_prenormalize_json_decode_to_library_objects(capsys):
+    f = parse("z^2 + z^3*l1", z_cap=6)
+    code, out = run(capsys, "support", "z^2 + z^3*l1", "--z-cap", "6", "--enumerate", "3", "--json")
+    assert code == 0
+    data = json.loads(out)
+    spec = support_predict(f)
+    assert data["cutoff"] == {"z": "6", "cut": True}
+    assert _json_keys(data) == [*spec.generators, spec.cutoff, *enumerate_semigroup(spec, 3)]
+    g = parse("z^2 + z^2*l1", z_cap=5)
+    code, out = run(capsys, "prenormalize", "z^2 + z^2*l1", "--z-cap", "5", "--json")
+    assert code == 0
+    assert _json_keys(json.loads(out)) == _series_keys(prenormalize(g))
 
 
 def test_verify_non_parabolic_phi_is_one_line_exit_2(capsys):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -295,6 +296,29 @@ def test_continued_orbit_gives_the_bits_of_a_fresh_one_in_mpmath():
             assert calls[0] - before == max(0, used[complex(w1)] + 1 - used[complex(z)])
             fresh = koenigs_normalize(mp_f, SPEC, DOM, R, tol=1e-35, check_domain=False)
             assert got == (_mp_bits(fresh.evaluator(w1)), fresh.tail_bound(w1).hex())
+
+
+def test_rational_alpha_gives_the_limit_to_working_precision():
+    """At 50 digits the Koenigs value of 3 zeta + e^-zeta matches the limit
+    F^n(x) / 3^n taken at 90 digits, to 1e-45.  The spec carries alpha as the
+    rational 3, so alpha^-n is exact; a float 3.0 ** -n rounds to 53 bits and
+    left an error near 1e-16."""
+    mpmath = pytest.importorskip("mpmath")
+    spec = AsymptoticSpec(Fraction(3), 1.0, 1)
+    R = invariant_threshold(lambda z: 3 * z + cmath.exp(-z), spec, DOM)
+
+    def limit(x):
+        w = mpmath.mpf(x)
+        for _ in range(8):  # e^(-F^8(x)) / 3^9 is far below 1e-90 for x >= R
+            w = 3 * w + mpmath.exp(-w)
+        return w / 3**8
+
+    with mpmath.workdps(50):
+        res = koenigs_normalize(lambda z: 3 * z + mpmath.exp(-z), spec, DOM, R, tol=1e-48)
+        for x in (R, R + 2.5, R + 7.0):
+            got = res.evaluator(mpmath.mpc(x, 0.0))
+            with mpmath.workdps(90):
+                assert abs(got - limit(x)) < 1e-45, x
 
 
 @pytest.mark.parametrize(

@@ -26,14 +26,13 @@ from crosschecks import (
     support_of_composition_bound,
 )
 from bottcher.coeffs import EXACT, FLOAT, Exact
-from bottcher.compose import compose, shape_of
+from bottcher.compose import compose, invert, shape_of
 from bottcher.errors import BottcherError, ShapeError
 from bottcher.io_json import series_from_json, series_to_json
 from bottcher.keys import Cut, Key
 from bottcher.normalize import (
     NormalizationResult,
     SemigroupSpec,
-    _front_json,
     bottcher_R_op,
     bottcher_iterates,
     bottcher_op,
@@ -59,6 +58,7 @@ from bottcher.series import (
     monomial,
     mul,
     ord_z,
+    pow_rational,
     residual_keys,
     sub,
 )
@@ -378,7 +378,7 @@ def test_irrational_float_exponents_normalize_and_verify():
     f = make_series({Key(a): 1, Key(a + 0.5): 1, Key(2 * a): -0.5}, TruncationGrid(6, 8, 0), FLOAT)
     res = normalize(f)
     assert res.verification["conjugation_exact_below_frontier"], res.verification
-    assert res.verification["checked_below"] == ("6", "cut")
+    assert res.verification["checked_below"] == Cut(6)
     assert all(type(k.z) is Fraction for k in res.phi.terms)
     assert type(res.phi.frontier.z) is Fraction
 
@@ -614,7 +614,7 @@ def test_least_grid_matches_full_grid_solve(f):
     assert series_to_json(res.phi) == series_to_json(ref)
     checked, bad = check_conjugation(right, ref)
     report = verify_normalization(f, res)
-    assert bad is None and report["checked_below"] == _front_json(checked)
+    assert bad is None and report["checked_below"] == checked
     trusted = sorted(k for k in ref.terms if k != Key(1, (0,) * ref.depth))
     if not trusted:
         return
@@ -622,8 +622,8 @@ def test_least_grid_matches_full_grid_solve(f):
     checked, bad = check_conjugation(right, add(ref, bump))
     report = verify_normalization(f, replace(res, phi=add(res.phi, bump)))
     assert bad is not None
-    assert report["checked_below"] == _front_json(checked)
-    assert report["first_bad_key"] == (str(bad.z), list(bad.l))
+    assert report["checked_below"] == checked
+    assert report["first_bad_key"] == bad
 
 
 def _normalize_report(f):
@@ -701,6 +701,58 @@ def test_trusted_terms_survive_grid_refinement():
             assert below == small, (f, grid)
             rose += big.frontier > phi.frontier
     assert rose > 20
+
+
+@pytest.mark.parametrize(
+    "text,alpha,depth",
+    [
+        ("z + z^2", 2, 0),
+        ("z + 1/2*z^2*l1 + z^3", 2, 1),
+        ("z - z^2 + 1/3*z^(5/2)", F(3, 2), 0),
+        ("z + z^2*l1^-1", 3, 1),
+        ("z + 2*z^3", F(1, 2), 0),
+    ],
+)
+def test_normalize_recovers_a_planted_phi(text, alpha, depth):
+    """The normal-form statement used backwards: for a parabolic phi, the
+    series f = phi^-1 o phi^alpha is conjugated to z^alpha by phi, so
+    normalize(f) must return phi itself below its frontier, every term of
+    phi included, and verify."""
+    phi = parse(text, grid=TruncationGrid(10, 10, depth))
+    f = compose(invert(phi), pow_rational(phi, alpha))
+    res = normalize(f)
+    assert res.verification["conjugation_exact_below_frontier"], res.verification
+    assert all(k < res.phi.frontier for k in phi.terms), res.phi.frontier
+    assert _trusted(res.phi) == phi.terms
+
+
+@pytest.mark.parametrize(
+    "text,alpha,u,z_cap",
+    [
+        ("z^2 + z^3", 2, [(1, 1)], 12),
+        ("z^(3/2) + 2/7*z^2", F(3, 2), [(F(2, 7), F(1, 2))], 8),
+        ("z^3 - z^4", 3, [(-1, 1)], 12),
+    ],
+)
+def test_phi_matches_the_numeric_bottcher_limit(text, alpha, u, z_cap):
+    """phi(z) = lim (f^on(z))^(1/alpha^n), taken in mpmath at 60 digits in log
+    coordinates with no package code: t = -log z, f(z) = z^alpha (1 + u(z))
+    for u(z) = sum c z^s, so t maps to alpha t - log(1 + u(e^-t)) and
+    phi(z) = exp(-lim t_n / alpha^n).  At z = 1e-3 phi's trusted terms match
+    the limit to within z^(frontier z), the first order phi omits."""
+    mpmath = pytest.importorskip("mpmath")
+    phi = normalize(parse(text, z_cap=z_cap), verify=False).phi
+    with mpmath.workdps(60):
+        q = lambda r: mpmath.mpf(F(r).numerator) / F(r).denominator
+        z = mpmath.mpf("1e-3")
+        t = -mpmath.log(z)
+        for n in range(1, 40):  # until u(e^-t_n), the next step's change, is below 1e-80
+            t = q(alpha) * t - mpmath.log(1 + sum(q(c) * mpmath.exp(-q(s) * t) for c, s in u))
+            if t > 200 / min(q(s) for _, s in u):
+                break
+        limit = mpmath.exp(-t / q(alpha) ** n)
+        trusted = sum(q(c.rational_parts()[0]) * z ** q(k.z) for k, c in _trusted(phi).items())
+        assert abs(limit - trusted) < z ** q(phi.frontier.z)
 
 
 def test_grid_stores_three_caps():

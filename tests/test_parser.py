@@ -66,6 +66,10 @@ def test_errors_carry_position():
         with pytest.raises(ParseError, match="l0") as err:
             parse("z^2+l0", depth=depth)
         assert err.value.col == 4
+    for text, depth in (("z^2 + l3", 2), ("z^2 + l0", None)):  # the col of the l, not the space
+        with pytest.raises(ParseError) as err:
+            parse(text, depth=depth)
+        assert err.value.col == 6
     with pytest.raises(ParseError, match="zero denominator"):
         parse("z^(1/0)")
     with pytest.raises(ParseError, match="arithmetic error"):
