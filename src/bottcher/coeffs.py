@@ -7,7 +7,11 @@ log(alpha); writing log(p/q) = sum e_p log(p) over the prime factorization
 keeps every relation (reciprocals, powers, products of different alphas)
 canonical, so zero-testing and equality stay exact.  Coefficients of series
 whose computation never takes such a logarithm stay at degree 0, i.e. genuine
-complex rationals.
+complex rationals.  Most are real rationals, and an `Exact` holds each of
+those in one canonical form, coprime ints n / d with d > 0 (zero is 0 / 1),
+with the integer arithmetic of `fractions.Fraction`; only a value with a
+nonzero imaginary part or a log p monomial keeps a parts dict.  A float or
+complex never enters exact mode (ModeError).
 
 Float coefficients are plain Python complex numbers.  Both kinds take
 Python's operators (`a + b`, `a * b`, `c * q` and `q * c` for a rational q,
@@ -35,6 +39,8 @@ _ZERO = Fraction(0)
 
 
 def _asfrac(x) -> Fraction:
+    if isinstance(x, (float, complex)):
+        raise ModeError(f"float value {x!r} in exact mode")
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
@@ -77,25 +83,29 @@ def _mono_mul(a: tuple, b: tuple) -> tuple:
 class Exact:
     """Element of Q(i)[log p: p prime].
 
-    parts maps a monomial — a sorted tuple of (prime, exponent) pairs, () for
-    the constant — to its complex-rational coefficient (re, im).
+    A real rational value is held as coprime ints `_n / _d` with `_d > 0`
+    (zero is 0 / 1) and takes integer arithmetic.  Any other value is held in
+    `_parts`, which maps a monomial — a sorted tuple of (prime, exponent)
+    pairs, () for the constant — to its nonzero complex-rational coefficient
+    (re, im).  Every constructor lands in this one form, so `==` and `hash`
+    compare values.
     """
 
-    __slots__ = ("parts", "_hash")
+    __slots__ = ("_n", "_d", "_parts")
 
     def __init__(self, parts: dict[tuple, tuple[Fraction, Fraction]]):
-        self.parts = {
-            k: (re, im) for k, (re, im) in parts.items() if re != 0 or im != 0
-        }
-        self._hash = None
+        parts = {k: (re, im) for k, (re, im) in parts.items() if re != 0 or im != 0}
+        re, im = parts.get((), (0, 0))
+        if im == 0 and all(k == () for k in parts):
+            self._n, self._d, self._parts = re.numerator, re.denominator, None
+        else:
+            self._parts = parts
 
-    @classmethod
-    def _nonzero(cls, parts: dict[tuple, tuple[Fraction, Fraction]]) -> "Exact":
-        """An Exact over parts already known to hold no (0, 0) entry."""
-        e = object.__new__(cls)
-        e.parts = parts
-        e._hash = None
-        return e
+    @property
+    def parts(self) -> dict[tuple, tuple[Fraction, Fraction]]:
+        if self._parts is not None:
+            return self._parts
+        return {(): (Fraction(self._n, self._d), _ZERO)} if self._n else {}
 
     @staticmethod
     def of(re, im=0) -> "Exact":
@@ -117,7 +127,7 @@ class Exact:
         return Exact(parts)
 
     def is_zero(self) -> bool:
-        return not self.parts
+        return not self
 
     def is_rational_complex(self) -> bool:
         return all(k == () for k in self.parts)
@@ -131,16 +141,8 @@ class Exact:
         return all(im == 0 for _, im in self.parts.values())
 
     def __add__(self, other: "Exact") -> "Exact":
-        if not self.parts:
-            return other
-        if not other.parts:
-            return self
-        if len(self.parts) == 1 and len(other.parts) == 1:
-            ((k1, (a, b)),) = self.parts.items()
-            ((k2, (c, d)),) = other.parts.items()
-            if k1 == k2:
-                re, im = a + c, b + d
-                return Exact._nonzero({k1: (re, im)} if re or im else {})
+        if self._parts is None and other._parts is None:
+            return _add(self._n, self._d, other._n, other._d)
         parts = dict(self.parts)
         for k, (re, im) in other.parts.items():
             cur = parts.get(k)
@@ -151,30 +153,25 @@ class Exact:
         return Exact(parts)
 
     def __neg__(self) -> "Exact":
-        return Exact({k: (-re, -im) for k, (re, im) in self.parts.items()})
+        if self._parts is None:
+            return _real(-self._n, self._d)
+        return Exact({k: (-re, -im) for k, (re, im) in self._parts.items()})
 
     def __sub__(self, other: "Exact") -> "Exact":
         return self + (-other)
 
     def __bool__(self) -> bool:
-        return bool(self.parts)
+        return self._parts is not None or self._n != 0
 
     def __mul__(self, other) -> "Exact":
         if not isinstance(other, Exact):
             return self.scale(other)
-        sp, op = self.parts, other.parts
-        if len(sp) == 1 and len(op) == 1:
-            # Q(i) is a field: a product of nonzero parts is nonzero
-            ((k1, (a, b)),) = sp.items()
-            ((k2, (c, d)),) = op.items()
-            k = _mono_mul(k1, k2) if k1 and k2 else k1 or k2
-            if b == 0 and d == 0:
-                return Exact._nonzero({k: (a * c, _ZERO)})
-            return Exact._nonzero({k: (a * c - b * d, a * d + b * c)})
+        if self._parts is None and other._parts is None:
+            return _mul(self._n, self._d, other._n, other._d)
         # Real parts (im == 0) take one Fraction product, not four.
         parts: dict[tuple, tuple[Fraction, Fraction]] = {}
-        for k1, (a, b) in sp.items():
-            for k2, (c, d) in op.items():
+        for k1, (a, b) in self.parts.items():
+            for k2, (c, d) in other.parts.items():
                 k = _mono_mul(k1, k2)
                 if b or d:
                     re, im = a * c - b * d, a * d + b * c
@@ -190,30 +187,41 @@ class Exact:
         return self.scale(q)
 
     def scale(self, q) -> "Exact":
+        if self._parts is None and isinstance(q, (int, Fraction)):
+            return _mul(self._n, self._d, q.numerator, q.denominator)
         q = _asfrac(q)
         return Exact({k: (re * q, im * q) for k, (re, im) in self.parts.items()})
 
     def inverse(self) -> "Exact":
+        if self._parts is None:
+            n, d = self._n, self._d
+            if n == 0:
+                raise ZeroDivisionError("inverse of zero coefficient")
+            return _real(d, n) if n > 0 else _real(-d, -n)
         re, im = self.rational_parts()
         n = re * re + im * im
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero coefficient")
         return Exact({(): (re / n, -im / n)})
 
     def __rtruediv__(self, q) -> "Exact":
         return self.inverse().scale(q)
 
     def __eq__(self, other):
-        return isinstance(other, Exact) and self.parts == other.parts
+        if not isinstance(other, Exact):
+            return False
+        if self._parts is None:
+            return other._parts is None and self._n == other._n and self._d == other._d
+        return self._parts == other._parts
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.parts.items()))
-        return self._hash
+        if self._parts is None:
+            return hash((self._n, self._d))
+        return hash(frozenset(self._parts.items()))
 
     def evaluate(self) -> complex:
+        if self._parts is None:
+            return complex(self._n / self._d)
         out = 0j
-        for k, (re, im) in self.parts.items():
+        for k, (re, im) in self._parts.items():
             c = complex(float(re), float(im))
             for p, e in k:
                 c *= math.log(p) ** e
@@ -226,11 +234,44 @@ class Exact:
         return f"Exact({self.parts})"
 
 
+# Real rationals by Knuth's gcd split (TAOCP 2, 4.5.1), as in `Fraction._add`
+# and `Fraction._mul`: the same reduced results for the same big-int work.
+
+
+def _real(n: int, d: int) -> Exact:
+    """n / d for coprime ints n and d > 0."""
+    e = object.__new__(Exact)
+    e._n, e._d, e._parts = n, d, None
+    return e
+
+
+def _add(na: int, da: int, nb: int, db: int) -> Exact:
+    g = math.gcd(da, db)
+    if g == 1:
+        return _real(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return _real(t, s * db)
+    return _real(t // g2, s * (db // g2))
+
+
+def _mul(na: int, da: int, nb: int, db: int) -> Exact:
+    g1 = math.gcd(na, db)
+    if g1 > 1:
+        na, db = na // g1, db // g1
+    g2 = math.gcd(nb, da)
+    if g2 > 1:
+        nb, da = nb // g2, da // g2
+    return _real(na * nb, da * db)
+
+
 ONE = Exact.of(1)
 
 
 def c_zero(mode: str):
-    return Exact({}) if mode == EXACT else 0j
+    return _real(0, 1) if mode == EXACT else 0j
 
 
 def c_one(mode: str):
@@ -238,13 +279,10 @@ def c_one(mode: str):
 
 
 def c_from(value, mode: str):
-    """Build a coefficient from int/Fraction/complex/Exact for the given mode."""
+    """Build a coefficient from int/Fraction/complex/Exact for the given mode;
+    exact mode refuses a float or complex (ModeError)."""
     if mode == EXACT:
-        if isinstance(value, Exact):
-            return value
-        if isinstance(value, complex):
-            raise ModeError("float complex value in exact mode")
-        return Exact.of(value)
+        return value if isinstance(value, Exact) else Exact.of(value)
     if isinstance(value, Exact):
         return value.evaluate()
     return complex(value)

@@ -7,8 +7,18 @@ from fractions import Fraction
 import pytest
 
 from crosschecks import binomial, exact_add_reference, exact_mul_reference
-from bottcher.coeffs import Exact, c_pow_rational, exp_of_log_exact, nth_root_fraction
+from bottcher.coeffs import (
+    EXACT,
+    Exact,
+    c_from,
+    c_pow_rational,
+    exp_of_log_exact,
+    nth_root_fraction,
+)
 from bottcher.errors import ModeError
+from bottcher.io_json import coeff_from_json, coeff_to_json
+from bottcher.keys import Key
+from bottcher.series import TruncationGrid, identity_series, monomial, scale
 
 F = Fraction
 
@@ -235,3 +245,82 @@ def test_float_operators_match_the_float_formulas_bit_for_bit():
         assert bits(c * q) == bits(q * c) == bits(c * float(q))
         if c:
             assert bits(1 / c) == bits(1.0 / c)
+
+
+def test_a_float_is_refused_in_exact_mode():
+    """A float entered exact mode as its binary fraction (0.1 as
+    3602879701896397/36028797018963968); like a complex it raises ModeError."""
+    grid = TruncationGrid(4, 4, 0)
+    f = identity_series(grid)
+    for v in (0.1, 2.0, 0.5j):
+        with pytest.raises(ModeError):
+            c_from(v, EXACT)
+        with pytest.raises(ModeError):
+            monomial(Key(2, ()), grid, EXACT, coeff=v)
+        with pytest.raises(ModeError):
+            scale(f, v)
+        with pytest.raises(ModeError):
+            Exact.of(1, 1).scale(v)
+
+
+def _draw_rational(rng):
+    """0, +-ints, and fractions with denominators up to about 10^30."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return F(0)
+    if kind == 1:
+        return F(rng.randint(-(10**6), 10**6))
+    return F(rng.randint(-(10**30), 10**30), rng.randint(1, 10 ** rng.randint(1, 30)))
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def test_real_values_match_fraction_arithmetic():
+    """A real rational is held as an int pair: every operator gives the
+    Fraction result, parts and rational_parts still read Fractions, and one
+    value built four ways compares and hashes equal."""
+    rng = random.Random(3232)
+    for _ in range(2000):
+        p, q = _draw_rational(rng), _draw_rational(rng)
+        n = rng.choice([0, 1, -1, rng.randint(-(10**9), 10**9)])
+        a, b = Exact.of(p), Exact.of(q)
+        for got, want in (
+            (a + b, p + q), (a - b, p - q), (a * b, p * q), (-a, -p),
+            (a.scale(n), p * n), (a.scale(q), p * q), (a * n, p * n), (q * a, p * q),
+        ):
+            assert got.rational_parts() == (want, 0), (p, q, n)
+            assert got == Exact.of(want) and hash(got) == hash(Exact.of(want))
+            assert got.parts == ({(): (want, 0)} if want else {})
+            assert all(type(x) is F for v in got.parts.values() for x in v)
+        if p:
+            assert a.inverse().rational_parts() == (1 / p, 0)
+            assert (1 / a).rational_parts() == (1 / p, 0)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+        assert bool(a) is bool(p) and a.is_zero() is (p == 0)
+        assert (a == b) is (p == q)
+        assert _bits(complex(a)) == _bits(complex(float(p), 0.0))
+        ways = [Exact({(): (p, 0)}), a, (a + b) - b, coeff_from_json(coeff_to_json(a), EXACT)]
+        assert all(w == a and hash(w) == hash(a) for w in ways), p
+
+
+def test_real_operands_with_complex_or_log_operands_match_the_reference():
+    """A real value meets a complex or log p value through the parts dict;
+    the results equal the full formulas, and a real result is a real value."""
+    rng = random.Random(3233)
+    for _ in range(500):
+        a = Exact.of(_draw_rational(rng))
+        c = _draw_multi_part(rng)
+        for got, want in (
+            (a * c, exact_mul_reference(a, c)),
+            (c * a, exact_mul_reference(c, a)),
+            (a + c, exact_add_reference(a, c)),
+            (c + a, exact_add_reference(c, a)),
+        ):
+            assert list(got.parts.items()) == list(want.parts.items()), (a, c)
+            assert got == want and hash(got) == hash(want)
+        back = (a + c) - c
+        assert back == a and hash(back) == hash(a) and back.rational_parts() == a.rational_parts()

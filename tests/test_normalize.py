@@ -25,7 +25,7 @@ from crosschecks import (
     semigroup_contains_reference,
     support_of_composition_bound,
 )
-from bottcher.coeffs import EXACT, FLOAT, Exact
+from bottcher.coeffs import EXACT, FLOAT, Exact, c_pow_rational
 from bottcher.compose import compose, invert, shape_of
 from bottcher.errors import BottcherError, ShapeError
 from bottcher.io_json import series_from_json, series_to_json
@@ -711,6 +711,8 @@ def test_trusted_terms_survive_grid_refinement():
         ("z - z^2 + 1/3*z^(5/2)", F(3, 2), 0),
         ("z + z^2*l1^-1", 3, 1),
         ("z + 2*z^3", F(1, 2), 0),
+        ("z + z^2*l1*l2", 3, 2),
+        ("z + z^2*l2^-1", 2, 2),
     ],
 )
 def test_normalize_recovers_a_planted_phi(text, alpha, depth):
@@ -724,6 +726,32 @@ def test_normalize_recovers_a_planted_phi(text, alpha, depth):
     assert res.verification["conjugation_exact_below_frontier"], res.verification
     assert all(k < res.phi.frontier for k in phi.terms), res.phi.frontier
     assert _trusted(res.phi) == phi.terms
+
+
+@pytest.mark.parametrize(
+    "text,alpha,lam",
+    [
+        ("z + z^2", 2, Exact.of(4)),
+        ("z + 2*z^3", 3, Exact.of(F(1, 4))),
+        ("z - z^2 + 1/3*z^3", 2, Exact.of(0, 1)),
+        ("z + z^2", 2, Exact.of(1, 1)),
+    ],
+)
+def test_normalize_recovers_a_planted_phi_at_lambda_not_1(text, alpha, lam):
+    """f = phi^-1 o (lambda phi^alpha) is conjugated to lambda z^alpha by phi.
+    normalize first reduces lambda with psi = c z, c = lambda^(1/(alpha-1)),
+    so it must return psi o phi o psi^-1, whose z^d coefficient is
+    a_d c^(1-d), below its frontier: rational, complex and Gaussian c."""
+    phi = parse(text, grid=TruncationGrid(10, 10, 0))
+    p = pow_rational(phi, alpha)
+    lam_p = make_series({k: lam * c for k, c in p.terms.items()}, p.grid, EXACT, [p.frontier])
+    f = compose(invert(phi), lam_p)
+    res = normalize(f)
+    assert res.verification["conjugation_exact_below_frontier"], res.verification
+    c = c_pow_rational(lam, F(1, alpha - 1))
+    want = {k: a * c_pow_rational(c, 1 - k.z) for k, a in phi.terms.items()}
+    assert all(k < res.phi.frontier for k in want), res.phi.frontier
+    assert _trusted(res.phi) == want
 
 
 @pytest.mark.parametrize(
