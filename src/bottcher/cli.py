@@ -98,8 +98,17 @@ def _emit(args, payload: dict, text: str):
         print(text)
 
 
+def _rational(text: str) -> Fraction:
+    """The type of --z-cap and --e-cap: a rational "p" or "p/q".  A bad value,
+    a zero denominator too, is an argparse error (exit 2), not a traceback."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def _add_grid(p):
-    p.add_argument("--z-cap", dest="z_cap", type=Fraction, default="12")
+    p.add_argument("--z-cap", dest="z_cap", type=_rational, default="12")
     p.add_argument("--block-cap", dest="block_cap", type=int, default=10)
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--float", dest="mode", action="store_const", const=FLOAT, default=EXACT)
@@ -417,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     br = br.add_subparsers(dest="bridge_cmd", required=True)
     p = br.add_parser("to-zeta", help="a Dulac series in the zeta chart, as JSON")
     p.add_argument("expr")
-    p.add_argument("--e-cap", dest="e_cap", type=Fraction, default=None)
+    p.add_argument("--e-cap", dest="e_cap", type=_rational, default=None)
     _add_grid(p)
     p.set_defaults(fn=cmd_to_zeta)
 

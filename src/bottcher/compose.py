@@ -58,7 +58,10 @@ STRONGLY_HYPERBOLIC = "strongly_hyperbolic"
 
 @dataclass(frozen=True)
 class HyperbolicShape:
-    """Leading data (lambda, alpha) of a series with a log-free leading term."""
+    """Leading data (lambda, alpha) of a series with a log-free leading term.
+
+    alpha is a `Fraction` also when it is integral, unlike a key's z: 1 / alpha
+    and z / alpha must stay exact, and int / int is a float."""
 
     lam: object
     alpha: object
@@ -72,7 +75,7 @@ def shape_of(f: TransSeries) -> HyperbolicShape:
     key, lam = leading_term(f)
     if any(n != 0 for n in key.l):
         raise ShapeError("leading term contains logarithms")
-    alpha = key.z
+    alpha = Fraction(key.z)
     if alpha <= 0:
         raise ShapeError(f"leading exponent {alpha} is not positive")
     if alpha == 1:

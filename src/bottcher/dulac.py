@@ -67,9 +67,10 @@ def DulacSeriesZ(lam, alpha, ladder, mode=EXACT) -> TransSeries:
 @dataclass
 class DulacSeriesZeta:
     """alpha zeta + c0 + v(zeta), c0 = -log lambda; the term Key(beta, (-deg,))
-    of the depth-1 series v is e^(-beta zeta) zeta^deg, beta > 0."""
+    of the depth-1 series v is e^(-beta zeta) zeta^deg, beta > 0.  alpha is
+    the germ's leading z-exponent, in `keys`' canonical form."""
 
-    alpha: Fraction
+    alpha: int | Fraction
     c0: object
     v: TransSeries
 
@@ -112,12 +113,12 @@ def _chart_op(terms: dict, op, mode, e_cap) -> TransSeries:
     """op applied to the depth-1 series of `terms`, keys Key(beta, (-deg,))
     with beta > 0, on a grid that stores every term below e_cap:
     op(u) = Sigma_j c_j u^j needs j <= e_cap / min beta, so a block holds at
-    most (max deg) * (int(e_cap / min beta) + 1) + 1 terms.
+    most (max deg) * (floor(e_cap / min beta) + 1) + 1 terms.
     """
     if not terms:  # also covers e_cap <= 0, where every term is cut
         return whole_series({}, mode)
     max_deg = -min(k.l[0] for k in terms)
-    reach = int(e_cap / min(k.z for k in terms)) + 1
+    reach = e_cap // min(k.z for k in terms) + 1  # exact: both may be ints
     grid = TruncationGrid(z_cap=e_cap, block_cap=max_deg * reach + 1, depth=1)
     return op(make_series(terms, grid, mode))
 

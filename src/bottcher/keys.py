@@ -1,11 +1,20 @@
 """Exponent keys: points of Q x Z^k ordered lexicographically.
 
-A key holds the exponent of z, a `Fraction` in both coefficient modes,
-together with the integer exponents of the iterated logarithms l1..lK.  Keys
-form an ordered commutative monoid under componentwise addition; the total
-order is lexicographic on (z_exp, log_exps[0], ..., log_exps[K-1]).  Float
-mode means float coefficients only: a float exponent handed in is made exact
-once, by `as_zexp`, so exponent sums stay associative.
+A key holds the exponent of z together with the integer exponents of the
+iterated logarithms l1..lK.  Keys form an ordered commutative monoid under
+componentwise addition; the total order is lexicographic on
+(z_exp, log_exps[0], ..., log_exps[K-1]).
+
+A z-exponent has one canonical form in both coefficient modes: an `int` when
+it is integral, else a `Fraction` with denominator > 1; never a float.  `Key`,
+`Cut` and `series.TruncationGrid` put every exponent they are given in that
+form, so the integral keys of a series order, hash and add as ints.  The two
+types are equal and hash-equal at equal values (2 == Fraction(2)), so dict
+lookups, order and printing do not see the difference.  Float mode means
+float coefficients only: a float exponent handed in is made exact once, by
+`as_zexp`, so exponent sums stay associative.  An exponent divided by
+another must stay rational: divide by a `Fraction` (`compose.shape_of`'s
+alpha is one) or floor-divide, since int / int is a float.
 """
 
 from __future__ import annotations
@@ -13,31 +22,35 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def as_zexp(x) -> Fraction:
-    """A z-exponent as a `Fraction`.
+def as_zexp(x) -> int | Fraction:
+    """A z-exponent in canonical form: an `int` if integral, else a `Fraction`.
 
     Rationals (int, `Fraction`, "p/q" text) convert exactly.  Any other
     number, a float, becomes the fraction of denominator <= 10^6 that rounds
     to it (float(1/3) -> 1/3), or else its exact binary value (1 + sqrt(2)).
     """
-    if isinstance(x, (int, Fraction, str)):
-        return Fraction(x)
-    q = Fraction(x)
-    near = q.limit_denominator(10**6)
-    return near if float(near) == x else q
+    q = x if type(x) is Fraction else Fraction(x)
+    if not isinstance(x, (int, Fraction, str)):
+        near = q.limit_denominator(10**6)
+        if float(near) == x:
+            q = near
+    return q.numerator if q.denominator == 1 else q
 
 
 class Key:
-    """A point (z_exp, log_exps) of Q x Z^k with lex order."""
+    """A point (z_exp, log_exps) of Q x Z^k with lex order; z_exp canonical."""
 
     __slots__ = ("z", "l", "_t", "_h")
 
     def __init__(self, z, l=()):
         # Keys are hashed on every dict access: normalize once, hash once.
-        # A tuple `l` is taken as already normalized (integer entries).
-        self.z = z if type(z) is Fraction else as_zexp(z)
+        # An int z, or a Fraction z of denominator > 1, is already canonical;
+        # a tuple `l` is taken as already normalized (integer entries).
+        if type(z) is not int and (type(z) is not Fraction or z.denominator == 1):
+            z = as_zexp(z)
+        self.z = z
         self.l = l if type(l) is tuple else tuple(map(int, l))
-        self._t = (self.z, self.l)
+        self._t = (z, self.l)
         self._h = hash(self._t)
 
     @property
@@ -91,7 +104,7 @@ class Key:
 
     def is_positive(self) -> bool:
         """Strictly above the all-zero key in lex order."""
-        return self._t > (Fraction(0), (0,) * len(self.l))
+        return self._t > (0, (0,) * len(self.l))
 
     def is_zero(self) -> bool:
         return self.z == 0 and all(n == 0 for n in self.l)
@@ -112,8 +125,10 @@ class Cut:
     __slots__ = ("z", "_t")
 
     def __init__(self, z):
-        self.z = z if type(z) is Fraction else as_zexp(z)
-        self._t = (self.z,)
+        if type(z) is not int and (type(z) is not Fraction or z.denominator == 1):
+            z = as_zexp(z)
+        self.z = z
+        self._t = (z,)
 
     def pad(self, depth: int) -> "Cut":
         return self

@@ -7,8 +7,9 @@ z-order cap z_cap, the per-z-block term count block_cap and the log depth;
 no cap counts powers.  Each operation recomputes the output frontier
 conservatively: the min of the operand frontiers shifted by the other
 operand's minimal key, the first key lost to truncation, and the
-grid-implied frontier (z_cap, 0).  Keys are exact in both modes (see
-`keys`): float mode differs from exact mode in its coefficients alone.
+grid-implied frontier (z_cap, 0).  Keys are exact in both modes, with each
+z-exponent and z_cap in `keys`' canonical form (an int when integral, else a
+`Fraction`): float mode differs from exact mode in its coefficients alone.
 
 Supports may contain keys <= 0 (the ambient algebra allows constants,
 negative log exponents and negative powers); shape preconditions of the
@@ -61,7 +62,7 @@ from .printer import format_series
 class TruncationGrid:
     """Caps for stored data: z-order frontier, per-block term count, depth."""
 
-    z_cap: Fraction
+    z_cap: int | Fraction
     block_cap: int = 10
     depth: int = 1
     # a retired cap that bounded nothing: accepted, neither stored nor compared,
@@ -69,7 +70,7 @@ class TruncationGrid:
     ell_stop: InitVar[object] = None
 
     def __post_init__(self, _):
-        object.__setattr__(self, "z_cap", Fraction(self.z_cap))
+        object.__setattr__(self, "z_cap", as_zexp(self.z_cap))
         if self.z_cap <= 0 or self.block_cap <= 0 or self.depth < 0:
             raise ValueError("truncation caps must be positive")
 
@@ -437,11 +438,12 @@ def power_sum(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
         acc = functools.reduce(operator.add, parts) if parts else c_zero(mode)
         if not acc or mode == FLOAT and abs(acc) <= FLOAT_TOL * sum(map(abs, parts)):
             continue
-        key = Key(Fraction(n[0], q), n[1:])
-        if per_block[n[0]] == grid.block_cap:
+        n0 = n[0]
+        key = Key(n0 // q if n0 % q == 0 else Fraction(n0, q), n[1:])
+        if per_block[n0] == grid.block_cap:
             frontier = key
             break
-        per_block[n[0]] += 1
+        per_block[n0] += 1
         terms[key] = sol[n] = acc
         for k in vs:
             nk = tuple(map(operator.add, n, k))
@@ -478,8 +480,8 @@ def exp_minus_one(v: TransSeries) -> TransSeries:
 def pow_rational(f: TransSeries, beta) -> TransSeries:
     """f^beta via the binomial series around the leading monomial.
 
-    beta is made a `Fraction` by `keys.as_zexp` (a float beta too, in either
-    mode).  Fractional beta needs a log-free leading monomial, else the
+    beta is made exact by `keys.as_zexp` (a float beta too, in either mode),
+    an int when integral.  Fractional beta needs a log-free leading monomial, else the
     result would have fractional log exponents.
     """
     beta = as_zexp(beta)

@@ -12,7 +12,8 @@ itself by a different route, so they are not independent oracles:
   membership by nested searches (z-generators, then each log level), and
   the composition-support bound of the paper's support lemma;
 * series helpers: the support, the leading z-block, agreement below the
-  frontier, the generalized binomial coefficient and l_m o f;
+  frontier, the canonical z-exponent check, the generalized binomial
+  coefficient and l_m o f;
 * the pure-logarithm blocks B_m: membership, the l_m-order, the metric d_m
   and the derivation D_m;
 * the paper's operators, which `normalize.solve_W` replaces by one
@@ -495,6 +496,21 @@ def ord_e_inv(d: DulacSeriesZeta):
 
 def supp(f: TransSeries) -> list[Key]:
     return sorted(f.terms)
+
+
+def noncanonical_zexps(*items) -> list:
+    """The z-exponents among `items` that are not in `keys`' canonical form,
+    an `int` exactly when integral and else a `Fraction` of denominator > 1
+    (so never a float).  An item is a series (its keys and frontier), a key,
+    a cut or a bare exponent; an empty list means every one is canonical."""
+    out = []
+    for x in items:
+        if isinstance(x, TransSeries):
+            zs = [k.z for k in x.terms] + [x.frontier.z]
+        else:
+            zs = [x.z if isinstance(x, (Key, Cut)) else x]
+        out += [z for z in zs if not (type(z) is int or type(z) is Fraction and z.denominator > 1)]
+    return out
 
 
 def leading_block(f: TransSeries):

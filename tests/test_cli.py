@@ -696,6 +696,35 @@ def test_bad_samples_spec_exits_2_naming_the_option(capsys, monkeypatch, samples
     assert "argument --samples" in capsys.readouterr().err
 
 
+def _rational_options() -> list:
+    """(command, option) for every subcommand that takes --z-cap or --e-cap."""
+    from bottcher.cli import _subcommands
+
+    return [
+        (name, opt)
+        for name, p in _subcommands(build_parser()).items()
+        for opt in ("--z-cap", "--e-cap")
+        if opt in p._option_string_actions
+    ]
+
+
+@pytest.mark.parametrize("value", ["1/0", "abc"])
+@pytest.mark.parametrize("command, option", _rational_options())
+def test_a_bad_rational_option_exits_2_in_one_line(capsys, command, option, value):
+    """argparse reports a bad --z-cap or --e-cap, a zero denominator too, as a
+    usage error (exit 2), before the command runs; 1/0 once escaped as a raw
+    ZeroDivisionError."""
+    argv = [*command.split(), "--f", "z^2 + z^3", "--phi", "z"] if command == "verify" else [
+        *command.split(), "z^2 + z^3"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, option, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    last = err.strip().splitlines()[-1]
+    assert last.endswith(f"error: argument {option}: invalid Fraction value: '{value}'"), err
+    assert "Traceback" not in err
+
+
 def test_bad_samples_in_config_exits_2(tmp_path):
     cfg = tmp_path / "cfg"
     cfg.write_text("samples = 3:10:0\n")

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 import re
@@ -21,6 +23,7 @@ from crosschecks import (
     ell1_distance_on_parabolic,
     full_grid_normalize,
     leading_block,
+    noncanonical_zexps,
     mul_all_pairs,
     semigroup_contains_reference,
     support_of_composition_bound,
@@ -379,8 +382,26 @@ def test_irrational_float_exponents_normalize_and_verify():
     res = normalize(f)
     assert res.verification["conjugation_exact_below_frontier"], res.verification
     assert res.verification["checked_below"] == Cut(6)
-    assert all(type(k.z) is Fraction for k in res.phi.terms)
-    assert type(res.phi.frontier.z) is Fraction
+    assert not noncanonical_zexps(res.phi)
+
+
+@pytest.mark.parametrize(
+    "z_cap, trusted, lcm, frontier, digest",
+    [(3, 11, 10**8, Fraction(29, 10), "5f12cf4a"), (4, 47, 10**13, Fraction(39, 10), "8d430051")],
+)
+def test_large_denominator_exponents_stay_exact(z_cap, trusted, lcm, frontier, digest):
+    """phi of z^(11/10) + z^2 has the exponents 1 + (1/10)(11/10)^k, whose
+    denominators reach 10^13 at z_cap 4: far past the 10^6 of `as_zexp`'s
+    float rule, so an exponent that leaked through a float would change a key.
+    The terms, the frontier and the sha256 of phi's JSON are pinned."""
+    res = normalize(parse("z^(11/10) + z^2", z_cap=z_cap, block_cap=10, depth=0))
+    phi = res.phi
+    assert res.verification["conjugation_exact_below_frontier"], res.verification
+    assert len([k for k in phi.terms if k < phi.frontier]) == len(phi.terms) == trusted
+    assert math.lcm(*(k.z.denominator for k in phi.terms)) == lcm
+    assert phi.frontier == Cut(frontier)
+    text = json.dumps(series_to_json(phi), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:8] == digest
 
 
 def test_verification_reuses_the_normalization_composer(monkeypatch):

@@ -13,11 +13,11 @@ Regenerate (only on purpose) with `PYTHONPATH=src python tests/test_normalize_go
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from crosschecks import noncanonical_zexps
 from bottcher.io_json import series_to_json
 from bottcher.normalize import normalize, verify_normalization
 from bottcher.parser import parse
@@ -114,15 +114,15 @@ def test_verification_of_an_equal_copy_matches_normalize(case):
 @pytest.mark.parametrize("case", cases(), ids=_case_id)
 def test_every_key_is_a_fraction_in_both_modes(case):
     """Float mode means float coefficients only: the input, phi, the reduced
-    series and psi store `Fraction` z-exponents and frontier z in both modes."""
+    series and psi store exact z-exponents and frontier z in both modes, in
+    canonical form (an int when integral, else a `Fraction`)."""
     text, grid, _ = case
     for mode in ("exact", "float"):
         f = _parse(text, grid, mode)
         res = normalize(f)
         assert res.verification["conjugation_exact_below_frontier"], (mode, res.verification)
         for g in (f, res.phi, res.reduced, res.psi or f):
-            assert all(type(k.z) is Fraction for k in g.terms), (mode, g)
-            assert type(g.frontier.z) is Fraction, (mode, g.frontier)
+            assert not noncanonical_zexps(g), (mode, g, g.frontier)
 
 
 def test_golden_file_covers_every_case():
