@@ -138,24 +138,43 @@ def _add_analytic(p, *terms, numeric=True):
         p.add_argument("--tol", type=float, default=1e-11)
         p.add_argument("--samples", type=_samples_spec, default="3:10:25",
                        help="grid spec R0:SPAN:N")
-        p.add_argument("--precision", type=int, default=None, help="mpmath digits")
+        p.add_argument("--precision", type=_int_at_least(15), default=None,
+                       help="mpmath digits, at least 15 (a double's 53 bits)")
     for t in terms:
-        p.add_argument(t, action="append", default=None, metavar="c,p,nu",
+        p.add_argument(t, type=_term_spec, action="append", default=None, metavar="c,p,nu",
                        help=f"a term c zeta^p e^(-nu zeta); a negative c needs {t}=-0.25,2,1.5")
 
 
+def _fields(text: str, sep: str, types: tuple, form: str) -> tuple:
+    """The fields of text split at sep, one per type, every number finite;
+    anything else is an argparse error (exit 2) naming the expected form."""
+    try:
+        values = tuple(t(v) for t, v in zip(types, text.split(sep), strict=True))
+        if all(map(math.isfinite, values)):
+            return values
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+
+
+def _finite(text: str) -> float:
+    """The type of --ray-span."""
+    return _fields(text, ",", (float,), "a finite float")[0]
+
+
+def _term_spec(text: str) -> tuple[float, int, float]:
+    """The type of --term, --f-term and --g-term."""
+    return _fields(text, ",", (float, int, float), "finite c,p,nu with an integer p")
+
+
 def _term_map(alpha: float, terms):
-    """f(zeta) = alpha zeta + sum c zeta^p e^(-nu zeta) from 'c,p,nu' specs, in
+    """f(zeta) = alpha zeta + sum c zeta^p e^(-nu zeta) over (c, p, nu) terms, in
     zeta's number type (`numbers_like`), its constants converted once per kind."""
-    parsed = []
-    for spec in terms or []:
-        c, p, nu = spec.split(",")
-        parsed.append((float(c), int(p), float(nu)))
 
     def convert(x):
         # an mpmath point converts a float exactly, all 53 bits, as its arithmetic does
         to = x.context.convert if number_kind(x) else float
-        return numbers_like(x)[2], to(alpha), [(to(c), p, to(nu)) for c, p, nu in parsed]
+        return numbers_like(x)[2], to(alpha), [(to(c), p, to(nu)) for c, p, nu in terms or ()]
 
     constants = by_kind(convert)
 
@@ -171,22 +190,22 @@ def _term_map(alpha: float, terms):
 
 def _samples_spec(text: str) -> tuple[float, float, int]:
     """The `--samples` type: R0:SPAN:N, N >= 1 points from R0 to R0 + SPAN."""
-    try:
-        r0, span, n = text.split(":")
-        spec = float(r0), float(span), int(n)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected R0:SPAN:N, got {text!r}") from None
+    spec = _fields(text, ":", (float, float, int), "finite R0:SPAN:N")
     if spec[2] < 1:
         raise argparse.ArgumentTypeError(f"N must be at least 1, got {text!r}")
     return spec
 
 
-def _positive_int(text: str) -> int:
-    """The `--n` type of `bridge compare`: an integer n >= 1."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return n
+def _int_at_least(least: int):
+    """The type of an integer option >= least: --n (1) and --precision (15)."""
+
+    def at_least(text: str) -> int:
+        (n,) = _fields(text, ",", (int,), "an integer")
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {text!r}")
+        return n
+
+    return at_least
 
 
 def _sample_points(args) -> list:
@@ -436,10 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = br.add_parser("compare", help="formal against numeric Koenigs normalizer")
     p.add_argument("expr")
-    p.add_argument("--n", type=_positive_int, default=2)
+    p.add_argument("--n", type=_int_at_least(1), default=2)
     _add_domain(p)
     p.add_argument("--csv", default=None)
-    p.add_argument("--ray-span", dest="ray_span", type=float, default=12.0)
+    p.add_argument("--ray-span", dest="ray_span", type=_finite, default=12.0)
     _add_common(p)
     p.set_defaults(fn=cmd_compare)
 

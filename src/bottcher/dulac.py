@@ -97,12 +97,10 @@ def rungs(terms: dict) -> list:
 
 def _germ(f: TransSeries):
     """(alpha, lambda, rest) of a Dulac series: the leading exponent and
-    coefficient of its trusted terms, and the others, at depth 1 in key order."""
+    coefficient of its terms, and the others, at depth 1 in key order."""
     if not is_dulac(f):
         raise ShapeError("series is not a Dulac series (depth/log-sign violation)")
-    terms = {
-        Key(k.z, k.l[:1] or (0,)): c for k, c in sorted(f.terms.items()) if k < f.frontier
-    }
+    terms = {Key(k.z, k.l[:1] or (0,)): c for k, c in sorted(f.terms.items())}
     if not terms:
         raise ShapeError("no certified terms to convert")
     lead = next(iter(terms))
@@ -156,12 +154,10 @@ def to_z_chart(d: DulacSeriesZeta, e_cap=None) -> TransSeries:
 
 
 def is_dulac(f: TransSeries) -> bool:
-    """Below the frontier: no l2, l3, ... exponents, all l1-exponents <= 0,
-    log-free leading term."""
-    keys = [k for k in f.terms if k < f.frontier]
-    if keys and any(min(keys).l):
+    """No l2, l3, ... exponents, all l1-exponents <= 0, log-free leading term."""
+    if f.terms and any(min(f.terms).l):
         return False
-    return all(k.l[0] <= 0 and not any(k.l[1:]) for k in keys if k.l)
+    return all(k.l[0] <= 0 and not any(k.l[1:]) for k in f.terms if k.l)
 
 
 def dulac_normalize_full(f: TransSeries, z_cap=10, block_cap=12):
@@ -176,21 +172,16 @@ def dulac_normalize_full(f: TransSeries, z_cap=10, block_cap=12):
         raise BottcherError(
             "internal: normalization of a Dulac series left the Dulac class"
         )
-    if _series_real_below_frontier(f) and not _series_real_below_frontier(phi):
+    if _series_real(f) and not _series_real(phi):
         raise BottcherError("internal: real Dulac input produced non-real output")
     return phi, res
 
 
-def _series_real_below_frontier(f: TransSeries) -> bool:
-    for k, c in f.terms.items():
-        if k >= f.frontier:
-            continue
-        if isinstance(c, Exact):
-            if not c.is_real():
-                return False
-        elif abs(complex(c).imag) > 1e-12:
-            return False
-    return True
+def _series_real(f: TransSeries) -> bool:
+    return all(
+        c.is_real() if isinstance(c, Exact) else abs(complex(c).imag) <= 1e-12
+        for c in f.terms.values()
+    )
 
 
 # -- partial normalizations and asymptotic comparison -------------------------------

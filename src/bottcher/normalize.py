@@ -216,17 +216,15 @@ class NormalizationResult:
 def _beta_from(g: TransSeries, alpha, ignore_alpha_block=False):
     """Safe beta = ord_z(g - z^alpha) - alpha + 1 from trusted storage."""
     diff = sub(g, monomial(Key(alpha, (0,) * g.depth), g.grid, g.mode))
-    keys = [k for k in diff.terms if not (ignore_alpha_block and k.z == alpha)]
-    o = min((k.z for k in keys), default=None)
     fz = diff.frontier.z
     if ignore_alpha_block and fz == alpha:
         fz = g.grid.z_cap
-    cand = fz if o is None else min(o, fz)
-    return cand - alpha + 1
+    keys = [k for k in diff.terms if not (ignore_alpha_block and k.z == alpha)]
+    return min((k.z for k in keys), default=fz) - alpha + 1
 
 
 def normalize(f: TransSeries, verify=True) -> NormalizationResult:
-    """lambda/alpha reduction, then `solve_W`; phi keeps its trusted terms only."""
+    """lambda/alpha reduction, then `solve_W`."""
     shape = shape_of(f)
     if shape.classification != STRONGLY_HYPERBOLIC:
         raise ShapeError(
@@ -249,10 +247,8 @@ def normalize(f: TransSeries, verify=True) -> NormalizationResult:
     alpha, has_logs = alpha_block(work)
 
     w, right = _least_grid_solve(work)
-    phi = _phi_of(w)
-    trusted = {k: c for k, c in phi.terms.items() if k < phi.frontier}
     res = NormalizationResult(
-        make_series(trusted, phi.grid, phi.mode, [phi.frontier]),
+        _phi_of(w),
         alpha,
         _beta_from(work, alpha, ignore_alpha_block=has_logs),
         len(w.terms),

@@ -1,11 +1,12 @@
 """Truncated logarithmic transseries with exactness frontiers.
 
 A series is a finite ordered map from exponent keys to coefficients, plus a
-truncation grid and an *exact frontier*: every stored coefficient whose key
-is lex-below the frontier is guaranteed exact.  The grid has three caps: the
-z-order cap z_cap, the per-z-block term count block_cap and the log depth;
-no cap counts powers.  Each operation recomputes the output frontier
-conservatively: the min of the operand frontiers shifted by the other
+truncation grid and an *exact frontier*: every stored coefficient is exact;
+nothing at or above the frontier is stored.  `make_series` alone decides
+this, so no consumer filters a series' terms again.  The grid has three
+caps: the z-order cap z_cap, the per-z-block term count block_cap and the
+log depth; no cap counts powers.  Each operation recomputes the output
+frontier conservatively: the min of the operand frontiers shifted by the other
 operand's minimal key, the first key lost to truncation, and the
 grid-implied frontier (z_cap, 0).  Keys are exact in both modes, with each
 z-exponent and z_cap in `keys`' canonical form (an int when integral, else a
@@ -20,11 +21,13 @@ blocks B_m are the series of z-order 0 (every key is Key(0, l); `block_cap`
 caps their terms), and the Dulac ladders of `dulac` are depth-1 series with
 keys Key(beta, (-degree,)).
 
-`mul` forms only what `make_series` keeps: no pair of z-blocks whose z-sum
-reaches z_cap, and in each output z-block only the coefficients up to its
-block_cap + 1-th nonzero key, in ascending key order (the last one sets the
-frontier).  Each coefficient it forms is summed in the order of the product
-over all pairs, so float coefficients are bit-identical to that product's.
+`mul` forms only what `make_series` can keep: it stops pairing z-blocks at
+the frontier its candidates already fix (no z-sum past the frontier's z, nor
+at it when the frontier is a `Cut`), and in each output z-block it forms
+only the coefficients up to its block_cap + 1-th nonzero key, in ascending
+key order (the last one sets the frontier).  Each coefficient it forms is
+summed in the order of the product over all pairs, so float coefficients
+are bit-identical to that product's.
 
 Every power sum (`log1p`, `exp_minus_one`, the binomial bodies of
 `pow_rational` and `compose`, the geometric sums of the log images) is one
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 import operator
 from collections import Counter
@@ -89,7 +93,7 @@ def merge_grids(a: TruncationGrid, b: TruncationGrid) -> TruncationGrid:
 
 
 class TransSeries:
-    """Immutable-by-convention truncated logarithmic transseries."""
+    """Immutable-by-convention truncated log-transseries: every stored key is below `frontier`."""
 
     __slots__ = ("depth", "mode", "grid", "terms", "frontier")
 
@@ -144,7 +148,7 @@ class TransSeries:
 
 
 def make_series(terms, grid: TruncationGrid, mode=EXACT, frontier_candidates=()):
-    """Canonicalize: pad keys, prune zeros, apply caps, settle the frontier."""
+    """Pad keys, prune zeros, settle the frontier, then store only the keys below it."""
     depth = grid.depth
     merged: dict[Key, object] = {}
     for key, c in terms.items() if isinstance(terms, dict) else terms:
@@ -163,22 +167,19 @@ def make_series(terms, grid: TruncationGrid, mode=EXACT, frontier_candidates=())
     for cand in frontier_candidates:
         frontier = min_key(frontier, cand)
 
+    # a z-block past the candidates' frontier z is dropped whole: its
+    # overflow key could not lower the frontier
+    fz, cap = frontier.z, grid.block_cap
     by_block: dict[object, list[Key]] = {}
     for key, c in merged.items():
-        if not c:
-            continue
-        if key.z >= grid.z_cap:
-            continue
-        by_block.setdefault(key.z, []).append(key)
-
-    stored: dict[Key, object] = {}
-    for _, keys in by_block.items():
+        if c and key.z <= fz:
+            by_block.setdefault(key.z, []).append(key)
+    for keys in by_block.values():
         keys.sort()
-        for key in keys[: grid.block_cap]:
-            stored[key] = merged[key]
-        if len(keys) > grid.block_cap:
-            frontier = min_key(frontier, keys[grid.block_cap])
-
+        if len(keys) > cap:
+            frontier = min_key(frontier, keys[cap])
+    below = frontier.__gt__
+    stored = {k: merged[k] for keys in by_block.values() for k in itertools.takewhile(below, keys)}
     return TransSeries(depth, mode, grid, stored, frontier)
 
 
@@ -268,7 +269,10 @@ def scale(a: TransSeries, q) -> TransSeries:
 
 def mul(a: TransSeries, b: TransSeries) -> TransSeries:
     a, b = _common(a, b)
-    z_cap = a.grid.z_cap
+    cands = [a.frontier + ord_for_frontier(b), b.frontier + ord_for_frontier(a)]
+    # past(z, fz): the whole z-block lies at or above the frontier
+    frontier = min(a.grid.trunc_key(), *cands)
+    fz, past = frontier.z, operator.ge if isinstance(frontier, Cut) else operator.gt
     ab: dict = {}
     for k, c in a.terms.items():
         ab.setdefault(k.z, []).append((k.l, c))
@@ -276,7 +280,7 @@ def mul(a: TransSeries, b: TransSeries) -> TransSeries:
     for k, c in b.terms.items():
         bb.setdefault(k.z, []).append((k.l, c))
     # The right z-blocks are scanned in ascending z, so the scan stops at the
-    # first za + zb at or above z_cap (the sum rises with zb, also for z <= 0)
+    # first za + zb past the frontier (the sum rises with zb, also for z <= 0)
     # instead of paying a rational add and compare for every dropped pair.
     # The kept blocks are then paired in the right operand's insertion order,
     # and the left operand keeps its own.  For a fixed za each output z has
@@ -289,7 +293,7 @@ def mul(a: TransSeries, b: TransSeries) -> TransSeries:
         kept = []
         for i in by_z:
             z = za + right[i][0]
-            if z >= z_cap:
+            if past(z, fz):
                 break
             kept.append((i, z))
         kept.sort()
@@ -328,10 +332,6 @@ def mul(a: TransSeries, b: TransSeries) -> TransSeries:
             n += 1
             if n > cap:
                 break
-    cands = []
-    oa, ob = ord_for_frontier(a), ord_for_frontier(b)
-    cands.append(a.frontier + ob)
-    cands.append(b.frontier + oa)
     return make_series(terms, a.grid, a.mode, cands)
 
 
@@ -345,10 +345,8 @@ def mul_monomial(a: TransSeries, key: Key, coeff=None) -> TransSeries:
 
 
 def residual_keys(r: TransSeries) -> list[Key]:
-    """Keys below the frontier where r is nonzero (float mode: |c| > FLOAT_TOL)."""
-    if r.mode == FLOAT:
-        return [k for k, c in r.terms.items() if k < r.frontier and abs(c) > FLOAT_TOL]
-    return [k for k in r.terms if k < r.frontier]
+    """Keys where r is nonzero (float mode: |c| > FLOAT_TOL)."""
+    return [k for k, c in r.terms.items() if r.mode != FLOAT or abs(c) > FLOAT_TOL]
 
 
 # -- multiplicative structure -------------------------------------------------

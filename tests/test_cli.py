@@ -390,6 +390,61 @@ def test_analytic_precision_is_scoped_to_the_command(capsys):
     assert out == want
 
 
+@pytest.mark.parametrize("digits, code", [("-5", 2), ("0", 2), ("1", 2), ("14", 2), ("15", 0), ("30", 0)])
+@pytest.mark.parametrize("command", ["koenigs", "homological"])
+@pytest.mark.parametrize("source", ["option", "config"])
+def test_precision_below_a_double_exits_2(capsys, tmp_path, monkeypatch, source, command, digits, code):
+    """Fewer than 15 digits would certify values computed with fewer bits than
+    a double (at --precision 1, phi(3) read 3.03125 for 3.0254838...), and 0
+    silently meant double precision."""
+    pytest.importorskip("mpmath")
+    term = "--term" if command == "koenigs" else "--g-term"
+    argv = ["analytic", command, "--alpha", "2", term, "1,0,1", "--samples", "4:8:2", "--json"]
+    if source == "option":
+        argv += ["--precision", digits]
+    else:
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"precision = {digits}\n")
+        monkeypatch.setenv("BOTTCHER_CONFIG", str(cfg))
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code, err
+    if code:
+        assert err.strip().splitlines()[-1].endswith(
+            f"error: argument --precision: must be at least 15, got '{digits}'"), err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        # unchecked: exit 3, "iterate 0 left the domain at nan+0j"
+        (["analytic", "koenigs", "--alpha", "2", "--term", "1,0,1", "--samples", "nan:1:3"],
+         "--samples"),
+        (["analytic", "koenigs", "--alpha", "2", "--term", "1,0,1", "--samples", "3:inf:3"],
+         "--samples"),
+        # unchecked: "error: ValueError: cannot convert float NaN to integer"
+        (["bridge", "compare", "z^2 - z^3 + 1/2*z^4", "--ray-span", "nan"], "--ray-span"),
+        # unchecked: "ValueError: not enough values to unpack"
+        (["analytic", "koenigs", "--alpha", "2", "--term", "1,0"], "--term"),
+        # unchecked: "invalid literal for int()"
+        (["analytic", "koenigs", "--alpha", "2", "--term", "1,0.5,1"], "--term"),
+        (["analytic", "koenigs", "--alpha", "2", "--term", "nan,0,1"], "--term"),
+        (["analytic", "homological", "--alpha", "2", "--f-term", "1,0,inf", "--g-term", "1,0,1"],
+         "--f-term"),
+        (["analytic", "homological", "--alpha", "2", "--g-term", "x,0,1"], "--g-term"),
+    ],
+)
+def test_a_bad_numeric_option_exits_2_naming_it(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"error: argument {option}: " in err.strip().splitlines()[-1], err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -464,7 +464,7 @@ def test_maps_convert_their_constants_per_kind_with_the_bits_of_fresh_maps():
     mpmath = pytest.importorskip("mpmath")
     from bottcher.cli import _term_map
 
-    text, terms = "z^2 - z^3*l1^-1 + (1/3+1i)*z^4", ["0.1,1,1.3", "-0.7,0,2.1"]
+    text, terms = "z^2 - z^3*l1^-1 + (1/3+1i)*z^4", [(0.1, 1, 1.3), (-0.7, 0, 2.1)]
     F_, f = zeta_map(parse(text, z_cap=6)), _term_map(2.1, terms)
 
     def inline(z):  # the term map's formula, its float constants converted by mpmath's arithmetic
@@ -502,7 +502,7 @@ def test_numbers_like_runs_once_per_call_and_once_per_kind(monkeypatch):
         compare_formal_numeric(lambda z: z, phi_hat, 1, xs)
     assert len(calls) == 2
     calls.clear()
-    F_, f = zeta_map(parse("z^2 - z^3 + 1/2*z^4", z_cap=6)), cli._term_map(2.0, ["1,0,1"])
+    F_, f = zeta_map(parse("z^2 - z^3 + 1/2*z^4", z_cap=6)), cli._term_map(2.0, [(1.0, 0, 1.0)])
     for prec in (100, 100, 200, 200, 100):
         with mpmath.workprec(prec):
             for _ in range(3):

@@ -28,7 +28,7 @@ from crosschecks import (
     semigroup_contains_reference,
     support_of_composition_bound,
 )
-from bottcher.coeffs import EXACT, FLOAT, Exact, c_pow_rational
+from bottcher.coeffs import EXACT, FLOAT, Exact, c_from, c_pow_rational
 from bottcher.compose import compose, invert, shape_of
 from bottcher.errors import BottcherError, ShapeError
 from bottcher.io_json import series_from_json, series_to_json
@@ -724,29 +724,47 @@ def test_trusted_terms_survive_grid_refinement():
     assert rose > 20
 
 
-@pytest.mark.parametrize(
-    "text,alpha,depth",
-    [
-        ("z + z^2", 2, 0),
-        ("z + 1/2*z^2*l1 + z^3", 2, 1),
-        ("z - z^2 + 1/3*z^(5/2)", F(3, 2), 0),
-        ("z + z^2*l1^-1", 3, 1),
-        ("z + 2*z^3", F(1, 2), 0),
-        ("z + z^2*l1*l2", 3, 2),
-        ("z + z^2*l2^-1", 2, 2),
-    ],
-)
+# (phi, alpha, depth): normalize(phi^-1 o phi^alpha) must give phi back
+PLANTED = [
+    ("z + z^2", 2, 0),
+    ("z + 1/2*z^2*l1 + z^3", 2, 1),
+    ("z - z^2 + 1/3*z^(5/2)", F(3, 2), 0),
+    ("z + z^2*l1^-1", 3, 1),
+    ("z + 2*z^3", F(1, 2), 0),
+    ("z + z^2*l1*l2", 3, 2),
+    ("z + z^2*l2^-1", 2, 2),
+]
+
+
+def _planted(text, alpha, depth):
+    """(phi, f = phi^-1 o phi^alpha), built exactly."""
+    phi = parse(text, grid=TruncationGrid(10, 10, depth))
+    return phi, compose(invert(phi), pow_rational(phi, alpha))
+
+
+@pytest.mark.parametrize("text,alpha,depth", PLANTED)
 def test_normalize_recovers_a_planted_phi(text, alpha, depth):
     """The normal-form statement used backwards: for a parabolic phi, the
     series f = phi^-1 o phi^alpha is conjugated to z^alpha by phi, so
     normalize(f) must return phi itself below its frontier, every term of
     phi included, and verify."""
-    phi = parse(text, grid=TruncationGrid(10, 10, depth))
-    f = compose(invert(phi), pow_rational(phi, alpha))
+    phi, f = _planted(text, alpha, depth)
     res = normalize(f)
     assert res.verification["conjugation_exact_below_frontier"], res.verification
     assert all(k < res.phi.frontier for k in phi.terms), res.phi.frontier
     assert _trusted(res.phi) == phi.terms
+
+
+@pytest.mark.parametrize("text,alpha,depth", PLANTED)
+def test_normalize_recovers_a_planted_phi_in_float_mode(text, alpha, depth):
+    """The exact f in float mode: phi comes back to 1e-12, each planted
+    coefficient, and every other trusted one is at most 1e-12."""
+    phi, f = _planted(text, alpha, depth)
+    res = normalize(embed(f, f.grid, FLOAT))
+    assert res.verification["conjugation_exact_below_frontier"], res.verification
+    assert all(k < res.phi.frontier for k in phi.terms), res.phi.frontier
+    for k in {*phi.terms, *res.phi.terms}:
+        assert abs(res.phi.coeff(k) - c_from(phi.coeff(k), FLOAT)) <= 1e-12, k
 
 
 @pytest.mark.parametrize(

@@ -144,7 +144,13 @@ def test_print_parse_roundtrip_fuzz():
     rng = random.Random(7)
     for _ in range(300):
         f = _random_series(rng)
-        assert parse(format_series(f), grid=f.grid).terms == f.terms, format_series(f)
+        g = parse(format_series(f), grid=f.grid)
+        # the power z^-k shifts the frontier Cut(z_cap - 1) of z^1 to
+        # Cut(z_cap - 1 - k), so the parse agrees with f below its own
+        # frontier, and whole when f has no negative z-exponent
+        assert g.terms == {k: c for k, c in f.terms.items() if k < g.frontier}, format_series(f)
+        if all(k.z >= 0 for k in f.terms):
+            assert g.terms == f.terms, format_series(f)
 
 
 _FUZZ_TOKENS = ["z", "l1", "l2", "i", "(", ")", "+", "-", "*", "/", "^", " ", "LG", "#"]

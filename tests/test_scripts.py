@@ -120,6 +120,38 @@ def test_library_decides_its_number_type_in_one_helper():
     assert importers == {("dulac.py", "numbers_like")}
 
 
+def _has_attribute(node, attr: str) -> bool:
+    return any(isinstance(n, ast.Attribute) and n.attr == attr for n in ast.walk(node))
+
+
+def _frontier_filters(tree) -> list:
+    """Lines of the loops and comprehensions over an `X.terms` expression that
+    compare against an attribute named `frontier`."""
+    loops = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For):
+            loops.append((node, [node.iter]))
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            loops.append((node, [g.iter for g in node.generators]))
+    return [
+        node.lineno
+        for node, iters in loops
+        if any(_has_attribute(it, "terms") for it in iters)
+        and any(isinstance(n, ast.Compare) and _has_attribute(n, "frontier") for n in ast.walk(node))
+    ]
+
+
+def test_only_the_series_kernel_decides_which_terms_are_trusted():
+    """`series.make_series` stores only the terms below the frontier, so no
+    other library module filters a series' terms against its frontier."""
+    filters = {
+        path.name: _frontier_filters(ast.parse(path.read_text()))
+        for path in sorted(LIB.glob("*.py"))
+        if path.name != "series.py"
+    }
+    assert {name: lines for name, lines in filters.items() if lines} == {}
+
+
 def test_koenigs_and_homological_evaluators_share_one_loop():
     """The Koenigs map and the homological sum are one certified orbit loop
     with one set of checks: `koenigs.py` holds exactly one `while` loop."""

@@ -459,8 +459,9 @@ def test_leading_block_keeps_the_frontier():
     assert not agree_below_frontier(blk, parse("1 + 2*l1", z_cap=4, block_cap=2))
     # a frontier above the block trusts all of it; one at or below trusts none
     assert leading_block(parse("z + z*l1", z_cap=4))[1].frontier == Cut(4)
+    # a term at or above the frontier is not stored
     low = make_series({Key(1, (0,)): 1}, f.grid, frontier_candidates=[Cut(1)])
-    assert leading_block(low)[1].frontier == Cut(0)
+    assert low.is_zero() and low.frontier == Cut(1)
 
 
 def test_supports():
