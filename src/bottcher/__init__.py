@@ -37,7 +37,6 @@ from .series import (
     make_series,
     monomial,
     mul,
-    ord_key,
     ord_z,
     pow_rational,
     series_inverse,

@@ -124,7 +124,7 @@ def _add_domain(p):
     p.add_argument("--eps", type=float, default=1.0)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--sqd-C", dest="sqd_C", type=float, default=1.0)
-    p.add_argument("--r-ceiling", dest="r_ceiling", type=float, default=64.0)
+    p.add_argument("--r-ceiling", dest="r_ceiling", type=_finite, default=64.0)
 
 
 def _add_analytic(p, *terms, numeric=True):
@@ -158,7 +158,7 @@ def _fields(text: str, sep: str, types: tuple, form: str) -> tuple:
 
 
 def _finite(text: str) -> float:
-    """The type of --ray-span."""
+    """The type of --ray-span and --r-ceiling."""
     return _fields(text, ",", (float,), "a finite float")[0]
 
 
@@ -197,7 +197,7 @@ def _samples_spec(text: str) -> tuple[float, float, int]:
 
 
 def _int_at_least(least: int):
-    """The type of an integer option >= least: --n (1) and --precision (15)."""
+    """The type of an integer option >= least: 0, 1 or 15 (--precision)."""
 
     def at_least(text: str) -> int:
         (n,) = _fields(text, ",", (int,), "an integer")
@@ -408,14 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sp.add_parser("bottcher-seq", help="n-th iterate of the Bottcher operator")
     p.add_argument("expr")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--seed", default=None)
     _add_common(p)
     p.set_defaults(fn=cmd_bottcher_seq)
 
     p = sp.add_parser("support", help="semigroup support predictor")
     p.add_argument("expr")
-    p.add_argument("--enumerate", type=int, default=None, metavar="ELL_WINDOW")
+    p.add_argument("--enumerate", type=_int_at_least(0), default=None, metavar="ELL_WINDOW")
     _add_common(p)
     p.set_defaults(fn=cmd_support)
 

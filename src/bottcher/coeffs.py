@@ -16,8 +16,9 @@ complex never enters exact mode (ModeError).
 Float coefficients are plain Python complex numbers.  Both kinds take
 Python's operators (`a + b`, `a * b`, `c * q` and `q * c` for a rational q,
 `-c`, `1 / c`, `not c`, `a == b`, `complex(c)`), which do not mix modes: only
-`c_from`, `series.embed` and `series._common` coerce between them.  `evaluate`
-is self-contained (log p has a numeric value).
+`c_from`, `series.embed` and `series._common` coerce between them.  Every
+other choice that differs between the modes is a function of the mode here,
+and each float tolerance is stated once.  `evaluate` is self-contained.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from .errors import ModeError
 EXACT = "exact"
 FLOAT = "float"
 
-# Float-mode coefficients no larger than this count as rounding dust wherever
-# a residual is tested for zero (verification and its cross-checks).
+# The float tolerances: of rounding dust (`c_significant`, `dust_rule`) and of
+# realness (`c_is_real`).
 FLOAT_TOL = 1e-9
+REAL_TOL = 1e-12
 
 _ZERO = Fraction(0)
 
@@ -192,6 +194,13 @@ class Exact:
         q = _asfrac(q)
         return Exact({k: (re * q, im * q) for k, (re, im) in self.parts.items()})
 
+    def scale_ratio(self, n: int, d: int) -> "Exact":
+        """self * n / d for ints n and d > 0, with no `Fraction` for a real rational self."""
+        if self._parts is None:
+            g = math.gcd(n, d)
+            return _mul(self._n, self._d, n // g, d // g)
+        return self.scale(Fraction(n, d))
+
     def inverse(self) -> "Exact":
         if self._parts is None:
             n, d = self._n, self._d
@@ -292,6 +301,42 @@ def c_to_complex(a) -> complex:
     return complex(a)
 
 
+def join_modes(a: str, b: str) -> str:
+    """The mode two operands meet in: float if either is float."""
+    return FLOAT if FLOAT in (a, b) else EXACT
+
+
+def c_significant(c, mode: str) -> bool:
+    """Whether a stored residual coefficient counts as nonzero: always in exact
+    mode, when |c| > FLOAT_TOL in float mode."""
+    return mode != FLOAT or abs(c) > FLOAT_TOL
+
+
+def c_is_real(c, mode: str) -> bool:
+    """Whether c is real: exactly in exact mode, up to REAL_TOL in float mode."""
+    return c.is_real() if mode == EXACT else abs(complex(c).imag) <= REAL_TOL
+
+
+def ratio_scaler(mode: str):
+    """(c, n, d) -> c * n / d for ints n and d > 0: `Exact.scale_ratio` in
+    exact mode, c times the correctly rounded float n / d in float mode."""
+    return Exact.scale_ratio if mode == EXACT else _times_ratio
+
+
+def _times_ratio(c, n: int, d: int):
+    return c * (n / d)
+
+
+def dust_rule(mode: str):
+    """None in exact mode (only 0 is zero), else the test (acc, parts) that
+    calls the float sum acc of `parts` rounding dust."""
+    return None if mode == EXACT else _float_dust
+
+
+def _float_dust(acc, parts) -> bool:
+    return abs(acc) <= FLOAT_TOL * sum(map(abs, parts))
+
+
 def log_coeff(a, mode: str):
     """log(a) as a coefficient; exact mode needs a positive rational a."""
     if mode == EXACT:
@@ -302,10 +347,17 @@ def log_coeff(a, mode: str):
     return cmath.log(complex(a))
 
 
-def exp_of_log_exact(c: Exact) -> Exact:
-    """e^c when c is an integer combination of log p, i.e. e^c rational."""
-    if c.is_zero():
-        return ONE
+def log_inverse(q, mode: str):
+    """log(1 / q) for a positive rational q: exact, or the float -log(q)."""
+    if mode == EXACT:
+        return Exact.log_of_rational(1 / _asfrac(q))
+    return complex(-math.log(float(q)))
+
+
+def exp_coeff(c, mode: str):
+    """e^c as a coefficient; exact mode needs e^c rational (c = sum e_p log p)."""
+    if mode != EXACT:
+        return cmath.exp(complex(c))
     val = Fraction(1)
     for k, (re, im) in c.parts.items():
         if im != 0 or k == () or len(k) != 1 or k[0][1] != 1 or re.denominator != 1:

@@ -18,21 +18,19 @@ is the one lex-triangular solver, behind `invert` and `normalize.solve_W`.
 from __future__ import annotations
 
 import heapq
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffs import (
-    EXACT,
-    Exact,
     c_from,
     c_one,
     c_pow_rational,
     log_coeff,
+    log_inverse,
 )
 from .errors import DepthOverflowError, ShapeError
-from .keys import Key, ell_key, front_zscale, min_key, zero_key
+from .keys import Key, ell_key, front_zscale, zero_key
 from .series import (
     TransSeries,
     _common,
@@ -160,13 +158,7 @@ class Composer:
             else:
                 _, _, w = split_leading(self.images[-1])
                 inner = log1p(w)
-                if m == 2:
-                    if mode == EXACT:
-                        log_cm = Exact.log_of_rational(Fraction(1) / Fraction(self.alpha))
-                    else:
-                        log_cm = complex(-math.log(float(self.alpha)))
-                else:
-                    log_cm = None
+                log_cm = log_inverse(self.alpha, mode) if m == 2 else None
                 pref = monomial(ell_key(grid.depth, m), grid, mode)
             if log_cm:
                 inner = add(inner, monomial(zero_key(grid.depth), grid, mode, log_cm))
@@ -296,7 +288,7 @@ def solve_linear(right: Composer, a, b, rhs: TransSeries) -> TransSeries:
             continue
         n = t if a else Key(t.z / right.alpha, t.l)
         image = compose(monomial(n, grid, mode), right)
-        frontier = min_key(frontier, image.frontier)
+        frontier = min(frontier, image.frontier)
         if not t < frontier:
             break
         c_t = image.terms.get(t)

@@ -31,8 +31,9 @@ from .coeffs import (
     EXACT,
     Exact,
     c_from,
+    c_is_real,
     c_one,
-    exp_of_log_exact,
+    exp_coeff,
     log_coeff,
 )
 from .errors import BottcherError, DomainError, ShapeError
@@ -142,7 +143,7 @@ def to_z_chart(d: DulacSeriesZeta, e_cap=None) -> TransSeries:
     mode = d.v.mode
     if e_cap is None:
         e_cap = d.v.frontier.z
-    lam = exp_of_log_exact(-d.c0) if mode == EXACT else cmath.exp(-complex(d.c0))
+    lam = exp_coeff(-d.c0, mode)
     v = {k: c for k, c in d.v.terms.items() if k.z < e_cap}
     body = _chart_op(v, lambda s: exp_minus_one(negate(s)), mode, e_cap)
     terms = {Key(d.alpha, (0,)): lam}
@@ -178,10 +179,7 @@ def dulac_normalize_full(f: TransSeries, z_cap=10, block_cap=12):
 
 
 def _series_real(f: TransSeries) -> bool:
-    return all(
-        c.is_real() if isinstance(c, Exact) else abs(complex(c).imag) <= 1e-12
-        for c in f.terms.values()
-    )
+    return all(c_is_real(c, f.mode) for c in f.terms.values())
 
 
 # -- partial normalizations and asymptotic comparison -------------------------------

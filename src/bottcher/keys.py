@@ -19,6 +19,7 @@ alpha is one) or floor-divide, since int / int is a float.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -37,10 +38,38 @@ def as_zexp(x) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
-class Key:
+class _Lex:
+    """The lex order, equality and hash of `Key` and `Cut` on their tuple `_t`:
+    (z, l) for a key, (z,) for a cut, a prefix of every (z, l), so a cut orders
+    below every key at its z.  Either as a frontier f says by `block_past(z, f.z)`
+    whether every key of z-order z lies at or above f."""
+
+    __slots__ = ("z", "_t", "_h")
+
+    def __eq__(self, other):
+        return isinstance(other, _Lex) and self._t == other._t
+
+    def __lt__(self, other):
+        return self._t < other._t
+
+    def __le__(self, other):
+        return self._t <= other._t
+
+    def __gt__(self, other):
+        return self._t > other._t
+
+    def __ge__(self, other):
+        return self._t >= other._t
+
+    def __hash__(self):
+        return self._h
+
+
+class Key(_Lex):
     """A point (z_exp, log_exps) of Q x Z^k with lex order; z_exp canonical."""
 
-    __slots__ = ("z", "l", "_t", "_h")
+    __slots__ = ("l",)
+    block_past = operator.gt
 
     def __init__(self, z, l=()):
         # Keys are hashed on every dict access: normalize once, hash once.
@@ -64,24 +93,6 @@ class Key:
         if len(self.l) > depth:
             raise ValueError(f"cannot pad key of depth {len(self.l)} to {depth}")
         return Key(self.z, self.l + (0,) * (depth - len(self.l)))
-
-    def __eq__(self, other):
-        return isinstance(other, Key) and self._t == other._t
-
-    def __lt__(self, other):
-        return self._t < other._t
-
-    def __le__(self, other):
-        return self._t <= other._t
-
-    def __gt__(self, other):
-        return self._t > other._t
-
-    def __ge__(self, other):
-        return self._t >= other._t
-
-    def __hash__(self):
-        return self._h
 
     def __add__(self, other):
         if isinstance(other, Cut):
@@ -113,58 +124,28 @@ class Key:
         return f"Key({self.z!s}, {self.l})"
 
 
-class Cut:
-    """The lex-infimum marker (z, -inf, ..., -inf).
+class Cut(_Lex):
+    """The lex-infimum marker (z, -inf, ..., -inf), depth-free: as a truncation
+    frontier, every key with z-part >= z lies at or above it."""
 
-    Used as a truncation frontier: every key with z-part >= z lies at or
-    above the cut, whatever its log exponents.  Shares the tuple-comparison
-    path with Key: the 1-tuple (z,) is a prefix of every (z, l), so it orders
-    below every key at z; depth-free.
-    """
-
-    __slots__ = ("z", "_t")
+    __slots__ = ()
+    block_past = operator.ge
 
     def __init__(self, z):
         if type(z) is not int and (type(z) is not Fraction or z.denominator == 1):
             z = as_zexp(z)
         self.z = z
         self._t = (z,)
+        self._h = hash(self._t)
 
     def pad(self, depth: int) -> "Cut":
         return self
 
-    def __eq__(self, other):
-        return isinstance(other, Cut) and self.z == other.z
-
-    def __lt__(self, other):
-        return self._t < other._t
-
-    def __le__(self, other):
-        return self._t <= other._t
-
-    def __gt__(self, other):
-        return self._t > other._t
-
-    def __ge__(self, other):
-        return self._t >= other._t
-
-    def __hash__(self):
-        return hash(self._t)
-
     def __add__(self, other):
         return Cut(self.z + other.z)
 
-    def __neg__(self):
-        raise ValueError("a cut marker cannot be negated")
-
-    def scale(self, n: int) -> "Cut":
-        return Cut(self.z * n)
-
     def is_positive(self) -> bool:
         return self.z > 0  # (z, -inf) > 0 iff z > 0
-
-    def is_zero(self) -> bool:
-        return False
 
     def __repr__(self):
         return f"Cut({self.z!s})"
@@ -188,12 +169,3 @@ def ell_key(depth: int, m: int, power: int = 1) -> Key:
     l = [0] * depth
     l[m - 1] = power
     return Key(0, tuple(l))
-
-
-def min_key(a: Key | None, b: Key | None) -> Key | None:
-    """Min of two keys where None stands for +infinity."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a <= b else b

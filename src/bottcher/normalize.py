@@ -101,7 +101,7 @@ def alpha_block(f: TransSeries):
     """(alpha, whether R != 0) with f = z^alpha (1 + R) + higher blocks, R of
     z-order 0: R has a term at each log key of z-order alpha that f stores."""
     alpha = _require_monic_power(f).alpha
-    if f.frontier.z < alpha or (isinstance(f.frontier, Cut) and f.frontier.z == alpha):
+    if f.frontier <= Cut(alpha):
         raise ShapeError("grid too small: the alpha block is entirely untrusted")
     return alpha, any(k.z == alpha and any(k.l) for k in f.terms)
 
@@ -275,7 +275,7 @@ def check_conjugation(f: TransSeries | Composer, phi: TransSeries):
 
     Returns (frontier checked below, first bad key or None).  Exact mode
     demands literal zero residuals; float mode (which carries no exactness
-    guarantee) tolerates rounding dust up to FLOAT_TOL.
+    guarantee) tolerates the rounding dust of `coeffs.c_significant`.
     """
     if not is_parabolic(phi):
         raise ShapeError("conjugating change of variables must be parabolic")

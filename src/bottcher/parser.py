@@ -163,9 +163,7 @@ class _Parser:
                 im_part = -im_part
             self.t.expect("i")
             self.t.expect(")")
-            if self.mode == EXACT:
-                return self.const(Exact.of(re_part, im_part))
-            return self.const(complex(float(re_part), float(im_part)))
+            return self.const(Exact.of(re_part, im_part))
         except ParseError:
             self.t.i = save
             return None

@@ -50,15 +50,17 @@ from fractions import Fraction
 
 from .coeffs import (
     EXACT,
-    FLOAT,
-    FLOAT_TOL,
     c_from,
     c_one,
     c_pow_rational,
+    c_significant,
     c_zero,
+    dust_rule,
+    join_modes,
+    ratio_scaler,
 )
 from .errors import DepthOverflowError, EmptySeriesError, ShapeError
-from .keys import Cut, Key, as_zexp, min_key, zero_key
+from .keys import Cut, Key, as_zexp, zero_key
 from .printer import format_series
 
 
@@ -95,14 +97,17 @@ def merge_grids(a: TruncationGrid, b: TruncationGrid) -> TruncationGrid:
 class TransSeries:
     """Immutable-by-convention truncated log-transseries: every stored key is below `frontier`."""
 
-    __slots__ = ("depth", "mode", "grid", "terms", "frontier")
+    __slots__ = ("mode", "grid", "terms", "frontier")
 
-    def __init__(self, depth, mode, grid, terms, frontier):
-        self.depth = depth
+    def __init__(self, mode, grid, terms, frontier):
         self.mode = mode
         self.grid = grid
         self.terms = terms
         self.frontier = frontier
+
+    @property
+    def depth(self) -> int:
+        return self.grid.depth
 
     # -- inspection ---------------------------------------------------------
 
@@ -163,9 +168,7 @@ def make_series(terms, grid: TruncationGrid, mode=EXACT, frontier_candidates=())
         else:
             merged[key] = c
 
-    frontier = grid.trunc_key()
-    for cand in frontier_candidates:
-        frontier = min_key(frontier, cand)
+    frontier = min([grid.trunc_key(), *frontier_candidates])
 
     # a z-block past the candidates' frontier z is dropped whole: its
     # overflow key could not lower the frontier
@@ -177,10 +180,10 @@ def make_series(terms, grid: TruncationGrid, mode=EXACT, frontier_candidates=())
     for keys in by_block.values():
         keys.sort()
         if len(keys) > cap:
-            frontier = min_key(frontier, keys[cap])
+            frontier = min(frontier, keys[cap])
     below = frontier.__gt__
     stored = {k: merged[k] for keys in by_block.values() for k in itertools.takewhile(below, keys)}
-    return TransSeries(depth, mode, grid, stored, frontier)
+    return TransSeries(mode, grid, stored, frontier)
 
 
 def monomial(key: Key, grid: TruncationGrid, mode=EXACT, coeff=1) -> TransSeries:
@@ -199,21 +202,14 @@ def embed(f: TransSeries, grid: TruncationGrid, mode=None) -> TransSeries:
 
 
 def _common(a: TransSeries, b: TransSeries):
-    if a.depth == b.depth and a.grid == b.grid and a.mode == b.mode:
+    if a.grid == b.grid and a.mode == b.mode:
         return a, b
     grid = merge_grids(a.grid, b.grid)
-    mode = FLOAT if FLOAT in (a.mode, b.mode) else EXACT
+    mode = join_modes(a.mode, b.mode)
     return embed(a, grid, mode), embed(b, grid, mode)
 
 
 # -- order, support, leading data -------------------------------------------
-
-
-def ord_key(f: TransSeries) -> Key | None:
-    """min Supp(f); None is the +infinity sentinel for the zero series."""
-    if not f.terms:
-        return None
-    return min(f.terms)
 
 
 def ord_z(f: TransSeries):
@@ -231,7 +227,7 @@ def leading_term(f: TransSeries):
 
 def ord_for_frontier(f: TransSeries) -> Key:
     """A sound lower bound for the order of the (untruncated) series."""
-    return min_key(ord_key(f), f.frontier)
+    return min(f.terms, default=f.frontier)
 
 
 # -- ring operations ---------------------------------------------------------
@@ -249,9 +245,7 @@ def add(a: TransSeries, b: TransSeries) -> TransSeries:
 
 
 def negate(a: TransSeries) -> TransSeries:
-    return TransSeries(
-        a.depth, a.mode, a.grid, {k: -c for k, c in a.terms.items()}, a.frontier
-    )
+    return TransSeries(a.mode, a.grid, {k: -c for k, c in a.terms.items()}, a.frontier)
 
 
 def sub(a: TransSeries, b: TransSeries) -> TransSeries:
@@ -262,9 +256,7 @@ def scale(a: TransSeries, q) -> TransSeries:
     """Multiply by a rational scalar (exactness-preserving)."""
     if q == 0:
         return make_series({}, a.grid, a.mode, [a.frontier])
-    return TransSeries(
-        a.depth, a.mode, a.grid, {k: c * q for k, c in a.terms.items()}, a.frontier
-    )
+    return TransSeries(a.mode, a.grid, {k: c * q for k, c in a.terms.items()}, a.frontier)
 
 
 def mul(a: TransSeries, b: TransSeries) -> TransSeries:
@@ -272,7 +264,7 @@ def mul(a: TransSeries, b: TransSeries) -> TransSeries:
     cands = [a.frontier + ord_for_frontier(b), b.frontier + ord_for_frontier(a)]
     # past(z, fz): the whole z-block lies at or above the frontier
     frontier = min(a.grid.trunc_key(), *cands)
-    fz, past = frontier.z, operator.ge if isinstance(frontier, Cut) else operator.gt
+    fz, past = frontier.z, frontier.block_past
     ab: dict = {}
     for k, c in a.terms.items():
         ab.setdefault(k.z, []).append((k.l, c))
@@ -345,8 +337,8 @@ def mul_monomial(a: TransSeries, key: Key, coeff=None) -> TransSeries:
 
 
 def residual_keys(r: TransSeries) -> list[Key]:
-    """Keys where r is nonzero (float mode: |c| > FLOAT_TOL)."""
-    return [k for k, c in r.terms.items() if r.mode != FLOAT or abs(c) > FLOAT_TOL]
+    """Keys where r is nonzero, float dust aside (`coeffs.c_significant`)."""
+    return [k for k, c in r.terms.items() if c_significant(c, r.mode)]
 
 
 # -- multiplicative structure -------------------------------------------------
@@ -378,12 +370,11 @@ def power_sum(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
     of two making lambda > 0 on supp(v), hence on every sum of its keys
     (log-free v: lambda = x0).  The weights are integer quotients: with
     a + s = An/Ad and s = Sn/Sd, the weight of (k, N) is
-    (An Sd lambda(k) - Sn Ad lambda(N)) / (Ad Sd lambda(N)), a `Fraction` in
-    exact mode and the correctly rounded int / int in float mode (the float
-    of that `Fraction`, so the same bits); a pair whose numerator is 0 adds
+    (An Sd lambda(k) - Sn Ad lambda(N)) / (Ad Sd lambda(N)), handed as that
+    int pair to `coeffs.ratio_scaler`; a pair whose numerator is 0 adds
     nothing.  Keys come off a heap in ascending order; only the sums a
-    nonzero F_(N-k) reaches are visited.  In float mode an F_N within
-    FLOAT_TOL of its parts' magnitudes is rounding dust, so 0.
+    nonzero F_(N-k) reaches are visited.  An F_N that `coeffs.dust_rule`
+    calls rounding dust (float mode only) is 0.
 
     The frontier is the least of Cut(z_cap - max(base_z, 0)), v's frontier
     when b != 0, and the first nonzero key past block_cap stored keys in its
@@ -395,7 +386,7 @@ def power_sum(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
     if not n0.is_positive():
         raise ShapeError(f"power sum needs ord(v) > 0, got {n0!r}")
     limit = grid.z_cap - max(base_z, 0)
-    frontier = min_key(Cut(limit), v.frontier) if b else Cut(limit)
+    frontier = min(Cut(limit), v.frontier) if b else Cut(limit)
     gens = sorted(k for k in v.terms if k < frontier)
     q = math.lcm(*(k.z.denominator for k in gens))
     vs = [((k.z * q).numerator,) + k.l for k in gens]
@@ -406,7 +397,7 @@ def power_sum(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
     ra, rs = Fraction(a + s), Fraction(s)
     A, S = ra.numerator * rs.denominator, rs.numerator * ra.denominator
     den = ra.denominator * rs.denominator
-    div = Fraction if mode == EXACT else operator.truediv
+    times, dust = ratio_scaler(mode), dust_rule(mode)
     v_at = {x: (v.terms[k], A * _weight(x, m)) for x, k in zip(vs, gens)}
     # every pushed key lies below the frontier; z grows with k, as vs is sorted
     fpos = (frontier.z * q,) + getattr(frontier, "l", ())
@@ -432,9 +423,9 @@ def power_sum(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
             vk, a_lk = v_at[k]
             num = a_lk - s_ln
             if num:
-                parts.append(vk * fm * div(num, den_ln))
+                parts.append(times(vk * fm, num, den_ln))
         acc = functools.reduce(operator.add, parts) if parts else c_zero(mode)
-        if not acc or mode == FLOAT and abs(acc) <= FLOAT_TOL * sum(map(abs, parts)):
+        if not acc or dust and dust(acc, parts):
             continue
         n0 = n[0]
         key = Key(n0 // q if n0 % q == 0 else Fraction(n0, q), n[1:])
@@ -449,7 +440,7 @@ def power_sum(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
                 heapq.heappush(heap, nk)
             elif nk[0] > fpos[0]:
                 break
-    return TransSeries(grid.depth, mode, grid, terms, frontier)
+    return TransSeries(mode, grid, terms, frontier)
 
 
 def _weight(x, m):

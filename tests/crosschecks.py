@@ -37,8 +37,6 @@ from fractions import Fraction
 
 from bottcher.coeffs import (
     EXACT,
-    FLOAT,
-    FLOAT_TOL,
     Exact,
     _asfrac,
     _mono_mul,
@@ -46,6 +44,7 @@ from bottcher.coeffs import (
     c_one,
     c_pow_rational,
     c_zero,
+    dust_rule,
     log_coeff,
 )
 from bottcher.compose import (
@@ -60,7 +59,7 @@ from bottcher.compose import (
 )
 from bottcher.dulac import DulacSeriesZeta, _decay_report, numbers_like, zeta_function
 from bottcher.errors import DepthOverflowError, DomainError, EmptySeriesError, ShapeError
-from bottcher.keys import Cut, Key, ell_key, front_zscale, min_key, zero_key
+from bottcher.keys import Cut, Key, ell_key, front_zscale, zero_key
 from bottcher.koenigs import KoenigsResult
 from bottcher.normalize import SemigroupSpec, _phi_of, normalize
 from bottcher.series import (
@@ -295,7 +294,8 @@ def sum_powers(v: TransSeries, coeff_of, base_z=0, log_powers=16) -> TransSeries
             acc = add(acc, scale(power, q))
         power = mul(power, v)
         i += 1
-    return make_series(acc.terms, grid, mode, [acc.frontier, n0.scale(i)])
+    tail = Cut(n0.z * i) if isinstance(n0, Cut) else n0.scale(i)
+    return make_series(acc.terms, grid, mode, [acc.frontier, tail])
 
 
 def power_sum_by_powers(v: TransSeries, kind: str, beta=None, base_z=0,
@@ -324,7 +324,7 @@ def power_sum_rational_weights(v: TransSeries, s, a, b, base_z=0, one=False) -> 
     if not n0.is_positive():
         raise ShapeError(f"power sum needs ord(v) > 0, got {n0!r}")
     limit = grid.z_cap - max(base_z, 0)
-    frontier = min_key(Cut(limit), v.frontier) if b else Cut(limit)
+    frontier = min(Cut(limit), v.frontier) if b else Cut(limit)
     gens = sorted(k for k in v.terms if k < frontier)
     q = math.lcm(*(k.z.denominator for k in gens))
     vs = [((k.z * q).numerator,) + k.l for k in gens]
@@ -332,6 +332,7 @@ def power_sum_rational_weights(v: TransSeries, s, a, b, base_z=0, one=False) -> 
     while not all(_weight(x, m) > 0 for x in vs):
         m *= 2
     v_at = {x: (v.terms[k], _weight(x, m)) for x, k in zip(vs, gens)}
+    dust = dust_rule(mode)
     # every pushed key lies below the frontier; z grows with k, as vs is sorted
     fpos = (frontier.z * q,) + getattr(frontier, "l", ())
     terms = {zero_key(grid.depth): c_one(mode)} if one and limit > 0 else {}
@@ -357,7 +358,7 @@ def power_sum_rational_weights(v: TransSeries, s, a, b, base_z=0, one=False) -> 
             if w:
                 parts.append(vk * fm * w)
         acc = functools.reduce(operator.add, parts) if parts else c_zero(mode)
-        if not acc or mode == FLOAT and abs(acc) <= FLOAT_TOL * sum(map(abs, parts)):
+        if not acc or dust and dust(acc, parts):
             continue
         key = Key(Fraction(n[0], q), n[1:])
         if per_block[n[0]] == grid.block_cap:
@@ -371,7 +372,7 @@ def power_sum_rational_weights(v: TransSeries, s, a, b, base_z=0, one=False) -> 
                 heapq.heappush(heap, nk)
             elif nk[0] > fpos[0]:
                 break
-    return TransSeries(grid.depth, mode, grid, terms, frontier)
+    return TransSeries(mode, grid, terms, frontier)
 
 
 def dist_z_info(a: TransSeries, b: TransSeries):
@@ -534,9 +535,11 @@ def leading_block(f: TransSeries):
 
 
 def agree_below_frontier(a: TransSeries, b: TransSeries) -> bool:
+    """a and b agree below the frontier: their difference, which stores only
+    the terms below its frontier, stores none."""
     a, b = _common(a, b)
     diff = sub(a, b)
-    return diff.is_zero() or min(diff.terms) >= diff.frontier
+    return diff.is_zero()
 
 
 def binomial(beta, i: int):

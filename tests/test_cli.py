@@ -114,9 +114,8 @@ def test_bottcher_seq(capsys):
     code, out = run(capsys, "bottcher-seq", "z^2 + z^3", "--n", "1", "--z-cap", "6")
     assert code == 0
     assert "z + 1/2*z^2 - 1/8*z^3" in out
-    code = main(["bottcher-seq", "z^2 + z^3", "--n", "-1", "--z-cap", "6"])
-    assert code == 2
-    assert capsys.readouterr().err == "error: ValueError: n must be >= 0\n"
+    code, out = run(capsys, "bottcher-seq", "z^2 + z^3", "--n", "0", "--z-cap", "6")
+    assert code == 0 and out.strip() == "z"
 
 
 def test_support(capsys):
@@ -435,6 +434,16 @@ def test_precision_below_a_double_exits_2(capsys, tmp_path, monkeypatch, source,
         (["analytic", "homological", "--alpha", "2", "--f-term", "1,0,inf", "--g-term", "1,0,1"],
          "--f-term"),
         (["analytic", "homological", "--alpha", "2", "--g-term", "x,0,1"], "--g-term"),
+        # unchecked: exit 3, "no invariant threshold below ceiling nan: []"
+        (["analytic", "domain-check", "--alpha", "2", "--term", "100,0,0", "--r-ceiling", "nan"],
+         "--r-ceiling"),
+        # unchecked: "error: OverflowError: (34, 'Numerical result out of range')"
+        (["analytic", "domain-check", "--alpha", "2", "--term", "100,0,0", "--r-ceiling", "inf"],
+         "--r-ceiling"),
+        # unchecked: exit 0, the generators printed as the enumeration
+        (["support", "z^2 + z^3*l1", "--enumerate", "-2"], "--enumerate"),
+        # unchecked: "error: ValueError: n must be >= 0"
+        (["bottcher-seq", "z^2 + z^3", "--n", "-1", "--z-cap", "6"], "--n"),
     ],
 )
 def test_a_bad_numeric_option_exits_2_naming_it(capsys, argv, option):
@@ -443,6 +452,19 @@ def test_a_bad_numeric_option_exits_2_naming_it(capsys, argv, option):
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert f"error: argument {option}: " in err.strip().splitlines()[-1], err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_non_finite_r_ceiling_in_the_config_exits_2(capsys, tmp_path, monkeypatch, value):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"r_ceiling = {value}\n")
+    monkeypatch.setenv("BOTTCHER_CONFIG", str(cfg))
+    with pytest.raises(SystemExit) as exc:
+        main(["analytic", "domain-check", "--alpha", "2", "--term", "100,0,0"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.strip().splitlines()[-1].endswith(
+        f"error: argument --r-ceiling: expected a finite float, got '{value}'"), err
 
 
 @pytest.mark.parametrize(

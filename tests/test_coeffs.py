@@ -1,7 +1,9 @@
 import math
+import operator
 import random
 import struct
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,11 +11,13 @@ import pytest
 from crosschecks import binomial, exact_add_reference, exact_mul_reference
 from bottcher.coeffs import (
     EXACT,
+    FLOAT,
     Exact,
     c_from,
     c_pow_rational,
-    exp_of_log_exact,
+    exp_coeff,
     nth_root_fraction,
+    ratio_scaler,
 )
 from bottcher.errors import ModeError
 from bottcher.io_json import coeff_from_json, coeff_to_json
@@ -62,9 +66,9 @@ def test_log_evaluation():
 
 def test_exp_of_log_exact_roundtrip():
     for q in (F(4), F(9, 8), F(1, 6)):
-        assert exp_of_log_exact(Exact.log_of_rational(q)) == Exact.of(q)
+        assert exp_coeff(Exact.log_of_rational(q), EXACT) == Exact.of(q)
     with pytest.raises(ModeError):
-        exp_of_log_exact(Exact.log_of_rational(2).scale(F(1, 2)))
+        exp_coeff(Exact.log_of_rational(2).scale(F(1, 2)), EXACT)
 
 
 def test_pow_rational():
@@ -324,3 +328,28 @@ def test_real_operands_with_complex_or_log_operands_match_the_reference():
             assert got == want and hash(got) == hash(want)
         back = (a + c) - c
         assert back == a and hash(back) == hash(a) and back.rational_parts() == a.rational_parts()
+
+
+def test_an_int_pair_weight_scales_as_its_fraction():
+    """`ratio_scaler` takes a weight as an int pair (n, d), d > 0, in any
+    terms.  In exact mode it equals c.scale(Fraction(n, d)) on real, complex
+    and log p values, in the same canonical form; in float mode it is, bit
+    for bit, c times the correctly rounded n / d."""
+    rng = random.Random(4141)
+    exact, flt = ratio_scaler(EXACT), ratio_scaler(FLOAT)
+    special = [0.0, -0.0, 1.0, -1e300, 1e-300]
+    kinds = Counter()
+    for _ in range(3000):
+        g = rng.choice([1, 2, 6, rng.randint(1, 10**6)])
+        n = g * rng.choice([0, 1, -1, rng.randint(-50, 50), rng.randint(-(10**20), 10**20)])
+        d = g * rng.randint(1, 10 ** rng.randint(1, 20))
+        c = rng.choice([Exact.of(_draw_rational(rng)), _draw_exact(rng), _draw_multi_part(rng)])
+        kinds[c.is_real(), c.is_rational_complex(), n < 0, math.gcd(n, d) > 1] += 1
+        got, want = exact(c, n, d), c.scale(F(n, d))
+        assert got == want and hash(got) == hash(want), (c, n, d)
+        assert list(got.parts.items()) == list(want.parts.items()), (c, n, d)
+        z = rng.choice([complex(c), complex(*(rng.choice(special) for _ in "ri"))])
+        assert _bits(flt(z, n, d)) == _bits(z * operator.truediv(n, d)), (z, n, d)
+    # real, complex and log p values, each with negative n and n / d not in lowest terms
+    assert all(kinds[real, rational, True, True]
+               for real in (True, False) for rational in (True, False))

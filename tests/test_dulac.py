@@ -40,10 +40,6 @@ def _zeta(alpha, c0, ladder, mode=EXACT):
     return DulacSeriesZeta(F(alpha), c0, whole_series(terms, mode))
 
 
-def _trusted(f):
-    return {k: c for k, c in f.terms.items() if k < f.frontier}
-
-
 def test_to_zeta_pure_power():
     d = DulacSeriesZ(1, 2, [])
     out = to_zeta_chart(d)
@@ -234,7 +230,7 @@ def test_dulac_normalize_polynomial():
     d = DulacSeriesZ(1, 2, [(3, [1])])  # z^2 + z^3
     phi, res = dulac_normalize_full(d, z_cap=9)
     assert phi is res.phi
-    lead, first, second = sorted(_trusted(phi).items())[:3]
+    lead, first, second = sorted(phi.terms.items())[:3]
     assert lead == (Key(1, (0,)), Exact.of(1))
     assert first == (Key(2, (0,)), Exact.of(F(1, 2)))
     assert second == (Key(3, (0,)), Exact.of(F(1, 8)))
@@ -243,7 +239,7 @@ def test_dulac_normalize_polynomial():
 def test_dulac_normalize_identity():
     d = DulacSeriesZ(1, 2, [])
     phi = dulac_normalize_full(d, z_cap=6)[0]
-    assert _trusted(phi) == {Key(1, (0,)): Exact.of(1)}
+    assert phi.terms == {Key(1, (0,)): Exact.of(1)}
 
 
 def test_dulac_normalize_log_case_closure_and_realness():
@@ -251,7 +247,7 @@ def test_dulac_normalize_log_case_closure_and_realness():
     phi, res = dulac_normalize_full(d, z_cap=8)
     assert res.verification["conjugation_exact_below_frontier"]
     assert is_dulac(phi)
-    assert all(c.is_real() for c in _trusted(phi).values())
+    assert all(c.is_real() for c in phi.terms.values())
 
 
 # -- partial normalizations -------------------------------------------------------------------

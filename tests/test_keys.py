@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from crosschecks import noncanonical_zexps
-from bottcher.keys import Cut, Key, as_zexp, ell_key, front_zscale, min_key, zero_key
+from bottcher.keys import Cut, Key, as_zexp, ell_key, front_zscale, zero_key
 from bottcher.series import TruncationGrid
 
 zexps = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -40,8 +40,7 @@ def test_pad_and_units():
     k = Key(1, (2,))
     assert k.pad(3) == Key(1, (2, 0, 0))
     assert ell_key(3, 2) == Key(0, (0, 1, 0))
-    assert min_key(None, k) == k and min_key(k, None) == k
-    assert min_key(k, Key(1, (1,))) == Key(1, (1,))
+    assert min(k, Key(1, (1,))) == Key(1, (1,)) and min(k, Cut(1)) == Cut(1)
 
 
 def test_hash_of_int_and_fraction_z():
@@ -102,7 +101,7 @@ def test_key_arithmetic_stays_canonical(x, y, lx, ly, n, q):
     results = [
         (a + b, x + y), (a - b, x - y), (-a, -x), (a.scale(n), x * n),
         (front_zscale(a, q), x * q), (front_zscale(Cut(x), q), x * q),
-        (a + Cut(y), x + y), (Cut(x) + b, x + y), (Cut(x).scale(n), x * n),
+        (a + Cut(y), x + y), (Cut(x) + b, x + y),
     ]
     for got, want in results:
         assert got.z == want and not noncanonical_zexps(got), (got, want)

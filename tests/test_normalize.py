@@ -698,10 +698,6 @@ def test_solve_grid_is_cut_only_for_log_inputs(text, grid, cut):
     assert z_cap < grid[0] if cut else z_cap == grid[0]
 
 
-def _trusted(phi):
-    return {k: c for k, c in phi.terms.items() if k < phi.frontier}
-
-
 def test_trusted_terms_survive_grid_refinement():
     """A trusted coefficient is a coefficient of the untruncated phi.  So on a
     grid with a larger z_cap, block_cap or both, every key trusted on the
@@ -713,12 +709,12 @@ def test_trusted_terms_survive_grid_refinement():
     for _ in range(20):
         f = _random_log_input(rng)
         phi = normalize(f, verify=False).phi
-        small = _trusted(phi)
+        small = phi.terms
         for dz, db in ((2, 0), (0, 2), (2, 2)):
             grid = replace(f.grid, z_cap=f.grid.z_cap + dz, block_cap=f.grid.block_cap + db)
             big = normalize(make_series(f.terms, grid), verify=False).phi
             assert all(k < big.frontier for k in small), (f, grid)
-            below = {k: c for k, c in _trusted(big).items() if k < phi.frontier}
+            below = {k: c for k, c in big.terms.items() if k < phi.frontier}
             assert below == small, (f, grid)
             rose += big.frontier > phi.frontier
     assert rose > 20
@@ -752,7 +748,7 @@ def test_normalize_recovers_a_planted_phi(text, alpha, depth):
     res = normalize(f)
     assert res.verification["conjugation_exact_below_frontier"], res.verification
     assert all(k < res.phi.frontier for k in phi.terms), res.phi.frontier
-    assert _trusted(res.phi) == phi.terms
+    assert res.phi.terms == phi.terms
 
 
 @pytest.mark.parametrize("text,alpha,depth", PLANTED)
@@ -790,7 +786,7 @@ def test_normalize_recovers_a_planted_phi_at_lambda_not_1(text, alpha, lam):
     c = c_pow_rational(lam, F(1, alpha - 1))
     want = {k: a * c_pow_rational(c, 1 - k.z) for k, a in phi.terms.items()}
     assert all(k < res.phi.frontier for k in want), res.phi.frontier
-    assert _trusted(res.phi) == want
+    assert res.phi.terms == want
 
 
 @pytest.mark.parametrize(
@@ -818,7 +814,7 @@ def test_phi_matches_the_numeric_bottcher_limit(text, alpha, u, z_cap):
             if t > 200 / min(q(s) for _, s in u):
                 break
         limit = mpmath.exp(-t / q(alpha) ** n)
-        trusted = sum(q(c.rational_parts()[0]) * z ** q(k.z) for k, c in _trusted(phi).items())
+        trusted = sum(q(c.rational_parts()[0]) * z ** q(k.z) for k, c in phi.terms.items())
         assert abs(limit - trusted) < z ** q(phi.frontier.z)
 
 

@@ -152,6 +152,61 @@ def test_only_the_series_kernel_decides_which_terms_are_trusted():
     assert {name: lines for name, lines in filters.items() if lines} == {}
 
 
+def _mode_decisions(tree, exempt_fn=None) -> list:
+    """Lines that decide exact against float themselves: a comparison naming
+    EXACT or FLOAT, a mention of FLOAT_TOL, or an `isinstance(..., Exact)`;
+    the body of the function `exempt_fn` is skipped."""
+    lines = []
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name == exempt_fn:
+            return
+        if isinstance(node, ast.Compare) and _names(node) & {"EXACT", "FLOAT"}:
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and "FLOAT_TOL" in _names(node):
+            lines.append(node.lineno)
+        elif _isinstance_of(node, "Exact"):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return sorted(set(lines))
+
+
+def _isinstance_of(node, cls: str) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and cls in _names(node.args[1]))
+
+
+def test_only_coeffs_decides_exact_against_float():
+    """`coeffs` alone decides exact against float: no other library module
+    compares a mode with EXACT or FLOAT, names FLOAT_TOL or tests for an
+    `Exact`.  A mode passed as a value (a default `mode=EXACT`, the CLI's
+    `--float`) decides nothing.  The codecs `io_json` and `printer` spell
+    each kind, and `dulac.numbers_like` converts either kind to mpmath."""
+    exempt_fn = {"dulac.py": "numbers_like"}
+    found = {
+        path.name: _mode_decisions(ast.parse(path.read_text()), exempt_fn.get(path.name))
+        for path in sorted(LIB.glob("*.py"))
+        if path.name not in ("coeffs.py", "io_json.py", "printer.py")
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_only_keys_and_the_codec_tell_a_cut_from_a_key():
+    """A frontier's class answers for itself (its order, `block_past`): no
+    library module outside `keys` and `io_json` tests for a `Cut`."""
+    found = {
+        path.name: [n.lineno for n in ast.walk(ast.parse(path.read_text()))
+                    if _isinstance_of(n, "Cut")]
+        for path in sorted(LIB.glob("*.py"))
+        if path.name not in ("keys.py", "io_json.py")
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_koenigs_and_homological_evaluators_share_one_loop():
     """The Koenigs map and the homological sum are one certified orbit loop
     with one set of checks: `koenigs.py` holds exactly one `while` loop."""
