@@ -20,13 +20,11 @@ from fractions import Fraction
 from .coeffs import EXACT, FLOAT, Exact
 from .domains import AsymptoticSpec, DomainSpec, invariant_threshold
 from .dulac import (
-    by_kind,
     compare_formal_numeric,
     dulac_normalize_full,
-    number_kind,
-    numbers_like,
     to_z_chart,
     to_zeta_chart,
+    zeta_chart_map,
     zeta_map,
 )
 from .errors import (
@@ -91,6 +89,14 @@ def _parse_expr(text: str, args):
                  depth=args.depth)
 
 
+def _read_json(path):
+    """The JSON document in the file at path, or on standard input if path is None."""
+    if path is None:
+        return json.load(sys.stdin)
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _emit(args, payload: dict, text: str):
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -127,10 +133,11 @@ def _add_domain(p):
     p.add_argument("--r-ceiling", dest="r_ceiling", type=_finite, default=64.0)
 
 
-def _add_analytic(p, *terms, numeric=True):
-    """`_add_domain`, alpha, --json and the repeatable term options `terms`;
-    numeric adds --tol, --samples and --precision."""
-    p.add_argument("--alpha", type=float, required=True)
+def _add_analytic(p, numeric=True):
+    """The germ f (--infile), `_add_domain` and --json; numeric adds --tol,
+    --samples and --precision."""
+    p.add_argument("--infile", default=None,
+                   help="f as zeta-chart germ JSON (`bridge to-zeta`); default: standard input")
     _add_domain(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_analytic)
@@ -140,9 +147,6 @@ def _add_analytic(p, *terms, numeric=True):
                        help="grid spec R0:SPAN:N")
         p.add_argument("--precision", type=_int_at_least(15), default=None,
                        help="mpmath digits, at least 15 (a double's 53 bits)")
-    for t in terms:
-        p.add_argument(t, type=_term_spec, action="append", default=None, metavar="c,p,nu",
-                       help=f"a term c zeta^p e^(-nu zeta); a negative c needs {t}=-0.25,2,1.5")
 
 
 def _fields(text: str, sep: str, types: tuple, form: str) -> tuple:
@@ -160,32 +164,6 @@ def _fields(text: str, sep: str, types: tuple, form: str) -> tuple:
 def _finite(text: str) -> float:
     """The type of --ray-span and --r-ceiling."""
     return _fields(text, ",", (float,), "a finite float")[0]
-
-
-def _term_spec(text: str) -> tuple[float, int, float]:
-    """The type of --term, --f-term and --g-term."""
-    return _fields(text, ",", (float, int, float), "finite c,p,nu with an integer p")
-
-
-def _term_map(alpha: float, terms):
-    """f(zeta) = alpha zeta + sum c zeta^p e^(-nu zeta) over (c, p, nu) terms, in
-    zeta's number type (`numbers_like`), its constants converted once per kind."""
-
-    def convert(x):
-        # an mpmath point converts a float exactly, all 53 bits, as its arithmetic does
-        to = x.context.convert if number_kind(x) else float
-        return numbers_like(x)[2], to(alpha), [(to(c), p, to(nu)) for c, p, nu in terms or ()]
-
-    constants = by_kind(convert)
-
-    def f(zeta):
-        exp, a, converted = constants(zeta)
-        out = a * zeta
-        for c, p, nu in converted:
-            out = out + c * zeta**p * exp(-nu * zeta)
-        return out
-
-    return f
 
 
 def _samples_spec(text: str) -> tuple[float, float, int]:
@@ -264,8 +242,7 @@ def cmd_support(args) -> int:
 def cmd_verify(args) -> int:
     f = _parse_expr(args.f, args)
     if args.phi_file:
-        with open(args.phi_file) as fh:
-            phi = series_from_json(json.load(fh))
+        phi = series_from_json(_read_json(args.phi_file))
     else:
         phi = _parse_expr(args.phi, args)
     report = conjugation_report(f, phi)
@@ -286,11 +263,13 @@ def cmd_analytic(args) -> int:
 
 
 def _analytic(args) -> int:
-    spec = AsymptoticSpec(alpha=args.alpha, eps=args.eps, k=args.k)
+    germ = dulac_zeta_from_json(_read_json(args.infile))
+    # a Fraction, as in `bridge compare`: an int alpha^-n is a 53-bit float
+    spec = AsymptoticSpec(alpha=Fraction(germ.alpha), eps=args.eps, k=args.k)
     dom = DomainSpec.standard_quadratic(args.sqd_C)
     homological = args.analytic_cmd == "homological"
-    f = _term_map(args.alpha, args.f_term if homological else args.term)
-    g = _term_map(0.0, args.g_term) if homological else None
+    f = zeta_chart_map(germ)
+    g = zeta_chart_map(dulac_zeta_from_json(_read_json(args.g_infile))) if homological else None
     R = invariant_threshold(f, spec, dom, r_ceiling=args.r_ceiling)
     if args.analytic_cmd == "domain-check":
         _emit(args, {"R": R}, f"certified R = {R}")
@@ -335,12 +314,7 @@ def cmd_to_zeta(args) -> int:
 
 
 def cmd_to_z(args) -> int:
-    if args.infile:
-        with open(args.infile) as fh:
-            data = json.load(fh)
-    else:
-        data = json.load(sys.stdin)
-    out = to_z_chart(dulac_zeta_from_json(data))
+    out = to_z_chart(dulac_zeta_from_json(_read_json(args.infile)))
     print(json.dumps(dulac_z_to_json(out), indent=2))
     return 0
 
@@ -430,15 +404,17 @@ def build_parser() -> argparse.ArgumentParser:
     an = sp.add_parser("analytic", help="domain certification / Koenigs / homological")
     an = an.add_subparsers(dest="analytic_cmd", required=True)
     p = an.add_parser("domain-check", help="certify an invariant threshold R")
-    _add_analytic(p, "--term", numeric=False)
+    _add_analytic(p, numeric=False)
     p.set_defaults(precision=None)  # the threshold search runs in double precision
 
     p = an.add_parser("koenigs", help="Koenigs normalizer at sample points")
-    _add_analytic(p, "--term")
+    _add_analytic(p)
     p.add_argument("--csv", default=None)
 
     p = an.add_parser("homological", help="solve h o f - alpha h = g")
-    _add_analytic(p, "--f-term", "--g-term")
+    _add_analytic(p)
+    p.add_argument("--g-infile", dest="g_infile", required=True,
+                   help="g as zeta-chart germ JSON with alpha 0 and c0 0")
     p.add_argument("--nu", type=float, default=1.0)
 
     br = sp.add_parser("bridge", help="Dulac chart conversions and comparison")

@@ -15,8 +15,9 @@ Ladders [(exp, P)], each P dense by degree, are the wire format: `io_json`
 reads and writes them, and `DulacSeriesZ` builds a germ from one.
 
 The numeric map `zeta_map(f)` = -log f(e^(-zeta)) of a monic f reads f's own
-terms, with no e_cap.  It, `zeta_function` and `compare_formal_numeric` compute
-in their points' number type, converting constants once per kind (`by_kind`).
+terms, with no e_cap; `zeta_chart_map(d)` evaluates a zeta-chart germ itself.
+Both, `zeta_function` and `compare_formal_numeric` compute in their points'
+number type, converting constants once per kind (`by_kind`).
 """
 
 from __future__ import annotations
@@ -242,6 +243,8 @@ def zeta_function(d: DulacSeriesZeta, numbers):
     """zeta -> d(zeta), its coefficients converted once by a `numbers_like` tuple."""
     real, coef, exp, _, nats = numbers
     alpha, c0 = real(d.alpha), coef(d.c0)
+    if not (d.alpha or d.c0):  # a germ such as homological's g: no last digit to fall below
+        nats = math.inf
     # (beta, -beta, Q's coefficients from the top degree), a gap adding an exact 0
     ladder = [(float(b), -real(b), [coef(q.get(deg, 0)) for deg in range(max(q), -1, -1)])
               for b, q in rungs(d.v.terms)]
@@ -258,6 +261,12 @@ def zeta_function(d: DulacSeriesZeta, numbers):
         return out
 
     return value
+
+
+def zeta_chart_map(d: DulacSeriesZeta):
+    """zeta -> d(zeta) in zeta's number type, d's coefficients converted once per kind."""
+    constants = by_kind(lambda x: zeta_function(d, numbers_like(x)))
+    return lambda zeta: constants(zeta)(zeta)
 
 
 def zeta_map(f: TransSeries):
@@ -319,11 +328,11 @@ def compare_formal_numeric(phi_numeric, phi_hat: DulacSeriesZeta, n: int, xs):
     """sup of |phi_numeric(zeta) - phi_hat_n(zeta)| e^(beta_n x) along the ray
     zeta = x + 0i, evaluated at x itself (in the number type of x), with trend."""
     phin = partial_normalizations(phi_hat, n)
-    formal = by_kind(lambda x: zeta_function(phin, numbers_like(x)))
+    formal = zeta_chart_map(phin)
     beta = float(phi_hat.betas()[n - 1]) if n >= 1 else 0.0
     stats = []
     for x in xs:
-        diff = abs(phi_numeric(x) - formal(x)(x))
+        diff = abs(phi_numeric(x) - formal(x))
         stats.append(float(diff) * math.exp(beta * float(x)))
     rep = _decay_report([float(x) for x in xs], stats)
     rep["sup"] = max(stats) if stats else 0.0

@@ -378,18 +378,16 @@ def power_sum_rational_weights(v: TransSeries, s, a, b, base_z=0, one=False) -> 
 def dist_z_info(a: TransSeries, b: TransSeries):
     """Power metric 2^(-ord_z(a-b)) with a status string.
 
-    Status is "measured" when the leading difference is certified,
-    "indistinguishable-at-frontier" when the series agree below both
-    frontiers (the true metric is uncomputable beyond them), and
-    "untrusted" when the leading difference sits at or above the frontier.
+    Status is "measured" when the series differ: `make_series` stores only
+    terms below the frontier, so the leading difference is certified.  It is
+    "indistinguishable-at-frontier" when they agree below both frontiers (the
+    true metric is uncomputable beyond them).
     """
     a, b = _common(a, b)
     diff = sub(a, b)
     if diff.is_zero():
         return 0.0, "indistinguishable-at-frontier"
-    o = ord_z(diff)
-    status = "measured" if min(diff.terms) < diff.frontier else "untrusted"
-    return float(2.0 ** (-float(o))), status
+    return float(2.0 ** (-float(ord_z(diff)))), "measured"
 
 
 def dist_z(a: TransSeries, b: TransSeries) -> float:

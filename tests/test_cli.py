@@ -1,3 +1,5 @@
+import copy
+import io
 import json
 import random
 import time
@@ -21,12 +23,34 @@ from bottcher.series import TruncationGrid, add, monomial
 
 
 DATA = Path(__file__).resolve().parent / "data"
+# zeta-chart germs (exact JSON): f = 2 zeta, f = 2 zeta + e^(-zeta), g = e^(-zeta)
+F2, E1, G1 = (str(DATA / "germs" / name) for name in ("f_2z.json", "f_2z_e1.json", "g_e1.json"))
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def germs(command) -> list:
+    """The germ options of a test run: f = 2 zeta with g = e^(-zeta) for
+    `homological`, and f = 2 zeta + e^(-zeta) for the other commands."""
+    return ["--infile", F2, "--g-infile", G1] if command == "homological" else ["--infile", E1]
+
+
+def germ_file(tmp_path, alpha="2", c0="0", ladder=()) -> str:
+    """The path of a file holding the exact zeta-chart germ
+    alpha zeta + c0 + sum e^(-beta zeta) Q(zeta) of a ladder [(beta, Q)]."""
+    def coeff(c):
+        return {"re": c, "im": "0"}
+
+    path = tmp_path / "germ.json"
+    path.write_text(json.dumps({
+        "alpha": alpha, "c0": coeff(c0), "mode": "exact",
+        "ladder": [{"beta": b, "Q": [coeff(c) for c in q]} for b, q in ladder],
+    }))
+    return str(path)
 
 
 def test_normalize_json(capsys):
@@ -327,16 +351,17 @@ def test_cli_exit_codes_fuzz(capsys):
 
 def test_analytic_domain_check(capsys):
     code, out = run(
-        capsys, "analytic", "domain-check", "--alpha", "2", "--eps", "1", "--k", "1",
+        capsys, "analytic", "domain-check", "--infile", F2, "--eps", "1", "--k", "1",
         "--sqd-C", "1", "--json",
     )
     assert code == 0
     assert json.loads(out)["R"] < 16
 
 
-def test_analytic_domain_check_failure(capsys):
+def test_analytic_domain_check_failure(capsys, tmp_path):
+    # the constant defect |f - 2 zeta| = 1 exceeds M(x) = 1 / log x at every x > e
     code, _ = run(
-        capsys, "analytic", "domain-check", "--alpha", "2", "--term", "1,1,0",
+        capsys, "analytic", "domain-check", "--infile", germ_file(tmp_path, c0="1"),
         "--r-ceiling", "30",
     )
     assert code == 3
@@ -350,25 +375,23 @@ def test_ell_stop_option_is_gone(capsys):
 
 @pytest.mark.parametrize("alpha", ["1", "0.5", "-2", "nan", "inf"])
 @pytest.mark.parametrize("cmd", ["domain-check", "koenigs"])
-def test_analytic_alpha_at_most_one_exits_2(capsys, cmd, alpha):
-    code = main(["analytic", cmd, "--alpha", alpha, "--term", "1,0,1"])
-    assert code == 2
-    assert "alpha must be finite and > 1" in capsys.readouterr().err
+def test_analytic_alpha_at_most_one_exits_2(capsys, tmp_path, cmd, alpha):
+    code = main(["analytic", cmd, "--infile", germ_file(tmp_path, alpha, ladder=[("1", ["1"])])])
+    err = capsys.readouterr().err
+    assert code == 2 and len(err.splitlines()) == 1 and err.startswith("error: "), err
+    # nan and inf are no rational exponent: the germ reader names the value
+    assert (f"'{alpha}'" if alpha in ("nan", "inf") else "alpha must be finite and > 1") in err
 
 
 @pytest.mark.parametrize("C,expected", [("1e300", 3), ("nan", 2), ("inf", 2)])
 def test_domain_check_with_no_sample_in_the_domain_fails(capsys, C, expected):
     # a tip far right of [R, R + 8] used to leave nothing to check, and certify
-    code, _ = run(capsys, "analytic", "domain-check", "--alpha", "2", "--term", "1,0,1",
-                  "--sqd-C", C)
+    code, _ = run(capsys, "analytic", "domain-check", "--infile", E1, "--sqd-C", C)
     assert code == expected
 
 
 def test_analytic_koenigs(capsys):
-    code, out = run(
-        capsys, "analytic", "koenigs", "--alpha", "2", "--term", "1,0,1",
-        "--samples", "4:8:12", "--json",
-    )
+    code, out = run(capsys, "analytic", "koenigs", "--infile", E1, "--samples", "4:8:12", "--json")
     assert code == 0
     data = json.loads(out)
     assert max(r["residual"] for r in data["samples"]) < 1e-9
@@ -376,10 +399,7 @@ def test_analytic_koenigs(capsys):
 
 def test_analytic_precision_is_scoped_to_the_command(capsys):
     mpmath = pytest.importorskip("mpmath")
-    argv = [
-        "analytic", "koenigs", "--alpha", "2", "--term", "1,0,1",
-        "--samples", "4:8:6", "--precision", "30", "--json",
-    ]
+    argv = ["analytic", "koenigs", "--infile", E1, "--samples", "4:8:6", "--precision", "30", "--json"]
     with mpmath.workdps(15):  # these samples print differently at 15 and 30 digits
         code, out = run(capsys, *argv)
         assert code == 0
@@ -397,8 +417,7 @@ def test_precision_below_a_double_exits_2(capsys, tmp_path, monkeypatch, source,
     a double (at --precision 1, phi(3) read 3.03125 for 3.0254838...), and 0
     silently meant double precision."""
     pytest.importorskip("mpmath")
-    term = "--term" if command == "koenigs" else "--g-term"
-    argv = ["analytic", command, "--alpha", "2", term, "1,0,1", "--samples", "4:8:2", "--json"]
+    argv = ["analytic", command, *germs(command), "--samples", "4:8:2", "--json"]
     if source == "option":
         argv += ["--precision", digits]
     else:
@@ -420,26 +439,20 @@ def test_precision_below_a_double_exits_2(capsys, tmp_path, monkeypatch, source,
     "argv, option",
     [
         # unchecked: exit 3, "iterate 0 left the domain at nan+0j"
-        (["analytic", "koenigs", "--alpha", "2", "--term", "1,0,1", "--samples", "nan:1:3"],
-         "--samples"),
-        (["analytic", "koenigs", "--alpha", "2", "--term", "1,0,1", "--samples", "3:inf:3"],
-         "--samples"),
+        (["analytic", "koenigs", "--infile", E1, "--samples", "nan:1:3"], "--samples"),
+        (["analytic", "koenigs", "--infile", E1, "--samples", "3:inf:3"], "--samples"),
         # unchecked: "error: ValueError: cannot convert float NaN to integer"
         (["bridge", "compare", "z^2 - z^3 + 1/2*z^4", "--ray-span", "nan"], "--ray-span"),
-        # unchecked: "ValueError: not enough values to unpack"
-        (["analytic", "koenigs", "--alpha", "2", "--term", "1,0"], "--term"),
-        # unchecked: "invalid literal for int()"
-        (["analytic", "koenigs", "--alpha", "2", "--term", "1,0.5,1"], "--term"),
-        (["analytic", "koenigs", "--alpha", "2", "--term", "nan,0,1"], "--term"),
-        (["analytic", "homological", "--alpha", "2", "--f-term", "1,0,inf", "--g-term", "1,0,1"],
-         "--f-term"),
-        (["analytic", "homological", "--alpha", "2", "--g-term", "x,0,1"], "--g-term"),
+        # a numeric option of the analytic commands given a value of the wrong type
+        (["analytic", "koenigs", "--infile", E1, "--precision", "30.5"], "--precision"),
+        (["analytic", "koenigs", "--infile", E1, "--k", "1.5"], "--k"),
+        (["analytic", "koenigs", "--infile", E1, "--eps", "x"], "--eps"),
+        (["analytic", "homological", *germs("homological"), "--nu", "x"], "--nu"),
+        (["analytic", "homological", *germs("homological"), "--tol", "x"], "--tol"),
         # unchecked: exit 3, "no invariant threshold below ceiling nan: []"
-        (["analytic", "domain-check", "--alpha", "2", "--term", "100,0,0", "--r-ceiling", "nan"],
-         "--r-ceiling"),
+        (["analytic", "domain-check", "--infile", E1, "--r-ceiling", "nan"], "--r-ceiling"),
         # unchecked: "error: OverflowError: (34, 'Numerical result out of range')"
-        (["analytic", "domain-check", "--alpha", "2", "--term", "100,0,0", "--r-ceiling", "inf"],
-         "--r-ceiling"),
+        (["analytic", "domain-check", "--infile", E1, "--r-ceiling", "inf"], "--r-ceiling"),
         # unchecked: exit 0, the generators printed as the enumeration
         (["support", "z^2 + z^3*l1", "--enumerate", "-2"], "--enumerate"),
         # unchecked: "error: ValueError: n must be >= 0"
@@ -460,25 +473,11 @@ def test_a_non_finite_r_ceiling_in_the_config_exits_2(capsys, tmp_path, monkeypa
     cfg.write_text(f"r_ceiling = {value}\n")
     monkeypatch.setenv("BOTTCHER_CONFIG", str(cfg))
     with pytest.raises(SystemExit) as exc:
-        main(["analytic", "domain-check", "--alpha", "2", "--term", "100,0,0"])
+        main(["analytic", "domain-check", "--infile", E1])
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert err.strip().splitlines()[-1].endswith(
         f"error: argument --r-ceiling: expected a finite float, got '{value}'"), err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["koenigs", "--term=-0.25,2,1.5", "--samples", "6:10:25"],
-        ["homological", "--f-term=-0.25,2,1.5", "--g-term=-0.5,0,1", "--samples", "6:10:25"],
-    ],
-)
-def test_negative_term_coefficient_in_the_equals_form(capsys, argv):
-    """With a space, argparse takes `-0.25,2,1.5` for an option and `--term`
-    lacks its value; the `=` form passes it."""
-    code, _ = run(capsys, "analytic", argv[0], "--alpha", "2", *argv[1:])
-    assert code == 0
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
@@ -486,9 +485,7 @@ def test_negative_term_coefficient_in_the_equals_form(capsys, argv):
 def test_a_tolerance_no_tail_can_certify_exits_2(capsys, command, tol):
     # unchecked, tol 0, -1 and nan run to the 10,000-step budget (exit 3), and
     # inf certifies phi = zeta at the first step (exit 0)
-    term = "--term" if command == "koenigs" else "--g-term"
-    code = main(["analytic", command, "--alpha", "2", term, "1,0,1", "--samples", "3:10:3",
-                 "--tol", tol])
+    code = main(["analytic", command, *germs(command), "--samples", "3:10:3", "--tol", tol])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("error: tol must be finite and positive")
@@ -496,7 +493,7 @@ def test_a_tolerance_no_tail_can_certify_exits_2(capsys, command, tol):
 
 def test_negative_k_exits_2(capsys):
     # unchecked, k = -1 gives the k = 0 result (R = 1.5000015) with exit 0
-    code = main(["analytic", "koenigs", "--alpha", "2", "--term", "1,0,1", "--k", "-1"])
+    code = main(["analytic", "koenigs", "--infile", E1, "--k", "-1"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("error: k counts iterated logs")
@@ -506,14 +503,14 @@ def test_negative_k_exits_2(capsys):
     "argv, message",
     [
         # M grows, so the tail bound no longer bounds the tail (exit 0 unchecked)
-        (["koenigs", "--term", "1,0,1", "--eps", "-1"], "error: eps must be finite and >= 0"),
+        (["koenigs", *germs("koenigs"), "--eps", "-1"], "error: eps must be finite and >= 0"),
         # q > 1 makes the majorant negative: phi_g = 0 at n = 0 (exit 0 unchecked)
-        (["homological", "--g-term", "1,0,1", "--nu", "-1"], "error: nu must be finite and >= 0"),
+        (["homological", *germs("homological"), "--nu", "-1"], "error: nu must be finite and >= 0"),
     ],
     ids=["eps", "nu"],
 )
 def test_a_negative_decay_exponent_exits_2(capsys, argv, message):
-    code = main(["analytic", argv[0], "--alpha", "2", *argv[1:], "--samples", "3:10:3", "--json"])
+    code = main(["analytic", *argv, "--samples", "3:10:3", "--json"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith(message)
@@ -521,8 +518,8 @@ def test_a_negative_decay_exponent_exits_2(capsys, argv, message):
 
 def test_homological_sample_left_of_the_threshold_exits_2(capsys):
     # R = 2.25; unchecked, the homological sum ran at 0.2 to 0.5 with exit 0
-    code = main(["analytic", "homological", "--alpha", "2", "--f-term", "1,0,1", "--g-term",
-                 "1,0,1", "--samples", "0.2:0.5:3", "--json"])
+    code = main(["analytic", "homological", "--infile", E1, "--g-infile", G1,
+                 "--samples", "0.2:0.5:3", "--json"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("error: Re(zeta) = 0.2 < R = 2.25")
@@ -530,11 +527,117 @@ def test_homological_sample_left_of_the_threshold_exits_2(capsys):
 
 def test_analytic_homological(capsys):
     code, out = run(
-        capsys, "analytic", "homological", "--alpha", "2", "--nu", "1",
-        "--g-term", "1,0,1", "--samples", "4:8:10", "--json",
+        capsys, "analytic", "homological", *germs("homological"), "--nu", "1",
+        "--samples", "4:8:10", "--json",
     )
     assert code == 0
     assert json.loads(out)["worst_residual"] < 1e-10
+
+
+def test_analytic_alpha_reaches_the_certificate_as_a_fraction(capsys, monkeypatch):
+    """The germ's alpha 3 is an int, whose 3 ** -n is a 53-bit float; as a
+    `Fraction`, alpha^-n stays exact at mpmath points (50-digit phi(5) of this
+    germ moved by 5.7e-17)."""
+    import bottcher.cli as cli
+
+    seen = []
+    threshold = cli.invariant_threshold
+    monkeypatch.setattr(cli, "invariant_threshold",
+                        lambda f, spec, *a, **kw: seen.append(spec.alpha) or threshold(f, spec, *a, **kw))
+    code, _ = run(capsys, "analytic", "domain-check", "--infile", str(DATA / "germs" / "f_3z_ze2.json"))
+    assert code == 0
+    assert seen == [3] and type(seen[0]) is Fraction
+
+
+def test_analytic_reads_the_germ_from_standard_input(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(Path(E1).read_text()))
+    code, out = run(capsys, "analytic", "koenigs", "--samples", "3:10:50", "--json")
+    assert code == 0
+    assert out == (DATA / "analytic_koenigs_3_10_50.json").read_text()
+
+
+@pytest.mark.parametrize("text", [None, "not json", '{"c0": {"re": "0", "im": "0"}, "ladder": []}'],
+                         ids=["missing", "not-json", "no-alpha"])
+@pytest.mark.parametrize("option", ["--infile", "--g-infile"])
+def test_a_bad_germ_file_exits_2_in_one_line(capsys, tmp_path, option, text):
+    path = tmp_path / "germ.json"
+    if text is not None:
+        path.write_text(text)
+    files = {"--infile": F2, "--g-infile": G1, option: str(path)}
+    code = main(["analytic", "homological", "--samples", "3:10:3", *(a for kv in files.items() for a in kv)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: "), captured.err
+
+
+def _paths(node, path=()):
+    """The paths (key tuples) of every value below the root of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for k, v in items:
+        yield (*path, k)
+        yield from _paths(v, (*path, k))
+
+
+def test_analytic_germ_fuzz_exits_0_2_or_3_in_at_most_one_line(capsys, tmp_path):
+    """Seeded damaged germs through `analytic domain-check`: a dropped field or
+    a value of the wrong type, sign or size.  Every run exits 0, 2 or 3 and
+    writes at most one line to stderr, never a traceback."""
+    rng = random.Random(36)
+    base = json.loads((DATA / "germs" / "f_2z_e1_z2e1.5.json").read_text())
+    junk = [None, "x", "nan", "inf", "-1", "0", "1/0", "1e400", "3/2", [], {}, 7, -0.5, True]
+    path = tmp_path / "germ.json"
+    seen = set()
+    for _ in range(120):
+        germ = copy.deepcopy(base)
+        for _ in range(rng.choice([1, 1, 2])):
+            *parent, last = rng.choice(list(_paths(germ)))
+            node = germ
+            for k in parent:
+                node = node[k]
+            if rng.random() < 0.3:
+                del node[last]
+            else:
+                node[last] = rng.choice(junk)
+        path.write_text(json.dumps(germ))
+        code = main(["analytic", "domain-check", "--infile", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3) and len(err.splitlines()) <= 1, (germ, code, err)
+        seen.add(code)
+    assert {0, 2} <= seen, seen
+
+
+def _z_chart_text(germ: dict) -> str:
+    """The expression of a real germ as `bridge to-z` writes it:
+    lambda z^alpha + sum P_deg z^exp (-log z)^deg, with -log z = 1/l1."""
+    def real(c):
+        assert c["im"] == "0", c
+        return f"({c['re']})"
+
+    terms = [f"{real(germ['lambda'])}*z^({germ['alpha']})"]
+    terms += [f"{real(c)}*z^({rung['exp']})*l1^({-deg})"
+              for rung in germ["ladder"] for deg, c in enumerate(rung["P"])]
+    return " + ".join(terms)
+
+
+def test_one_germ_reaches_both_pipelines(capsys, tmp_path):
+    """`bridge to-zeta` writes a germ that `analytic koenigs` certifies; the
+    same file, taken back to the z chart by `bridge to-z`, normalizes and
+    verifies."""
+    code, out = run(capsys, "bridge", "to-zeta", "z^2 - z^3 + 1/2*z^4")
+    assert code == 0
+    germ = tmp_path / "f.json"
+    germ.write_text(out)
+    code, out = run(capsys, "analytic", "koenigs", "--infile", str(germ), "--samples", "3:10:5",
+                    "--json")
+    assert code == 0
+    assert max(r["residual"] for r in json.loads(out)["samples"]) < 1e-9
+    code, out = run(capsys, "bridge", "to-z", "--infile", str(germ))
+    assert code == 0
+    text = _z_chart_text(json.loads(out))
+    assert parse(text, depth=1) == parse("z^2 - z^3", depth=1)
+    code, out = run(capsys, "normalize", text, "--depth", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["verification"]["conjugation_exact_below_frontier"] is True
 
 
 def test_bridge_to_zeta_and_back(capsys):
@@ -667,10 +770,7 @@ def test_float_verification_scales_with_large_fractional_coefficients(capsys):
 def test_analytic_koenigs_output_is_pinned(capsys):
     # the README's `analytic koenigs` line as JSON, byte for byte; it reads
     # each point's tail before its residual, and neither order moves a bit
-    code, out = run(
-        capsys, "analytic", "koenigs", "--alpha", "2", "--term", "1,0,1",
-        "--samples", "3:10:50", "--json",
-    )
+    code, out = run(capsys, "analytic", "koenigs", "--infile", E1, "--samples", "3:10:50", "--json")
     assert code == 0
     assert out == (DATA / "analytic_koenigs_3_10_50.json").read_text()
 
@@ -690,7 +790,7 @@ def test_config_file_defaults(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["phi"]["grid"]["z_cap"] == "6"
 
 
-KOENIGS = ["analytic", "koenigs", "--alpha", "2", "--term", "1,0,1"]
+KOENIGS = ["analytic", "koenigs", "--infile", E1]
 
 
 def test_config_r_ceiling_acts_like_the_flag(capsys, tmp_path, monkeypatch):
@@ -750,6 +850,7 @@ def test_input_files_are_closed(capsys, tmp_path):
     for argv in (
         ["verify", "--f", "z^2 + z^3", "--phi-file", str(phi), "--z-cap", "8"],
         ["bridge", "to-z", "--infile", str(fhat)],
+        ["analytic", "homological", *germs("homological"), "--samples", "3:10:2"],
     ):
         done = cli_subprocess(*argv, python_flags=("-X", "dev"))
         assert done.returncode == 0, done.stderr
@@ -768,7 +869,7 @@ def test_bad_samples_spec_exits_2_naming_the_option(capsys, monkeypatch, samples
 
     monkeypatch.setattr(cli, "invariant_threshold", no_setup)
     with pytest.raises(SystemExit) as exc:
-        main(["analytic", command, "--alpha", "2", "--samples", samples])
+        main(["analytic", command, "--samples", samples])
     assert exc.value.code == 2
     assert "argument --samples" in capsys.readouterr().err
 
@@ -816,7 +917,9 @@ def test_options_no_command_reads_are_rejected(capsys):
         ["selftest", "--z-cap", "6"],
         ["bridge", "to-zeta", "z^2 - z^3*l1^-1", "--e-cap", "3", "--n", "5", "--tol", "7",
          "--ray-span", "1", "--sqd-C", "9"],
-        ["analytic", "domain-check", "--alpha", "2", "--samples", "1:1:1", "--precision", "40"],
+        ["analytic", "domain-check", "--infile", E1, "--samples", "1:1:1", "--precision", "40"],
+        ["analytic", "koenigs", "--infile", E1, "--alpha", "2"],
+        ["analytic", "homological", *germs("homological"), "--g-term", "1,0,1"],
         ["bridge", "to-z", "z^2", "--infile", "fhat.json"],
         ["bridge", "compare", "z^2 - z^3 + 1/2*z^4", "--tol", "1e-9"],
     ):
@@ -847,7 +950,7 @@ def test_missing_argument_is_a_usage_error(capsys, argv, named):
 def test_csv_is_rejected_where_nothing_writes_it(capsys, tmp_path, command):
     out = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as exc:
-        main(["analytic", command, "--alpha", "2", "--g-term", "1,0,1", "--csv", str(out)])
+        main(["analytic", command, *germs(command), "--csv", str(out)])
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert "unrecognized arguments" in err and "--csv" in err

@@ -21,6 +21,7 @@ from bottcher.dulac import (
     to_z_chart,
     to_zeta_chart,
     whole_series,
+    zeta_chart_map,
     zeta_function,
     zeta_map,
 )
@@ -284,6 +285,17 @@ def test_zeta_function_converts_log_coefficients_in_the_point_type():
     assert abs(zeta_function(d, numbers_like(z))(z) - want) < 1e-13 * abs(want)
 
 
+def test_a_germ_without_a_linear_part_keeps_its_far_rungs():
+    """alpha zeta + c0 bounds the value below, so a rung below its last digit
+    is left out; a germ with alpha = c0 = 0 (homological's g) has no such
+    bound, and e^(-zeta) keeps its value where beta Re(zeta) > 53 ln 2."""
+    g = zeta_chart_map(_zeta(0, 0, [(1, [1])]))
+    f = zeta_chart_map(_zeta(2, 0, [(1, [1])]))
+    for x in (30.0, 37.0, 40.0):
+        assert g(complex(x, 0)) == cmath.exp(-x)
+        assert f(complex(x, 0)) == 2 * x + (cmath.exp(-x) if x < 53 * math.log(2) else 0)
+
+
 # -- defect decay and formal/numeric comparison ------------------------------------------------
 
 
@@ -454,33 +466,27 @@ def test_real_ray_points_keep_the_real_parts_of_complex_points():
 
 
 def test_maps_convert_their_constants_per_kind_with_the_bits_of_fresh_maps():
-    """One F and one term map called at 30, 60, 30 and 10 digits and then at
-    float points give a fresh map's bits at each step; the term map's float
-    constants convert exactly, as the inline expression converts them."""
+    """One F and one zeta-chart map called at 30, 60, 30 and 10 digits and then
+    at float points give a fresh conversion's bits at each step."""
     mpmath = pytest.importorskip("mpmath")
-    from bottcher.cli import _term_map
-
-    text, terms = "z^2 - z^3*l1^-1 + (1/3+1i)*z^4", [(0.1, 1, 1.3), (-0.7, 0, 2.1)]
-    F_, f = zeta_map(parse(text, z_cap=6)), _term_map(2.1, terms)
-
-    def inline(z):  # the term map's formula, its float constants converted by mpmath's arithmetic
-        return 2.1 * z + 0.1 * z**1 * mpmath.exp(-1.3 * z) + -0.7 * z**0 * mpmath.exp(-2.1 * z)
-
+    text = "z^2 - z^3*l1^-1 + (1/3+1i)*z^4"
+    # 21/10 zeta + 1/10 zeta e^(-13/10 zeta) - 7/10 e^(-21/10 zeta)
+    d = _zeta(F(21, 10), 0, [(F(13, 10), [0, F(1, 10)]), (F(21, 10), [F(-7, 10)])])
+    F_, f = zeta_map(parse(text, z_cap=6)), zeta_chart_map(d)
     for dps in (30, 60, 30, 10):
         with mpmath.workdps(dps):
             for z in (mpmath.mpc(3, 0.5), mpmath.mpf("3.25")):
                 assert _mp_bits(F_(z)) == _mp_bits(zeta_map(parse(text, z_cap=6))(z))
-                assert _mp_bits(f(z)) == _mp_bits(_term_map(2.1, terms)(z)) == _mp_bits(inline(z))
+                assert _mp_bits(f(z)) == _mp_bits(zeta_function(d, numbers_like(z))(z))
     for z in (complex(3, 0.5), 3.25):
         assert repr(F_(z)) == repr(zeta_map(parse(text, z_cap=6))(z))
-        assert repr(f(z)) == repr(_term_map(2.1, terms)(z))
+        assert repr(f(z)) == repr(zeta_function(d, numbers_like(z))(z))
 
 
 def test_numbers_like_runs_once_per_call_and_once_per_kind(monkeypatch):
-    """compare_formal_numeric converts phi_hat_n once per call; F and the term
-    map convert their constants again only when the number kind changes."""
+    """compare_formal_numeric converts phi_hat_n once per call; F and the
+    zeta-chart map convert their constants again only when the number kind changes."""
     mpmath = pytest.importorskip("mpmath")
-    import bottcher.cli as cli
     import bottcher.dulac as dulac
 
     calls = []
@@ -490,7 +496,6 @@ def test_numbers_like_runs_once_per_call_and_once_per_kind(monkeypatch):
         return numbers_like(x)
 
     monkeypatch.setattr(dulac, "numbers_like", counted)
-    monkeypatch.setattr(cli, "numbers_like", counted)
     phi_hat = _zeta(1, 0, [(1, [F(1, 2)]), (2, [0, F(1, 8)])])
     with mpmath.workdps(30):
         xs = [mpmath.mpf(3) + i for i in range(10)]
@@ -498,7 +503,7 @@ def test_numbers_like_runs_once_per_call_and_once_per_kind(monkeypatch):
         compare_formal_numeric(lambda z: z, phi_hat, 1, xs)
     assert len(calls) == 2
     calls.clear()
-    F_, f = zeta_map(parse("z^2 - z^3 + 1/2*z^4", z_cap=6)), cli._term_map(2.0, [(1.0, 0, 1.0)])
+    F_, f = zeta_map(parse("z^2 - z^3 + 1/2*z^4", z_cap=6)), zeta_chart_map(_zeta(2, 0, [(1, [1])]))
     for prec in (100, 100, 200, 200, 100):
         with mpmath.workprec(prec):
             for _ in range(3):

@@ -1,7 +1,7 @@
 """Golden stdout of the CLI's `analytic koenigs` and `analytic homological`.
 
 `tests/data/koenigs_golden.json` holds, for each argv of `RUNS`, the stdout
-and exit code of the run: `analytic koenigs --json` in float mode and with
+and exit code of the run, each germ named by its file in `tests/data/germs`: `analytic koenigs --json` in float mode and with
 `--precision 30`, and `analytic homological --json` in both, plus a sample
 below the certified threshold and a failed homological precondition (both
 exit 2).  Each koenigs sample pins its value, tail, residual and identity
@@ -21,31 +21,37 @@ from pathlib import Path
 from bottcher.cli import main
 
 DATA = Path(__file__).parent / "data" / "koenigs_golden.json"
+GERMS = DATA.parent / "germs"
 
+# The germs, exact zeta-chart JSON: f_2z is 2 zeta, f_2z_e1 is 2 zeta + e^(-zeta),
+# f_2z_e1_z2e1.5 adds -1/4 zeta^2 e^(-3/2 zeta), f_3z_ze2 is 3 zeta + 1/2 zeta e^(-2 zeta),
+# and g_e1, g_e2, g_e0.5 are e^(-zeta), 1/2 e^(-2 zeta), 5 e^(-zeta/2).
 KOENIGS = ("analytic", "koenigs", "--json")
 HOMOLOGICAL = ("analytic", "homological", "--json")
 RUNS = (
-    (*KOENIGS, "--alpha", "2", "--term", "1,0,1", "--samples", "3:10:7"),
-    (*KOENIGS, "--alpha", "2", "--term", "1,0,1", "--term=-0.25,2,1.5", "--samples", "6:6:5"),
-    (*KOENIGS, "--alpha", "3", "--term", "0.5,1,2", "--k", "2", "--eps", "0.5", "--samples", "4:8:4"),
-    (*KOENIGS, "--alpha", "2", "--term", "1,0,1", "--samples", "3:10:5", "--tol", "1e-6"),
-    (*KOENIGS, "--alpha", "2", "--term", "1,0,1", "--samples", "3:10:5", "--precision", "30",
+    (*KOENIGS, "--infile", "f_2z_e1.json", "--samples", "3:10:7"),
+    (*KOENIGS, "--infile", "f_2z_e1_z2e1.5.json", "--samples", "6:6:5"),
+    (*KOENIGS, "--infile", "f_3z_ze2.json", "--k", "2", "--eps", "0.5", "--samples", "4:8:4"),
+    (*KOENIGS, "--infile", "f_2z_e1.json", "--samples", "3:10:5", "--tol", "1e-6"),
+    (*KOENIGS, "--infile", "f_2z_e1.json", "--samples", "3:10:5", "--precision", "30",
      "--tol", "1e-25"),
-    (*KOENIGS, "--alpha", "2", "--term", "1,0,1", "--term=-0.25,2,1.5", "--samples", "6:6:3",
+    (*KOENIGS, "--infile", "f_2z_e1_z2e1.5.json", "--samples", "6:6:3",
      "--precision", "30", "--tol", "1e-25"),
-    (*KOENIGS, "--alpha", "2", "--term", "1,0,1", "--samples", "0.5:1:2"),
-    (*HOMOLOGICAL, "--alpha", "2", "--nu", "1", "--g-term", "1,0,1", "--samples", "3:10:5"),
-    (*HOMOLOGICAL, "--alpha", "2", "--f-term", "1,0,1", "--g-term", "0.5,0,2", "--samples", "3:6:4"),
-    (*HOMOLOGICAL, "--alpha", "2", "--f-term", "1,0,1", "--g-term", "1,0,1", "--samples", "3:6:3",
+    (*KOENIGS, "--infile", "f_2z_e1.json", "--samples", "0.5:1:2"),
+    (*HOMOLOGICAL, "--infile", "f_2z.json", "--nu", "1", "--g-infile", "g_e1.json",
+     "--samples", "3:10:5"),
+    (*HOMOLOGICAL, "--infile", "f_2z_e1.json", "--g-infile", "g_e2.json", "--samples", "3:6:4"),
+    (*HOMOLOGICAL, "--infile", "f_2z_e1.json", "--g-infile", "g_e1.json", "--samples", "3:6:3",
      "--precision", "30", "--tol", "1e-25"),
-    (*HOMOLOGICAL, "--alpha", "2", "--g-term", "5,0,0.5"),
+    (*HOMOLOGICAL, "--infile", "f_2z.json", "--g-infile", "g_e0.5.json"),
 )
 
 
 def _run(argv) -> dict:
     out = io.StringIO()
+    paths = [str(GERMS / a) if a.endswith(".json") else a for a in argv]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(argv))
+        code = main(paths)
     return {"argv": list(argv), "exit": code, "stdout": out.getvalue()}
 
 

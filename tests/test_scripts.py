@@ -152,6 +152,15 @@ def test_only_the_series_kernel_decides_which_terms_are_trusted():
     assert {name: lines for name, lines in filters.items() if lines} == {}
 
 
+def test_cli_builds_no_numeric_evaluator():
+    """The analytic maps are `dulac`'s (`zeta_chart_map`): the CLI names none
+    of the helpers a third numeric evaluator would convert its constants with."""
+    tree = ast.parse((LIB / "cli.py").read_text())
+    imported = {a.asname or a.name for n in ast.walk(tree)
+                if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    assert (imported | _names(tree)) & {"by_kind", "numbers_like", "number_kind"} == set()
+
+
 def _mode_decisions(tree, exempt_fn=None) -> list:
     """Lines that decide exact against float themselves: a comparison naming
     EXACT or FLOAT, a mention of FLOAT_TOL, or an `isinstance(..., Exact)`;
