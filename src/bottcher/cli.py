@@ -264,8 +264,7 @@ def cmd_analytic(args) -> int:
 
 def _analytic(args) -> int:
     germ = dulac_zeta_from_json(_read_json(args.infile))
-    # a Fraction, as in `bridge compare`: an int alpha^-n is a 53-bit float
-    spec = AsymptoticSpec(alpha=Fraction(germ.alpha), eps=args.eps, k=args.k)
+    spec = AsymptoticSpec(alpha=germ.alpha, eps=args.eps, k=args.k)
     dom = DomainSpec.standard_quadratic(args.sqd_C)
     homological = args.analytic_cmd == "homological"
     f = zeta_chart_map(germ)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import CertificationError, DomainError
 
@@ -21,8 +22,9 @@ class AsymptoticSpec:
     `M` runs in one frame: the floor exp^ok(0) is computed once per spec and
     the k logs run inline.  Above the floor every partial log is positive
     (log^oj x > exp^o(k-j)(0) >= 0 for j < k), so no log needs its own check.
-    alpha may be a rational (`Fraction`): the Koenigs value w_n alpha^-n is
-    then exact at mpmath points, where a float alpha^-n keeps only 53 bits.
+    alpha may be a rational (`Fraction`, and an int is held as one): the Koenigs
+    value w_n alpha^-n is then exact at mpmath points, where a float alpha^-n
+    keeps only 53 bits.
     """
 
     alpha: float
@@ -31,6 +33,8 @@ class AsymptoticSpec:
     floor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if isinstance(self.alpha, int):  # an int's alpha ** -n is a float
+            object.__setattr__(self, "alpha", Fraction(self.alpha))
         if not 1.0 < self.alpha < math.inf:  # alpha <= 1: rho(x) = (alpha-1) x - M never gains
             raise DomainError(f"alpha must be finite and > 1, got {self.alpha}")
         if self.k < 0:

@@ -240,20 +240,32 @@ def by_kind(build):
 
 
 def zeta_function(d: DulacSeriesZeta, numbers):
-    """zeta -> d(zeta), its coefficients converted once by a `numbers_like` tuple."""
+    """zeta -> d(zeta), its coefficients converted once by a `numbers_like` tuple.
+
+    A rung e^(-beta zeta) Q(zeta) is left out where its bound, the sum of Q's
+    |coefficients| times max(1, |zeta|)^(deg Q) e^(-beta Re zeta), is below
+    |alpha zeta + c0| e^(-nats), the last digit of alpha zeta + c0.  So a germ
+    with alpha = c0 = 0 keeps every rung, and no far point computes an
+    e^(-beta zeta) that can be out of exp's range.  The bound is compared in
+    logs, in doubles."""
     real, coef, exp, _, nats = numbers
     alpha, c0 = real(d.alpha), coef(d.c0)
-    if not (d.alpha or d.c0):  # a germ such as homological's g: no last digit to fall below
-        nats = math.inf
-    # (beta, -beta, Q's coefficients from the top degree), a gap adding an exact 0
-    ladder = [(float(b), -real(b), [coef(q.get(deg, 0)) for deg in range(max(q), -1, -1)])
-              for b, q in rungs(d.v.terms)]
+    alpha_near, c0_near = float(alpha), complex(c0)
+    # (beta, -beta, Q's coefficients from the top degree, log sum|q|, deg Q), a gap adding an exact 0
+    ladder = []
+    for b, q in rungs(d.v.terms):
+        cs = [coef(q.get(deg, 0)) for deg in range(max(q), -1, -1)]
+        ladder.append((float(b), -real(b), cs, math.log(sum(float(abs(c)) for c in cs)), max(q)))
 
     def value(zeta):
         out = alpha * zeta + c0
-        for b, minus_b, q in ladder:  # Horner by degree
-            if b * float(zeta.real) > nats:  # this rung and the rest are below the last digit
-                break
+        near = complex(float(zeta.real), float(zeta.imag))  # 53 bits are enough for the bound
+        size = abs(alpha_near * near + c0_near)
+        last_digit = math.log(size) - nats if size else -math.inf
+        lift = math.log(max(1.0, abs(near)))
+        for b, minus_b, q, log_mass, top in ladder:  # Horner by degree
+            if log_mass + top * lift - b * near.real < last_digit:
+                continue
             horner = 0 * zeta
             for c in q:
                 horner = horner * zeta + c
@@ -275,21 +287,18 @@ def zeta_map(f: TransSeries):
     alpha, lam, rest = _germ(f)
     if lam != c_one(f.mode):
         raise ShapeError(NOT_MONIC)
-    u = whole_series({Key(k.z - alpha, k.l): c for k, c in rest.items()}, f.mode)
-    b0 = float(min((k.z for k in u.terms), default=0))
-    u = DulacSeriesZeta(Fraction(0), lam, u)
+    u = DulacSeriesZeta(Fraction(0), lam, whole_series(
+        {Key(k.z - alpha, k.l): c for k, c in rest.items()}, f.mode))
 
     def convert(x):
-        real, _, _, log, nats = numbers = numbers_like(x)
-        return real(alpha), log, nats, zeta_function(u, numbers)
+        real, _, _, log, _ = numbers = numbers_like(x)
+        return real(alpha), log, zeta_function(u, numbers)
 
     constants = by_kind(convert)
 
     def F(zeta):
-        a, log, nats, u_at = constants(zeta)
-        w = a * zeta
-        # far out, where u_at would leave out every rung of u, F is alpha zeta
-        return w if b0 * float(zeta.real) > nats else w - log(u_at(zeta))
+        a, log, u_at = constants(zeta)
+        return a * zeta - log(u_at(zeta))
 
     return F
 

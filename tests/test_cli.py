@@ -549,6 +549,21 @@ def test_analytic_alpha_reaches_the_certificate_as_a_fraction(capsys, monkeypatc
     assert seen == [3] and type(seen[0]) is Fraction
 
 
+@pytest.mark.parametrize("ladder, want", [([("1", ["100000000000000000000"])], 0),
+                                          ([("1", ["0"] * 20 + ["1"])], 3)],
+                         ids=["1e20 e^-zeta", "zeta^20 e^-zeta"])
+def test_domain_check_weighs_a_rung_by_its_coefficients_and_degree(capsys, tmp_path, ladder, want):
+    """Past beta Re zeta = 53 ln 2 (36.7), 1e20 e^(-zeta) and zeta^20 e^(-zeta)
+    are still far above the last digit of 2 zeta: at Re = 38.44 the defect is
+    about 2000 against M = 0.27.  Cut there, both germs read as 2 zeta and
+    certified R = 38.44; weighed, the first certifies only at 57.67 and the
+    second not below the ceiling 64."""
+    code, out = run(capsys, "analytic", "domain-check", "--json",
+                    "--infile", germ_file(tmp_path, ladder=ladder))
+    assert code == want
+    assert code == 3 or json.loads(out)["R"] > 57.6
+
+
 def test_analytic_reads_the_germ_from_standard_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(Path(E1).read_text()))
     code, out = run(capsys, "analytic", "koenigs", "--samples", "3:10:50", "--json")

@@ -2,6 +2,7 @@ import cmath
 import importlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -51,6 +52,13 @@ def test_an_eps_that_makes_M_no_majorant_is_rejected(eps):
     # eps < 0 makes M increase, and its tail bound no longer bounds the tail
     with pytest.raises(DomainError):
         AsymptoticSpec(2.0, eps, 1)
+
+
+def test_an_int_alpha_is_held_as_a_fraction():
+    # an int's 3 ** -n is a 53-bit float; the Koenigs value divides by the exact 3^n
+    spec = AsymptoticSpec(3, 1.0, 1)
+    assert spec.alpha == 3 and type(spec.alpha) is Fraction
+    assert type(AsymptoticSpec(2.5, 1.0, 1).alpha) is float
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.5, -2.0, math.nan, math.inf])

@@ -285,15 +285,24 @@ def test_zeta_function_converts_log_coefficients_in_the_point_type():
     assert abs(zeta_function(d, numbers_like(z))(z) - want) < 1e-13 * abs(want)
 
 
-def test_a_germ_without_a_linear_part_keeps_its_far_rungs():
-    """alpha zeta + c0 bounds the value below, so a rung below its last digit
-    is left out; a germ with alpha = c0 = 0 (homological's g) has no such
-    bound, and e^(-zeta) keeps its value where beta Re(zeta) > 53 ln 2."""
-    g = zeta_chart_map(_zeta(0, 0, [(1, [1])]))
-    f = zeta_chart_map(_zeta(2, 0, [(1, [1])]))
-    for x in (30.0, 37.0, 40.0):
-        assert g(complex(x, 0)) == cmath.exp(-x)
-        assert f(complex(x, 0)) == 2 * x + (cmath.exp(-x) if x < 53 * math.log(2) else 0)
+@pytest.mark.parametrize("ladder", [[(1, [1])], [(1, [10**20])], [(1, [0] * 20 + [1])],
+                                    [(1, [F(1, 2)]), (2, [0, 0, -(10**6)])]],
+                         ids=["e^-zeta", "1e20", "zeta^20", "two rungs"])
+@pytest.mark.parametrize("alpha", [0, 2])
+def test_zeta_function_leaves_out_only_rungs_below_the_last_digit(alpha, ladder):
+    """A rung is cut by its bound, coefficients and degree included, against the
+    last digit of alpha zeta + c0: past beta Re zeta = 53 ln 2 the double value
+    still agrees with the germ summed at 50 digits, and a germ with
+    alpha = c0 = 0 (homological's g) keeps every rung."""
+    mpmath = pytest.importorskip("mpmath")
+    f = zeta_chart_map(_zeta(alpha, 0, ladder))
+    for x in (30.0, 37.0, 38.44, 57.7, 80.0):
+        z = complex(x, 0.5)
+        with mpmath.workdps(50):
+            w = mpmath.mpc(z)
+            want = complex(alpha * w + sum(mpmath.mpf(c.numerator) / c.denominator * w**deg * mpmath.exp(-b * w)
+                                           for b, q in ladder for deg, c in enumerate(map(F, q))))
+        assert abs(f(z) - want) <= 64 * 2.0**-52 * abs(want), (x, f(z), want)
 
 
 # -- defect decay and formal/numeric comparison ------------------------------------------------
