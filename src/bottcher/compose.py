@@ -280,13 +280,13 @@ def solve_linear(right: Composer, a, b, rhs: TransSeries) -> TransSeries:
         t = heapq.heappop(heap)
         if not t < frontier:
             break
-        if per_block[t.z] == grid.block_cap:
+        if per_block[t.zs] == grid.block_cap:
             frontier = t
             break
         r_t = residual.pop(t)
         if not r_t:
             continue
-        n = t if a else Key(t.z / right.alpha, t.l)
+        n = t if a else Key.from_zs(t.zs / right.alpha, t.l)
         image = compose(monomial(n, grid, mode), right)
         frontier = min(frontier, image.frontier)
         if not t < frontier:
@@ -294,7 +294,7 @@ def solve_linear(right: Composer, a, b, rhs: TransSeries) -> TransSeries:
         c_t = image.terms.get(t)
         pivot = a_c if c_t is None else a_c + b_c * c_t
         x = solved[n] = r_t * (1 / pivot)
-        per_block[t.z] += 1
+        per_block[t.zs] += 1
         for k, c in image.terms.items():
             if k != t:
                 contrib = x * c * -b

@@ -11,6 +11,10 @@ operand's minimal key, the first key lost to truncation, and the
 grid-implied frontier (z_cap, 0).  Keys are exact in both modes, with each
 z-exponent and z_cap in `keys`' canonical form (an int when integral, else a
 `Fraction`): float mode differs from exact mode in its coefficients alone.
+The kernel's loops (`make_series`, `mul`, `compose.solve_linear`) group,
+add and compare keys on their scaled z-exponent `zs` (an int for every
+denominator dividing `keys.Z`) and build keys with `Key.from_zs`, never
+through the rational `.z`.
 
 Supports may contain keys <= 0 (the ambient algebra allows constants,
 negative log exponents and negative powers); shape preconditions of the
@@ -60,7 +64,7 @@ from .coeffs import (
     ratio_scaler,
 )
 from .errors import DepthOverflowError, EmptySeriesError, ShapeError
-from .keys import Cut, Key, as_zexp, zero_key
+from .keys import Z, Cut, Key, as_zexp, zero_key
 from .printer import format_series
 
 
@@ -118,7 +122,7 @@ class TransSeries:
         if key.depth > self.depth:
             if any(n != 0 for n in key.l[self.depth :]):
                 return c_zero(self.mode)
-            key = Key(key.z, key.l[: self.depth])
+            key = Key.from_zs(key.zs, key.l[: self.depth])
         return self.terms.get(key.pad(self.depth), c_zero(self.mode))
 
     def is_zero(self) -> bool:
@@ -172,11 +176,11 @@ def make_series(terms, grid: TruncationGrid, mode=EXACT, frontier_candidates=())
 
     # a z-block past the candidates' frontier z is dropped whole: its
     # overflow key could not lower the frontier
-    fz, cap = frontier.z, grid.block_cap
+    fzs, cap = frontier.zs, grid.block_cap
     by_block: dict[object, list[Key]] = {}
     for key, c in merged.items():
-        if c and key.z <= fz:
-            by_block.setdefault(key.z, []).append(key)
+        if c and key.zs <= fzs:
+            by_block.setdefault(key.zs, []).append(key)
     for keys in by_block.values():
         keys.sort()
         if len(keys) > cap:
@@ -262,18 +266,18 @@ def scale(a: TransSeries, q) -> TransSeries:
 def mul(a: TransSeries, b: TransSeries) -> TransSeries:
     a, b = _common(a, b)
     cands = [a.frontier + ord_for_frontier(b), b.frontier + ord_for_frontier(a)]
-    # past(z, fz): the whole z-block lies at or above the frontier
+    # past(zs, fzs): the whole scaled z-block lies at or above the frontier
     frontier = min(a.grid.trunc_key(), *cands)
-    fz, past = frontier.z, frontier.block_past
+    fzs, past = frontier.zs, frontier.block_past
     ab: dict = {}
     for k, c in a.terms.items():
-        ab.setdefault(k.z, []).append((k.l, c))
+        ab.setdefault(k.zs, []).append((k.l, c))
     bb: dict = {}
     for k, c in b.terms.items():
-        bb.setdefault(k.z, []).append((k.l, c))
+        bb.setdefault(k.zs, []).append((k.l, c))
     # The right z-blocks are scanned in ascending z, so the scan stops at the
     # first za + zb past the frontier (the sum rises with zb, also for z <= 0)
-    # instead of paying a rational add and compare for every dropped pair.
+    # instead of paying an add and compare for every dropped pair.
     # The kept blocks are then paired in the right operand's insertion order,
     # and the left operand keeps its own.  For a fixed za each output z has
     # one zb, so the pairs of every (z, l) come in the order of the all-pairs
@@ -285,7 +289,7 @@ def mul(a: TransSeries, b: TransSeries) -> TransSeries:
         kept = []
         for i in by_z:
             z = za + right[i][0]
-            if past(z, fz):
+            if past(z, fzs):
                 break
             kept.append((i, z))
         kept.sort()
@@ -309,7 +313,7 @@ def mul(a: TransSeries, b: TransSeries) -> TransSeries:
     # past that are never products.  Each sum is formed in the pairs' order
     # (first product, then adding each later one), as by the all-pairs
     # loop, so float coefficients stay bit-identical.
-    cap = a.grid.block_cap
+    cap, key_at = a.grid.block_cap, Key.from_zs
     terms = {}
     for z, blk in out.items():
         n = 0
@@ -320,7 +324,7 @@ def mul(a: TransSeries, b: TransSeries) -> TransSeries:
                 c += pairs[j] * pairs[j + 1]
             if not c:
                 continue
-            terms[Key(z, l)] = c
+            terms[key_at(z, l)] = c
             n += 1
             if n > cap:
                 break
@@ -399,8 +403,15 @@ def power_sum(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
     den = ra.denominator * rs.denominator
     times, dust = ratio_scaler(mode), dust_rule(mode)
     v_at = {x: (v.terms[k], A * _weight(x, m)) for x, k in zip(vs, gens)}
-    # every pushed key lies below the frontier; z grows with k, as vs is sorted
-    fpos = (frontier.z * q,) + getattr(frontier, "l", ())
+    # every pushed key lies below the frontier; z grows with k, as vs is sorted.
+    # A frontier z off the 1/q grid equals no key's, so its ceiling alone
+    # places it, and the compares stay on ints.
+    fq = frontier.z * q
+    if fq.denominator == 1:
+        fpos = (int(fq),) + getattr(frontier, "l", ())
+    else:
+        fpos = (math.ceil(fq),)
+    zq = Z // q if Z % q == 0 else Fraction(Z, q)  # the scaled z of 1/q
     terms = {zero_key(grid.depth): c_one(mode)} if one and limit > 0 else {}
     per_block = Counter({0: len(terms)})
     sol: dict[tuple, object] = {}
@@ -428,7 +439,7 @@ def power_sum(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
         if not acc or dust and dust(acc, parts):
             continue
         n0 = n[0]
-        key = Key(n0 // q if n0 % q == 0 else Fraction(n0, q), n[1:])
+        key = Key.from_zs(n0 * zq, n[1:])
         if per_block[n0] == grid.block_cap:
             frontier = key
             break
@@ -489,7 +500,7 @@ def pow_rational(f: TransSeries, beta) -> TransSeries:
             raise ShapeError(
                 "fractional power of a series with logarithms in its leading term"
             )
-        mkey = Key(key.z * beta, key.l)
+        mkey = Key.from_zs(key.zs * beta, key.l)
     cpow = c_pow_rational(c, beta)
     return mul_monomial(binomial_body(v, beta), mkey, cpow)
 

@@ -1,11 +1,13 @@
 import math
+import operator
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
 from hypothesis import given
 
 from crosschecks import noncanonical_zexps
-from bottcher.keys import Cut, Key, as_zexp, ell_key, front_zscale, zero_key
+from bottcher.keys import Z, Cut, Key, as_zexp, ell_key, front_zscale, zero_key
 from bottcher.series import TruncationGrid
 
 zexps = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -117,3 +119,55 @@ def test_integral_sums_and_scalings_of_fractional_keys_are_ints():
               front_zscale(Key(3, (0,)), Fraction(1, 3)), half + Cut(Fraction(3, 2))):
         assert type(k.z) is int, k
     assert Key(1, (0,)).is_positive() and not Key(0, (-1,)).is_positive()
+
+
+# Denominators of the scaled z: divisors of Z, whose keys hold an int zs,
+# and 11, 13, 11^3 and 2^65, which do not divide Z and keep a Fraction zs.
+SCALE_DENOMS = (1, 2, 3, 4, 6, 9, 25, 49, 2**5 * 3**2 * 5 * 7, 2**64, 7**64, 10**26,
+                11, 13, 11**3, 2**65)
+
+
+def _draw_zexp(rng: random.Random) -> Fraction:
+    d = rng.choice(SCALE_DENOMS)
+    return Fraction(rng.randint(-4 * d, 4 * d), d)
+
+
+def _spelling(rng: random.Random, q: Fraction):
+    return rng.choice([q, str(q)] + ([int(q)] if q.denominator == 1 else []))
+
+
+def test_scaled_keys_follow_the_rational_tuple_order_and_arithmetic():
+    """Key/Cut order, ==, hash, +, -, neg, scale and the .z round trip agree
+    with the (Fraction(z), l) tuples, for z on and off the scale Z, negative
+    z, int, Fraction and text spellings, and depths 0 to 2."""
+    rng = random.Random(37)
+    for _ in range(600):
+        depth, n = rng.randint(0, 2), rng.randint(-3, 3)
+        x, y = _draw_zexp(rng), _draw_zexp(rng)
+        lx, ly = (tuple(rng.randint(-3, 3) for _ in range(depth)) for _ in "xy")
+        a, b = Key(_spelling(rng, x), lx), Key(_spelling(rng, y), ly)
+        ta, tb = (x, lx), (y, ly)
+        assert [a < b, a <= b, a == b, a != b, a >= b, a > b] == \
+            [ta < tb, ta <= tb, ta == tb, ta != tb, ta >= tb, ta > tb], (ta, tb)
+        assert (hash(a) == hash(b)) >= (a == b)
+        for k, q in ((a, x), (b, y)):
+            assert k.zs == q * Z and (type(k.zs) is int) == (Z % q.denominator == 0)
+        results = [
+            (a + b, x + y, tuple(map(operator.add, lx, ly))),
+            (a - b, x - y, tuple(map(operator.sub, lx, ly))),
+            (-a, -x, tuple(-e for e in lx)),
+            (a.scale(n), x * n, tuple(e * n for e in lx)),
+        ]
+        for got, z, l in results:
+            want = Key(z, l)
+            assert got == want and hash(got) == hash(want) and got.l == l, (got, want)
+            assert got.z == z and not noncanonical_zexps(got), (got, z)
+            assert (got < a) == ((z, l) < ta) and (got > b) == ((z, l) > tb)
+        cx, cy = Cut(_spelling(rng, x)), Cut(y)
+        assert cx == Cut(x) and hash(cx) == hash(Cut(x)) and cx.z == x
+        assert (cx < cy) == (x < y) and (cx == cy) == (x == y)
+        assert cx < a and (cx < b) == (x <= y) and (b < cx) == (y < x)
+        assert a + cy == Cut(x + y) and (a + cy).z == x + y
+        assert not noncanonical_zexps(cx, a + cy)
+    assert Key(2) == Key(Fraction(2)) and hash(Key(2)) == hash(Key(Fraction(2)))
+    assert type(Key.from_zs(Fraction(3 * Z), ()).zs) is int  # an integral Fraction zs is made an int

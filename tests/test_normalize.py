@@ -404,6 +404,21 @@ def test_large_denominator_exponents_stay_exact(z_cap, trusted, lcm, frontier, d
     assert hashlib.sha256(text.encode()).hexdigest()[:8] == digest
 
 
+def test_exponents_off_the_key_scale_stay_exact():
+    """phi of z^(13/11) + z^2 has exponents of denominator 11^k, which does
+    not divide the key scale `keys.Z`: those keys hold their scaled z as a
+    `Fraction`, next to the int-scaled keys of the integral exponents.  The
+    frontier and the sha256 of phi's JSON are pinned to the values computed
+    before keys were scaled."""
+    res = normalize(parse("z^(13/11) + z^2", z_cap=3, block_cap=8, depth=0))
+    phi = res.phi
+    assert res.verification["conjugation_exact_below_frontier"], res.verification
+    assert {type(k.zs) for k in phi.terms} == {int, Fraction}
+    assert phi.frontier == Cut(Fraction(31, 11)) and len(phi.terms) == 8
+    text = json.dumps(series_to_json(phi), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:8] == "1601f533"
+
+
 def test_verification_reuses_the_normalization_composer(monkeypatch):
     import importlib
 

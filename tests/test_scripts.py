@@ -152,6 +152,19 @@ def test_only_the_series_kernel_decides_which_terms_are_trusted():
     assert {name: lines for name, lines in filters.items() if lines} == {}
 
 
+def test_kernel_hot_loops_read_no_rational_z():
+    """`series.make_series`, `series.mul` and `compose.solve_linear` group, add
+    and compare keys on their scaled z-exponent `zs` and build keys with
+    `Key.from_zs`: none reads a key's `.z`, which derives the rational back."""
+    found = {}
+    for module, fn in (("series.py", "make_series"), ("series.py", "mul"),
+                       ("compose.py", "solve_linear")):
+        tree = ast.parse((LIB / module).read_text())
+        body = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == fn)
+        found[fn] = [n.lineno for n in ast.walk(body) if isinstance(n, ast.Attribute) and n.attr == "z"]
+    assert found == {"make_series": [], "mul": [], "solve_linear": []}
+
+
 def test_cli_builds_no_numeric_evaluator():
     """The analytic maps are `dulac`'s (`zeta_chart_map`): the CLI names none
     of the helpers a third numeric evaluator would convert its constants with."""
