@@ -51,7 +51,6 @@ from .koenigs import (
     solve_homological,
 )
 from .normalize import (
-    NOT_MONIC,
     bottcher_R_op,
     bottcher_sequence,
     conjugation_report,
@@ -113,10 +112,18 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
+def _positive_rational(text: str) -> Fraction:
+    """The type of --z-cap: a `_rational` > 0."""
+    q = _rational(text)
+    if q <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return q
+
+
 def _add_grid(p):
-    p.add_argument("--z-cap", dest="z_cap", type=_rational, default="12")
-    p.add_argument("--block-cap", dest="block_cap", type=int, default=10)
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--z-cap", dest="z_cap", type=_positive_rational, default="12")
+    p.add_argument("--block-cap", dest="block_cap", type=_int_at_least(1), default=10)
+    p.add_argument("--depth", type=_int_at_least(0), default=None)
     p.add_argument("--float", dest="mode", action="store_const", const=FLOAT, default=EXACT)
 
 
@@ -175,7 +182,8 @@ def _samples_spec(text: str) -> tuple[float, float, int]:
 
 
 def _int_at_least(least: int):
-    """The type of an integer option >= least: 0, 1 or 15 (--precision)."""
+    """The type of an integer option >= least: 0 (--depth), 1 (--block-cap)
+    or 15 (--precision)."""
 
     def at_least(text: str) -> int:
         (n,) = _fields(text, ",", (int,), "an integer")
@@ -469,11 +477,6 @@ def main(argv=None) -> int:
         print(f"certification failed: {e}", file=sys.stderr)
         return 3
     except BottcherError as e:
-        if str(e) == NOT_MONIC:
-            e = (
-                f"{args.cmd} needs leading coefficient 1; rescale z to make it 1, "
-                "or run `normalize`, which reduces it itself"
-            )
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

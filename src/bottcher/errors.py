@@ -22,7 +22,8 @@ class EmptySeriesError(BottcherError):
 
 
 class ModeError(BottcherError):
-    """A value is not representable in exact mode (hint: retry in float mode)."""
+    """A value is not representable in exact mode (hint: retry in float mode),
+    or a "mode" is neither "exact" nor "float"."""
 
 
 class DomainError(BottcherError):

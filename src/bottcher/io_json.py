@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .coeffs import EXACT, FLOAT, Exact, c_zero
 from .dulac import DulacSeriesZeta, _germ, rungs, whole_series
-from .errors import ShapeError
+from .errors import ModeError, ShapeError
 from .keys import Cut, Key, as_zexp
 from .series import TransSeries, TruncationGrid, make_series
 
@@ -24,6 +24,14 @@ def _mono_parse(s: str) -> tuple:
     if not s:
         return ()
     return tuple((int(p), int(e)) for p, e in (q.split(":") for q in s.split(",")))
+
+
+def _mode_from_json(d: dict, default=None) -> str:
+    """The "mode" field of d, "exact" or "float"; `default` when it is absent."""
+    mode = d.get("mode", default)
+    if mode not in (EXACT, FLOAT):
+        raise ModeError(f'"mode" must be "{EXACT}" or "{FLOAT}", got {mode!r}')
+    return mode
 
 
 def coeff_to_json(c) -> dict:
@@ -86,7 +94,7 @@ def series_to_json(f: TransSeries) -> dict:
 
 def series_from_json(d: dict) -> TransSeries:
     depth = d["depth"]
-    mode = d["mode"]
+    mode = _mode_from_json(d)
     g = d.get("grid", {})
     grid = TruncationGrid(
         z_cap=as_zexp(g.get("z_cap", "16")),
@@ -151,7 +159,7 @@ def dulac_zeta_to_json(d) -> dict:
 
 def dulac_zeta_from_json(d: dict) -> DulacSeriesZeta:
     """The zeta chart of a ladder; every beta must be positive."""
-    mode = d.get("mode", EXACT)
+    mode = _mode_from_json(d, EXACT)
     terms = {}
     for e in d["ladder"]:
         beta = as_zexp(e["beta"])

@@ -19,10 +19,11 @@ constant Z = 210^64.  zs is an `int` whenever z's denominator divides Z,
 which covers every denominator 2^a 3^b 5^c 7^d with exponents up to 64 (so
 the exponents 1 + (beta - 1) alpha^k, k <= 64, of a strongly hyperbolic
 alpha = 3/2 or 11/10); for any other denominator zs stays an exact
-`Fraction` (z^(13/11) + z^2 has such keys).  The order, equality, hash and arithmetic
-of keys run on zs, so on int compares and sums; `.z` gives the canonical
-exponent back, derived on first read and cached.  The series kernel groups,
-adds and compares on zs and builds its keys with `Key.from_zs`.
+`Fraction` (z^(13/11) + z^2 has such keys).  A key is the tuple (zs, l) and
+a cut the tuple (zs,), a prefix of every key at its z: tuple order, equality
+and hash are the lex ones, on int compares, and a key equals the plain tuple
+(zs, l), so no dict mixes keys with other tuples.  `.z` derives the canonical
+exponent on each read.  The kernel builds its keys with `Key.from_zs`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 
 Z = 210**64  # the z-scale: zs = z Z is an int for every denominator dividing it
 
-_new = object.__new__  # builds a key or cut from zs without `__init__`
+_new = tuple.__new__  # builds a key or cut from its tuple, unchecked
 
 
 def as_zexp(x) -> int | Fraction:
@@ -50,72 +51,32 @@ def as_zexp(x) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
-def _scaled(x) -> tuple:
-    """(z, zs): the canonical exponent of `x` and its scaled form z Z."""
+def _scaled(x) -> int | Fraction:
+    """zs = z Z for the canonical form z of the exponent `x`."""
     if type(x) is not int and (type(x) is not Fraction or x.denominator == 1):
         x = as_zexp(x)
     if type(x) is int:
-        return x, x * Z
-    d = x.denominator
-    q, r = divmod(Z, d)
-    return x, Fraction(x.numerator * Z, d) if r else x.numerator * q
+        return x * Z
+    q, r = divmod(Z, x.denominator)
+    return Fraction(x.numerator * Z, x.denominator) if r else x.numerator * q
 
 
-class _Lex:
-    """The lex order, equality and hash of `Key` and `Cut` on their tuple `_t`:
-    (zs, l) for a key, (zs,) for a cut, a prefix of every (zs, l), so a cut
-    orders below every key at its z.  Either as a frontier f says by
-    `block_past(zs, f.zs)` whether every key of scaled z-order zs lies at or
-    above f."""
+class Key(tuple):
+    """A point (z_exp, log_exps) of Q x Z^k, the tuple (zs, l).  A key or cut f
+    says by `block_past(zs, f.zs)` if all keys at zs lie at or above it."""
 
-    __slots__ = ("zs", "_z", "_t", "_h")
-
-    @property
-    def z(self) -> int | Fraction:
-        """The exponent of z in canonical form, zs / Z."""
-        z = self._z
-        if z is None:
-            zs = self.zs
-            if type(zs) is int:
-                q, r = divmod(zs, Z)
-                z = Fraction(zs, Z) if r else q
-            else:
-                z = zs / Z
-            self._z = z
-        return z
-
-    def __eq__(self, other):
-        return isinstance(other, _Lex) and self._t == other._t
-
-    def __lt__(self, other):
-        return self._t < other._t
-
-    def __le__(self, other):
-        return self._t <= other._t
-
-    def __gt__(self, other):
-        return self._t > other._t
-
-    def __ge__(self, other):
-        return self._t >= other._t
-
-    def __hash__(self):
-        return self._h
-
-
-class Key(_Lex):
-    """A point (z_exp, log_exps) of Q x Z^k with lex order; z_exp canonical."""
-
-    __slots__ = ("l",)
+    __slots__ = ()
+    zs = property(operator.itemgetter(0), doc="The scaled z-exponent z Z.")
+    l = property(operator.itemgetter(1), doc="The log exponents, an int tuple.")
     block_past = operator.gt
 
-    def __init__(self, z, l=()):
-        # Keys are hashed on every dict access: normalize once, hash once.
+    def __new__(cls, z, l=()):
         # A tuple `l` is taken as already normalized (integer entries).
-        self._z, self.zs = _scaled(z)
-        self.l = l if type(l) is tuple else tuple(map(int, l))
-        self._t = (self.zs, self.l)
-        self._h = hash(self._t)
+        return _new(cls, (_scaled(z), l if type(l) is tuple else tuple(map(int, l))))
+
+    def __init__(self, z, l=()):
+        """A no-op that the benchmark's tracer (`bench/tracer.py`) wraps to count
+        keys.created; it goes with the tracer, in ROADMAP item 5's second slice."""
 
     @classmethod
     def from_zs(cls, zs, l=()) -> "Key":
@@ -123,85 +84,86 @@ class Key(_Lex):
         int tuple l, built with no rational arithmetic when zs is an int."""
         if type(zs) is not int and zs.denominator == 1:
             zs = zs.numerator
-        k = _new(cls)
-        k.zs, k._z, k.l = zs, None, l
-        k._t = t = (zs, l)
-        k._h = hash(t)
-        return k
+        return _new(cls, (zs, l))
+
+    @property
+    def z(self) -> int | Fraction:
+        """The exponent of z in canonical form, zs / Z."""
+        q, r = divmod(self[0], Z)  # r != 0 for a `Fraction` zs
+        return Fraction(self[0], Z) if r else q
 
     @property
     def depth(self) -> int:
-        return len(self.l)
+        return len(self[1])
 
     def pad(self, depth: int) -> "Key":
         """Embed into depth `depth` by zero-padding the log exponents."""
-        if len(self.l) == depth:
+        zs, l = self
+        if len(l) == depth:
             return self
-        if len(self.l) > depth:
-            raise ValueError(f"cannot pad key of depth {len(self.l)} to {depth}")
-        return Key.from_zs(self.zs, self.l + (0,) * (depth - len(self.l)))
+        if len(l) > depth:
+            raise ValueError(f"cannot pad key of depth {len(l)} to {depth}")
+        return _new(Key, (zs, l + (0,) * (depth - len(l))))
 
     def __add__(self, other):
-        if isinstance(other, Cut):
-            return Cut.from_zs(self.zs + other.zs)
-        if len(self.l) != len(other.l):
+        if type(other) is Cut:
+            return Cut.from_zs(self[0] + other[0])
+        (zs, l), (ozs, ol) = self, other
+        if len(l) != len(ol):
             raise ValueError("depth mismatch in key addition")
-        return Key.from_zs(self.zs + other.zs, tuple(map(operator.add, self.l, other.l)))
+        return Key.from_zs(zs + ozs, tuple(map(operator.add, l, ol)))
 
     def __sub__(self, other: "Key") -> "Key":
-        if len(self.l) != len(other.l):
+        (zs, l), (ozs, ol) = self, other
+        if len(l) != len(ol):
             raise ValueError("depth mismatch in key subtraction")
-        return Key.from_zs(self.zs - other.zs, tuple(map(operator.sub, self.l, other.l)))
+        return Key.from_zs(zs - ozs, tuple(map(operator.sub, l, ol)))
 
     def __neg__(self) -> "Key":
-        return Key.from_zs(-self.zs, tuple(-a for a in self.l))
+        return _new(Key, (-self[0], tuple(-a for a in self[1])))
 
     def scale(self, n: int) -> "Key":
         """n-fold sum of the key (n may be 0)."""
-        return Key.from_zs(self.zs * n, tuple(a * n for a in self.l))
+        return Key.from_zs(self[0] * n, tuple(a * n for a in self[1]))
 
     def is_positive(self) -> bool:
         """Strictly above the all-zero key in lex order."""
-        return self._t > (0, (0,) * len(self.l))
+        return self > (0, (0,) * len(self[1]))
 
     def is_zero(self) -> bool:
-        return self.zs == 0 and all(n == 0 for n in self.l)
+        return self[0] == 0 and all(n == 0 for n in self[1])
 
     def __repr__(self):
         return f"Key({self.z!s}, {self.l})"
 
 
-class Cut(_Lex):
-    """The lex-infimum marker (z, -inf, ..., -inf), depth-free: as a truncation
-    frontier, every key with z-part >= z lies at or above it."""
+class Cut(tuple):
+    """The lex-infimum marker (z, -inf, ..., -inf), depth-free: the tuple (zs,).
+    As a truncation frontier, every key with z-part >= z lies at or above it."""
 
     __slots__ = ()
+    zs = Key.zs
+    z = Key.z
     block_past = operator.ge
 
-    def __init__(self, z):
-        self._z, self.zs = _scaled(z)
-        self._t = (self.zs,)
-        self._h = hash(self._t)
+    def __new__(cls, z):
+        return _new(cls, (_scaled(z),))
 
     @classmethod
     def from_zs(cls, zs) -> "Cut":
         """The cut at scaled z-exponent zs (an int or a `Fraction`)."""
         if type(zs) is not int and zs.denominator == 1:
             zs = zs.numerator
-        c = _new(cls)
-        c.zs, c._z = zs, None
-        c._t = t = (zs,)
-        c._h = hash(t)
-        return c
+        return _new(cls, (zs,))
 
     def pad(self, depth: int) -> "Cut":
         return self
 
     def __add__(self, other):
-        return Cut.from_zs(self.zs + other.zs)
+        return Cut.from_zs(self[0] + other[0])
 
     def is_positive(self) -> bool:
-        return self.zs > 0  # (z, -inf) > 0 iff z > 0
+        return self[0] > 0  # (z, -inf) > 0 iff z > 0
 
     def __repr__(self):
         return f"Cut({self.z!s})"
@@ -209,7 +171,7 @@ class Cut(_Lex):
 
 def front_zscale(front, q):
     """Image of a frontier under the key map (z, l) -> (q z, l), q rational."""
-    if isinstance(front, Cut):
+    if type(front) is Cut:
         return Cut.from_zs(front.zs * q)
     return Key.from_zs(front.zs * q, front.l)
 

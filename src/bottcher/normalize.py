@@ -72,9 +72,12 @@ from .compose import (
 # -- the Bottcher operator ------------------------------------------------------
 
 
-# The ShapeError of a leading coefficient other than 1; the CLI, whose users
-# cannot call reduce_lambda, replaces it by a remedy they have.
-NOT_MONIC = "leading coefficient must be 1 (apply reduce_lambda first)"
+# The ShapeError of a leading coefficient other than 1.  Its remedy names only
+# what both library and CLI users have: `normalize` reduces lambda itself.
+NOT_MONIC = (
+    "leading coefficient must be 1; rescale z to make it 1, "
+    "or run `normalize`, which reduces it itself"
+)
 
 
 def _require_monic_power(f: TransSeries):
@@ -83,7 +86,8 @@ def _require_monic_power(f: TransSeries):
         raise ShapeError(NOT_MONIC)
     if not shape.alpha > 1:
         raise ShapeError(
-            f"alpha = {shape.alpha} <= 1; apply reduce_alpha / out of scope"
+            f"alpha = {shape.alpha} <= 1; `normalize` inverts a germ with "
+            "alpha < 1 itself, and alpha = 1 is out of scope"
         )
     return shape
 

@@ -11,10 +11,12 @@ operand's minimal key, the first key lost to truncation, and the
 grid-implied frontier (z_cap, 0).  Keys are exact in both modes, with each
 z-exponent and z_cap in `keys`' canonical form (an int when integral, else a
 `Fraction`): float mode differs from exact mode in its coefficients alone.
-The kernel's loops (`make_series`, `mul`, `compose.solve_linear`) group,
-add and compare keys on their scaled z-exponent `zs` (an int for every
-denominator dividing `keys.Z`) and build keys with `Key.from_zs`, never
-through the rational `.z`.
+A key is the tuple (zs, l) of its scaled z-exponent zs (an int for every
+denominator dividing `keys.Z`) and its log exponents, and a cut the tuple
+(zs,), so keys and frontiers compare and hash as tuples.  The kernel's loops
+(`make_series`, `mul`, `compose.solve_linear`) group, add and compare keys on
+zs and build keys with `Key.from_zs`, never through the rational `.z`, which
+is derived anew on each read.
 
 Supports may contain keys <= 0 (the ambient algebra allows constants,
 negative log exponents and negative powers); shape preconditions of the
@@ -219,7 +221,7 @@ def _common(a: TransSeries, b: TransSeries):
 def ord_z(f: TransSeries):
     if not f.terms:
         return None
-    return min(k.z for k in f.terms)
+    return min(f.terms).z
 
 
 def leading_term(f: TransSeries):
@@ -392,8 +394,9 @@ def power_sum(v: TransSeries, s, a, b, base_z=0, one=False) -> TransSeries:
     limit = grid.z_cap - max(base_z, 0)
     frontier = min(Cut(limit), v.frontier) if b else Cut(limit)
     gens = sorted(k for k in v.terms if k < frontier)
-    q = math.lcm(*(k.z.denominator for k in gens))
-    vs = [((k.z * q).numerator,) + k.l for k in gens]
+    zg = [k.z for k in gens]
+    q = math.lcm(*(z.denominator for z in zg))
+    vs = [((z * q).numerator,) + k.l for z, k in zip(zg, gens)]
     m = 1
     while not all(_weight(x, m) > 0 for x in vs):
         m *= 2

@@ -132,6 +132,11 @@ def test_leading_coefficient_error_names_the_cli_remedy(capsys):
     assert "reduce_lambda" not in err
     assert "rescale z" in err and "`normalize`" in err
     assert main(["normalize", "4*z^2 + z^2*l1", "--z-cap", "4", "--depth", "1"]) == 0
+    capsys.readouterr()
+    assert main(["support", "z^(1/2) + z"]) == 2  # alpha <= 1
+    err = capsys.readouterr().err
+    assert "reduce_alpha" not in err and "`normalize`" in err and len(err.splitlines()) == 1
+    assert main(["normalize", "z^(1/2) + z", "--z-cap", "4"]) == 0
 
 
 def test_bottcher_seq(capsys):
@@ -457,6 +462,10 @@ def test_precision_below_a_double_exits_2(capsys, tmp_path, monkeypatch, source,
         (["support", "z^2 + z^3*l1", "--enumerate", "-2"], "--enumerate"),
         # unchecked: "error: ValueError: n must be >= 0"
         (["bottcher-seq", "z^2 + z^3", "--n", "-1", "--z-cap", "6"], "--n"),
+        # unchecked: "error: ValueError: truncation caps must be positive"
+        (["normalize", "z^2 + z^3", "--z-cap", "0"], "--z-cap"),
+        (["normalize", "z^2 + z^3", "--block-cap", "0"], "--block-cap"),
+        (["normalize", "z^2 + z^3", "--depth", "-1"], "--depth"),
     ],
 )
 def test_a_bad_numeric_option_exits_2_naming_it(capsys, argv, option):
@@ -478,6 +487,18 @@ def test_a_non_finite_r_ceiling_in_the_config_exits_2(capsys, tmp_path, monkeypa
     assert exc.value.code == 2
     assert err.strip().splitlines()[-1].endswith(
         f"error: argument --r-ceiling: expected a finite float, got '{value}'"), err
+
+
+def test_a_non_positive_cap_in_the_config_exits_2(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("block_cap = 0\n")
+    monkeypatch.setenv("BOTTCHER_CONFIG", str(cfg))
+    with pytest.raises(SystemExit) as exc:
+        main(["normalize", "z^2 + z^3"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.strip().splitlines()[-1].endswith(
+        "error: argument --block-cap: must be at least 1, got '0'"), err
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
@@ -583,6 +604,32 @@ def test_a_bad_germ_file_exits_2_in_one_line(capsys, tmp_path, option, text):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: "), captured.err
+
+
+@pytest.mark.parametrize("command", ["domain-check", "to-z", "verify"])
+def test_an_unknown_mode_in_json_input_exits_2_naming_it(capsys, tmp_path, command):
+    """A germ read with `exakt` was read as float (domain-check certified it,
+    `bridge to-z` echoed the mode), and a phi with mode `weird` failed on
+    its first coefficient as a float value in exact mode."""
+    germ = json.loads((DATA / "germs" / "f_2z_e1_z2e1.5.json").read_text())
+    germ["mode"] = "exakt"
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(germ))
+    if command == "verify":
+        _, out = run(capsys, "normalize", "z^2 + z^3", "--z-cap", "8", "--json")
+        phi = json.loads(out)["phi"]
+        phi["mode"] = "weird"
+        path.write_text(json.dumps(phi))
+    argv = {
+        "domain-check": ["analytic", "domain-check", "--infile", str(path)],
+        "to-z": ["bridge", "to-z", "--infile", str(path)],
+        "verify": ["verify", "--f", "z^2 + z^3", "--phi-file", str(path), "--z-cap", "8"],
+    }[command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith('error: "mode" must be "exact" or "float"'), captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def _paths(node, path=()):

@@ -139,8 +139,11 @@ def _spelling(rng: random.Random, q: Fraction):
 def test_scaled_keys_follow_the_rational_tuple_order_and_arithmetic():
     """Key/Cut order, ==, hash, +, -, neg, scale and the .z round trip agree
     with the (Fraction(z), l) tuples, for z on and off the scale Z, negative
-    z, int, Fraction and text spellings, and depths 0 to 2."""
+    z, int, Fraction and text spellings, and depths 0 to 2.  A cut sorts
+    below every key at its z and equals none, and `Key.from_zs` builds the
+    same dict key as `Key`."""
     rng = random.Random(37)
+    mixed, refs = [], []  # keys and cuts, and their (z, 1, l) and (z, 0)
     for _ in range(600):
         depth, n = rng.randint(0, 2), rng.randint(-3, 3)
         x, y = _draw_zexp(rng), _draw_zexp(rng)
@@ -169,5 +172,12 @@ def test_scaled_keys_follow_the_rational_tuple_order_and_arithmetic():
         assert cx < a and (cx < b) == (x <= y) and (b < cx) == (y < x)
         assert a + cy == Cut(x + y) and (a + cy).z == x + y
         assert not noncanonical_zexps(cx, a + cy)
+        assert a != cx and cx != a
+        assert len({a: 0, cx: 1, Key.from_zs(x * Z, lx): 2, Key.from_zs(y * Z, ly): 3}) == \
+            len({ta: 0, (x,): 1, tb: 3})
+        mixed += [a, b, cx, cy]
+        refs += [(x, 1, lx), (y, 1, ly), (x, 0), (y, 0)]
+    order = sorted(range(len(mixed)), key=mixed.__getitem__)
+    assert [refs[i] for i in order] == sorted(refs)
     assert Key(2) == Key(Fraction(2)) and hash(Key(2)) == hash(Key(Fraction(2)))
     assert type(Key.from_zs(Fraction(3 * Z), ()).zs) is int  # an integral Fraction zs is made an int
